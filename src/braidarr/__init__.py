@@ -4,7 +4,6 @@ braid arrangement."""
 from .arrangements import (
     ArrangementSpec,
     Hyperplane,
-    ModulusPlan,
     charpoly_ff,
     count_complement_points,
     hyperplanes_of,
@@ -46,13 +45,7 @@ from .paths import (
     sketch_to_path,
     unlabeled_census,
 )
-from .poset import (
-    build_poset,
-    charpoly_from_poset,
-    flat_of,
-    graph_of,
-    is_consistent,
-)
+from .poset import build_poset, charpoly_from_poset
 from .sketches import (
     LogPoint,
     Sketch,

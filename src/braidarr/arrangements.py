@@ -47,9 +47,10 @@ class Hyperplane:
     """One hyperplane in canonical form.
 
     kind "coord": x_i = 0 (multiplicative flavor only).
-    kind "pair", multiplicative: x_i = 2^k x_j with k >= 0; a negative shift
-    is stored with i and j swapped so the power is always nonnegative.
-    kind "pair", additive: x_i - x_j = k with i < j, k any integer.
+    kind "pair" (multiplicative flavor): x_i = 2^k x_j with k >= 0; a
+    negative shift is stored with i and j swapped so the power is always
+    nonnegative.
+    kind "diff" (additive flavor): x_i - x_j = k with i < j, k any integer.
     """
 
     kind: str
@@ -60,7 +61,7 @@ class Hyperplane:
     def __str__(self) -> str:
         if self.kind == "coord":
             return f"x{self.i} = 0"
-        if self.j and self.k >= 0 and self.kind == "pair":
+        if self.kind == "pair":
             return f"x{self.i} = 2^{self.k} x{self.j}"
         return f"x{self.i} - x{self.j} = {self.k}"
 
@@ -146,6 +147,10 @@ class ArrangementSpec:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ArrangementSpec":
         """Load the CLI spec format: ``{"n", "flavor": "A"|"C", "coords", "shifts"}``."""
+        if not isinstance(data, Mapping):
+            raise ValueError("spec must be a JSON object")
+        if "n" not in data:
+            raise ValueError("spec has no 'n'")
         flavor = {"A": MULTIPLICATIVE, "C": ADDITIVE}.get(data.get("flavor"))
         if flavor is None:
             raise ValueError(f"flavor must be 'A' or 'C', got {data.get('flavor')!r}")
@@ -181,22 +186,6 @@ class ArrangementSpec:
         )
 
 
-@dataclass(frozen=True)
-class ModulusInfo:
-    q: int
-    is_prime: bool
-    two_is_primitive_root: bool
-
-
-@dataclass(frozen=True)
-class ModulusPlan:
-    moduli: tuple[ModulusInfo, ...]
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(info.q for info in self.moduli)
-
-
 def hyperplanes_of(spec: ArrangementSpec) -> list[Hyperplane]:
     """Deduplicated hyperplane list in canonical order.
 
@@ -216,7 +205,7 @@ def hyperplanes_of(spec: ArrangementSpec) -> list[Hyperplane]:
             if spec.flavor == MULTIPLICATIVE:
                 h = Hyperplane("pair", i, j, k) if k >= 0 else Hyperplane("pair", j, i, -k)
             else:
-                h = Hyperplane("pair", i, j, k)
+                h = Hyperplane("diff", i, j, k)
             key = (h.kind, h.i, h.j, h.k)
             if key not in seen:
                 seen.add(key)
@@ -241,7 +230,7 @@ def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
     return q > bound
 
 
-def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> ModulusPlan:
+def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> tuple[int, ...]:
     """Smallest ``count`` planned moduli (default n + 2) in ascending order.
 
     Planning thresholds are deliberately generous: primes with
@@ -251,19 +240,16 @@ def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> ModulusPlan:
     """
     if count is None:
         count = spec.n + 2
-    chosen: list[ModulusInfo] = []
     if spec.flavor == MULTIPLICATIVE:
+        chosen: list[int] = []
         q = (spec.m_max + 1) * spec.n + 2
         while len(chosen) < count:
             if _is_prime(q) and _two_is_primitive_root(q):
-                chosen.append(ModulusInfo(q, True, True))
+                chosen.append(q)
             q += 1
-    else:
-        q = spec.n * (2 * spec.m_max + 2) + 1
-        while len(chosen) < count:
-            chosen.append(ModulusInfo(q, _is_prime(q), False))
-            q += 1
-    return ModulusPlan(tuple(chosen))
+        return tuple(chosen)
+    start = spec.n * (2 * spec.m_max + 2) + 1
+    return tuple(range(start, start + count))
 
 
 def count_complement_points(spec: ArrangementSpec, q: int) -> int:
@@ -361,7 +347,7 @@ def charpoly_ff(
     """
     n = spec.n
     if moduli is None:
-        qs = list(plan_moduli(spec).values)
+        qs = list(plan_moduli(spec))
     else:
         qs = sorted(set(int(q) for q in moduli))
         if len(qs) < n + 2:

@@ -50,9 +50,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -139,8 +136,11 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ArrangementSpec, str]:
     if args.spec and args.target:
         raise UsageError("give either a preset target or --spec, not both")
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.spec!r}: {exc.strerror}") from None
         return ArrangementSpec.from_json_dict(data), args.spec
     if not args.target:
         raise UsageError("missing target; expected a preset like A:3,2 or --spec")
@@ -289,20 +289,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_valid_sketch(text: str) -> sketches.Sketch:
+    sketch = sketches.Sketch.parse(text)
+    if not sketches.is_valid_sketch(sketch):
+        raise UsageError(f"not a valid sketch: {text!r}")
+    return sketch
+
+
 def _cmd_biject(args: argparse.Namespace) -> int:
     direction = args.direction
     if direction == "sketch-to-path":
-        result = paths.sketch_to_path(sketches.Sketch.parse(args.text)).to_text()
+        result = paths.sketch_to_path(_parse_valid_sketch(args.text)).to_text()
     elif direction == "path-to-sketch":
         decorated = paths.DecoratedDyckPath.parse(args.text, args.m)
         result = paths.path_to_sketch(decorated).to_text()
     elif direction == "sketch-to-partition":
-        result = partitions.sketch_to_partition(sketches.Sketch.parse(args.text)).to_text()
+        result = partitions.sketch_to_partition(_parse_valid_sketch(args.text)).to_text()
     elif direction == "partition-to-sketch":
         parsed = partitions.DecoratedNonNestingPartition.parse(args.text, args.m)
         result = partitions.partition_to_sketch(parsed).to_text()
     else:
-        point = sketches.witness_point(sketches.Sketch.parse(args.text))
+        point = sketches.witness_point(_parse_valid_sketch(args.text))
         result = json.dumps([lp.to_json_dict() for lp in point])
     if args.output == "json" and direction != "sketch-to-witness":
         print(json.dumps({"direction": direction, "result": result}, sort_keys=True))

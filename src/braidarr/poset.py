@@ -3,12 +3,17 @@
 Flats are represented combinatorially: a set of zero-forced coordinates plus
 a partition of the remaining coordinates into components, where each
 component carries integer offsets meaning ``x_v = 2^(offset_v) * c`` for a
-shared free value c.  This canonical form is exact, hashable, and directly
-supports the containment test that orders the poset.
+shared free value c.  This canonical form is exact and hashable; it keys the
+closure and is the JSON format.
+
+Every hyperplane passes through the origin, so flats are ordered by
+hyperplane masks: X contains Y exactly when every hyperplane containing X
+also contains Y.  The closure records each flat's mask as it goes, and the
+lattice is graded by dimension, which gives the Hasse relation directly.
 
 A second, independent route computes flat dimensions by exact row reduction
 on the true hyperplane normals (coefficients 1 and -2^k); tests compare the
-two models.
+two.
 """
 from __future__ import annotations
 
@@ -20,25 +25,6 @@ from .arrangements import MULTIPLICATIVE, ArrangementSpec, Hyperplane, hyperplan
 from .numbers import IntPolynomial
 
 POSET_DIMENSION_GUARD = 5
-
-
-class InconsistentGraph(ValueError):
-    """Two directed paths between the same vertices have different label sums."""
-
-
-@dataclass(frozen=True)
-class ArrangementGraph:
-    """Directed multigraph model of a set of multiplicative hyperplanes.
-
-    An edge ``(u, v, k)`` means ``x_v = 2^k x_u``; every hyperplane
-    contributes the edge and its reverse.  Loop closure has been applied:
-    any component containing a zero-forced vertex is entirely looped and has
-    no edges.
-    """
-
-    n: int
-    loops: frozenset[int]
-    edges: frozenset[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -58,14 +44,6 @@ class Flat:
     @property
     def dimension(self) -> int:
         return len(self.components)
-
-    def offset_map(self) -> dict[int, tuple[int, int]]:
-        """vertex -> (component index, offset) for non-looped vertices."""
-        out = {}
-        for idx, comp in enumerate(self.components):
-            for v, off in comp:
-                out[v] = (idx, off)
-        return out
 
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.loops)), self.components)
@@ -87,23 +65,24 @@ class IntersectionPoset:
 
     def __init__(self, nodes: Sequence[PosetNode], below: Sequence[frozenset[int]]):
         self.nodes = tuple(nodes)
-        self._below = tuple(below)  # indices of flats strictly containing node i
+        self.below = tuple(below)  # indices of flats strictly containing node i
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def strictly_below(self, index: int) -> frozenset[int]:
-        """Poset elements strictly below node ``index`` (closer to ambient)."""
-        return self._below[index]
-
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (a, b) where b covers a."""
-        edges = []
-        for b, lower in enumerate(self._below):
-            for a in lower:
-                if not any(a in self._below[c] for c in lower if c != a):
-                    edges.append((a, b))
-        return sorted(edges)
+        """Cover pairs (a, b) where b covers a.
+
+        The lattice is graded by dimension, so b covers a exactly when a is
+        below b and one dimension higher.
+        """
+        dims = [node.flat.dimension for node in self.nodes]
+        return sorted(
+            (a, b)
+            for b, lower in enumerate(self.below)
+            for a in lower
+            if dims[a] == dims[b] + 1
+        )
 
     def to_json_dict(self) -> dict:
         flats = []
@@ -124,75 +103,6 @@ class IntersectionPoset:
             "flats": flats,
             "hasse": [[a, b] for a, b in self.hasse_edges()],
         }
-
-
-def graph_of(hyperplanes: Iterable[Hyperplane], n: int) -> ArrangementGraph:
-    """Graph model of a hyperplane set, with loop closure applied."""
-    loops: set[int] = set()
-    edges: set[tuple[int, int, int]] = set()
-    for h in hyperplanes:
-        if h.kind == "coord":
-            loops.add(h.i)
-        else:
-            # x_i = 2^k x_j: k applied to x_j gives x_i
-            edges.add((h.j, h.i, h.k))
-            edges.add((h.i, h.j, -h.k))
-    adjacency: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v, _ in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    # Loop closure: spread loops through connected components, drop their edges.
-    stack = list(loops)
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in loops:
-                loops.add(w)
-                stack.append(w)
-    edges = {(u, v, k) for (u, v, k) in edges if u not in loops and v not in loops}
-    return ArrangementGraph(n, frozenset(loops), frozenset(edges))
-
-
-def is_consistent(g: ArrangementGraph) -> bool:
-    """True iff all directed paths between equal endpoints have equal label sums."""
-    return _potentials(g) is not None
-
-
-def flat_of(g: ArrangementGraph) -> Flat:
-    """Canonical flat of a consistent graph; raises on inconsistency."""
-    potentials = _potentials(g)
-    if potentials is None:
-        raise InconsistentGraph("conflicting path label sums")
-    return _flat_from_parts(g.n, g.loops, potentials)
-
-
-def _potentials(g: ArrangementGraph) -> list[dict[int, int]] | None:
-    """Per-component offset assignments, or None on conflict."""
-    neighbors: dict[int, list[tuple[int, int]]] = {
-        v: [] for v in range(1, g.n + 1) if v not in g.loops
-    }
-    for u, v, k in g.edges:
-        neighbors[u].append((v, k))
-    seen: dict[int, int] = {}
-    components: list[dict[int, int]] = []
-    for start in sorted(neighbors):
-        if start in seen:
-            continue
-        offsets = {start: 0}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, k in neighbors[u]:
-                candidate = offsets[u] + k
-                if v in offsets:
-                    if offsets[v] != candidate:
-                        return None
-                else:
-                    offsets[v] = candidate
-                    stack.append(v)
-        seen.update(offsets)
-        components.append(offsets)
-    return components
 
 
 def _flat_from_parts(
@@ -259,35 +169,14 @@ def _component_index(comps: list[dict[int, int]], v: int) -> int:
     raise KeyError(v)
 
 
-def flat_contains(outer: Flat, inner: Flat) -> bool:
-    """True iff inner is a subset of outer as point sets."""
-    if outer.n != inner.n:
-        raise ValueError("flats live in different dimensions")
-    if not outer.loops <= inner.loops:
-        return False
-    inner_map = inner.offset_map()
-    for comp in outer.components:
-        vertices = [v for v, _ in comp]
-        if all(v in inner.loops for v in vertices):
-            continue
-        if any(v in inner.loops for v in vertices):
-            return False
-        first_v, first_off = comp[0]
-        comp_idx, inner_first = inner_map[first_v]
-        delta = inner_first - first_off
-        for v, off in comp:
-            idx, inner_off = inner_map[v]
-            if idx != comp_idx or inner_off != off + delta:
-                return False
-    return True
-
-
 def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     """All flats by incremental intersection, with Mobius values.
 
     Starts from the ambient flat and repeatedly intersects known flats with
-    single hyperplanes until closure, then orders by reverse inclusion and
-    runs the defining Mobius recursion top-down.
+    single hyperplanes until closure.  A hyperplane that leaves a flat
+    unchanged contains it, and sets that hyperplane's bit in the flat's mask.
+    Flats are then ordered by reverse inclusion (mask subset) and the
+    defining Mobius recursion runs top-down.
     """
     if spec.flavor != MULTIPLICATIVE:
         raise ValueError("posets are built for multiplicative arrangements only")
@@ -299,21 +188,25 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     start = ambient_flat(spec.n)
     flats = {start}
     frontier = [start]
+    masks: dict[Flat, int] = {}
     while frontier:
         flat = frontier.pop()
-        for h in planes:
+        mask = 0
+        for bit, h in enumerate(planes):
             nxt = intersect_flat(flat, h)
-            if nxt not in flats:
+            if nxt == flat:
+                mask |= 1 << bit
+            elif nxt not in flats:
                 flats.add(nxt)
                 frontier.append(nxt)
+        masks[flat] = mask
     ordered = sorted(flats, key=lambda f: (-f.dimension, f.sort_key()))
-    below: list[frozenset[int]] = []
-    for b, flat_b in enumerate(ordered):
-        lower = set()
-        for a, flat_a in enumerate(ordered):
-            if a != b and flat_contains(flat_a, flat_b):
-                lower.add(a)
-        below.append(frozenset(lower))
+    ordered_masks = [masks[flat] for flat in ordered]
+    # A flat strictly containing b has higher dimension, so it sorts before b.
+    below = [
+        frozenset(a for a in range(b) if not ordered_masks[a] & ~mask_b)
+        for b, mask_b in enumerate(ordered_masks)
+    ]
     mu: list[int] = []
     for index in range(len(ordered)):
         if not below[index]:
@@ -336,7 +229,7 @@ def flat_dimension_by_rank(hyperplanes: Iterable[Hyperplane], n: int) -> int:
     """Dimension of the intersection via exact rank of the true normals.
 
     Row for ``x_i = 0`` is e_i; row for ``x_i = 2^k x_j`` is e_i - 2^k e_j.
-    This route never looks at the graph model, so it serves as an
+    This route never looks at the combinatorial flat form, so it serves as an
     independent cross-check.
     """
     rows = []

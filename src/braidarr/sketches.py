@@ -27,7 +27,7 @@ class OnHyperplane(ValueError):
     """The point lies on a hyperplane, so it determines no region."""
 
 
-class InfeasibleSystem(RuntimeError):
+class InfeasibleSystem(ValueError):
     """Difference constraints admit no solution; the sketch was invalid."""
 
 

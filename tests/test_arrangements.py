@@ -14,6 +14,8 @@ from braidarr.arrangements import (
     modulus_admissible,
     plan_moduli,
     regions_convolution_check,
+    _is_prime,
+    _two_is_primitive_root,
     verify_shift_theorem,
 )
 from braidarr.numbers import IntPolynomial, charpoly_A_closed, charpoly_C_closed, zaslavsky
@@ -96,6 +98,7 @@ class TestHyperplanes:
     def test_C21_expansion(self):
         planes = hyperplanes_of(ArrangementSpec.preset("C:2,1"))
         assert [(h.i, h.j, h.k) for h in planes] == [(1, 2, -1), (1, 2, 0), (1, 2, 1)]
+        assert [str(h) for h in planes] == ["x1 - x2 = -1", "x1 - x2 = 0", "x1 - x2 = 1"]
 
     def test_count_formula(self):
         for n in (2, 3, 4):
@@ -114,18 +117,17 @@ class TestHyperplanes:
 class TestModuli:
     def test_multiplicative_plan_properties(self):
         plan = plan_moduli(ArrangementSpec.preset("A:3,2"))
-        assert len(plan.moduli) == 5
-        for info in plan.moduli:
-            assert info.is_prime and info.two_is_primitive_root
-            assert info.q - 1 > (2 + 1) * 3
+        assert len(plan) == 5
+        for q in plan:
+            assert _is_prime(q) and _two_is_primitive_root(q)
+            assert q - 1 > (2 + 1) * 3
 
     def test_known_primitive_root_primes(self):
         spec = ArrangementSpec.preset("A:4,4")
-        assert plan_moduli(spec).values == (29, 37, 53, 59, 61, 67)
+        assert plan_moduli(spec) == (29, 37, 53, 59, 61, 67)
 
     def test_additive_plan(self):
-        plan = plan_moduli(ArrangementSpec.preset("C:2,1"))
-        assert plan.values == (9, 10, 11, 12)
+        assert plan_moduli(ArrangementSpec.preset("C:2,1")) == (9, 10, 11, 12)
 
     def test_admissibility(self):
         mult = ArrangementSpec.preset("A:2,1")
@@ -198,7 +200,7 @@ class TestCharpolyFF:
         spec = ArrangementSpec.preset("A:2,2")
         p = charpoly_ff(spec)
         plan = plan_moduli(spec, count=8)
-        for q in plan.values:
+        for q in plan:
             assert p(q) == count_complement_points(spec, q)
 
     def test_explicit_moduli(self):

@@ -15,6 +15,13 @@ def capture(capsys):
     return invoke
 
 
+def assert_rejected(code, out, err):
+    """Exit 2 with no output and a single error line."""
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestCharpoly:
     def test_poset_method(self, capture):
         code, out, _ = capture("charpoly", "A:2,1", "--method", "poset")
@@ -76,6 +83,21 @@ class TestCharpoly:
         spec_file.write_text("{}")
         code, _, err = capture("charpoly", "A:2,1", "--spec", str(spec_file))
         assert code == 2
+
+    def test_spec_missing_file(self, capture, tmp_path):
+        assert_rejected(*capture("charpoly", "--spec", str(tmp_path / "absent.json")))
+
+    def test_spec_top_level_list(self, capture, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text("[2]")
+        assert_rejected(*capture("charpoly", "--spec", str(spec_file)))
+
+    def test_spec_without_n(self, capture, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"flavor": "A", "coords": True}))
+        code, out, err = capture("charpoly", "--spec", str(spec_file))
+        assert_rejected(code, out, err)
+        assert "'n'" in err
 
 
 class TestRegions:
@@ -173,6 +195,20 @@ class TestBiject:
     def test_bad_input(self, capture):
         code, _, err = capture("biject", "sketch-to-path", "nonsense")
         assert code == 2
+
+    def test_repeated_letter_to_path(self, capture):
+        code, out, err = capture("biject", "sketch-to-path", "1^0 1^0 0")
+        assert_rejected(code, out, err)
+        assert "not a valid sketch" in err
+
+    def test_invalid_sketch_to_partition(self, capture):
+        # exponents in the wrong order: would print "1 1 |", whose inverse is
+        # the different sketch "1^1 1^0 0"
+        assert_rejected(*capture("biject", "sketch-to-partition", "1^0 1^1 0"))
+
+    def test_infeasible_witness(self, capture):
+        # subscript 1 on both sides of the zero
+        assert_rejected(*capture("biject", "sketch-to-witness", "2^0 1^0 0 1^1 2^1"))
 
 
 class TestStats:

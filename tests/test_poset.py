@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,16 +12,11 @@ from braidarr.numbers import (
     zaslavsky,
 )
 from braidarr.poset import (
-    InconsistentGraph,
     ambient_flat,
     build_poset,
     charpoly_from_poset,
-    flat_contains,
     flat_dimension_by_rank,
-    flat_of,
-    graph_of,
     intersect_flat,
-    is_consistent,
 )
 
 # Hyperplane set from the worked six-coordinate example: x1 = 0, x1 = 2^2 x2,
@@ -32,80 +28,94 @@ EXAMPLE_PLANES = [
     Hyperplane("pair", 5, 4, 3),
     Hyperplane("pair", 5, 3, 4),
 ]
+# x5 = 2^5 x3 contradicts the path x3 -> x4 -> x5 of label sum 4.
+CONFLICT = Hyperplane("pair", 5, 3, 5)
+
+
+def fold(planes, n):
+    """Intersection of a plane list, one intersect_flat step per plane."""
+    flat = ambient_flat(n)
+    for h in planes:
+        flat = intersect_flat(flat, h)
+    return flat
 
 
 class TestGraph:
+    """Loop closure and component merging of the folded intersection."""
+
     def test_example_graph(self):
-        g = graph_of(EXAMPLE_PLANES, 6)
-        assert g.loops == frozenset({1, 2})
-        touched = {v for edge in g.edges for v in edge[:2]}
-        assert touched == {3, 4, 5}
+        flat = fold(EXAMPLE_PLANES, 6)
+        assert flat.loops == frozenset({1, 2})
+        assert flat.components == (((3, 0), (4, 1), (5, 4)), ((6, 0),))
 
     def test_empty(self):
-        g = graph_of([], 4)
-        assert g.loops == frozenset()
-        assert g.edges == frozenset()
+        flat = fold([], 4)
+        assert flat.loops == frozenset()
+        assert flat.components == (((1, 0),), ((2, 0),), ((3, 0),), ((4, 0),))
 
     def test_single_coordinate(self):
-        g = graph_of([Hyperplane("coord", 1)], 3)
-        assert g.loops == frozenset({1})
+        flat = fold([Hyperplane("coord", 1)], 3)
+        assert flat.loops == frozenset({1})
 
     def test_loop_closure_spreads(self):
-        g = graph_of([Hyperplane("coord", 1), Hyperplane("pair", 1, 2, 1)], 3)
-        assert g.loops == frozenset({1, 2})
-        assert g.edges == frozenset()
+        planes = [Hyperplane("coord", 1), Hyperplane("pair", 1, 2, 1)]
+        for order in (planes, planes[::-1]):
+            flat = fold(order, 3)
+            assert flat.loops == frozenset({1, 2})
+            assert flat.components == (((3, 0),),)
 
 
 class TestConsistency:
+    """Consistent plane sets keep one dimension per component; a conflict
+    forces its component to zero, as the rank of the true normals does."""
+
     def test_example_consistent(self):
-        assert is_consistent(graph_of(EXAMPLE_PLANES, 6))
+        flat = fold(EXAMPLE_PLANES, 6)
+        assert flat.dimension == flat_dimension_by_rank(EXAMPLE_PLANES, 6) == 2
 
     def test_conflicting_path_sums(self):
-        planes = EXAMPLE_PLANES + [Hyperplane("pair", 5, 3, 5)]
-        assert not is_consistent(graph_of(planes, 6))
+        planes = EXAMPLE_PLANES + [CONFLICT]
+        assert fold(planes, 6).dimension == flat_dimension_by_rank(planes, 6) == 1
 
     def test_empty_graph(self):
-        assert is_consistent(graph_of([], 3))
+        assert fold([], 3).dimension == flat_dimension_by_rank([], 3) == 3
 
 
 class TestFlatOf:
     def test_example_dimension(self):
-        flat = flat_of(graph_of(EXAMPLE_PLANES, 6))
+        flat = fold(EXAMPLE_PLANES, 6)
         assert flat.dimension == 2
         assert flat.loops == frozenset({1, 2})
         assert flat_dimension_by_rank(EXAMPLE_PLANES, 6) == 2
 
     def test_ambient(self):
-        flat = flat_of(graph_of([], 3))
+        flat = fold([], 3)
         assert flat == ambient_flat(3)
         assert flat.dimension == 3
 
     def test_origin(self):
         planes = [Hyperplane("coord", i) for i in (1, 2, 3)]
-        assert flat_of(graph_of(planes, 3)).dimension == 0
+        assert fold(planes, 3).dimension == 0
 
-    def test_rejects_inconsistent(self):
-        planes = EXAMPLE_PLANES + [Hyperplane("pair", 5, 3, 5)]
-        with pytest.raises(InconsistentGraph):
-            flat_of(graph_of(planes, 6))
+    def test_conflict_collapses_to_loops(self):
+        for planes in (EXAMPLE_PLANES + [CONFLICT], [CONFLICT] + EXAMPLE_PLANES):
+            flat = fold(planes, 6)
+            assert flat.loops == frozenset({1, 2, 3, 4, 5})
+            assert flat.components == (((6, 0),),)
 
 
 class TestGraphRankAgreement:
-    """Graph model versus exact rank of the true normals.
+    """Folded intersection versus exact rank of the true normals.
 
-    A graph is consistent exactly when the rank leaves one dimension per
-    non-loop component; when consistent, the flat dimension equals
-    n - rank.  Exhaustive over small arrangements, sampled over the largest.
+    The folded flat's dimension must equal n - rank on every plane subset,
+    and folding in reverse order must give the same flat.  Exhaustive over
+    small arrangements, sampled over the largest.
     """
 
     def check_subset(self, planes, n):
-        g = graph_of(planes, n)
-        dim_rank = flat_dimension_by_rank(planes, n)
-        if is_consistent(g):
-            assert flat_of(g).dimension == dim_rank
-        else:
-            # conflicting components collapse to zero, losing dimensions
-            assert dim_rank < flat_of_dimension_upper(g)
+        flat = fold(planes, n)
+        assert flat.dimension == flat_dimension_by_rank(planes, n)
+        assert fold(planes[::-1], n) == flat
 
     def test_exhaustive_small(self):
         for name in ("A:2,1", "A:2,2", "A:3,1"):
@@ -126,30 +136,6 @@ class TestGraphRankAgreement:
             r = rng.randint(4, len(planes))
             subset = rng.sample(planes, r)
             self.check_subset(subset, 3)
-
-
-def flat_of_dimension_upper(g):
-    """Non-loop component count of a possibly inconsistent graph."""
-    adjacency = {}
-    vertices = set(range(1, g.n + 1)) - set(g.loops)
-    for u, v, _ in g.edges:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-    seen = set()
-    components = 0
-    for start in vertices:
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for w in adjacency.get(u, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return components
 
 
 class TestIntersectFlat:
@@ -232,22 +218,55 @@ class TestBuildPoset:
             build_poset(ArrangementSpec.preset("A:6,1"))
 
 
+def generic_point(flat, rng):
+    """Rational point of the flat on no other flat: zero on the loops and
+    2^off * c on each component, with a distinct odd c per component."""
+    values = rng.sample(range(1, 10**6, 2), len(flat.components))
+    point = {v: Fraction(0) for v in flat.loops}
+    for c, comp in zip(values, flat.components):
+        point.update({v: Fraction(2) ** off * c for v, off in comp})
+    return point
+
+
+def lies_on(point, flat):
+    """The point satisfies the flat's equations x_v = 0 and x_v = 2^off c."""
+    if any(point[v] != 0 for v in flat.loops):
+        return False
+    for comp in flat.components:
+        (u, off_u), rest = comp[0], comp[1:]
+        if any(point[v] * Fraction(2) ** off_u != point[u] * Fraction(2) ** off for v, off in rest):
+            return False
+    return True
+
+
 class TestContainment:
     def test_reverse_inclusion_order(self):
-        poset = build_poset(ArrangementSpec.preset("A:2,1"))
-        ambient = poset.nodes[0].flat
-        assert ambient.dimension == 2
-        origin = next(n.flat for n in poset.nodes if n.flat.dimension == 0)
-        for node in poset.nodes:
-            assert flat_contains(ambient, node.flat)
-            assert flat_contains(node.flat, origin)
-        assert not flat_contains(origin, ambient)
+        rng = random.Random(7)
+        for name in ("A:2,1", "B:2,2", "Gamma:3,1"):
+            poset = build_poset(ArrangementSpec.preset(name))
+            for b, node_b in enumerate(poset.nodes):
+                point = generic_point(node_b.flat, rng)
+                for a, node_a in enumerate(poset.nodes):
+                    expected = a == b or a in poset.below[b]
+                    assert lies_on(point, node_a.flat) == expected, (name, a, b)
 
     def test_hasse_edges(self):
         poset = build_poset(ArrangementSpec.preset("A:2,1"))
         edges = poset.hasse_edges()
         # ambient covered by 5 lines, each line covering the origin
         assert len(edges) == 10
+
+    def test_hasse_is_transitive_reduction(self):
+        for name in ("A:3,1", "Delta:3,2"):
+            poset = build_poset(ArrangementSpec.preset(name))
+            below = poset.below
+            reduction = sorted(
+                (a, b)
+                for b, lower in enumerate(below)
+                for a in lower
+                if not any(a in below[c] for c in lower)
+            )
+            assert poset.hasse_edges() == reduction, name
 
     def test_json_dump_shape(self):
         poset = build_poset(ArrangementSpec.preset("A:1,1"))
