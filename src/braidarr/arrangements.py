@@ -124,14 +124,7 @@ class ArrangementSpec:
         Gamma: A with the shift -m removed from every pair.
         Delta: Gamma without the coordinate hyperplanes.
         """
-        try:
-            family, params = name.split(":")
-            n_text, m_text = params.split(",")
-            n, m = int(n_text), int(m_text)
-        except ValueError:
-            raise ValueError(f"bad preset {name!r}; expected e.g. 'A:3,2'") from None
-        if family not in PRESET_NAMES or n < 1 or m < 1:
-            raise ValueError(f"bad preset {name!r}")
+        family, n, m = parse_preset(name)
         full = range(-m, m + 1)
         clipped = range(-m + 1, m + 1)
         if family == "A":
@@ -146,19 +139,38 @@ class ArrangementSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ArrangementSpec":
-        """Load the CLI spec format: ``{"n", "flavor": "A"|"C", "coords", "shifts"}``."""
+        """Load the CLI spec format: ``{"n", "flavor": "A"|"C", "coords", "shifts"}``.
+
+        Types are checked, never coerced: ``n`` is an integer, ``coords`` a
+        boolean (false when absent) and ``shifts`` an object (or absent or
+        null) mapping ``"i,j"`` to lists of integers.
+        """
         if not isinstance(data, Mapping):
             raise ValueError("spec must be a JSON object")
         if "n" not in data:
             raise ValueError("spec has no 'n'")
-        flavor = {"A": MULTIPLICATIVE, "C": ADDITIVE}.get(data.get("flavor"))
-        if flavor is None:
-            raise ValueError(f"flavor must be 'A' or 'C', got {data.get('flavor')!r}")
+        n = data["n"]
+        if not _is_int(n):
+            raise ValueError(f"spec 'n' must be an integer, got {n!r}")
+        flavor = data.get("flavor")
+        if flavor not in ("A", "C"):
+            raise ValueError(f"flavor must be 'A' or 'C', got {flavor!r}")
+        coords = data.get("coords", False)
+        if not isinstance(coords, bool):
+            raise ValueError(f"spec 'coords' must be true or false, got {coords!r}")
+        shifts = data.get("shifts")
+        if shifts is None:
+            shifts = {}
+        if not isinstance(shifts, Mapping):
+            raise ValueError(f"spec 'shifts' must be an object, got {shifts!r}")
         pair_shifts = {}
-        for key, values in (data.get("shifts") or {}).items():
+        for key, values in shifts.items():
+            if not isinstance(values, list) or not all(map(_is_int, values)):
+                raise ValueError(f"shifts of {key!r} must be a list of integers")
             i_text, j_text = key.split(",")
             pair_shifts[(int(i_text), int(j_text))] = values
-        return cls(int(data["n"]), flavor, pair_shifts, bool(data.get("coords", False)))
+        flavor = MULTIPLICATIVE if flavor == "A" else ADDITIVE
+        return cls(n, flavor, pair_shifts, coords)
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,6 +196,24 @@ class ArrangementSpec:
             f"ArrangementSpec(n={self.n}, flavor={self.flavor!r}, "
             f"pairs={len(self.pair_shifts)}, coords={self.include_coordinate_hyperplanes})"
         )
+
+
+def parse_preset(name: str) -> tuple[str, int, int]:
+    """Split a preset name like ``A:3,2`` into its family, n and m."""
+    try:
+        family, params = name.split(":")
+        n_text, m_text = params.split(",")
+        n, m = int(n_text), int(m_text)
+    except ValueError:
+        raise ValueError(f"bad preset {name!r}; expected e.g. 'A:3,2'") from None
+    if family not in PRESET_NAMES or n < 1 or m < 1:
+        raise ValueError(f"bad preset {name!r}")
+    return family, n, m
+
+
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool, as JSON ``true``/``false`` load as bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def hyperplanes_of(spec: ArrangementSpec) -> list[Hyperplane]:

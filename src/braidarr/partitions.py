@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sketches import Sketch, _check_guard, enumerate_sketches
+from .sketches import Sketch, enumerate_sketches
 
 ISOLATED = "isolated"
 TANGLED = "tangled"
@@ -170,7 +170,6 @@ def b_equivalent(
 def count_B_regions_enum(n: int, m: int, limit: int = B_COUNT_LIMIT) -> int:
     """Count canonical representatives: red line not immediately followed by
     an isolated block (first right-hand block, if any, is tangled)."""
-    _check_guard(n, m, limit)
     total = 0
     for sketch in enumerate_sketches(n, m, limit):
         d = sketch_to_partition(sketch)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from braidarr.cli import run
 
@@ -20,6 +22,87 @@ def assert_rejected(code, out, err):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def spec_file(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+A21_JSON = '"polynomial": "t^2 - 5*t + 4", "target": "A:2,1"}\n'
+
+# Exact stdout of one call per verb and format.  biject and poset have no csv
+# form and print their table form; the witness is a raw JSON list whose keys
+# keep their "sign, exp" order.
+GOLDEN = [
+    ("charpoly A:2,1 --method ff --output table", "t^2 - 5*t + 4\n"),
+    (
+        "charpoly A:2,1 --method ff --output json",
+        '{"coefficients": [4, -5, 1], "method": "ff", ' + A21_JSON,
+    ),
+    ("charpoly A:2,1 --method ff --output csv", "power,coefficient\n0,4\n1,-5\n2,1\n"),
+    ("charpoly A:2,1 --method closed --output table", "t^2 - 5*t + 4\n"),
+    (
+        "charpoly A:2,1 --method closed --output json",
+        '{"coefficients": [4, -5, 1], "method": "closed", ' + A21_JSON,
+    ),
+    ("charpoly A:2,1 --method closed --output csv", "power,coefficient\n0,4\n1,-5\n2,1\n"),
+    ("regions A:2,1 --method ff --output table", "10\n"),
+    (
+        "regions A:2,1 --method ff --output json",
+        '{"method": "ff", "regions": 10, "target": "A:2,1"}\n',
+    ),
+    ("regions A:2,1 --method ff --output csv", "target,regions\nA:2,1,10\n"),
+    ("regions A:2,1 --method closed --output table", "10\n"),
+    (
+        "regions A:2,1 --method closed --output json",
+        '{"method": "closed", "regions": 10, "target": "A:2,1"}\n',
+    ),
+    ("regions A:2,1 --method closed --output csv", "target,regions\nA:2,1,10\n"),
+    ("enumerate sketches 1 1 --output table", "0 1^0 1^1\n1^1 1^0 0\n"),
+    ("enumerate sketches 1 1 --output json", '["0 1^0 1^1", "1^1 1^0 0"]\n'),
+    (
+        "enumerate sketches 1 1 --output csv",
+        'index,item\n0,"0 1^0 1^1"\n1,"1^1 1^0 0"\n',
+    ),
+    ("enumerate partitions 1 1 --output table", "| 1 1\n1 1 |\n"),
+    ("enumerate partitions 1 1 --output json", '["| 1 1", "1 1 |"]\n'),
+    ("enumerate partitions 1 1 --output csv", 'index,item\n0,"| 1 1"\n1,"1 1 |"\n'),
+    ("stats compartments 2 1 --output csv", "compartments,count\n0,4\n1,5\n2,1\n"),
+    (
+        "verify table1 --output csv",
+        "n,m,regions,expected_regions,ok\n2,1,10,10,OK\n2,2,14,14,OK\n"
+        "3,1,84,84,OK\n3,2,180,180,OK\n3,3,312,312,OK\n4,1,1008,1008,OK\n"
+        "4,2,3432,3432,OK\n4,3,8160,8160,OK\n4,4,15960,15960,OK\n",
+    ),
+    (
+        ["biject", "sketch-to-path", "0 1^0 1^1", "--output", "json"],
+        '{"direction": "sketch-to-path", "result": "| U1 D"}\n',
+    ),
+    (
+        ["biject", "sketch-to-witness", "0 1^0 1^1", "--output", "json"],
+        '[{"sign": 1, "exp": "0"}]\n',
+    ),
+    (
+        "poset A:2,1 --output table",
+        "flats: 7\ndim 2: 1\ndim 1: 5\ndim 0: 1\ncharpoly: t^2 - 5*t + 4\n",
+    ),
+    (
+        "poset A:2,1 --output csv",
+        "flats: 7\ndim 2: 1\ndim 1: 5\ndim 0: 1\ncharpoly: t^2 - 5*t + 4\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    GOLDEN,
+    ids=[argv if isinstance(argv, str) else " ".join(argv) for argv, _ in GOLDEN],
+)
+def test_golden_stdout(capture, argv, expected):
+    code, out, err = capture(*(argv.split() if isinstance(argv, str) else argv))
+    assert (code, out, err) == (0, expected, "")
 
 
 class TestCharpoly:
@@ -98,6 +181,39 @@ class TestCharpoly:
         code, out, err = capture("charpoly", "--spec", str(spec_file))
         assert_rejected(code, out, err)
         assert "'n'" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n": [2], "flavor": "A"},
+            {"n": 2, "flavor": "A", "shifts": [1]},
+            {"n": 2, "flavor": "A", "shifts": {"1,2": 3}},
+            {"n": 2, "flavor": ["A"]},
+        ],
+    )
+    def test_spec_wrong_type_is_no_traceback(self, capture, tmp_path, spec):
+        assert_rejected(*capture("charpoly", "--spec", spec_file(tmp_path, spec)))
+
+    def test_spec_coords_string(self, capture, tmp_path):
+        # "false" is a true value in Python: read as a bool it added the
+        # coordinate planes and printed t^2 - 3*t + 2 instead of t^2 - t
+        spec = {"n": 2, "flavor": "A", "coords": "false", "shifts": {"1,2": [0]}}
+        code, out, err = capture("charpoly", "--spec", spec_file(tmp_path, spec))
+        assert_rejected(code, out, err)
+        assert "coords" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n": 2.7, "flavor": "A", "coords": True},
+            {"n": True, "flavor": "A", "coords": True},
+            {"n": 2, "flavor": "A", "shifts": {"1,2": "01"}},
+            {"n": 2, "flavor": "A", "shifts": {"1,2": [1.5]}},
+            {"n": 2, "flavor": "A", "shifts": {"1,2": [True]}},
+        ],
+    )
+    def test_spec_value_is_not_coerced(self, capture, tmp_path, spec):
+        assert_rejected(*capture("charpoly", "--spec", spec_file(tmp_path, spec)))
 
 
 class TestRegions:
@@ -269,3 +385,72 @@ class TestUsage:
     def test_unknown_subcommand(self, capture):
         code, _, _ = capture("frobnicate")
         assert code == 2
+
+
+# JSON values of the wrong type for every spec field, plus null and bools,
+# which are right for some fields.
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+def valid_or_wrong(valid):
+    """``valid`` or a value of the wrong type; the simplest choice is valid."""
+    return st.booleans().flatmap(lambda wrong: WRONG_TYPES if wrong else valid)
+
+
+# n and flavor are always present (a spec without n has its own test), so
+# that some examples are valid and run: about one in ten exits 0.
+SPECS = st.fixed_dictionaries(
+    {
+        "n": valid_or_wrong(st.integers(-1, 3)),
+        "flavor": valid_or_wrong(st.sampled_from(["A", "C"])),
+    },
+    optional={
+        "coords": valid_or_wrong(st.booleans()),
+        "shifts": valid_or_wrong(
+            st.dictionaries(
+                st.one_of(st.sampled_from(["1,2", "1,3", "2,3"]), st.text(max_size=4)),
+                valid_or_wrong(st.lists(st.integers(-2, 2), max_size=3)),
+                max_size=3,
+            )
+        ),
+    },
+)
+
+
+def well_typed(spec):
+    shifts = spec.get("shifts")
+    return (
+        type(spec.get("n")) is int
+        and spec.get("flavor") in ("A", "C")
+        and type(spec.get("coords", False)) is bool
+        and (
+            shifts is None
+            or isinstance(shifts, dict)
+            and all(
+                isinstance(values, list) and all(type(v) is int for v in values)
+                for values in shifts.values()
+            )
+        )
+    )
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=SPECS)
+def test_random_spec_never_escapes(capsys, tmp_path, spec):
+    """Any spec JSON exits 0 or 2, never with a traceback; exit 2 prints one
+    error line, and exit 0 only happens for a well-typed spec."""
+    code = run(["charpoly", "--spec", spec_file(tmp_path, spec)])
+    out, err = capsys.readouterr()
+    event(f"exit {code}")
+    assert code in (0, 2)
+    if code == 2:
+        assert_rejected(code, out, err)
+    else:
+        assert well_typed(spec)
