@@ -289,10 +289,9 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     three coordinates remain the count is closed out with exact int64 matrix
     contractions, which is what makes the q^n kernel fast enough in Python.
     """
-    if q**spec.n > POINT_COUNT_BUDGET:
-        raise PointCountGuard(
-            f"q^n = {q}^{spec.n} exceeds the {POINT_COUNT_BUDGET} point budget"
-        )
+    _check_point_budget(
+        q, spec.n, f"q^n = {q}^{spec.n} exceeds the {POINT_COUNT_BUDGET} point budget"
+    )
     if not modulus_admissible(spec, q):
         raise InadmissibleModulus(
             f"q={q} is not admissible for flavor {spec.flavor!r} "
@@ -321,6 +320,13 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
             matrix[rows, cols] = 0
         pair[(i - 1, j - 1)] = matrix
     return _count_assignments(q, unary, pair)
+
+
+def _check_point_budget(q: int, n: int, message: str) -> None:
+    """Refuse when q^n exceeds the point budget; q^n is never formed for
+    n >= 30, where any q >= 2 already gives 2^30 > 10^9."""
+    if (n >= 30 and q >= 2) or q**n > POINT_COUNT_BUDGET:
+        raise PointCountGuard(message)
 
 
 def _count_assignments(
@@ -376,6 +382,10 @@ def charpoly_ff(
     must reproduce the count at a held-out (n+2)-th modulus.
     """
     n = spec.n
+    # The smallest n + 2 distinct positive moduli are 1..n+2.
+    _check_point_budget(
+        n + 2, n, f"no {n + 2} distinct moduli keep q^n within the budget for n={n}"
+    )
     if moduli is None:
         qs = list(plan_moduli(spec))
     else:
@@ -388,10 +398,9 @@ def charpoly_ff(
         for q in qs:
             if not modulus_admissible(spec, q):
                 raise InadmissibleModulus(f"override modulus {q} is inadmissible")
-    if max(qs) ** n > POINT_COUNT_BUDGET:
-        raise PointCountGuard(
-            f"largest planned modulus {max(qs)} breaks the q^n budget for n={n}"
-        )
+    _check_point_budget(
+        max(qs), n, f"largest planned modulus {max(qs)} breaks the q^n budget for n={n}"
+    )
     nodes = qs[: n + 1]
     counts = [count_complement_points(spec, q) for q in nodes]
     poly = _lagrange_interpolate(nodes, counts)

@@ -109,7 +109,7 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coefficients)})"
 
-    def to_text(self, var: str = "t") -> str:
+    def to_text(self) -> str:
         """ASCII rendering with descending powers, e.g. ``t^2 - 5*t + 4``."""
         if not self.coefficients:
             return "0"
@@ -122,9 +122,9 @@ class IntPolynomial:
             if power == 0:
                 body = str(mag)
             elif power == 1:
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = "t" if mag == 1 else f"{mag}*t"
             else:
-                body = f"{var}^{power}" if mag == 1 else f"{mag}*{var}^{power}"
+                body = f"t^{power}" if mag == 1 else f"{mag}*t^{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

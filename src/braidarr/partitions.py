@@ -167,11 +167,11 @@ def b_equivalent(
     return True
 
 
-def count_B_regions_enum(n: int, m: int, limit: int = B_COUNT_LIMIT) -> int:
+def count_B_regions_enum(n: int, m: int) -> int:
     """Count canonical representatives: red line not immediately followed by
     an isolated block (first right-hand block, if any, is tangled)."""
     total = 0
-    for sketch in enumerate_sketches(n, m, limit):
+    for sketch in enumerate_sketches(n, m, B_COUNT_LIMIT):
         d = sketch_to_partition(sketch)
         if _is_canonical(d):
             total += 1

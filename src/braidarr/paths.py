@@ -189,25 +189,20 @@ def enumerate_decorated_paths(
     n: int, m: int, limit: int = ENUMERATION_LIMIT
 ) -> list[DecoratedDyckPath]:
     """All decorated paths of size n, ordered by (part-1 steps, part-2 steps,
-    labels)."""
+    labels).
+
+    Each pair of parts takes every permutation of [n] as its labels once, so
+    the loops below (sorted first parts, then second parts and permutations,
+    both generated in lex order) already run in that order.
+    """
     _check_guard(n, m, limit)
-    out: list[DecoratedDyckPath] = []
-    universe = list(range(1, n + 1))
-    for mask in range(1 << n):
-        left = tuple(universe[b] for b in range(n) if mask >> b & 1)
-        right = tuple(v for v in universe if v not in left)
-        for steps1 in step_sequences(len(left), m):
-            for steps2 in step_sequences(len(right), m):
-                for labels1 in itertools.permutations(left):
-                    for labels2 in itertools.permutations(right):
-                        path = LabeledDyckPath(
-                            m, steps1 + steps2, labels1 + labels2
-                        )
-                        out.append(DecoratedDyckPath(path, len(steps1)))
-    out.sort(
-        key=lambda d: (d.part1().steps, d.part2().steps, d.path.labels)
-    )
-    return out
+    firsts = sorted(s for ups in range(n + 1) for s in step_sequences(ups, m))
+    return [
+        DecoratedDyckPath(LabeledDyckPath(m, steps1 + steps2, labels), len(steps1))
+        for steps1 in firsts
+        for steps2 in step_sequences(n - steps1.count(UP), m)
+        for labels in itertools.permutations(range(1, n + 1))
+    ]
 
 
 def primitive_part_bounds(path: LabeledDyckPath) -> list[tuple[int, int]]:
@@ -314,13 +309,13 @@ def shifted_coefficient_identity(n: int, m: int) -> bool:
     return True
 
 
-def unlabeled_census(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> UnlabeledCensus:
+def unlabeled_census(n: int, m: int) -> UnlabeledCensus:
     """Enumeration-derived counts of unlabeled paths.
 
     ``by_upsteps[k]`` counts paths with k up-steps for k = 0..n;
     ``by_axis_points[k]`` counts paths with n up-steps and k+1 axis points.
     """
-    _check_guard(n, m, limit)
+    _check_guard(n, m, ENUMERATION_LIMIT)
     by_upsteps = tuple(
         sum(1 for _ in step_sequences(k, m)) for k in range(n + 1)
     )

@@ -98,23 +98,19 @@ class LogPoint:
         return {"sign": self.sign, "exp": str(self.exp)}
 
 
-def is_valid_sketch(
-    sketch: Sketch, n: int | None = None, m: int | None = None
-) -> bool:
+def is_valid_sketch(sketch: Sketch) -> bool:
     """Check the defining conditions of a sketch.
 
-    Every letter (i, k) with i in [n] and k in [0, m] must appear exactly
-    once, all letters of a subscript on one side of the zero; w2 and the
-    reverse of w1 must both be orderly (exponents of one subscript increase,
-    and earlier letters keep their lead after adding 1 to exponents).
+    With n and m the largest subscript and exponent, every letter (i, k), i in
+    [n] and k in [0, m], must appear once, all letters of a subscript on one
+    side of the zero; w2 and the reverse of w1 must both be orderly (exponents
+    of one subscript increase, and earlier letters keep their lead after
+    adding 1 to exponents).
     """
     letters = sketch.letters
     if len(set(letters)) != len(letters):
         return False
-    if n is None:
-        n = sketch.n
-    if m is None:
-        m = sketch.m
+    n, m = sketch.n, sketch.m
     if n == 0:
         return not letters
     subs1 = {i for i, _ in sketch.w1}
@@ -123,10 +119,7 @@ def is_valid_sketch(
         return False
     if subs1 | subs2 != set(range(1, n + 1)):
         return False
-    if len(letters) != (m + 1) * n:
-        return False
-    if any(not 0 <= k <= m for _, k in letters):
-        return False
+    # Each orderly side holds exactly the letters (i, 0..m) of its subscripts.
     return _is_orderly(sketch.w2, m) and _is_orderly(tuple(reversed(sketch.w1)), m)
 
 
@@ -152,27 +145,28 @@ def _is_orderly(word: Sequence[Letter], m: int) -> bool:
 
 
 def enumerate_sketches(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> list[Sketch]:
-    """All sketches for given n and m, sorted lexicographically."""
+    """All sketches for given n and m, in ``Sketch.sort_key`` order.
+
+    The key's zero letter sorts before every real letter, so keys compare as
+    w1 (a proper prefix first), then w2: the order of the loops below.
+    """
     _check_guard(n, m, limit)
-    out: list[Sketch] = []
-    universe = list(range(1, n + 1))
-    for mask in range(1 << n):
-        negatives = tuple(universe[b] for b in range(n) if not mask >> b & 1)
-        positives = tuple(universe[b] for b in range(n) if mask >> b & 1)
-        for word1 in _orderly_words(negatives, m):
-            w1 = tuple(reversed(word1))
-            for word2 in _orderly_words(positives, m):
-                out.append(Sketch(w1, word2))
-    out.sort(key=Sketch.sort_key)
-    return out
-
-
-def _orderly_words(subscripts: tuple[int, ...], m: int) -> list[tuple[Letter, ...]]:
-    words = []
-    for steps in step_sequences(len(subscripts), m):
-        for labels in itertools.permutations(subscripts):
-            words.append(complete_word(steps, labels, m))
-    return words
+    universe = range(1, n + 1)
+    words = {  # the sorted orderly words on each subset of [n]
+        subset: sorted(
+            complete_word(steps, labels, m)
+            for steps in step_sequences(size, m)
+            for labels in itertools.permutations(subset)
+        )
+        for size in range(n + 1)
+        for subset in itertools.combinations(universe, size)
+    }
+    lefts = sorted(
+        (tuple(reversed(word)), tuple(i for i in universe if i not in negatives))
+        for negatives, side in words.items()
+        for word in side
+    )
+    return [Sketch(w1, w2) for w1, positives in lefts for w2 in words[positives]]
 
 
 def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:
@@ -182,8 +176,7 @@ def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:
     come from the difference-constraint system "earlier symbol strictly
     smaller", solved by Bellman-Ford with a uniform rational slack.
     """
-    n = sketch.n
-    m = sketch.m
+    n, m = sketch.n, sketch.m
     slack = Fraction(1, n + 1)
     positive = _solve_side(sketch.w2, slack)
     negative = _solve_side(tuple(reversed(sketch.w1)), slack)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from braidarr import arrangements
 from braidarr.arrangements import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -214,6 +215,22 @@ class TestCharpolyFF:
     def test_empty_arrangement(self):
         spec = ArrangementSpec(2, MULTIPLICATIVE, {}, False)
         assert charpoly_ff(spec) == IntPolynomial([0, 0, 1])
+
+    def test_oversized_target_refused_before_planning(self, monkeypatch):
+        def no_planning(*args, **kwargs):
+            raise AssertionError("plan_moduli ran for a target past the budget")
+
+        monkeypatch.setattr(arrangements, "plan_moduli", no_planning)
+        with pytest.raises(PointCountGuard):
+            charpoly_ff(ArrangementSpec(10**6, ADDITIVE))
+
+    def test_budget_messages_at_the_boundary(self):
+        # n = 8 can meet the budget with moduli 1..10, so the planned moduli
+        # decide; from n = 9 on no n + 2 distinct moduli can.
+        with pytest.raises(PointCountGuard, match="largest planned modulus 26"):
+            charpoly_ff(ArrangementSpec(8, ADDITIVE))
+        with pytest.raises(PointCountGuard, match="no 11 distinct moduli"):
+            charpoly_ff(ArrangementSpec(9, ADDITIVE))
 
 
 class TestShiftTheorem:

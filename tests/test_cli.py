@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,26 @@ def test_golden_stdout(capture, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+# sha256 of the exact stdout of larger enumerations, which pins their order.
+ENUMERATION_SHA256 = {
+    "enumerate sketches 4 1": "9a39247f0170486bed9c1ecc7a5e7dd2aa25bfc6794d717dba37e9d9a2d33d69",
+    "enumerate paths 3 2 --output csv": (
+        "6c4a11db7f6f5f1ff86b9778c076bf4ff2d7f30bda9b4eeff11aef4dc3b9d089"
+    ),
+    "enumerate partitions 4 1 --output json": (
+        "e745b7d31611743e428db7f30c6a1412938e0a7e44c0014e4abcc111f695da38"
+    ),
+    "stats compartments 4 1": "f692f34081acce76e67b05aca8e36d463e9c4bd95e47932c951715f4729ad75c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ENUMERATION_SHA256))
+def test_enumeration_stdout_sha256(capture, argv):
+    code, out, err = capture(*argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_SHA256[argv]
+
+
 class TestCharpoly:
     def test_poset_method(self, capture):
         code, out, _ = capture("charpoly", "A:2,1", "--method", "poset")
@@ -174,6 +195,12 @@ class TestCharpoly:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text("[2]")
         assert_rejected(*capture("charpoly", "--spec", str(spec_file)))
+
+    def test_spec_past_the_point_budget(self, capture, tmp_path):
+        spec = spec_file(tmp_path, {"n": 10**6, "flavor": "C"})
+        code, out, err = capture("charpoly", "--spec", spec)
+        assert_rejected(code, out, err)
+        assert "budget" in err
 
     def test_spec_without_n(self, capture, tmp_path):
         spec_file = tmp_path / "spec.json"

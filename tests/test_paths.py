@@ -131,6 +131,24 @@ class TestEnumeration:
         assert first == second
 
 
+ORDER_SIZES = [(0, 1), (1, 3), (2, 3), (3, 1), (3, 2), (4, 1)]
+
+
+class TestEnumerationOrder:
+    """Each enumerator returns its documented order, not just a stable one."""
+
+    @pytest.mark.parametrize("n,m", ORDER_SIZES)
+    def test_paths_sorted(self, n, m):
+        paths = enumerate_decorated_paths(n, m)
+        key = lambda d: (d.part1().steps, d.part2().steps, d.path.labels)
+        assert paths == sorted(paths, key=key)
+
+    @pytest.mark.parametrize("n,m", ORDER_SIZES)
+    def test_sketches_sorted(self, n, m):
+        sketches = enumerate_sketches(n, m)
+        assert sketches == sorted(sketches, key=Sketch.sort_key)
+
+
 class TestPrimitivePartsAndCompartments:
     def test_three_part_path(self):
         assert primitive_parts(COMPARTMENT_PATH) == 3
