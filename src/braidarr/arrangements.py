@@ -8,6 +8,7 @@ hyperplanes at several admissible moduli and interpolating exactly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,6 +99,8 @@ class ArrangementSpec:
         self.flavor = flavor
         self.pair_shifts = shifts
         self.include_coordinate_hyperplanes = include_coordinate_hyperplanes
+        # Largest absolute shift; 0 when there are no pair hyperplanes.
+        self.m_max = max((abs(k) for fs in shifts.values() for k in fs), default=0)
 
     @classmethod
     def uniform(
@@ -167,8 +170,11 @@ class ArrangementSpec:
         for key, values in shifts.items():
             if not isinstance(values, list) or not all(map(_is_int, values)):
                 raise ValueError(f"shifts of {key!r} must be a list of integers")
-            i_text, j_text = key.split(",")
-            pair_shifts[(int(i_text), int(j_text))] = values
+            try:
+                i, j = map(int, key.split(","))
+            except ValueError:
+                raise ValueError(f"bad shifts key {key!r}; expected 'i,j'") from None
+            pair_shifts[(i, j)] = values
         flavor = MULTIPLICATIVE if flavor == "A" else ADDITIVE
         return cls(n, flavor, pair_shifts, coords)
 
@@ -182,14 +188,6 @@ class ArrangementSpec:
                 for (i, j), values in sorted(self.pair_shifts.items())
             },
         }
-
-    @property
-    def m_max(self) -> int:
-        """Largest absolute shift; 0 when there are no pair hyperplanes."""
-        return max(
-            (abs(k) for values in self.pair_shifts.values() for k in values),
-            default=0,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -263,31 +261,32 @@ def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
 def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> tuple[int, ...]:
     """Smallest ``count`` planned moduli (default n + 2) in ascending order.
 
-    Planning thresholds are deliberately generous: primes with
-    q - 1 > (m_max + 1) n for the multiplicative flavor, integers
-    q > n (2 m_max + 2) for the additive one.  The held-out evaluation in
-    :func:`charpoly_ff` would catch any residual insufficiency.
+    Planning thresholds are deliberately generous: the admissible moduli
+    from (m_max + 1) n + 2 on for the multiplicative flavor, from
+    n (2 m_max + 2) + 1 on for the additive one.  The held-out evaluation
+    in :func:`charpoly_ff` would catch any residual insufficiency.
     """
     if count is None:
         count = spec.n + 2
     if spec.flavor == MULTIPLICATIVE:
-        chosen: list[int] = []
-        q = (spec.m_max + 1) * spec.n + 2
-        while len(chosen) < count:
-            if _is_prime(q) and _two_is_primitive_root(q):
-                chosen.append(q)
-            q += 1
-        return tuple(chosen)
-    start = spec.n * (2 * spec.m_max + 2) + 1
-    return tuple(range(start, start + count))
+        start = (spec.m_max + 1) * spec.n + 2
+    else:
+        start = spec.n * (2 * spec.m_max + 2) + 1
+    admissible = (q for q in itertools.count(start) if modulus_admissible(spec, q))
+    return tuple(itertools.islice(admissible, count))
 
 
 def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     """Number of points of (Z_q)^n on none of the reduced hyperplanes.
 
-    The first coordinates are enumerated in nested loops with pruning; once
-    three coordinates remain the count is closed out with exact int64 matrix
-    contractions, which is what makes the q^n kernel fast enough in Python.
+    Each coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
+    coordinate planes are present), and each pair a 0/1 block that is 0 on
+    its planes, or, without planes, a read-only broadcast view of ones that
+    allocates nothing.  A target with n < 3 is padded in front with 3 - n
+    one-value coordinates that meet no plane (padding at the back would make
+    the contraction copy its q x q operand), so :func:`_count_assignments`
+    always sees three coordinates or more, at O(q) cost for n = 1 and O(q^2)
+    for n = 2.
     """
     _check_point_budget(
         q, spec.n, f"q^n = {q}^{spec.n} exceeds the {POINT_COUNT_BUDGET} point budget"
@@ -297,29 +296,28 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
             f"q={q} is not admissible for flavor {spec.flavor!r} "
             f"(n={spec.n}, m_max={spec.m_max})"
         )
-    n = spec.n
-    allow_zero = not (
-        spec.flavor == MULTIPLICATIVE and spec.include_coordinate_hyperplanes
-    )
-    unary = []
-    for _ in range(n):
-        u = np.ones(q, dtype=np.int64)
-        if not allow_zero:
-            u[0] = 0
-        unary.append(u)
-    pair: dict[tuple[int, int], np.ndarray] = {}
+    pad = max(0, 3 - spec.n)
+    weight = np.ones(q, dtype=np.int64)
+    if spec.flavor == MULTIPLICATIVE and spec.include_coordinate_hyperplanes:
+        weight[0] = 0
+    # No step writes into a weight vector, so the real coordinates share one.
+    unary = [np.ones(1, dtype=np.int64)] * pad + [weight] * spec.n
     cols = np.arange(q)
-    for (i, j), values in spec.pair_shifts.items():
-        matrix = np.ones((q, q), dtype=np.int64)
-        for s in values:
+    pair: dict[tuple[int, int], np.ndarray] = {}
+    for a, b in itertools.combinations(range(len(unary)), 2):
+        shifts = spec.pair_shifts.get((a - pad + 1, b - pad + 1))
+        if shifts is None:
+            pair[(a, b)] = np.broadcast_to(np.int64(1), (len(unary[a]), len(unary[b])))
+            continue
+        block = np.ones((q, q), dtype=np.int64)
+        for s in shifts:
             if spec.flavor == MULTIPLICATIVE:
-                factor = pow(BASE, s % (q - 1), q)
-                rows = (factor * cols) % q
+                rows = (pow(BASE, s % (q - 1), q) * cols) % q
             else:
                 rows = (cols + s) % q
-            matrix[rows, cols] = 0
-        pair[(i - 1, j - 1)] = matrix
-    return _count_assignments(q, unary, pair)
+            block[rows, cols] = 0
+        pair[(a, b)] = block
+    return _count_assignments(unary, pair)
 
 
 def _check_point_budget(q: int, n: int, message: str) -> None:
@@ -330,45 +328,25 @@ def _check_point_budget(q: int, n: int, message: str) -> None:
 
 
 def _count_assignments(
-    q: int, unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]
+    unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]
 ) -> int:
-    n = len(unary)
-    ones = None
-    if n == 1:
-        return int(unary[0].sum())
-    if n == 2:
-        m01 = pair.get((0, 1))
-        if m01 is None:
-            return int(unary[0].sum()) * int(unary[1].sum())
-        return int((unary[0][:, None] * unary[1][None, :] * m01).sum())
-    if n == 3:
-        def mat(a: int, b: int) -> np.ndarray:
-            m = pair.get((a, b))
-            if m is None:
-                nonlocal ones
-                if ones is None:
-                    ones = np.ones((q, q), dtype=np.int64)
-                return ones
-            return m
+    """Sum over assignments of the product of unary weights and pair blocks.
 
-        p = mat(0, 1) * unary[0][:, None] * unary[1][None, :]
-        r = mat(1, 2)
-        quad = mat(0, 2) * unary[2][None, :]
-        return int(((p @ r) * quad).sum())
-    sub_pair = {
-        (a - 1, b - 1): m for (a, b), m in pair.items() if a >= 1
-    }
-    first_rows = [pair.get((0, t)) for t in range(1, n)]
+    Coordinate 0 is pinned to each value its weight allows, and the row of
+    block (0, t) at that value folds into the weight of coordinate t.  Three
+    coordinates are contracted as ``((P @ M12) * Q).sum()``, P and Q being
+    blocks (0, 1) and (0, 2) times their weights; the int64 sum is exact, as
+    it is at most q^min(n, 3) <= q^n <= 10^9 under the point budget.
+    """
+    if len(unary) == 3:
+        p = pair[(0, 1)] * unary[0][:, None] * unary[1][None, :]
+        quad = pair[(0, 2)] * unary[2][None, :]
+        return int(((p @ pair[(1, 2)]) * quad).sum())
+    rest = {(a - 1, b - 1): block for (a, b), block in pair.items() if a > 0}
     total = 0
-    for a in np.flatnonzero(unary[0]):
-        sub_unary = []
-        for t in range(1, n):
-            rows = first_rows[t - 1]
-            if rows is None:
-                sub_unary.append(unary[t])
-            else:
-                sub_unary.append(unary[t] * rows[a])
-        total += _count_assignments(q, sub_unary, sub_pair)
+    for value in np.flatnonzero(unary[0]):
+        pinned = [unary[t] * pair[(0, t)][value] for t in range(1, len(unary))]
+        total += _count_assignments(pinned, rest)
     return total
 
 

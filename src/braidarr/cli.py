@@ -58,19 +58,19 @@ CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
 ENUMERATIONS: dict[str, Callable[[int, int, int], Iterable]] = {
     "sketches": lambda n, m, limit: sketches.enumerate_sketches(n, m, limit),
     "paths": lambda n, m, limit: paths.enumerate_decorated_paths(n, m, limit),
-    "partitions": lambda n, m, limit: map(
-        partitions.sketch_to_partition, sketches.enumerate_sketches(n, m, limit)
+    "partitions": lambda n, m, limit: (
+        partitions.sketch_to_partition(s, m) for s in sketches.enumerate_sketches(n, m, limit)
     ),
 }
 
 # Each returns an object with ``to_text``, except the witness: a tuple of points.
 BIJECTIONS: dict[str, Callable[[str, int | None], object]] = {
-    "sketch-to-path": lambda text, m: paths.sketch_to_path(_parse_valid_sketch(text)),
+    "sketch-to-path": lambda text, m: paths.sketch_to_path(_parse_valid_sketch(text), m),
     "path-to-sketch": lambda text, m: paths.path_to_sketch(
         paths.DecoratedDyckPath.parse(text, m)
     ),
     "sketch-to-partition": lambda text, m: partitions.sketch_to_partition(
-        _parse_valid_sketch(text)
+        _parse_valid_sketch(text), m
     ),
     "partition-to-sketch": lambda text, m: partitions.partition_to_sketch(
         partitions.DecoratedNonNestingPartition.parse(text, m)

@@ -14,8 +14,6 @@ from .sketches import Sketch, enumerate_sketches
 ISOLATED = "isolated"
 TANGLED = "tangled"
 
-B_COUNT_LIMIT = 10
-
 
 @dataclass(frozen=True)
 class DecoratedNonNestingPartition:
@@ -77,14 +75,21 @@ class DecoratedNonNestingPartition:
         if tokens.count("|") != 1:
             raise ValueError("partition text needs exactly one '|' red line")
         cut = tokens.index("|")
-        side1 = tuple(int(t) for t in tokens[:cut])
-        side2 = tuple(int(t) for t in tokens[cut + 1 :])
+        side1 = tuple(map(_parse_label, tokens[:cut]))
+        side2 = tuple(map(_parse_label, tokens[cut + 1 :]))
         if m is None:
             combined = side1 + side2
             if not combined:
                 raise ValueError("cannot infer m from an empty diagram")
             m = combined.count(combined[0]) - 1
         return cls(m, side1, side2)
+
+
+def _parse_label(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad partition label {token!r}") from None
 
 
 def _arcs(side: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -106,10 +111,15 @@ def _non_nesting(side: tuple[int, ...]) -> bool:
     return True
 
 
-def sketch_to_partition(sketch: Sketch) -> DecoratedNonNestingPartition:
-    """Replace every letter by its subscript and the zero by the red line."""
+def sketch_to_partition(
+    sketch: Sketch, m: int | None = None
+) -> DecoratedNonNestingPartition:
+    """Replace every letter by its subscript and the zero by the red line.
+
+    ``m`` is needed only for the empty sketch (see :meth:`Sketch.rise`).
+    """
     return DecoratedNonNestingPartition(
-        sketch.m,
+        sketch.rise(m),
         tuple(i for i, _ in sketch.w1),
         tuple(i for i, _ in sketch.w2),
     )
@@ -171,7 +181,7 @@ def count_B_regions_enum(n: int, m: int) -> int:
     """Count canonical representatives: red line not immediately followed by
     an isolated block (first right-hand block, if any, is tangled)."""
     total = 0
-    for sketch in enumerate_sketches(n, m, B_COUNT_LIMIT):
+    for sketch in enumerate_sketches(n, m):
         d = sketch_to_partition(sketch)
         if _is_canonical(d):
             total += 1

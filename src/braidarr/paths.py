@@ -136,7 +136,10 @@ class DecoratedDyckPath:
                 steps.append(DOWN)
             elif token.startswith("U"):
                 steps.append(UP)
-                labels.append(int(token[1:]))
+                try:
+                    labels.append(int(token[1:]))
+                except ValueError:
+                    raise ValueError(f"bad path token {token!r}") from None
             else:
                 raise ValueError(f"bad path token {token!r}")
         if m is None:
@@ -153,14 +156,15 @@ class UnlabeledCensus(NamedTuple):
     by_axis_points: dict[int, int]  # k: paths with n up-steps and k+1 axis points
 
 
-def sketch_to_path(sketch: Sketch) -> DecoratedDyckPath:
+def sketch_to_path(sketch: Sketch, m: int | None = None) -> DecoratedDyckPath:
     """Translate a sketch into a decorated path.
 
     In w1 the letters with exponent m become up-steps, in w2 those with
     exponent 0; everything else is a down-step.  The mark sits where the w1
-    part of the path ends.
+    part of the path ends.  ``m`` is needed only for the empty sketch (see
+    :meth:`Sketch.rise`).
     """
-    m = sketch.m
+    m = sketch.rise(m)
     steps1 = tuple(UP if k == m else DOWN for _, k in sketch.w1)
     labels1 = tuple(i for i, k in sketch.w1 if k == m)
     steps2 = tuple(UP if k == 0 else DOWN for _, k in sketch.w2)

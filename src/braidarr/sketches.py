@@ -50,6 +50,13 @@ class Sketch:
     def m(self) -> int:
         return max((k for _, k in self.letters), default=0)
 
+    def rise(self, m: int | None = None) -> int:
+        """The sketch's m; ``m`` is used only for the empty sketch, whose m
+        cannot be read off its letters."""
+        if m is None and not (self.w1 or self.w2):
+            raise ValueError("cannot infer m from the empty sketch; pass it explicitly")
+        return self.m if self.w1 or self.w2 else m
+
     def sort_key(self) -> tuple[Letter, ...]:
         # (0, 0) marks the zero letter; real letters have subscript >= 1.
         return self.w1 + ((0, 0),) + self.w2

@@ -1,6 +1,9 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from braidarr import arrangements
 from braidarr.arrangements import (
@@ -24,8 +27,6 @@ from braidarr.numbers import IntPolynomial, charpoly_A_closed, charpoly_C_closed
 
 def brute_force_count(spec: ArrangementSpec, q: int) -> int:
     """Independent oracle: test every tuple against every hyperplane."""
-    import itertools
-
     total = 0
     for point in itertools.product(range(q), repeat=spec.n):
         ok = True
@@ -46,6 +47,24 @@ def brute_force_count(spec: ArrangementSpec, q: int) -> int:
                     break
         total += ok
     return total
+
+
+@st.composite
+def count_problems(draw):
+    """A sparse spec with n in 1..4 and the first admissible modulus from a
+    small start, so that :func:`brute_force_count` stays cheap.  At n = 4 at
+    least one pair has no planes."""
+    n = draw(st.integers(1, 4))
+    flavor = draw(st.sampled_from((MULTIPLICATIVE, ADDITIVE)))
+    coords = flavor == MULTIPLICATIVE and draw(st.booleans())
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    present = draw(st.sets(st.sampled_from(pairs), max_size=5)) if pairs else ()
+    shifts = st.sets(st.integers(-1, 1), min_size=1)
+    spec = ArrangementSpec(n, flavor, {p: draw(shifts) for p in present}, coords)
+    q = draw(st.integers(2, (40, 16, 9, 6)[n - 1]))
+    while not modulus_admissible(spec, q):
+        q += 1
+    return spec, q
 
 
 class TestSpec:
@@ -170,6 +189,13 @@ class TestCounting:
         ]
         for spec, q in cases:
             assert count_complement_points(spec, q) == brute_force_count(spec, q)
+
+    @given(count_problems())
+    def test_sparse_specs_against_brute_force(self, problem):
+        # n = 1 and 2 run through the padded shapes, n >= 4 through pinning
+        spec, q = problem
+        event(f"n={spec.n} missing pairs={spec.n * (spec.n - 1) // 2 - len(spec.pair_shifts)}")
+        assert count_complement_points(spec, q) == brute_force_count(spec, q)
 
     def test_guard(self):
         spec = ArrangementSpec.preset("A:4,4")

@@ -221,6 +221,13 @@ class TestCharpoly:
     def test_spec_wrong_type_is_no_traceback(self, capture, tmp_path, spec):
         assert_rejected(*capture("charpoly", "--spec", spec_file(tmp_path, spec)))
 
+    @pytest.mark.parametrize("key", ["1,2,3", "a,b", "1,", "12"])
+    def test_spec_bad_key_is_named(self, capture, tmp_path, key):
+        spec = {"n": 3, "flavor": "A", "shifts": {key: [1]}}
+        code, out, err = capture("charpoly", "--spec", spec_file(tmp_path, spec))
+        assert_rejected(code, out, err)
+        assert f"bad shifts key {key!r}" in err
+
     def test_spec_coords_string(self, capture, tmp_path):
         # "false" is a true value in Python: read as a bool it added the
         # coordinate planes and printed t^2 - 3*t + 2 instead of t^2 - t
@@ -292,6 +299,14 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    @pytest.mark.parametrize("output", ["table", "json", "csv"])
+    @pytest.mark.parametrize("m", ["1", "3"])
+    def test_partitions_of_size_zero(self, capture, output, m):
+        # the empty sketch has no letters to read m from
+        partitions = capture("enumerate", "partitions", "0", m, "--output", output)
+        assert partitions[0] == 0
+        assert partitions == capture("enumerate", "paths", "0", m, "--output", output)
+
     def test_deterministic(self, capture):
         first = capture("enumerate", "sketches", "2", "2")
         second = capture("enumerate", "sketches", "2", "2")
@@ -348,6 +363,28 @@ class TestBiject:
         # exponents in the wrong order: would print "1 1 |", whose inverse is
         # the different sketch "1^1 1^0 0"
         assert_rejected(*capture("biject", "sketch-to-partition", "1^0 1^1 0"))
+
+    @pytest.mark.parametrize(
+        "direction, text, message",
+        [
+            ("path-to-sketch", "U1 D | Ux D", "bad path token 'Ux'"),
+            ("path-to-sketch", "U D |", "bad path token 'U'"),
+            ("partition-to-sketch", "1 1 | x", "bad partition label 'x'"),
+            ("partition-to-sketch", "1 1.0 |", "bad partition label '1.0'"),
+        ],
+    )
+    def test_bad_token_is_named(self, capture, direction, text, message):
+        assert capture("biject", direction, text) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
+    def test_empty_sketch_takes_m(self, capture, direction):
+        assert capture("biject", direction, "0", "--m", "2") == (0, "| \n", "")
+
+    @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
+    def test_empty_sketch_without_m(self, capture, direction):
+        code, out, err = capture("biject", direction, "0")
+        assert_rejected(code, out, err)
+        assert "empty sketch" in err
 
     def test_infeasible_witness(self, capture):
         # subscript 1 on both sides of the zero
@@ -442,7 +479,11 @@ SPECS = st.fixed_dictionaries(
         "coords": valid_or_wrong(st.booleans()),
         "shifts": valid_or_wrong(
             st.dictionaries(
-                st.one_of(st.sampled_from(["1,2", "1,3", "2,3"]), st.text(max_size=4)),
+                st.one_of(
+                    st.sampled_from(["1,2", "1,3", "2,3"]),
+                    st.sampled_from(["1,2,3", "a,b", "1,", ",", "12"]),
+                    st.text(max_size=4),
+                ),
                 valid_or_wrong(st.lists(st.integers(-2, 2), max_size=3)),
                 max_size=3,
             )
@@ -479,5 +520,22 @@ def test_random_spec_never_escapes(capsys, tmp_path, spec):
     assert code in (0, 2)
     if code == 2:
         assert_rejected(code, out, err)
+        # a malformed "i,j" key is named, not reported by int() or unpacking
+        assert "unpack" not in err and "invalid literal" not in err
     else:
         assert well_typed(spec)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.one_of(st.sampled_from(["1,2", "2,1", "1,2,3", "a,b", "1,"]), st.text(max_size=5)))
+def test_random_shifts_key(capsys, tmp_path, key):
+    """Any "i,j" key of a well-typed spec runs, or exits 2 naming the key or
+    the pair that is out of range."""
+    spec = {"n": 3, "flavor": "A", "shifts": {key: [1]}}
+    code = run(["charpoly", "--spec", spec_file(tmp_path, spec)])
+    out, err = capsys.readouterr()
+    event(f"exit {code}")
+    assert code in (0, 2)
+    if code == 2:
+        assert_rejected(code, out, err)
+        assert f"bad shifts key {key!r}" in err or "out of range" in err

@@ -159,5 +159,6 @@ class TestCountBRegions:
         assert expected == regions_B_closed(n, m)
 
     def test_guard(self):
+        # (m+1)*n = 14, the first size past the shared enumeration limit of 12
         with pytest.raises(EnumerationGuard):
-            count_B_regions_enum(6, 1)
+            count_B_regions_enum(7, 1)
