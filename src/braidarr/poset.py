@@ -1,10 +1,11 @@
 """Intersection posets of multiplicative arrangements.
 
-Flats are represented combinatorially: a set of zero-forced coordinates plus
-a partition of the remaining coordinates into components, where each
-component carries integer offsets meaning ``x_v = 2^(offset_v) * c`` for a
-shared free value c.  This canonical form is exact and hashable; it keys the
-closure and is the JSON format.
+Flats are represented combinatorially, one cell per coordinate: either the
+coordinate is zero on the flat, or it is ``x_v = 2^off * x_r`` for the
+smallest coordinate r of its component, whose own cell is ``(r, 0)``.  Naming
+each component by its smallest coordinate makes this form canonical with no
+normalisation pass, so it is exact and hashable; it keys the closure, and the
+JSON format reads the zero set and the components off it.
 
 Every hyperplane passes through the origin, so flats are ordered by
 hyperplane masks: X contains Y exactly when every hyperplane containing X
@@ -31,19 +32,37 @@ POSET_DIMENSION_GUARD = 5
 class Flat:
     """Canonical form of a nonempty intersection of hyperplanes.
 
-    ``components`` holds the non-zero-forced coordinates grouped together;
-    each component is a tuple of (vertex, offset) pairs sorted by vertex with
-    the smallest vertex at offset 0.  Components are sorted by their smallest
-    vertex.  The dimension is the number of components.
+    ``cells[v-1]`` is None when x_v = 0 on the flat, and otherwise
+    ``(r, off)``: x_v = 2^off * x_r, where r is the smallest coordinate of
+    v's component, so ``cells[r-1] == (r, 0)``.  Each flat has exactly one
+    such tuple, so equal flats compare and hash equal.  ``loops`` and
+    ``components`` give the grouped form of the JSON dump: (vertex, offset)
+    pairs sorted by vertex, and components sorted by their smallest vertex.
     """
 
-    n: int
-    loops: frozenset[int]
-    components: tuple[tuple[tuple[int, int], ...], ...]
+    cells: tuple[tuple[int, int] | None, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
 
     @property
     def dimension(self) -> int:
-        return len(self.components)
+        return sum(1 for v, cell in enumerate(self.cells, 1) if cell == (v, 0))
+
+    @property
+    def loops(self) -> frozenset[int]:
+        return frozenset(v for v, cell in enumerate(self.cells, 1) if cell is None)
+
+    @property
+    def components(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # A root is the first vertex of its component in vertex order, so the
+        # groups come out sorted by smallest vertex.
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for v, cell in enumerate(self.cells, 1):
+            if cell is not None:
+                groups.setdefault(cell[0], []).append((v, cell[1]))
+        return tuple(tuple(group) for group in groups.values())
 
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.loops)), self.components)
@@ -53,7 +72,6 @@ class Flat:
 class PosetNode:
     flat: Flat
     mu: int
-    index: int
 
 
 class IntersectionPoset:
@@ -86,10 +104,10 @@ class IntersectionPoset:
 
     def to_json_dict(self) -> dict:
         flats = []
-        for node in self.nodes:
+        for index, node in enumerate(self.nodes):
             flats.append(
                 {
-                    "id": node.index,
+                    "id": index,
                     "dim": node.flat.dimension,
                     "mu": node.mu,
                     "loops": sorted(node.flat.loops),
@@ -99,26 +117,19 @@ class IntersectionPoset:
                 }
             )
         return {
-            "n": self.nodes[0].flat.n if self.nodes else 0,
+            "n": self.nodes[0].flat.n,
             "flats": flats,
             "hasse": [[a, b] for a, b in self.hasse_edges()],
         }
 
 
-def _flat_from_parts(
-    n: int, loops: frozenset[int], components: list[dict[int, int]]
-) -> Flat:
-    canonical = []
-    for offsets in components:
-        rep = min(offsets)
-        base = offsets[rep]
-        canonical.append(tuple(sorted((v, off - base) for v, off in offsets.items())))
-    canonical.sort(key=lambda comp: comp[0][0])
-    return Flat(n, loops, tuple(canonical))
-
-
 def ambient_flat(n: int) -> Flat:
-    return Flat(n, frozenset(), tuple(((v, 0),) for v in range(1, n + 1)))
+    return Flat(tuple((v, 0) for v in range(1, n + 1)))
+
+
+def _zero_component(flat: Flat, root: int) -> Flat:
+    """The flat with every coordinate of root's component forced to zero."""
+    return Flat(tuple(None if cell and cell[0] == root else cell for cell in flat.cells))
 
 
 def intersect_flat(flat: Flat, h: Hyperplane) -> Flat:
@@ -129,44 +140,25 @@ def intersect_flat(flat: Flat, h: Hyperplane) -> Flat:
     rather than emptying the intersection; every hyperplane here passes
     through the origin.
     """
-    comps = [dict(c) for c in flat.components]
-    loops = set(flat.loops)
-
-    def loop_component(idx: int) -> None:
-        loops.update(comps[idx].keys())
-        del comps[idx]
-
+    cell_i = flat.cells[h.i - 1]
     if h.kind == "coord":
-        if h.i not in loops:
-            loop_component(_component_index(comps, h.i))
-        return _flat_from_parts(flat.n, frozenset(loops), comps)
-    i, j, k = h.i, h.j, h.k  # x_i = 2^k x_j
-    i_looped, j_looped = i in loops, j in loops
-    if i_looped and j_looped:
+        return flat if cell_i is None else _zero_component(flat, cell_i[0])
+    cell_j = flat.cells[h.j - 1]  # h is x_i = 2^k x_j
+    if cell_i is None and cell_j is None:
         return flat
-    if i_looped != j_looped:
-        loop_component(_component_index(comps, j if i_looped else i))
-        return _flat_from_parts(flat.n, frozenset(loops), comps)
-    ci = _component_index(comps, i)
-    cj = _component_index(comps, j)
-    if ci == cj:
-        if comps[ci][i] == k + comps[ci][j]:
-            return flat
-        loop_component(ci)
-        return _flat_from_parts(flat.n, frozenset(loops), comps)
-    delta = k + comps[cj][j] - comps[ci][i]
-    merged = dict(comps[cj])
-    merged.update({v: off + delta for v, off in comps[ci].items()})
-    comps = [c for idx, c in enumerate(comps) if idx not in (ci, cj)]
-    comps.append(merged)
-    return _flat_from_parts(flat.n, frozenset(loops), comps)
-
-
-def _component_index(comps: list[dict[int, int]], v: int) -> int:
-    for idx, comp in enumerate(comps):
-        if v in comp:
-            return idx
-    raise KeyError(v)
+    if cell_i is None or cell_j is None:
+        return _zero_component(flat, (cell_i or cell_j)[0])
+    (root_i, off_i), (root_j, off_j) = cell_i, cell_j
+    if root_i == root_j:
+        return flat if off_i == h.k + off_j else _zero_component(flat, root_i)
+    # x_(root_i) = 2^shift x_(root_j); the larger root's cells move onto the smaller.
+    shift = h.k + off_j - off_i
+    keep, move = root_j, root_i
+    if root_i < root_j:
+        keep, move, shift = root_i, root_j, -shift
+    return Flat(
+        tuple((keep, cell[1] + shift) if cell and cell[0] == move else cell for cell in flat.cells)
+    )
 
 
 def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
@@ -213,7 +205,7 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
             mu.append(1)  # the ambient flat
         else:
             mu.append(-sum(mu[a] for a in below[index]))
-    nodes = [PosetNode(flat, mu[i], i) for i, flat in enumerate(ordered)]
+    nodes = [PosetNode(flat, value) for flat, value in zip(ordered, mu)]
     return IntersectionPoset(nodes, below)
 
 

@@ -51,11 +51,15 @@ class Sketch:
         return max((k for _, k in self.letters), default=0)
 
     def rise(self, m: int | None = None) -> int:
-        """The sketch's m; ``m`` is used only for the empty sketch, whose m
-        cannot be read off its letters."""
-        if m is None and not (self.w1 or self.w2):
-            raise ValueError("cannot infer m from the empty sketch; pass it explicitly")
-        return self.m if self.w1 or self.w2 else m
+        """The sketch's m.  ``m`` is required for the empty sketch, whose m
+        cannot be read off its letters, and must agree with any other's."""
+        if not (self.w1 or self.w2):
+            if m is None:
+                raise ValueError("cannot infer m from the empty sketch; pass it explicitly")
+            return m
+        if m is not None and m != self.m:
+            raise ValueError(f"m={m} disagrees with the sketch's m={self.m}")
+        return self.m
 
     def sort_key(self) -> tuple[Letter, ...]:
         # (0, 0) marks the zero letter; real letters have subscript >= 1.

@@ -106,7 +106,8 @@ def test_golden_stdout(capture, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
-# sha256 of the exact stdout of larger enumerations, which pins their order.
+# sha256 of the exact stdout of larger enumerations and posets, which pins
+# their order; the poset values are the benchmark's pins.
 ENUMERATION_SHA256 = {
     "enumerate sketches 4 1": "9a39247f0170486bed9c1ecc7a5e7dd2aa25bfc6794d717dba37e9d9a2d33d69",
     "enumerate paths 3 2 --output csv": (
@@ -116,6 +117,12 @@ ENUMERATION_SHA256 = {
         "e745b7d31611743e428db7f30c6a1412938e0a7e44c0014e4abcc111f695da38"
     ),
     "stats compartments 4 1": "f692f34081acce76e67b05aca8e36d463e9c4bd95e47932c951715f4729ad75c",
+    "poset A:4,2": "767386efe246a0789ecaf956c3d178948d2affafcbd49b8b9f4d042d1cc1b150",
+    "poset B:2,2": "3b5c1c3fc852154dd74029e0ed9778526577d2ef1be551b6af52a1ef1188e5b7",
+    "poset Gamma:3,1": "496c6339a6de56b949e67e23a5db7a2ff8cfddf3ba8bd4d581803397256c23a0",
+    "charpoly Delta:3,1 --method poset": (
+        "2db00a49711388bf3eadb2b53b5b25a76eea1cc9fe0065ca4224f3e492717652"
+    ),
 }
 
 
@@ -381,6 +388,16 @@ class TestBiject:
         assert capture("biject", direction, "0", "--m", "2") == (0, "| \n", "")
 
     @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
+    def test_sketch_m_must_agree(self, capture, direction):
+        # "0 1^0 1^1" has m = 1, so --m 5 contradicts it rather than choosing m
+        code, out, err = capture("biject", direction, "0 1^0 1^1", "--m", "5")
+        assert_rejected(code, out, err)
+        assert "m=5" in err and "m=1" in err
+        assert capture("biject", direction, "0 1^0 1^1", "--m", "1") == capture(
+            "biject", direction, "0 1^0 1^1"
+        )
+
+    @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
     def test_empty_sketch_without_m(self, capture, direction):
         code, out, err = capture("biject", direction, "0")
         assert_rejected(code, out, err)
@@ -464,12 +481,14 @@ WRONG_TYPES = st.one_of(
 
 
 def valid_or_wrong(valid):
-    """``valid`` or a value of the wrong type; the simplest choice is valid."""
-    return st.booleans().flatmap(lambda wrong: WRONG_TYPES if wrong else valid)
+    """``valid``, or one time in eight a value of the wrong type; the simplest
+    choice is valid."""
+    return st.integers(0, 7).flatmap(lambda r: WRONG_TYPES if r == 7 else valid)
 
 
-# n and flavor are always present (a spec without n has its own test), so
-# that some examples are valid and run: about one in ten exits 0.
+# n and flavor are always present (a spec without n has its own test).  The
+# bias toward valid values makes most examples well-typed, so that they reach
+# the parser of "i,j" keys and the arrangement code behind it.
 SPECS = st.fixed_dictionaries(
     {
         "n": valid_or_wrong(st.integers(-1, 3)),
@@ -517,6 +536,7 @@ def test_random_spec_never_escapes(capsys, tmp_path, spec):
     code = run(["charpoly", "--spec", spec_file(tmp_path, spec)])
     out, err = capsys.readouterr()
     event(f"exit {code}")
+    event("well-typed" if well_typed(spec) else "wrong type")
     assert code in (0, 2)
     if code == 2:
         assert_rejected(code, out, err)

@@ -209,6 +209,23 @@ class TestBuildPoset:
             p = charpoly_from_poset(build_poset(spec), spec.n)
             assert p(1) == 0
 
+    def test_flats_are_cut_out_by_their_planes(self):
+        """Mask order rests on each flat being the intersection of the planes
+        that contain it; the cells name each component by its smallest
+        vertex, at offset 0."""
+        for name in ("A:3,2", "Gamma:3,2", "Delta:4,1"):
+            spec = ArrangementSpec.preset(name)
+            planes = hyperplanes_of(spec)
+            for node in build_poset(spec).nodes:
+                flat = node.flat
+                containing = [h for h in planes if intersect_flat(flat, h) == flat]
+                assert fold(containing, spec.n) == flat, (name, flat)
+                assert flat_dimension_by_rank(containing, spec.n) == flat.dimension
+                for v, cell in enumerate(flat.cells, 1):
+                    if cell is not None:
+                        root = cell[0]
+                        assert root <= v and flat.cells[root - 1] == (root, 0), (name, flat)
+
     def test_rejects_additive(self):
         with pytest.raises(ValueError):
             build_poset(ArrangementSpec.preset("C:2,1"))
