@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,9 +22,20 @@ MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 BASE = 2
 
-POINT_COUNT_BUDGET = 10**9
+# The kernel's budgets, per call: the steps of every count it makes (see
+# check_kernel_cost) and the int64 entries one count allocates.
+WORK_BUDGET = 2 * 10**10
+MEMORY_BUDGET = 10**8
 
-PRESET_NAMES = ("A", "B", "C", "Gamma", "Delta")
+# Preset family: flavor, coordinate planes, and the lowest shift as -m plus
+# this offset; the highest shift is m.
+PRESETS = {
+    "A": (MULTIPLICATIVE, True, 0),
+    "B": (MULTIPLICATIVE, False, 0),
+    "C": (ADDITIVE, False, 0),
+    "Gamma": (MULTIPLICATIVE, True, 1),
+    "Delta": (MULTIPLICATIVE, False, 1),
+}
 
 
 class InadmissibleModulus(ValueError):
@@ -40,7 +51,7 @@ class NonIntegerCoefficient(ArithmeticError):
 
 
 class PointCountGuard(ValueError):
-    """Requested point count exceeds the q^n budget."""
+    """A requested count exceeds the kernel's work or memory budget."""
 
 
 @dataclass(frozen=True)
@@ -128,17 +139,8 @@ class ArrangementSpec:
         Delta: Gamma without the coordinate hyperplanes.
         """
         family, n, m = parse_preset(name)
-        full = range(-m, m + 1)
-        clipped = range(-m + 1, m + 1)
-        if family == "A":
-            return cls.uniform(n, full, MULTIPLICATIVE, True)
-        if family == "B":
-            return cls.uniform(n, full, MULTIPLICATIVE, False)
-        if family == "C":
-            return cls.uniform(n, full, ADDITIVE, False)
-        if family == "Gamma":
-            return cls.uniform(n, clipped, MULTIPLICATIVE, True)
-        return cls.uniform(n, clipped, MULTIPLICATIVE, False)
+        flavor, coords, clip = PRESETS[family]
+        return cls.uniform(n, range(-m + clip, m + 1), flavor, coords)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ArrangementSpec":
@@ -204,7 +206,7 @@ def parse_preset(name: str) -> tuple[str, int, int]:
         n, m = int(n_text), int(m_text)
     except ValueError:
         raise ValueError(f"bad preset {name!r}; expected e.g. 'A:3,2'") from None
-    if family not in PRESET_NAMES or n < 1 or m < 1:
+    if family not in PRESETS or n < 1 or m < 1:
         raise ValueError(f"bad preset {name!r}")
     return family, n, m
 
@@ -241,21 +243,60 @@ def hyperplanes_of(spec: ArrangementSpec) -> list[Hyperplane]:
     return planes
 
 
+class KernelShape(NamedTuple):
+    """What the counting kernel's cost depends on.
+
+    A preset's shape follows from its (family, n, m), so an oversized preset
+    can be refused before its O(n^2) spec is built.  ``planes`` counts the
+    coordinate pairs with hyperplanes, each of which costs one q x q block.
+    """
+
+    n: int
+    m_max: int
+    flavor: str
+    coords: bool
+    planes: int
+
+    @classmethod
+    def of(cls, spec: ArrangementSpec) -> "KernelShape":
+        return cls(
+            spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes,
+            len(spec.pair_shifts),
+        )
+
+    @classmethod
+    def preset(cls, family: str, n: int, m: int) -> "KernelShape":
+        """The shape of ``ArrangementSpec.preset``; with n = 1 it has no pairs."""
+        flavor, coords, _ = PRESETS[family]
+        return cls(n, m if n > 1 else 0, flavor, coords, n * (n - 1) // 2)
+
+    @property
+    def least_modulus(self) -> int:
+        """No smaller modulus is admissible."""
+        return self.n * self.m_max + (2 if self.flavor == MULTIPLICATIVE else 1)
+
+    @property
+    def pinned_values(self) -> int:
+        """How many values x1 is pinned to: 0 when additive, 1 with the
+        coordinate planes, else both."""
+        return 1 if self.flavor == ADDITIVE or self.coords else 2
+
+
 def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
     """Check whether q provably yields the correct point count.
 
     Any conflict among the hyperplane constraints shows up as a cycle whose
     label sum is nonzero and at most n * m_max in absolute value, so the
-    count matches the characteristic polynomial once q clears that bound.
+    count matches the characteristic polynomial once q clears that bound
+    (q - 1 > n * m_max multiplicative, q > n * m_max additive).
     Multiplicative flavor additionally needs q to be an odd prime with 2 a
     primitive root (verified from the factorization of q - 1) so that powers
     of 2 behave like the rationals.  Planned moduli use stricter thresholds;
     see :func:`plan_moduli`.
     """
-    bound = spec.n * spec.m_max
-    if spec.flavor == MULTIPLICATIVE:
-        return q - 1 > bound and _is_prime(q) and _two_is_primitive_root(q)
-    return q > bound
+    if q < KernelShape.of(spec).least_modulus:
+        return False
+    return spec.flavor == ADDITIVE or (_is_prime(q) and _two_is_primitive_root(q))
 
 
 def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> tuple[int, ...]:
@@ -276,32 +317,90 @@ def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> tuple[int, .
     return tuple(itertools.islice(admissible, count))
 
 
+def check_kernel_cost(shape: KernelShape, moduli: Iterable[int], context: str) -> None:
+    """Refuse, with :class:`PointCountGuard`, counts that break a budget.
+
+    Memory: a count allocates n weight vectors of q entries and one q x q
+    int64 block per pair with planes, and n q + planes q^2 must stay within
+    ``MEMORY_BUDGET`` at every modulus.  Work: with x1 pinned to w values
+    (``pinned_values``) a count takes w q^(n-1) steps for n >= 3, and a
+    padded target (n <= 2) pins a padding coordinate to its one value and
+    takes q^n; the sum over ``moduli`` must stay within ``WORK_BUDGET``.
+    The moduli are read in order up to the first excess, so a lazy range
+    for a huge n is never listed, and no power past 2^64 is formed.
+    """
+    n = shape.n
+    exponent, rows = (n - 1, shape.pinned_values) if n >= 3 else (n, 1)
+    work = 0
+    for q in moduli:
+        entries = n * q + shape.planes * q * q
+        if entries > MEMORY_BUDGET:
+            raise PointCountGuard(
+                f"{context}: a count at q={q} would allocate {entries} int64 entries, "
+                f"over the memory budget of {MEMORY_BUDGET}"
+            )
+        # q^e >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * e >= 64.
+        over = (q.bit_length() - 1) * exponent >= 64
+        work += WORK_BUDGET + 1 if over else rows * q**exponent
+        if work > WORK_BUDGET:
+            raise PointCountGuard(
+                f"{context}: the counts would take over {WORK_BUDGET} kernel steps, "
+                "the work budget"
+            )
+
+
+def check_countable(shape: KernelShape) -> None:
+    """Refuse a target that no n + 2 admissible moduli can count within the
+    budgets.  Such moduli are at least the n + 2 integers from
+    ``least_modulus`` on, so this needs no planning."""
+    n, start = shape.n, shape.least_modulus
+    check_kernel_cost(
+        shape, range(start, start + n + 2),
+        f"no {n + 2} admissible moduli fit the kernel budget for n={n}",
+    )
+
+
 def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     """Number of points of (Z_q)^n on none of the reduced hyperplanes.
 
-    Each coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
+    The count splits by the symmetry of the arrangement (the orbit-counting
+    step of the finite field method).  Additive planes are invariant under
+    x -> x + c(1,...,1), whose orbits have size q and one point with x1 = 0.
+    Multiplicative planes are linear, so x -> c x with c in F_q^* acts on
+    the points with x1 != 0 in orbits of size q - 1, each with one point at
+    x1 = 1; the points with x1 = 0 are counted as they are, unless the
+    coordinate planes remove them.  So x1 gets the weight q e_0, (q-1) e_1
+    or e_0 + (q-1) e_1, and a count costs w q^(n-1) steps, not q^n.
+
+    Every other coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
     coordinate planes are present), and each pair a 0/1 block that is 0 on
     its planes, or, without planes, a read-only broadcast view of ones that
     allocates nothing.  A target with n < 3 is padded in front with 3 - n
-    one-value coordinates that meet no plane (padding at the back would make
-    the contraction copy its q x q operand), so :func:`_count_assignments`
+    one-value coordinates that meet no plane, so :func:`_count_assignments`
     always sees three coordinates or more, at O(q) cost for n = 1 and O(q^2)
     for n = 2.
     """
-    _check_point_budget(
-        q, spec.n, f"q^n = {q}^{spec.n} exceeds the {POINT_COUNT_BUDGET} point budget"
+    n = spec.n
+    check_kernel_cost(
+        KernelShape.of(spec), (q,), f"q={q} breaks the kernel budget for n={n}"
     )
     if not modulus_admissible(spec, q):
         raise InadmissibleModulus(
             f"q={q} is not admissible for flavor {spec.flavor!r} "
-            f"(n={spec.n}, m_max={spec.m_max})"
+            f"(n={n}, m_max={spec.m_max})"
         )
-    pad = max(0, 3 - spec.n)
+    pad = max(0, 3 - n)
     weight = np.ones(q, dtype=np.int64)
-    if spec.flavor == MULTIPLICATIVE and spec.include_coordinate_hyperplanes:
+    first = np.zeros(q, dtype=np.int64)
+    if spec.flavor == ADDITIVE:
+        first[0] = q
+    elif spec.include_coordinate_hyperplanes:
         weight[0] = 0
-    # No step writes into a weight vector, so the real coordinates share one.
-    unary = [np.ones(1, dtype=np.int64)] * pad + [weight] * spec.n
+        first[1] = q - 1
+    else:
+        first[:2] = 1, q - 1
+    # No step writes into a weight vector, so x2..xn share one.
+    unary = [np.ones(1, dtype=np.int64)] * pad + [first] + [weight] * (n - 1)
     cols = np.arange(q)
     pair: dict[tuple[int, int], np.ndarray] = {}
     for a, b in itertools.combinations(range(len(unary)), 2):
@@ -320,33 +419,31 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     return _count_assignments(unary, pair)
 
 
-def _check_point_budget(q: int, n: int, message: str) -> None:
-    """Refuse when q^n exceeds the point budget; q^n is never formed for
-    n >= 30, where any q >= 2 already gives 2^30 > 10^9."""
-    if (n >= 30 and q >= 2) or q**n > POINT_COUNT_BUDGET:
-        raise PointCountGuard(message)
-
-
 def _count_assignments(
     unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]
 ) -> int:
     """Sum over assignments of the product of unary weights and pair blocks.
 
-    Coordinate 0 is pinned to each value its weight allows, and the row of
-    block (0, t) at that value folds into the weight of coordinate t.  Three
-    coordinates are contracted as ``((P @ M12) * Q).sum()``, P and Q being
-    blocks (0, 1) and (0, 2) times their weights; the int64 sum is exact, as
-    it is at most q^min(n, 3) <= q^n <= 10^9 under the point budget.
+    Coordinate 0 is pinned to each value of nonzero weight: the row of block
+    (0, t) at that value folds into the weight of coordinate t, and the
+    sub-count is multiplied by the value's weight.  Three coordinates are
+    contracted as ``((P @ M12) * Q).sum()`` over the rows where coordinate
+    0's weight is nonzero, P and Q being those rows of blocks (0, 1) and
+    (0, 2) times their weights.  Only x1's weight exceeds 1, and its entries
+    sum to q, so each int64 sum is at most q^min(n, 3): at most 2 * 10^10
+    for n != 3 under the work budget, and below 3 * 10^15 for n = 3, where
+    that budget keeps q under 141422; both are far below 2^63.
     """
+    live = np.flatnonzero(unary[0])
     if len(unary) == 3:
-        p = pair[(0, 1)] * unary[0][:, None] * unary[1][None, :]
-        quad = pair[(0, 2)] * unary[2][None, :]
+        p = pair[(0, 1)][live] * unary[0][live, None] * unary[1][None, :]
+        quad = pair[(0, 2)][live] * unary[2][None, :]
         return int(((p @ pair[(1, 2)]) * quad).sum())
     rest = {(a - 1, b - 1): block for (a, b), block in pair.items() if a > 0}
     total = 0
-    for value in np.flatnonzero(unary[0]):
+    for value in live:
         pinned = [unary[t] * pair[(0, t)][value] for t in range(1, len(unary))]
-        total += _count_assignments(pinned, rest)
+        total += int(unary[0][value]) * _count_assignments(pinned, rest)
     return total
 
 
@@ -357,13 +454,13 @@ def charpoly_ff(
 
     Counts at n + 1 admissible moduli fix the unique polynomial of degree at
     most n; the result must be monic of degree n with alternating signs and
-    must reproduce the count at a held-out (n+2)-th modulus.
+    must reproduce the count at a held-out (n+2)-th modulus.  A target whose
+    n + 2 counts would break a kernel budget is refused before any count,
+    and one that no n + 2 admissible moduli could fit before planning.
     """
     n = spec.n
-    # The smallest n + 2 distinct positive moduli are 1..n+2.
-    _check_point_budget(
-        n + 2, n, f"no {n + 2} distinct moduli keep q^n within the budget for n={n}"
-    )
+    shape = KernelShape.of(spec)
+    check_countable(shape)
     if moduli is None:
         qs = list(plan_moduli(spec))
     else:
@@ -376,8 +473,8 @@ def charpoly_ff(
         for q in qs:
             if not modulus_admissible(spec, q):
                 raise InadmissibleModulus(f"override modulus {q} is inadmissible")
-    _check_point_budget(
-        max(qs), n, f"largest planned modulus {max(qs)} breaks the q^n budget for n={n}"
+    check_kernel_cost(
+        shape, qs[: n + 2], f"moduli up to {qs[n + 1]} break the kernel budget for n={n}"
     )
     nodes = qs[: n + 1]
     counts = [count_complement_points(spec, q) for q in nodes]

@@ -47,6 +47,15 @@ ROUTES: dict[str, Callable[[ArrangementSpec, list[int] | None], IntPolynomial]] 
     "poset": lambda spec, moduli: poset.charpoly_from_poset(poset.build_poset(spec), spec.n),
 }
 
+# A route's size guard on a preset's parsed (family, n, m), run before the
+# preset's O(n^2) spec is built; the route checks the built spec again.
+PRESET_GUARDS: dict[str, Callable[[str, int, int], None]] = {
+    "ff": lambda family, n, m: arrangements.check_countable(
+        arrangements.KernelShape.preset(family, n, m)
+    ),
+    "poset": lambda family, n, m: poset.check_poset_size(n, arrangements.PRESETS[family][0]),
+}
+
 CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
     "A": lambda n, m: numbers.regions_A_closed(n, m),
     "B": lambda n, m: numbers.regions_B_closed(n, m),
@@ -185,7 +194,10 @@ def _emit(
         print(line)
 
 
-def _resolve_spec(args: argparse.Namespace) -> tuple[ArrangementSpec, str]:
+def _resolve_spec(
+    args: argparse.Namespace, route: str | None = None
+) -> tuple[ArrangementSpec, str]:
+    """The target's spec and name; a preset passes ``route``'s guard first."""
     if args.spec and args.target:
         raise UsageError("give either a preset target or --spec, not both")
     if args.spec:
@@ -197,6 +209,8 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ArrangementSpec, str]:
         return ArrangementSpec.from_json_dict(data), args.spec
     if not args.target:
         raise UsageError("missing target; expected a preset like A:3,2 or --spec")
+    if route in PRESET_GUARDS:
+        PRESET_GUARDS[route](*parse_preset(args.target))
     return ArrangementSpec.preset(args.target), args.target
 
 
@@ -244,7 +258,7 @@ def _closed_form_of(spec: ArrangementSpec) -> IntPolynomial | None:
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    spec, target = _resolve_spec(args)
+    spec, target = _resolve_spec(args, args.method)
     p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
     text = p.to_text()
     _emit(
@@ -258,15 +272,15 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    spec, target = _resolve_spec(args)
     # The closed region formulas also cover B, Gamma and Delta, which have no
-    # closed characteristic polynomial.
-    if args.method == "closed":
-        if not args.target:
-            raise UsageError("--method closed for regions needs a preset target")
+    # closed characteristic polynomial, and read only the preset's (n, m).
+    if args.method == "closed" and args.target and not args.spec:
         family, n, m = parse_preset(args.target)
-        count = CLOSED_REGIONS[family](n, m)
+        target, count = args.target, CLOSED_REGIONS[family](n, m)
     else:
+        spec, target = _resolve_spec(args, args.method)
+        if args.method == "closed":
+            raise UsageError("--method closed for regions needs a preset target")
         p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
         count = zaslavsky(p, spec.n)
     _emit(
@@ -345,7 +359,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_poset(args: argparse.Namespace) -> int:
-    spec, target = _resolve_spec(args)
+    spec, target = _resolve_spec(args, "poset")
     built = poset.build_poset(spec)
     _emit(
         args.output,

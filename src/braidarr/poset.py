@@ -161,6 +161,16 @@ def intersect_flat(flat: Flat, h: Hyperplane) -> Flat:
     )
 
 
+def check_poset_size(n: int, flavor: str) -> None:
+    """Refuse a target the poset route does not build: an additive one, or
+    one past the dimension guard.  A preset is checked from its (n, m)
+    before its spec is built."""
+    if flavor != MULTIPLICATIVE:
+        raise ValueError("posets are built for multiplicative arrangements only")
+    if n > POSET_DIMENSION_GUARD:
+        raise ValueError(f"n={n} exceeds the poset guard of {POSET_DIMENSION_GUARD}")
+
+
 def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     """All flats by incremental intersection, with Mobius values.
 
@@ -170,12 +180,7 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     Flats are then ordered by reverse inclusion (mask subset) and the
     defining Mobius recursion runs top-down.
     """
-    if spec.flavor != MULTIPLICATIVE:
-        raise ValueError("posets are built for multiplicative arrangements only")
-    if spec.n > POSET_DIMENSION_GUARD:
-        raise ValueError(
-            f"n={spec.n} exceeds the poset guard of {POSET_DIMENSION_GUARD}"
-        )
+    check_poset_size(spec.n, spec.flavor)
     planes = hyperplanes_of(spec)
     start = ambient_flat(spec.n)
     flats = {start}

@@ -11,6 +11,7 @@ from braidarr.arrangements import (
     MULTIPLICATIVE,
     ArrangementSpec,
     InadmissibleModulus,
+    KernelShape,
     PointCountGuard,
     charpoly_ff,
     count_complement_points,
@@ -22,6 +23,7 @@ from braidarr.arrangements import (
     _two_is_primitive_root,
     verify_shift_theorem,
 )
+from braidarr.cli import CLOSED_REGIONS
 from braidarr.numbers import IntPolynomial, charpoly_A_closed, charpoly_C_closed, zaslavsky
 
 
@@ -89,6 +91,13 @@ class TestSpec:
     def test_additive_rejects_coordinates(self):
         with pytest.raises(ValueError):
             ArrangementSpec(2, ADDITIVE, {(1, 2): [0]}, True)
+
+    def test_preset_shape_matches_spec(self):
+        # the CLI checks a preset's cost from this shape before building it
+        for family in arrangements.PRESETS:
+            for n, m in itertools.product((1, 2, 4), (1, 3)):
+                spec = ArrangementSpec.preset(f"{family}:{n},{m}")
+                assert KernelShape.preset(family, n, m) == KernelShape.of(spec)
 
     def test_json_round_trip(self):
         spec = ArrangementSpec(3, MULTIPLICATIVE, {(1, 2): [0], (1, 3): [1]}, True)
@@ -186,6 +195,12 @@ class TestCounting:
             (ArrangementSpec.preset("Gamma:3,1"), 11),
             (ArrangementSpec(3, MULTIPLICATIVE, {(1, 2): [0], (2, 3): [2]}, True), 11),
             (ArrangementSpec(3, ADDITIVE, {(1, 2): [0, 2], (1, 3): [-1]}), 12),
+            # n = 5: x1 pinned with its orbit weight, then two pinning levels
+            (ArrangementSpec.preset("A:5,1"), 11),
+            (ArrangementSpec.preset("B:5,1"), 11),
+            (ArrangementSpec.preset("Gamma:5,1"), 11),
+            (ArrangementSpec.preset("Delta:5,1"), 11),
+            (ArrangementSpec.preset("C:5,1"), 10),
         ]
         for spec, q in cases:
             assert count_complement_points(spec, q) == brute_force_count(spec, q)
@@ -251,12 +266,26 @@ class TestCharpolyFF:
             charpoly_ff(ArrangementSpec(10**6, ADDITIVE))
 
     def test_budget_messages_at_the_boundary(self):
-        # n = 8 can meet the budget with moduli 1..10, so the planned moduli
-        # decide; from n = 9 on no n + 2 distinct moduli can.
-        with pytest.raises(PointCountGuard, match="largest planned modulus 26"):
-            charpoly_ff(ArrangementSpec(8, ADDITIVE))
-        with pytest.raises(PointCountGuard, match="no 11 distinct moduli"):
-            charpoly_ff(ArrangementSpec(9, ADDITIVE))
+        # Without planes any modulus from 1 on is admissible.  n = 10 fits the
+        # work budget with moduli 1..12, so the planned moduli 21..32 decide;
+        # from n = 11 on no n + 2 admissible moduli can.
+        with pytest.raises(PointCountGuard, match="moduli up to 32 break"):
+            charpoly_ff(ArrangementSpec(10, ADDITIVE))
+        with pytest.raises(PointCountGuard, match="no 13 admissible moduli"):
+            charpoly_ff(ArrangementSpec(11, ADDITIVE))
+
+    @given(
+        st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 5), st.integers(1, 4)
+    )
+    def test_random_presets_match_closed_forms(self, family, n, m):
+        chi = charpoly_ff(ArrangementSpec.preset(f"{family}:{n},{m}"))
+        event(f"{family}, n={n}")
+        if family == "A":
+            assert chi == charpoly_A_closed(n, m)
+        elif family == "C":
+            assert chi == charpoly_C_closed(n, m)
+        else:
+            assert zaslavsky(chi, n) == CLOSED_REGIONS[family](n, m)
 
 
 class TestShiftTheorem:

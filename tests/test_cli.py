@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from braidarr.arrangements import ArrangementSpec
 from braidarr.cli import run
+from braidarr.numbers import regions_A_closed
 
 
 @pytest.fixture
@@ -278,6 +282,73 @@ class TestRegions:
         code, out, _ = capture("regions", "B:2,1", "--method", "poset")
         assert code == 0
         assert out.strip() == "6"
+
+    def test_closed_error_precedence(self, capture, tmp_path):
+        # a conflict, then a bad spec file, then a spec given to closed
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text("[2]")
+        good.write_text(json.dumps({"n": 2, "flavor": "A"}))
+        cases = [
+            (("A:2,1", "--spec", str(bad)), "give either a preset target or --spec"),
+            (("--spec", str(bad)), "spec must be a JSON object"),
+            (("--spec", str(good)), "needs a preset target"),
+            ((), "missing target"),
+        ]
+        for argv, message in cases:
+            code, out, err = capture("regions", *argv, "--method", "closed")
+            assert_rejected(code, out, err)
+            assert message in err
+
+
+class TestOversized:
+    """Targets far past a route's guard are refused from their preset's
+    (n, m) or their moduli, before the O(n^2) spec or a q x q block exists."""
+
+    @pytest.fixture
+    def no_spec(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the O(n^2) spec of an oversized preset")
+
+        monkeypatch.setattr(ArrangementSpec, "uniform", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("regions", "A:1000,1"),
+            ("charpoly", "B:1000,1", "--method", "ff"),
+            ("regions", "A:1000,1", "--method", "poset"),
+            ("poset", "A:1000,1"),
+            ("poset", "C:1000,1"),
+        ],
+    )
+    def test_preset_refused_before_its_spec(self, capture, no_spec, argv):
+        assert_rejected(*capture(*argv))
+
+    def test_closed_regions_build_no_spec(self, capture, no_spec):
+        code, out, _ = capture("regions", "A:1000,1", "--method", "closed")
+        assert code == 0
+        assert int(out) == regions_A_closed(1000, 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # passes a q^n <= 10^9 rule, but one 31601^2 block is 8 GB
+            ("charpoly", "C:2,1", "--moduli", "31601,31602,31603,31604"),
+            # fits a work budget, but its blocks are 88 GB
+            ("regions", "A:3,35000"),
+        ],
+    )
+    def test_block_past_the_memory_budget(self, capture, monkeypatch, argv):
+        ones = np.ones
+
+        def bounded_ones(shape, *args, **kwargs):
+            # stands in for the allocation, which would take gigabytes
+            if math.prod(np.atleast_1d(shape)) > 10**8:
+                raise MemoryError(f"asked for an array of shape {shape}")
+            return ones(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ones", bounded_ones)
+        assert_rejected(*capture(*argv))
 
 
 class TestEnumerate:
