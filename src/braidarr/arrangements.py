@@ -453,8 +453,8 @@ def charpoly_ff(
     """Characteristic polynomial via counting and exact interpolation.
 
     Counts at n + 1 admissible moduli fix the unique polynomial of degree at
-    most n; the result must be monic of degree n with alternating signs and
-    must reproduce the count at a held-out (n+2)-th modulus.  A target whose
+    most n; the result must pass ``_check_interpolant`` and must reproduce
+    the count at a held-out (n+2)-th modulus.  A target whose
     n + 2 counts would break a kernel budget is refused before any count,
     and one that no n + 2 admissible moduli could fit before planning.
     """
@@ -479,12 +479,7 @@ def charpoly_ff(
     nodes = qs[: n + 1]
     counts = [count_complement_points(spec, q) for q in nodes]
     poly = _lagrange_interpolate(nodes, counts)
-    if not poly.is_monic_of_degree(n):
-        raise InterpolationMismatch(
-            f"interpolant {poly} is not monic of degree {n}; moduli too small?"
-        )
-    if not poly.has_alternating_signs(n):
-        raise InterpolationMismatch(f"interpolant {poly} has non-alternating signs")
+    _check_interpolant(spec, poly)
     held_out = qs[n + 1]
     expected = count_complement_points(spec, held_out)
     if poly(held_out) != expected:
@@ -493,6 +488,33 @@ def charpoly_ff(
             f"count gives {expected}"
         )
     return poly
+
+
+def _check_interpolant(spec: ArrangementSpec, poly: IntPolynomial) -> None:
+    """The shape every characteristic polynomial of ``spec`` has (Stanley,
+    *An Introduction to Hyperplane Arrangements*, Lect. 1-2): monic of degree
+    n with alternating signs and, when the target has a plane, divisible by
+    t - 1 if multiplicative (the planes are linear, so the arrangement is
+    central) and by t if additive (every plane contains the line along
+    (1, ..., 1))."""
+    n = spec.n
+    if not poly.is_monic_of_degree(n):
+        raise InterpolationMismatch(
+            f"interpolant {poly} is not monic of degree {n}; moduli too small?"
+        )
+    if not poly.has_alternating_signs(n):
+        raise InterpolationMismatch(f"interpolant {poly} has non-alternating signs")
+    if not (spec.pair_shifts or spec.include_coordinate_hyperplanes):
+        return
+    if spec.flavor == MULTIPLICATIVE and poly(1) != 0:
+        raise InterpolationMismatch(
+            f"interpolant {poly} is not divisible by t - 1, as a central arrangement's is"
+        )
+    if spec.flavor == ADDITIVE and poly.coefficient(0) != 0:
+        raise InterpolationMismatch(
+            f"interpolant {poly} is not divisible by t, as a translation-invariant "
+            "arrangement's is"
+        )
 
 
 def verify_shift_theorem(

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input-domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from . import arrangements, numbers, partitions, paths, poset, sketches
-from .arrangements import ADDITIVE, MULTIPLICATIVE, ArrangementSpec, parse_preset
+from .arrangements import ADDITIVE, ArrangementSpec, parse_preset
 from .numbers import IntPolynomial, zaslavsky
 
 TABLE1_ROWS = [
@@ -105,7 +106,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` and reused: parsing
+    keeps no state in the parser, and a fresh namespace holds each call's
+    values."""
     parser = argparse.ArgumentParser(
         prog="braidarr",
         description="Characteristic polynomials, region counts, and bijections "
@@ -224,42 +229,49 @@ def _parse_moduli(raw: str | None) -> list[int] | None:
 
 
 def _closed_charpoly(spec: ArrangementSpec) -> IntPolynomial:
-    p = _closed_form_of(spec)
-    if p is None:
-        raise UsageError("no closed form for this spec; closed applies to A and C presets")
-    return p
-
-
-def _closed_form_of(spec: ArrangementSpec) -> IntPolynomial | None:
-    """Closed form when the spec is a uniform [-m, m] preset.
-
-    With n = 1 there are no pair hyperplanes, and both closed forms are
-    independent of m (t - 1 with the coordinate hyperplane, t without).
-    """
-    n = spec.n
-    m = spec.m_max
-    if n == 1:
-        m = 1
-    if m == 0:
-        return None
+    """The closed form of a spec whose every pair has the shifts [-m, m]."""
+    n, m = spec.n, spec.m_max
     full = frozenset(range(-m, m + 1))
-    uniform = all(
+    uniform = m > 0 and all(
         spec.pair_shifts.get((i, j)) == full
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     )
-    if not uniform:
-        return None
-    if spec.flavor == ADDITIVE:
+    return _closed_form(spec.flavor, spec.include_coordinate_hyperplanes, n, m, uniform)
+
+
+def _preset_closed_charpoly(family: str, n: int, m: int) -> IntPolynomial:
+    """The closed form of a preset, read off its (family, n, m) alone."""
+    flavor, coords, clip = arrangements.PRESETS[family]
+    return _closed_form(flavor, coords, n, m, clip == 0)
+
+
+def _closed_form(flavor: str, coords: bool, n: int, m: int, uniform: bool) -> IntPolynomial:
+    """The A or C closed form of a target with uniform [-m, m] shifts.
+
+    With n = 1 there are no pair hyperplanes, so every target is uniform,
+    and both closed forms are independent of m (t - 1 with the coordinate
+    hyperplane, t without).
+    """
+    if n == 1:
+        m, uniform = 1, True
+    if uniform and flavor == ADDITIVE:
         return numbers.charpoly_C_closed(n, m)
-    if spec.flavor == MULTIPLICATIVE and spec.include_coordinate_hyperplanes:
+    if uniform and coords:
         return numbers.charpoly_A_closed(n, m)
-    return None
+    raise UsageError("no closed form for this spec; closed applies to A and C presets")
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    spec, target = _resolve_spec(args, args.method)
-    p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
+    # A preset's closed form is decided from its (family, n, m), before its
+    # O(n^2) spec would be built.
+    if args.method == "closed" and args.target and not args.spec:
+        shape = parse_preset(args.target)
+        _parse_moduli(args.moduli)  # unused by closed, but a malformed value is still refused
+        target, p = args.target, _preset_closed_charpoly(*shape)
+    else:
+        spec, target = _resolve_spec(args, args.method)
+        p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
     text = p.to_text()
     _emit(
         args.output,
@@ -293,12 +305,12 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    items = [x.to_text() for x in ENUMERATIONS[args.kind](args.n, args.m, args.limit)]
+    objects = ENUMERATIONS[args.kind](args.n, args.m, args.limit)
     _emit(
         args.output,
-        lambda: items,
-        items,
-        ("index,item", (f'{index},"{item}"' for index, item in enumerate(items))),
+        lambda: [x.to_text() for x in objects],
+        (x.to_text() for x in objects),
+        ("index,item", (f'{index},"{x.to_text()}"' for index, x in enumerate(objects))),
     )
     return 0
 

@@ -11,12 +11,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .arrangements import Hyperplane
 from .dyckwords import Letter, complete_word, step_sequences
 
 ENUMERATION_LIMIT = 12
+
+
+class _LetterText(dict):
+    """The ``i^k`` text of each letter, formatted once on first use."""
+
+    def __missing__(self, letter: Letter) -> str:
+        text = self[letter] = f"{letter[0]}^{letter[1]}"
+        return text
+
+
+_LETTER_TEXT = _LetterText()
 
 
 class EnumerationGuard(ValueError):
@@ -31,7 +43,7 @@ class InfeasibleSystem(ValueError):
     """Difference constraints admit no solution; the sketch was invalid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sketch:
     """Word ``w1 0 w2`` over letters (subscript, exponent)."""
 
@@ -69,10 +81,8 @@ class Sketch:
         return self.to_text()
 
     def to_text(self) -> str:
-        parts = [f"{i}^{k}" for i, k in self.w1]
-        parts.append("0")
-        parts.extend(f"{i}^{k}" for i, k in self.w2)
-        return " ".join(parts)
+        text = _LETTER_TEXT.__getitem__
+        return " ".join([*map(text, self.w1), "0", *map(text, self.w2)])
 
     @classmethod
     def parse(cls, text: str) -> "Sketch":
@@ -158,26 +168,47 @@ def _is_orderly(word: Sequence[Letter], m: int) -> bool:
 def enumerate_sketches(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> list[Sketch]:
     """All sketches for given n and m, in ``Sketch.sort_key`` order.
 
-    The key's zero letter sorts before every real letter, so keys compare as
-    w1 (a proper prefix first), then w2: the order of the loops below.
+    The orderly words on a k-subset of [n] are those on {0, ..., k-1} under
+    the increasing relabelling, which keeps their order, so each size's
+    words are built and sorted once (``_sorted_words``).  The key's zero
+    letter sorts before every real letter, so keys compare as w1 (a proper
+    prefix first), then w2: the left words are sorted, and each takes its
+    right words in their sorted order.
     """
     _check_guard(n, m, limit)
     universe = range(1, n + 1)
-    words = {  # the sorted orderly words on each subset of [n]
-        subset: sorted(
-            complete_word(steps, labels, m)
-            for steps in step_sequences(size, m)
-            for labels in itertools.permutations(subset)
-        )
-        for size in range(n + 1)
-        for subset in itertools.combinations(universe, size)
-    }
-    lefts = sorted(
-        (tuple(reversed(word)), tuple(i for i in universe if i not in negatives))
-        for negatives, side in words.items()
-        for word in side
-    )
-    return [Sketch(w1, w2) for w1, positives in lefts for w2 in words[positives]]
+    words = {}  # the sorted orderly words on each subset of [n]
+    for size in range(n + 1):
+        coded = _sorted_words(size, m)
+        for subset in itertools.combinations(universe, size):
+            alphabet = [(i, k) for i in subset for k in range(m + 1)]
+            words[subset] = [tuple(map(alphabet.__getitem__, word)) for word in coded]
+    lefts = []  # (w1, the sorted words of the complementary subset)
+    for negatives, side in words.items():
+        positives = words[tuple(i for i in universe if i not in negatives)]
+        lefts.extend((word[::-1], positives) for word in side)
+    lefts.sort(key=itemgetter(0))
+    return [Sketch(w1, w2) for w1, positives in lefts for w2 in positives]
+
+
+def _sorted_words(size: int, m: int) -> list[tuple[int, ...]]:
+    """The sorted orderly words on {0, ..., size-1}, letter (p, k) coded as
+    ``p * (m + 1) + k``, which keeps the order of letters.
+
+    A word is ``complete_word`` of its step sequence and its up-step labels,
+    and relabelling the word of ``range(size)`` gives it for every labelling.
+    """
+    width = m + 1
+    templates = [
+        [p * width + k for p, k in complete_word(steps, range(size), m)]
+        for steps in step_sequences(size, m)
+    ]
+    words = []
+    for labels in itertools.permutations(range(size)):
+        code = [p * width + k for p in labels for k in range(width)]
+        words.extend(tuple(map(code.__getitem__, template)) for template in templates)
+    words.sort()
+    return words
 
 
 def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:

@@ -11,6 +11,7 @@ from braidarr.arrangements import (
     MULTIPLICATIVE,
     ArrangementSpec,
     InadmissibleModulus,
+    InterpolationMismatch,
     KernelShape,
     PointCountGuard,
     charpoly_ff,
@@ -19,6 +20,7 @@ from braidarr.arrangements import (
     modulus_admissible,
     plan_moduli,
     regions_convolution_check,
+    _check_interpolant,
     _is_prime,
     _two_is_primitive_root,
     verify_shift_theorem,
@@ -286,6 +288,33 @@ class TestCharpolyFF:
             assert chi == charpoly_C_closed(n, m)
         else:
             assert zaslavsky(chi, n) == CLOSED_REGIONS[family](n, m)
+
+
+class TestInterpolantChecks:
+    """Each structural check on a fabricated polynomial."""
+
+    def test_true_polynomials_pass(self):
+        _check_interpolant(ArrangementSpec.preset("A:2,1"), IntPolynomial([4, -5, 1]))
+        _check_interpolant(ArrangementSpec.preset("C:2,1"), IntPolynomial([0, -3, 1]))
+        # without planes chi = t^n, which t - 1 does not divide
+        _check_interpolant(ArrangementSpec(2, MULTIPLICATIVE), IntPolynomial([0, 0, 1]))
+
+    def test_multiplicative_needs_root_one(self):
+        # monic with alternating signs, but chi(1) = 2
+        with pytest.raises(InterpolationMismatch, match=r"not divisible by t - 1"):
+            _check_interpolant(ArrangementSpec.preset("B:2,1"), IntPolynomial([6, -5, 1]))
+
+    def test_additive_needs_root_zero(self):
+        # (t - 1)(t - 2): monic with alternating signs, but chi(0) = 2
+        with pytest.raises(InterpolationMismatch, match=r"not divisible by t,"):
+            _check_interpolant(ArrangementSpec.preset("C:2,1"), IntPolynomial([2, -3, 1]))
+
+    def test_monic_and_signs(self):
+        spec = ArrangementSpec.preset("A:2,1")
+        with pytest.raises(InterpolationMismatch, match="not monic of degree 2"):
+            _check_interpolant(spec, IntPolynomial([4, -5, 2]))
+        with pytest.raises(InterpolationMismatch, match="non-alternating signs"):
+            _check_interpolant(spec, IntPolynomial([-4, 3, 1]))
 
 
 class TestShiftTheorem:

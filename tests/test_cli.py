@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from braidarr import arrangements, cli
 from braidarr.arrangements import ArrangementSpec
 from braidarr.cli import run
-from braidarr.numbers import regions_A_closed
+from braidarr.numbers import charpoly_A_closed, charpoly_C_closed, regions_A_closed
 
 
 @pytest.fixture
@@ -173,6 +174,25 @@ class TestCharpoly:
         assert code == 0
         assert out.strip() == "t - 1"
 
+    def test_closed_error_precedence(self, capture, tmp_path):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text("[2]")
+        good.write_text(json.dumps({"n": 2, "flavor": "A"}))
+        cases = [
+            (("A:2,1", "--spec", str(bad)), "give either a preset target or --spec"),
+            (("--spec", str(bad)), "spec must be a JSON object"),
+            (("--spec", str(good), "--moduli", "x"), "bad --moduli value"),
+            (("--spec", str(good)), "no closed form"),
+            ((), "missing target"),
+            (("Q:2,1", "--moduli", "x"), "bad preset"),
+            (("B:2,1", "--moduli", "x"), "bad --moduli value"),
+            (("B:2,1",), "no closed form"),
+        ]
+        for argv, message in cases:
+            code, out, err = capture("charpoly", *argv, "--method", "closed")
+            assert_rejected(code, out, err)
+            assert message in err
+
     def test_closed_without_formula(self, capture):
         code, _, err = capture("charpoly", "B:2,1", "--method", "closed")
         assert code == 2
@@ -319,6 +339,8 @@ class TestOversized:
             ("regions", "A:1000,1", "--method", "poset"),
             ("poset", "A:1000,1"),
             ("poset", "C:1000,1"),
+            ("charpoly", "B:1000,1", "--method", "closed"),
+            ("charpoly", "Delta:1000,1", "--method", "closed"),
         ],
     )
     def test_preset_refused_before_its_spec(self, capture, no_spec, argv):
@@ -328,6 +350,20 @@ class TestOversized:
         code, out, _ = capture("regions", "A:1000,1", "--method", "closed")
         assert code == 0
         assert int(out) == regions_A_closed(1000, 1)
+
+    @pytest.mark.parametrize(
+        "target, expected",
+        [
+            ("A:3,2", "t^3 - 18*t^2 + 89*t - 72"),
+            ("C:3,1", charpoly_C_closed(3, 1).to_text()),
+            ("A:40,3", charpoly_A_closed(40, 3).to_text()),
+            # no pairs: uniform whatever the shifts, and the A form with m = 1
+            ("Gamma:1,2", "t - 1"),
+        ],
+        ids=["A:3,2", "C:3,1", "A:40,3", "Gamma:1,2"],
+    )
+    def test_closed_charpoly_builds_no_spec(self, capture, no_spec, target, expected):
+        assert capture("charpoly", target, "--method", "closed") == (0, expected + "\n", "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -349,6 +385,42 @@ class TestOversized:
 
         monkeypatch.setattr(np, "ones", bounded_ones)
         assert_rejected(*capture(*argv))
+
+
+class TestParserReuse:
+    """``run`` builds its parser once per process; no call's options or
+    failure reach the next call."""
+
+    def test_one_parser(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_output_returns_to_its_default(self, capture):
+        code, out, err = capture("enumerate", "sketches", "2", "1", "--output", "json")
+        assert (code, err) == (0, "")
+        items = json.loads(out)
+        assert capture("enumerate", "sketches", "2", "1") == (0, "\n".join(items) + "\n", "")
+
+    def test_good_call_after_a_parse_error(self, capture):
+        code, out, err = capture("enumerate", "sketches", "two", "1")
+        assert (code, out) == (2, "")
+        assert "invalid int value" in err
+        assert capture("regions", "A:2,1") == (0, "10\n", "")
+
+    def test_moduli_are_planned_again(self, capture, monkeypatch):
+        counted = []
+        count = arrangements.count_complement_points
+
+        def recording(spec, q):
+            counted.append(q)
+            return count(spec, q)
+
+        monkeypatch.setattr(arrangements, "count_complement_points", recording)
+        expected = (0, charpoly_A_closed(3, 1).to_text() + "\n", "")
+        assert capture("charpoly", "A:3,1", "--moduli", "53,59,61,67,83") == expected
+        assert counted == [53, 59, 61, 67, 83]
+        counted.clear()
+        assert capture("charpoly", "A:3,1") == expected
+        assert counted == list(arrangements.plan_moduli(ArrangementSpec.preset("A:3,1")))
 
 
 class TestEnumerate:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidarr.arrangements import ArrangementSpec, Hyperplane, hyperplanes_of
-from braidarr.numbers import raney
+from braidarr.numbers import raney, regions_A_closed
 from braidarr.sketches import (
     EnumerationGuard,
     LogPoint,
@@ -105,6 +105,15 @@ class TestEnumeration:
         with pytest.raises(EnumerationGuard):
             enumerate_sketches(7, 1)
         assert enumerate_sketches(1, 6, limit=14)
+
+    # Sizes past the default limit or at it, with exponents up to 11.
+    @pytest.mark.parametrize("n,m,limit", [(1, 11, 12), (2, 6, 14), (3, 3, 12)])
+    def test_order_past_the_default_limit(self, n, m, limit):
+        sketches = enumerate_sketches(n, m, limit=limit)
+        assert len(sketches) == len(set(sketches)) == regions_A_closed(n, m)
+        assert all(is_valid_sketch(s) for s in sketches)
+        keys = [s.sort_key() for s in sketches]
+        assert keys == sorted(keys)
 
 
 class TestWitness:
