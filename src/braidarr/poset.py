@@ -4,13 +4,21 @@ Flats are represented combinatorially, one cell per coordinate: either the
 coordinate is zero on the flat, or it is ``x_v = 2^off * x_r`` for the
 smallest coordinate r of its component, whose own cell is ``(r, 0)``.  Naming
 each component by its smallest coordinate makes this form canonical with no
-normalisation pass, so it is exact and hashable; it keys the closure, and the
-JSON format reads the zero set and the components off it.
+normalisation pass, so it is exact and hashable; the JSON format reads the
+zero set and the components off it.
 
-Every hyperplane passes through the origin, so flats are ordered by
-hyperplane masks: X contains Y exactly when every hyperplane containing X
-also contains Y.  The closure records each flat's mask as it goes, and the
-lattice is graded by dimension, which gives the Hasse relation directly.
+The lattice is closed one rank at a time on integer numpy arrays.  Each
+flat is one packed int64 key, decoded into two rows of cells (``root`` and
+``offset``, 0-based, root -1 for a zero coordinate) when it is cut.  One
+vectorised step over every flat of a rank and every hyperplane gives, per
+(flat, plane) pair, whether the plane contains the flat (that plane's bit in
+the flat's mask) or else the key of the child flat.  Every hyperplane passes through the origin, so a plane that
+does not contain a flat X cuts it in a flat one dimension lower, and these
+(X, child) pairs are exactly the Hasse covers; they are recorded as the
+closure finds them.  Flats are ordered by hyperplane masks: X contains Y
+exactly when every hyperplane containing X also contains Y.  The Mobius
+recursion runs rank by rank on the masks packed into uint64 words.  Every
+array is an integer array; there is no floating point anywhere.
 
 A second, independent route computes flat dimensions by exact row reduction
 on the true hyperplane normals (coefficients 1 and -2^k); tests compare the
@@ -22,10 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .arrangements import MULTIPLICATIVE, ArrangementSpec, Hyperplane, hyperplanes_of
 from .numbers import IntPolynomial
 
 POSET_DIMENSION_GUARD = 5
+# (flat, plane) pairs per closure step and (flat, flat) pairs per Mobius step;
+# bounds each temporary array to 256 KB.
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -78,29 +91,26 @@ class IntersectionPoset:
     """All flats of an arrangement with Mobius values and the Hasse relation.
 
     Nodes are sorted by descending dimension (ambient space first) and then
-    by canonical key, so node order is deterministic.
+    by canonical key, so node order is deterministic.  ``masks[a]`` is node
+    a's hyperplane mask: bit h % 64 of word h // 64 is set when hyperplane h
+    (in ``hyperplanes_of`` order) contains the flat, so node a contains node
+    b exactly when ``masks[a]`` is a subset of ``masks[b]``.  ``edges`` are
+    the sorted cover pairs (a, b), b covered by a, found by the closure.
     """
 
-    def __init__(self, nodes: Sequence[PosetNode], below: Sequence[frozenset[int]]):
+    def __init__(
+        self, nodes: Sequence[PosetNode], masks: np.ndarray, edges: Sequence[tuple[int, int]]
+    ):
         self.nodes = tuple(nodes)
-        self.below = tuple(below)  # indices of flats strictly containing node i
+        self.masks = masks
+        self.edges = tuple(edges)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (a, b) where b covers a.
-
-        The lattice is graded by dimension, so b covers a exactly when a is
-        below b and one dimension higher.
-        """
-        dims = [node.flat.dimension for node in self.nodes]
-        return sorted(
-            (a, b)
-            for b, lower in enumerate(self.below)
-            for a in lower
-            if dims[a] == dims[b] + 1
-        )
+        """Cover pairs (a, b) where b covers a, as the closure recorded them."""
+        return list(self.edges)
 
     def to_json_dict(self) -> dict:
         flats = []
@@ -123,44 +133,6 @@ class IntersectionPoset:
         }
 
 
-def ambient_flat(n: int) -> Flat:
-    return Flat(tuple((v, 0) for v in range(1, n + 1)))
-
-
-def _zero_component(flat: Flat, root: int) -> Flat:
-    """The flat with every coordinate of root's component forced to zero."""
-    return Flat(tuple(None if cell and cell[0] == root else cell for cell in flat.cells))
-
-
-def intersect_flat(flat: Flat, h: Hyperplane) -> Flat:
-    """Intersect a flat with one multiplicative hyperplane.
-
-    A conflicting merge (same component, wrong offset gap) forces the free
-    value of that component to zero, so the component joins the loop set
-    rather than emptying the intersection; every hyperplane here passes
-    through the origin.
-    """
-    cell_i = flat.cells[h.i - 1]
-    if h.kind == "coord":
-        return flat if cell_i is None else _zero_component(flat, cell_i[0])
-    cell_j = flat.cells[h.j - 1]  # h is x_i = 2^k x_j
-    if cell_i is None and cell_j is None:
-        return flat
-    if cell_i is None or cell_j is None:
-        return _zero_component(flat, (cell_i or cell_j)[0])
-    (root_i, off_i), (root_j, off_j) = cell_i, cell_j
-    if root_i == root_j:
-        return flat if off_i == h.k + off_j else _zero_component(flat, root_i)
-    # x_(root_i) = 2^shift x_(root_j); the larger root's cells move onto the smaller.
-    shift = h.k + off_j - off_i
-    keep, move = root_j, root_i
-    if root_i < root_j:
-        keep, move, shift = root_i, root_j, -shift
-    return Flat(
-        tuple((keep, cell[1] + shift) if cell and cell[0] == move else cell for cell in flat.cells)
-    )
-
-
 def check_poset_size(n: int, flavor: str) -> None:
     """Refuse a target the poset route does not build: an additive one, or
     one past the dimension guard.  A preset is checked from its (n, m)
@@ -171,47 +143,176 @@ def check_poset_size(n: int, flavor: str) -> None:
         raise ValueError(f"n={n} exceeds the poset guard of {POSET_DIMENSION_GUARD}")
 
 
-def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
-    """All flats by incremental intersection, with Mobius values.
+class _CellCode:
+    """The packing of a flat's cells into one int64 key.
 
-    Starts from the ambient flat and repeatedly intersects known flats with
-    single hyperplanes until closure.  A hyperplane that leaves a flat
-    unchanged contains it, and sets that hyperplane's bit in the flat's mask.
-    Flats are then ordered by reverse inclusion (mask subset) and the
-    defining Mobius recursion runs top-down.
+    A cell is 0 when its coordinate is zero and ``(root + 1) * R + off + B``
+    otherwise; the key is the base-C number whose digit v is cell v, with
+    ``R = 2B + 1`` and ``C = (n + 1) R``.  An offset is a sum of plane shifts
+    along a path in a tree of merges, whose edges join distinct coordinate
+    pairs, so B, the sum of the n - 1 largest per-pair shifts, bounds
+    ``|off|`` and every key lies in [0, C^n).
+    """
+
+    def __init__(self, n: int, planes: Sequence[Hyperplane]):
+        largest: dict[frozenset[int], int] = {}
+        for h in planes:
+            if h.kind == "pair":
+                pair = frozenset((h.i, h.j))
+                largest[pair] = max(largest.get(pair, 0), h.k)
+        self.bound = sum(sorted(largest.values(), reverse=True)[: n - 1])
+        self.radix = 2 * self.bound + 1
+        self.base = (n + 1) * self.radix
+        if self.base**n > np.iinfo(np.int64).max:
+            raise ValueError(f"shifts are too large for the poset route: offsets reach {self.bound}")
+        self.powers = self.base ** np.arange(n, dtype=np.int64)
+
+    def cells(self, root: np.ndarray, off: np.ndarray) -> np.ndarray:
+        return np.where(root < 0, 0, (root + 1) * self.radix + off + self.bound)
+
+    def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cells = keys[:, None] // self.powers % self.base
+        root = cells // self.radix - 1
+        return root, np.where(root < 0, 0, cells % self.radix - self.bound)
+
+
+def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
+    """All flats, closed rank by rank from the ambient flat, with Mobius values.
+
+    Rank r + 1 is every child of a rank-r flat.  For each (flat, plane) pair
+    the plane either contains the flat, which sets its mask bit, or gives a
+    child one dimension lower and the cover edge (flat, child).  Children are
+    de-duplicated on their packed keys.
     """
     check_poset_size(spec.n, spec.flavor)
+    n = spec.n
     planes = hyperplanes_of(spec)
-    start = ambient_flat(spec.n)
-    flats = {start}
-    frontier = [start]
-    masks: dict[Flat, int] = {}
-    while frontier:
-        flat = frontier.pop()
-        mask = 0
-        for bit, h in enumerate(planes):
-            nxt = intersect_flat(flat, h)
-            if nxt == flat:
-                mask |= 1 << bit
-            elif nxt not in flats:
-                flats.add(nxt)
-                frontier.append(nxt)
-        masks[flat] = mask
-    ordered = sorted(flats, key=lambda f: (-f.dimension, f.sort_key()))
-    ordered_masks = [masks[flat] for flat in ordered]
-    # A flat strictly containing b has higher dimension, so it sorts before b.
-    below = [
-        frozenset(a for a in range(b) if not ordered_masks[a] & ~mask_b)
-        for b, mask_b in enumerate(ordered_masks)
+    # 0-based (i, j, k) of x_i = 2^k x_j.  x_i = 0 is stored as x_i = 2^1 x_i,
+    # which holds exactly when x_i = 0, so one rule serves both kinds.
+    ijk = np.array(
+        [(h.i - 1, h.i - 1, 1) if h.kind == "coord" else (h.i - 1, h.j - 1, h.k) for h in planes],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    code = _CellCode(n, planes)
+    ambient = code.cells(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    key = np.array([ambient @ code.powers])
+    keys, contained, edges = [], [], []
+    start = 0
+    step = max(1, BLOCK // max(len(planes), 1))
+    while len(key):
+        keys.append(key)
+        parents, cut = [], []
+        for lo in range(0, len(key), step):
+            contains, child = _cut(code, key[lo : lo + step], ijk)
+            contained.append(contains)
+            parent, _ = np.nonzero(~contains)
+            parents.append(parent + lo)
+            cut.append(child[~contains])
+        children, child = _dedupe(np.concatenate(cut))
+        # Two planes can cut a flat in the same child: one edge per pair.
+        pairs, _ = _dedupe(np.concatenate(parents) * len(children) + child)
+        parent, child = np.divmod(pairs, len(children))
+        edges.append(np.stack([start + parent, start + len(key) + child], axis=1))
+        start += len(key)
+        key = children
+
+    root, off = code.decode(np.concatenate(keys))
+    flats = [
+        Flat(tuple(None if r < 0 else (r + 1, o) for r, o in zip(row_r, row_o)))
+        for row_r, row_o in zip(root.tolist(), off.tolist())
     ]
-    mu: list[int] = []
-    for index in range(len(ordered)):
-        if not below[index]:
-            mu.append(1)  # the ambient flat
-        else:
-            mu.append(-sum(mu[a] for a in below[index]))
-    nodes = [PosetNode(flat, value) for flat, value in zip(ordered, mu)]
-    return IntersectionPoset(nodes, below)
+    bits = np.packbits(np.concatenate(contained), axis=1, bitorder="little")
+    masks = np.ascontiguousarray(np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))).view("<u8")
+    mu = _mobius(masks, np.cumsum([0] + [len(k) for k in keys]))
+
+    order = sorted(range(len(flats)), key=lambda a: (-flats[a].dimension, flats[a].sort_key()))
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    covers = position[np.concatenate(edges)]
+    covers = covers[np.lexsort((covers[:, 1], covers[:, 0]))]
+    nodes = [PosetNode(flats[a], value) for a, value in zip(order, mu[order].tolist())]
+    return IntersectionPoset(nodes, masks[order], map(tuple, covers.tolist()))
+
+
+def _dedupe(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and each value's index among them.
+
+    This is ``np.unique(values, return_inverse=True)`` on a stable argsort:
+    ``np.unique``'s default sort loads numpy's SIMD sort code, which added
+    about 1.5 MB to the peak RSS of a poset dump (numpy 2.4, x86-64).
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(values), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _cut(code: _CellCode, key: np.ndarray, ijk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut each flat of ``key`` with each plane ``x_i = 2^k x_j`` of ``ijk``.
+
+    Returns ``contains[f, h]``, whether plane h contains flat f, and the
+    packed key of the cut flat, meaningful where it does not.  A plane that
+    does not contain a flat merges the components of x_i and x_j, or forces
+    one component to zero: the nonzero one of x_i, x_j, or their shared
+    component when its offsets conflict.  Either way only the cells of
+    component ``hi``, the larger of the two roots, change, so the child's key
+    is the parent's plus one component sum.
+    """
+    root, off = code.decode(key)
+    weighted = code.cells(root, off) * code.powers
+    # Sums over each root's component of the weighted cells and of the digit
+    # weights; column n, which root -1 indexes, stays 0.
+    comp_cells = np.zeros((len(key), root.shape[1] + 1), dtype=np.int64)
+    comp_weight = np.zeros_like(comp_cells)
+    for r in range(root.shape[1]):
+        in_r = root == r
+        comp_cells[:, r] = (weighted * in_r).sum(axis=1)
+        comp_weight[:, r] = (code.powers * in_r).sum(axis=1)
+    i, j, k = ijk.T
+    ri, rj, oi, oj = root[:, i], root[:, j], off[:, i], off[:, j]
+    same = ri == rj
+    contains = same & ((ri < 0) | (oi == k + oj))
+    hi = np.maximum(ri, rj)
+    # x_(ri) = 2^(k + oj - oi) x_(rj), so hi's cells move onto lo = min(ri, rj)
+    # with their offsets shifted.  The entries np.where drops may wrap; the
+    # kept ones are differences of two keys in [0, C^n).
+    shift = np.where(ri > rj, 1, -1) * (k + oj - oi)
+    delta = np.where(
+        ~same & (ri >= 0) & (rj >= 0),
+        ((np.minimum(ri, rj) - hi) * code.radix + shift)
+        * np.take_along_axis(comp_weight, hi, axis=1),
+        -np.take_along_axis(comp_cells, hi, axis=1),
+    )
+    return contains, key[:, None] + delta
+
+
+def _mobius(masks: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """Mobius values mu(0, X) of the flats in rank order; rank r holds rows
+    ``bounds[r]:bounds[r + 1]``.
+
+    Every flat strictly containing one of rank r has a lower rank, so
+    ``mu[rank r] = -(above @ mu[earlier ranks])`` where ``above[b, a]`` says
+    ``masks[a]`` is a subset of ``masks[b]``.  The sum of |mu| over a
+    central arrangement's flats is its number of regions, so no int64 sum
+    overflows.
+    """
+    mu = np.zeros(len(masks), dtype=np.int64)
+    mu[0] = 1  # the ambient flat
+    words = masks.shape[1]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        earlier = masks[:lo]
+        step = max(1, BLOCK // (lo * max(words, 1)))
+        for b in range(lo, hi, step):
+            rows = masks[b : min(b + step, hi)]
+            outside = np.zeros((len(rows), lo), dtype=bool)
+            for w in range(words):
+                outside |= (earlier[:, w] & ~rows[:, w, None]) != 0
+            mu[b : b + len(rows)] = -((~outside).astype(np.int64) @ mu[:lo])
+    return mu
 
 
 def charpoly_from_poset(poset: IntersectionPoset, n: int) -> IntPolynomial:

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from braidarr import arrangements, cli
 from braidarr.arrangements import ArrangementSpec
 from braidarr.cli import run
 from braidarr.numbers import charpoly_A_closed, charpoly_C_closed, regions_A_closed
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -127,6 +133,13 @@ ENUMERATION_SHA256 = {
     "poset Gamma:3,1": "496c6339a6de56b949e67e23a5db7a2ff8cfddf3ba8bd4d581803397256c23a0",
     "charpoly Delta:3,1 --method poset": (
         "2db00a49711388bf3eadb2b53b5b25a76eea1cc9fe0065ca4224f3e492717652"
+    ),
+    # past the benchmark's sizes, taken from the flat-at-a-time closure
+    "poset A:4,4": "ac088d64b46a15b1ca8d5471cda7aa97ee769dd2f0173cac6497a4aeff75e22f",
+    "poset A:5,1": "7e675f0e28bfbf0b9bf1654d0758046990b8cc0adad552511955f785a4840b39",
+    "poset Delta:4,4": "1de8e77672b099bb8cbdf1e5652dbebe2f720f2ab8ed86283faae02fece97cea",
+    "poset A:5,2 --output table": (
+        "70a16602f29f0bad4991072c62964c497ad0e236a637b9b9e7fe04bb34aaa2cb"
     ),
 }
 
@@ -586,6 +599,17 @@ class TestVerify:
 
 
 class TestPoset:
+    def test_A52_matches_closed_form(self, capture):
+        code, out, err = capture("charpoly", "A:5,2", "--method", "poset")
+        assert (code, err) == (0, "")
+        assert out == charpoly_A_closed(5, 2).to_text() + "\n"
+
+    def test_offsets_past_the_key_exit_2(self, capture, tmp_path):
+        spec = {"n": 5, "flavor": "A", "shifts": {"1,2": [400], "2,3": [300]}}
+        code, out, err = capture("poset", "--spec", spec_file(tmp_path, spec))
+        assert_rejected(code, out, err)
+        assert "shifts are too large" in err
+
     def test_json_dump(self, capture):
         code, out, _ = capture("poset", "A:2,1")
         assert code == 0
@@ -602,6 +626,22 @@ class TestPoset:
 
 
 class TestUsage:
+    def test_closed_stdout_is_no_traceback(self):
+        """A reader that stops after one line ends the program with exit 1
+        and nothing on stderr.  The output is larger than a pipe's buffer, so
+        the program is still writing when the pipe closes."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from braidarr.cli import main; main()",
+             "enumerate", "sketches", "5", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"0 1^0 1^1")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err and err == b""
+
     def test_no_arguments(self, capture):
         code, _, _ = capture()
         assert code == 2

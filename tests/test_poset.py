@@ -2,9 +2,18 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from braidarr.arrangements import ArrangementSpec, Hyperplane, hyperplanes_of
+from braidarr.arrangements import (
+    MULTIPLICATIVE,
+    ArrangementSpec,
+    Hyperplane,
+    charpoly_ff,
+    hyperplanes_of,
+)
 from braidarr.numbers import (
     IntPolynomial,
     charpoly_A_closed,
@@ -12,11 +21,10 @@ from braidarr.numbers import (
     zaslavsky,
 )
 from braidarr.poset import (
-    ambient_flat,
+    Flat,
     build_poset,
     charpoly_from_poset,
     flat_dimension_by_rank,
-    intersect_flat,
 )
 
 # Hyperplane set from the worked six-coordinate example: x1 = 0, x1 = 2^2 x2,
@@ -32,12 +40,93 @@ EXAMPLE_PLANES = [
 CONFLICT = Hyperplane("pair", 5, 3, 5)
 
 
+# The scalar reference: one flat and one plane at a time, on Flat tuples.
+# build_poset closes whole ranks at once on arrays; these tests hold it to
+# this closure.
+
+
+def ambient_flat(n):
+    return Flat(tuple((v, 0) for v in range(1, n + 1)))
+
+
+def _zero_component(flat, root):
+    """The flat with every coordinate of root's component forced to zero."""
+    return Flat(tuple(None if cell and cell[0] == root else cell for cell in flat.cells))
+
+
+def intersect_flat(flat, h):
+    """Intersect a flat with one multiplicative hyperplane.
+
+    A conflicting merge (same component, wrong offset gap) forces the free
+    value of that component to zero, so the component joins the loop set
+    rather than emptying the intersection; every hyperplane here passes
+    through the origin.
+    """
+    cell_i = flat.cells[h.i - 1]
+    if h.kind == "coord":
+        return flat if cell_i is None else _zero_component(flat, cell_i[0])
+    cell_j = flat.cells[h.j - 1]  # h is x_i = 2^k x_j
+    if cell_i is None and cell_j is None:
+        return flat
+    if cell_i is None or cell_j is None:
+        return _zero_component(flat, (cell_i or cell_j)[0])
+    (root_i, off_i), (root_j, off_j) = cell_i, cell_j
+    if root_i == root_j:
+        return flat if off_i == h.k + off_j else _zero_component(flat, root_i)
+    # x_(root_i) = 2^shift x_(root_j); the larger root's cells move onto the smaller.
+    shift = h.k + off_j - off_i
+    keep, move = root_j, root_i
+    if root_i < root_j:
+        keep, move, shift = root_i, root_j, -shift
+    return Flat(
+        tuple((keep, cell[1] + shift) if cell and cell[0] == move else cell for cell in flat.cells)
+    )
+
+
+def scalar_closure(spec):
+    """Every flat with its mask (bit h set when plane h contains it), closed
+    flat by flat from the ambient flat with ``intersect_flat``."""
+    planes = hyperplanes_of(spec)
+    start = ambient_flat(spec.n)
+    masks, frontier = {}, [start]
+    seen = {start}
+    while frontier:
+        flat = frontier.pop()
+        mask = 0
+        for bit, h in enumerate(planes):
+            nxt = intersect_flat(flat, h)
+            if nxt == flat:
+                mask |= 1 << bit
+            elif nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        masks[flat] = mask
+    return masks
+
+
 def fold(planes, n):
     """Intersection of a plane list, one intersect_flat step per plane."""
     flat = ambient_flat(n)
     for h in planes:
         flat = intersect_flat(flat, h)
     return flat
+
+
+def mask_of(poset, a):
+    """Node a's mask as one integer, bit h for plane h."""
+    return sum(int(word) << (64 * w) for w, word in enumerate(poset.masks[a]))
+
+
+def contains(poset, a, b):
+    """Node a contains node b: every plane containing a contains b."""
+    return not np.any(poset.masks[a] & ~poset.masks[b])
+
+
+def strictly_above(poset):
+    """``above[a, b]``: node a strictly contains node b, read off the masks."""
+    masks = poset.masks
+    outside = (masks[:, None, :] & ~masks[None, :, :]).any(axis=2)
+    return ~outside & ~np.eye(len(masks), dtype=bool)
 
 
 class TestGraph:
@@ -216,15 +305,48 @@ class TestBuildPoset:
         for name in ("A:3,2", "Gamma:3,2", "Delta:4,1"):
             spec = ArrangementSpec.preset(name)
             planes = hyperplanes_of(spec)
-            for node in build_poset(spec).nodes:
+            poset = build_poset(spec)
+            for a, node in enumerate(poset.nodes):
                 flat = node.flat
-                containing = [h for h in planes if intersect_flat(flat, h) == flat]
+                containing = [h for bit, h in enumerate(planes) if mask_of(poset, a) >> bit & 1]
+                assert containing == [h for h in planes if intersect_flat(flat, h) == flat]
                 assert fold(containing, spec.n) == flat, (name, flat)
                 assert flat_dimension_by_rank(containing, spec.n) == flat.dimension
                 for v, cell in enumerate(flat.cells, 1):
                     if cell is not None:
                         root = cell[0]
                         assert root <= v and flat.cells[root - 1] == (root, 0), (name, flat)
+
+    def test_closure_matches_scalar_reference(self):
+        """The rank-by-rank array closure finds the flats and masks that the
+        flat-at-a-time closure finds."""
+        for name in ("A:3,2", "B:3,2", "Gamma:3,2", "Delta:4,1", "A:4,1", "B:1,1"):
+            spec = ArrangementSpec.preset(name)
+            poset = build_poset(spec)
+            got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+            assert len(got) == len(poset)
+            assert got == scalar_closure(spec), name
+
+    def test_masks_past_one_word(self):
+        """A:3,11 has 72 planes, so each mask spans two uint64 words."""
+        spec = ArrangementSpec.preset("A:3,11")
+        poset = build_poset(spec)
+        assert poset.masks.shape == (len(poset), 2)
+        got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+        assert got == scalar_closure(spec)
+        assert charpoly_from_poset(poset, 3) == charpoly_A_closed(3, 11)
+
+    def test_large_shifts_pack_exactly(self):
+        """An offset at the packing's bound, here x4 = 2^-3500 x1 through the
+        chain of the three largest shifts, comes back exact."""
+        spec = ArrangementSpec(
+            4, MULTIPLICATIVE, {(1, 2): [1500, -7], (2, 3): [1000], (3, 4): [1000, 3]}, True
+        )
+        poset = build_poset(spec)
+        got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+        assert got == scalar_closure(spec)
+        offsets = {off for node in poset.nodes for comp in node.flat.components for _, off in comp}
+        assert min(offsets) == -3500
 
     def test_rejects_additive(self):
         with pytest.raises(ValueError):
@@ -264,8 +386,7 @@ class TestContainment:
             for b, node_b in enumerate(poset.nodes):
                 point = generic_point(node_b.flat, rng)
                 for a, node_a in enumerate(poset.nodes):
-                    expected = a == b or a in poset.below[b]
-                    assert lies_on(point, node_a.flat) == expected, (name, a, b)
+                    assert lies_on(point, node_a.flat) == contains(poset, a, b), (name, a, b)
 
     def test_hasse_edges(self):
         poset = build_poset(ArrangementSpec.preset("A:2,1"))
@@ -274,9 +395,14 @@ class TestContainment:
         assert len(edges) == 10
 
     def test_hasse_is_transitive_reduction(self):
+        """The covers the closure recorded equal the transitive reduction of
+        mask containment."""
         for name in ("A:3,1", "Delta:3,2"):
             poset = build_poset(ArrangementSpec.preset(name))
-            below = poset.below
+            below = [
+                {a for a in range(len(poset)) if a != b and contains(poset, a, b)}
+                for b in range(len(poset))
+            ]
             reduction = sorted(
                 (a, b)
                 for b, lower in enumerate(below)
@@ -291,3 +417,37 @@ class TestContainment:
         assert data["n"] == 1
         assert len(data["flats"]) == 2
         assert data["hasse"] == [[0, 1]]
+
+
+@st.composite
+def sparse_specs(draw):
+    """A multiplicative spec with n <= 4 and a random subset of pairs, each
+    with a few shifts in [-2, 2]: the paper's sub-arrangements."""
+    n = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    shifts = {
+        pair: draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True))
+        for pair in chosen
+    }
+    return ArrangementSpec(n, MULTIPLICATIVE, shifts, draw(st.booleans()))
+
+
+@given(sparse_specs())
+def test_random_sparse_poset(spec):
+    """On a random sub-arrangement: the closure equals the scalar closure,
+    poset chi equals ff chi, the stored edges are exactly the covers of mask
+    containment, and every mu is the scalar recursion over it."""
+    poset = build_poset(spec)
+    got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+    assert got == scalar_closure(spec)
+    assert charpoly_from_poset(poset, spec.n) == charpoly_ff(spec)
+    above = strictly_above(poset)
+    through = (above.astype(np.int64) @ above.astype(np.int64)) > 0
+    covers = sorted(zip(*(x.tolist() for x in np.nonzero(above & ~through))))
+    assert poset.hasse_edges() == covers
+    mu = []
+    for b in range(len(poset)):
+        higher = np.nonzero(above[:, b])[0]
+        mu.append(-sum(mu[a] for a in higher) if len(higher) else 1)
+    assert [node.mu for node in poset.nodes] == mu
