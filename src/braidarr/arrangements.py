@@ -22,8 +22,8 @@ MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 BASE = 2
 
-# The kernel's budgets, per call: the steps of every count it makes (see
-# check_kernel_cost) and the int64 entries one count allocates.
+# The budgets of one call, which check_budgets enforces: the steps it takes
+# in all, and the int64 entries it holds at once.
 WORK_BUDGET = 2 * 10**10
 MEMORY_BUDGET = 10**8
 
@@ -50,8 +50,9 @@ class NonIntegerCoefficient(ArithmeticError):
     """Exact interpolation produced a non-integer coefficient."""
 
 
-class PointCountGuard(ValueError):
-    """A requested count exceeds the kernel's work or memory budget."""
+class SizeGuard(ValueError):
+    """A route refuses a target's size: the kernel's or the poset closure's
+    work or memory budget, the poset's int64 key, or the enumeration limit."""
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,21 @@ def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> tuple[int, .
     return tuple(itertools.islice(admissible, count))
 
 
+def check_budgets(context: str, entries: int, work: int, steps: str) -> None:
+    """Refuse, with :class:`SizeGuard`, a call that would take more than
+    ``WORK_BUDGET`` ``steps`` in all or hold more than ``MEMORY_BUDGET`` int64
+    entries at once."""
+    if work > WORK_BUDGET:
+        raise SizeGuard(f"{context} would take over {WORK_BUDGET} {steps}, the work budget")
+    if entries > MEMORY_BUDGET:
+        raise SizeGuard(
+            f"{context} would hold {entries} int64 entries at once, "
+            f"over the memory budget of {MEMORY_BUDGET}"
+        )
+
+
 def check_kernel_cost(shape: KernelShape, moduli: Iterable[int], context: str) -> None:
-    """Refuse, with :class:`PointCountGuard`, counts that break a budget.
+    """Refuse counts that break a budget (see :func:`check_budgets`).
 
     Memory: a count allocates n weight vectors of q entries and one q x q
     int64 block per pair with planes, and n q + planes q^2 must stay within
@@ -333,20 +347,11 @@ def check_kernel_cost(shape: KernelShape, moduli: Iterable[int], context: str) -
     exponent, rows = (n - 1, shape.pinned_values) if n >= 3 else (n, 1)
     work = 0
     for q in moduli:
-        entries = n * q + shape.planes * q * q
-        if entries > MEMORY_BUDGET:
-            raise PointCountGuard(
-                f"{context}: a count at q={q} would allocate {entries} int64 entries, "
-                f"over the memory budget of {MEMORY_BUDGET}"
-            )
         # q^e >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * e >= 64.
         over = (q.bit_length() - 1) * exponent >= 64
         work += WORK_BUDGET + 1 if over else rows * q**exponent
-        if work > WORK_BUDGET:
-            raise PointCountGuard(
-                f"{context}: the counts would take over {WORK_BUDGET} kernel steps, "
-                "the work budget"
-            )
+        entries = n * q + shape.planes * q * q
+        check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
 
 def check_countable(shape: KernelShape) -> None:

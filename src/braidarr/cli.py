@@ -56,7 +56,9 @@ PRESET_GUARDS: dict[str, Callable[[str, int, int], None]] = {
     "ff": lambda family, n, m: arrangements.check_countable(
         arrangements.KernelShape.preset(family, n, m)
     ),
-    "poset": lambda family, n, m: poset.check_poset_size(n, arrangements.PRESETS[family][0]),
+    "poset": lambda family, n, m: poset.check_poset_size(
+        n, arrangements.PRESETS[family][0], (n - 1) * m
+    ),
 }
 
 CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {

@@ -19,26 +19,25 @@ closure finds them.  Flats are ordered by hyperplane masks: X contains Y
 exactly when every hyperplane containing X also contains Y.  The Mobius
 recursion runs rank by rank on the masks packed into uint64 words.  Every
 array is an integer array; there is no floating point anywhere.
-
-A second, independent route computes flat dimensions by exact row reduction
-on the true hyperplane normals (coefficients 1 and -2^k); tests compare the
-two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .arrangements import MULTIPLICATIVE, ArrangementSpec, Hyperplane, hyperplanes_of
+from .arrangements import MULTIPLICATIVE, ArrangementSpec, SizeGuard, check_budgets, hyperplanes_of
 from .numbers import IntPolynomial
 
-POSET_DIMENSION_GUARD = 5
 # (flat, plane) pairs per closure step and (flat, flat) pairs per Mobius step;
 # bounds each temporary array to 256 KB.
 BLOCK = 1 << 15
+# int64 entries per (flat, plane) pair at the peak of cutting a rank, in the
+# edges' _dedupe: the parents and child keys of the cut pairs, child indices,
+# edge codes, _dedupe's argsort, sorted copy, inverse and two cumsum
+# temporaries, and the distinct children.  Traced peaks were 8 to 9.5.
+CUT_ENTRIES = 10
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,20 @@ class IntersectionPoset:
         }
 
 
-def check_poset_size(n: int, flavor: str) -> None:
-    """Refuse a target the poset route does not build: an additive one, or
-    one past the dimension guard.  A preset is checked from its (n, m)
-    before its spec is built."""
+def check_poset_size(n: int, flavor: str, bound: int) -> None:
+    """Refuse an additive target, or, with :class:`SizeGuard`, one whose keys
+    (see :class:`_CellCode`) overflow int64 when offsets reach ``bound``.  A
+    preset's bound is (n - 1) m, so it is checked before its spec is built."""
     if flavor != MULTIPLICATIVE:
         raise ValueError("posets are built for multiplicative arrangements only")
-    if n > POSET_DIMENSION_GUARD:
-        raise ValueError(f"n={n} exceeds the poset guard of {POSET_DIMENSION_GUARD}")
+    base = (n + 1) * (2 * bound + 1)
+    # C^n >= 2^63 once (bit length of C, less 1) * n >= 63, so C^n is formed
+    # only for n < 63 and a huge n is refused at once.
+    if (base.bit_length() - 1) * n >= 63 or base**n > np.iinfo(np.int64).max:
+        raise SizeGuard(
+            f"n={n} or its shifts are too large for the poset route: offsets reach "
+            f"{bound}, and a flat's {n} cells must pack into one int64 key"
+        )
 
 
 class _CellCode:
@@ -151,20 +156,14 @@ class _CellCode:
     ``R = 2B + 1`` and ``C = (n + 1) R``.  An offset is a sum of plane shifts
     along a path in a tree of merges, whose edges join distinct coordinate
     pairs, so B, the sum of the n - 1 largest per-pair shifts, bounds
-    ``|off|`` and every key lies in [0, C^n).
+    ``|off|`` and every key lies in [0, C^n); :func:`check_poset_size` has
+    checked that C^n fits in an int64.
     """
 
-    def __init__(self, n: int, planes: Sequence[Hyperplane]):
-        largest: dict[frozenset[int], int] = {}
-        for h in planes:
-            if h.kind == "pair":
-                pair = frozenset((h.i, h.j))
-                largest[pair] = max(largest.get(pair, 0), h.k)
-        self.bound = sum(sorted(largest.values(), reverse=True)[: n - 1])
-        self.radix = 2 * self.bound + 1
+    def __init__(self, n: int, bound: int):
+        self.bound = bound
+        self.radix = 2 * bound + 1
         self.base = (n + 1) * self.radix
-        if self.base**n > np.iinfo(np.int64).max:
-            raise ValueError(f"shifts are too large for the poset route: offsets reach {self.bound}")
         self.powers = self.base ** np.arange(n, dtype=np.int64)
 
     def cells(self, root: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -182,10 +181,16 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     Rank r + 1 is every child of a rank-r flat.  For each (flat, plane) pair
     the plane either contains the flat, which sets its mask bit, or gives a
     child one dimension lower and the cover edge (flat, child).  Children are
-    de-duplicated on their packed keys.
+    de-duplicated on their packed keys, and then :func:`check_budgets`
+    refuses the new rank if its cut or the Mobius sums up to it break a
+    budget (the ambient flat's cut is no larger than the plane list).
     """
-    check_poset_size(spec.n, spec.flavor)
     n = spec.n
+    # B of _CellCode, from the shifts, so that no plane is listed before the check.
+    largest = sorted((max(map(abs, ks)) for ks in spec.pair_shifts.values()), reverse=True)
+    bound = sum(largest[: n - 1])
+    check_poset_size(n, spec.flavor, bound)
+    code = _CellCode(n, bound)
     planes = hyperplanes_of(spec)
     # 0-based (i, j, k) of x_i = 2^k x_j.  x_i = 0 is stored as x_i = 2^1 x_i,
     # which holds exactly when x_i = 0, so one rule serves both kinds.
@@ -193,11 +198,10 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
         [(h.i - 1, h.i - 1, 1) if h.kind == "coord" else (h.i - 1, h.j - 1, h.k) for h in planes],
         dtype=np.int64,
     ).reshape(-1, 3)
-    code = _CellCode(n, planes)
     ambient = code.cells(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
     key = np.array([ambient @ code.powers])
     keys, contained, edges = [], [], []
-    start = 0
+    start = work = 0
     step = max(1, BLOCK // max(len(planes), 1))
     while len(key):
         keys.append(key)
@@ -209,6 +213,13 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
             parents.append(parent + lo)
             cut.append(child[~contains])
         children, child = _dedupe(np.concatenate(cut))
+        # The children are cut next, and Mobius compares each with every
+        # earlier flat by mask words.
+        work += len(children) * (start + len(key)) * -(-len(planes) // 64)
+        check_budgets(
+            f"the poset's rank {len(keys)} ({len(children)} flats)",
+            CUT_ENTRIES * len(children) * len(planes), work, "mask word comparisons",
+        )
         # Two planes can cut a flat in the same child: one edge per pair.
         pairs, _ = _dedupe(np.concatenate(parents) * len(children) + child)
         parent, child = np.divmod(pairs, len(children))
@@ -321,43 +332,3 @@ def charpoly_from_poset(poset: IntersectionPoset, n: int) -> IntPolynomial:
     for node in poset.nodes:
         coeffs[node.flat.dimension] += node.mu
     return IntPolynomial(coeffs)
-
-
-def flat_dimension_by_rank(hyperplanes: Iterable[Hyperplane], n: int) -> int:
-    """Dimension of the intersection via exact rank of the true normals.
-
-    Row for ``x_i = 0`` is e_i; row for ``x_i = 2^k x_j`` is e_i - 2^k e_j.
-    This route never looks at the combinatorial flat form, so it serves as an
-    independent cross-check.
-    """
-    rows = []
-    for h in hyperplanes:
-        row = [Fraction(0)] * n
-        if h.kind == "coord":
-            row[h.i - 1] = Fraction(1)
-        else:
-            row[h.i - 1] = Fraction(1)
-            row[h.j - 1] = Fraction(-(2**h.k))
-        rows.append(row)
-    return n - _rank(rows, n)
-
-
-def _rank(rows: list[list[Fraction]], width: int) -> int:
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                for c in range(col, width):
-                    rows[r][c] -= factor * rows[rank][c]
-        rank += 1
-    return rank

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
-from .arrangements import Hyperplane
+from .arrangements import Hyperplane, SizeGuard
 from .dyckwords import Letter, complete_word, step_sequences
 
 ENUMERATION_LIMIT = 12
@@ -29,10 +29,6 @@ class _LetterText(dict):
 
 
 _LETTER_TEXT = _LetterText()
-
-
-class EnumerationGuard(ValueError):
-    """Requested enumeration exceeds the configured size guard."""
 
 
 class OnHyperplane(ValueError):
@@ -317,6 +313,6 @@ def _check_guard(n: int, m: int, limit: int) -> None:
         raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
     size = (m + 1) * n
     if size > limit:
-        raise EnumerationGuard(
+        raise SizeGuard(
             f"(m+1)*n = {size} exceeds the enumeration limit of {limit}"
         )

@@ -13,7 +13,7 @@ from braidarr.arrangements import (
     InadmissibleModulus,
     InterpolationMismatch,
     KernelShape,
-    PointCountGuard,
+    SizeGuard,
     charpoly_ff,
     count_complement_points,
     hyperplanes_of,
@@ -216,7 +216,7 @@ class TestCounting:
 
     def test_guard(self):
         spec = ArrangementSpec.preset("A:4,4")
-        with pytest.raises(PointCountGuard):
+        with pytest.raises(SizeGuard):
             count_complement_points(spec, 6700417)
 
 
@@ -264,16 +264,16 @@ class TestCharpolyFF:
             raise AssertionError("plan_moduli ran for a target past the budget")
 
         monkeypatch.setattr(arrangements, "plan_moduli", no_planning)
-        with pytest.raises(PointCountGuard):
+        with pytest.raises(SizeGuard):
             charpoly_ff(ArrangementSpec(10**6, ADDITIVE))
 
     def test_budget_messages_at_the_boundary(self):
         # Without planes any modulus from 1 on is admissible.  n = 10 fits the
         # work budget with moduli 1..12, so the planned moduli 21..32 decide;
         # from n = 11 on no n + 2 admissible moduli can.
-        with pytest.raises(PointCountGuard, match="moduli up to 32 break"):
+        with pytest.raises(SizeGuard, match="moduli up to 32 break"):
             charpoly_ff(ArrangementSpec(10, ADDITIVE))
-        with pytest.raises(PointCountGuard, match="no 13 admissible moduli"):
+        with pytest.raises(SizeGuard, match="no 13 admissible moduli"):
             charpoly_ff(ArrangementSpec(11, ADDITIVE))
 
     @given(

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,15 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from braidarr import arrangements, cli
+from braidarr import arrangements, cli, poset
 from braidarr.arrangements import ArrangementSpec
 from braidarr.cli import run
-from braidarr.numbers import charpoly_A_closed, charpoly_C_closed, regions_A_closed
+from braidarr.numbers import (
+    charpoly_A_closed,
+    charpoly_C_closed,
+    regions_A_closed,
+    regions_B_closed,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -399,6 +406,45 @@ class TestOversized:
         monkeypatch.setattr(np, "ones", bounded_ones)
         assert_rejected(*capture(*argv))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poset", "A:5,30"),
+            ("charpoly", "A:5,30", "--method", "poset"),
+            ("regions", "A:5,10", "--method", "poset"),
+        ],
+    )
+    def test_poset_rank_past_the_memory_budget(self, capture, monkeypatch, argv):
+        """The closure stops before the rank whose cut breaks the budget: every
+        rank it does cut fits, and the refused rank is never cut."""
+        cut_pairs = Counter()
+        cut = poset._cut
+
+        def spy(code, key, ijk):
+            root, _ = code.decode(key)
+            rank = root.shape[1] - int((root[0] == np.arange(root.shape[1])).sum())
+            cut_pairs[rank] += len(key) * len(ijk)
+            return cut(code, key, ijk)
+
+        monkeypatch.setattr(poset, "_cut", spy)
+        code, out, err = capture(*argv)
+        assert_rejected(code, out, err)
+        assert "memory budget" in err
+        assert f"rank {max(cut_pairs) + 1} (" in err
+        assert max(cut_pairs.values()) * poset.CUT_ENTRIES <= arrangements.MEMORY_BUDGET
+
+    def test_huge_shift_refused_by_the_poset_key(self, capture, tmp_path):
+        spec = {"n": 2, "flavor": "A", "shifts": {"1,2": [10**30]}}
+        code, out, err = capture("poset", "--spec", spec_file(tmp_path, spec))
+        assert_rejected(code, out, err)
+        assert f"offsets reach {10**30}," in err
+
+    def test_huge_n_spec_refused_at_once(self, capture, tmp_path):
+        path = spec_file(tmp_path, {"n": 10**6, "flavor": "A", "coords": True})
+        start = time.process_time()
+        assert_rejected(*capture("poset", "--spec", path))
+        assert time.process_time() - start < 0.5
+
 
 class TestParserReuse:
     """``run`` builds its parser once per process; no call's options or
@@ -603,6 +649,28 @@ class TestPoset:
         code, out, err = capture("charpoly", "A:5,2", "--method", "poset")
         assert (code, err) == (0, "")
         assert out == charpoly_A_closed(5, 2).to_text() + "\n"
+
+    def test_B61(self, capture, monkeypatch):
+        """n = 6, which the old n <= 5 rule refused, so the table's sha256 is
+        taken from the budget-guarded closure.  The two calls share one build
+        of the poset, which takes about 1.3 s."""
+        built = {}
+        build = poset.build_poset
+
+        def build_once(spec):
+            text = json.dumps(spec.to_json_dict())
+            if text not in built:
+                built[text] = build(spec)
+            return built[text]
+
+        monkeypatch.setattr(poset, "build_poset", build_once)
+        code, out, err = capture("regions", "B:6,1", "--method", "poset")
+        assert (code, out, err) == (0, f"{regions_B_closed(6, 1)}\n", "")
+        code, out, err = capture("poset", "B:6,1", "--output", "table")
+        assert (code, err) == (0, "")
+        digest = "69e22d98e96904b9e5440b8d6f46c5dda832ac5919ffcb004a3f838e2366ebc1"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert len(built) == 1
 
     def test_offsets_past_the_key_exit_2(self, capture, tmp_path):
         spec = {"n": 5, "flavor": "A", "shifts": {"1,2": [400], "2,3": [300]}}

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from braidarr.arrangements import SizeGuard
 from braidarr.numbers import raney, regions_B_closed
 from braidarr.partitions import (
     ISOLATED,
@@ -14,7 +15,7 @@ from braidarr.partitions import (
     partition_to_sketch,
     sketch_to_partition,
 )
-from braidarr.sketches import EnumerationGuard, Sketch, enumerate_sketches
+from braidarr.sketches import Sketch, enumerate_sketches
 
 SKETCH_52 = "3^2 3^1 1^2 3^0 1^1 1^0 0 5^0 5^1 5^2 4^0 2^0 4^1 2^1 4^2 2^2"
 PARTITION_52 = "3 3 1 3 1 1 | 5 5 5 4 2 4 2 4 2"
@@ -160,5 +161,5 @@ class TestCountBRegions:
 
     def test_guard(self):
         # (m+1)*n = 14, the first size past the shared enumeration limit of 12
-        with pytest.raises(EnumerationGuard):
+        with pytest.raises(SizeGuard):
             count_B_regions_enum(7, 1)

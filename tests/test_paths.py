@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from braidarr.arrangements import SizeGuard
 from braidarr.numbers import charpoly_A_closed, raney
 from braidarr.paths import (
     DecoratedDyckPath,
@@ -18,7 +19,7 @@ from braidarr.paths import (
     sketch_to_path,
     unlabeled_census,
 )
-from braidarr.sketches import EnumerationGuard, Sketch, enumerate_sketches
+from braidarr.sketches import Sketch, enumerate_sketches
 
 # Three-coordinate all-positive region (mark at the start).
 SKETCH_32 = "0 3^0 3^1 3^2 1^0 2^0 1^1 2^1 1^2 2^2"
@@ -122,7 +123,7 @@ class TestEnumeration:
         assert expected == math.factorial(n) * raney(n, m, 2)
 
     def test_guard(self):
-        with pytest.raises(EnumerationGuard):
+        with pytest.raises(SizeGuard):
             enumerate_decorated_paths(13, 1)
 
     def test_deterministic_order(self):

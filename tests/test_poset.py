@@ -11,6 +11,7 @@ from braidarr.arrangements import (
     MULTIPLICATIVE,
     ArrangementSpec,
     Hyperplane,
+    SizeGuard,
     charpoly_ff,
     hyperplanes_of,
 )
@@ -20,12 +21,7 @@ from braidarr.numbers import (
     regions_B_closed,
     zaslavsky,
 )
-from braidarr.poset import (
-    Flat,
-    build_poset,
-    charpoly_from_poset,
-    flat_dimension_by_rank,
-)
+from braidarr.poset import Flat, build_poset, charpoly_from_poset
 
 # Hyperplane set from the worked six-coordinate example: x1 = 0, x1 = 2^2 x2,
 # x4 = 2 x3, x5 = 2^3 x4, x5 = 2^4 x3.
@@ -110,6 +106,46 @@ def fold(planes, n):
     for h in planes:
         flat = intersect_flat(flat, h)
     return flat
+
+
+def flat_dimension_by_rank(hyperplanes, n):
+    """Dimension of the intersection via exact rank of the true normals.
+
+    Row for ``x_i = 0`` is e_i; row for ``x_i = 2^k x_j`` is e_i - 2^k e_j.
+    This route never looks at the combinatorial flat form, so it serves as an
+    independent cross-check.
+    """
+    rows = []
+    for h in hyperplanes:
+        row = [Fraction(0)] * n
+        if h.kind == "coord":
+            row[h.i - 1] = Fraction(1)
+        else:
+            row[h.i - 1] = Fraction(1)
+            row[h.j - 1] = Fraction(-(2**h.k))
+        rows.append(row)
+    return n - _rank(rows, n)
+
+
+def _rank(rows, width):
+    rank = 0
+    for col in range(width):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / lead
+                for c in range(col, width):
+                    rows[r][c] -= factor * rows[rank][c]
+        rank += 1
+    return rank
 
 
 def mask_of(poset, a):
@@ -352,9 +388,22 @@ class TestBuildPoset:
         with pytest.raises(ValueError):
             build_poset(ArrangementSpec.preset("C:2,1"))
 
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            build_poset(ArrangementSpec.preset("A:6,1"))
+    def test_budget_guard(self):
+        """A:5,30 would cut 113,465 rank-2 flats by 615 planes, and A:7,1's
+        Mobius sums would compare over 4 * 10^10 mask words."""
+        with pytest.raises(SizeGuard, match="memory budget"):
+            build_poset(ArrangementSpec.preset("A:5,30"))
+        with pytest.raises(SizeGuard, match="work budget"):
+            build_poset(ArrangementSpec.preset("A:7,1"))
+
+    def test_sparse_n6_matches_ff_route(self):
+        """A 6-cycle with a chord, all shifts 0, plus the coordinate planes.
+        With m = 0 the admissible moduli start at 3, which keeps the eight ff
+        counts under a second."""
+        pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)]
+        spec = ArrangementSpec(6, MULTIPLICATIVE, {pair: [0] for pair in pairs}, True)
+        moduli = [3, 5, 11, 13, 19, 29, 37, 53]
+        assert charpoly_from_poset(build_poset(spec), 6) == charpoly_ff(spec, moduli)
 
 
 def generic_point(flat, rng):

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from braidarr.arrangements import ArrangementSpec, Hyperplane, hyperplanes_of
+from braidarr.arrangements import ArrangementSpec, Hyperplane, SizeGuard, hyperplanes_of
 from braidarr.numbers import raney, regions_A_closed
 from braidarr.sketches import (
-    EnumerationGuard,
     LogPoint,
     OnHyperplane,
     Sketch,
@@ -102,7 +101,7 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_guard(self):
-        with pytest.raises(EnumerationGuard):
+        with pytest.raises(SizeGuard):
             enumerate_sketches(7, 1)
         assert enumerate_sketches(1, 6, limit=14)
 
