@@ -72,8 +72,12 @@ CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
 ENUMERATIONS: dict[str, Callable[[int, int, int], Iterable]] = {
     "sketches": lambda n, m, limit: sketches.enumerate_sketches(n, m, limit),
     "paths": lambda n, m, limit: paths.enumerate_decorated_paths(n, m, limit),
+    # Every sketch of size (n, m) has rise m, so none is asked for it.
     "partitions": lambda n, m, limit: (
-        partitions.sketch_to_partition(s, m) for s in sketches.enumerate_sketches(n, m, limit)
+        partitions.DecoratedNonNestingPartition(
+            m, tuple(i for i, _ in s.w1), tuple(i for i, _ in s.w2)
+        )
+        for s in sketches.enumerate_sketches(n, m, limit)
     ),
 }
 

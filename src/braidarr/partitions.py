@@ -21,31 +21,15 @@ class DecoratedNonNestingPartition:
 
     ``side1[p]`` / ``side2[p]`` give the label at position p of each diagram.
     Labels are exactly 1..n, each appearing m + 1 times on a single side.
+
+    Not checked by the constructor: partitions from the enumerator or a
+    valid sketch are valid by construction, and :meth:`parse` validates text
+    (:func:`check_partition`).
     """
 
     m: int
     side1: tuple[int, ...]
     side2: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        labels1 = set(self.side1)
-        labels2 = set(self.side2)
-        if labels1 & labels2:
-            raise ValueError("a block must lie entirely on one side of the red line")
-        n = len(labels1) + len(labels2)
-        if labels1 | labels2 != set(range(1, n + 1)):
-            raise ValueError("labels must be exactly 1..n")
-        for side in (self.side1, self.side2):
-            for label in set(side):
-                if side.count(label) != self.m + 1:
-                    raise ValueError(
-                        f"block {label} has {side.count(label)} points, "
-                        f"expected {self.m + 1}"
-                    )
-            if not _non_nesting(side):
-                raise ValueError("nesting arcs")
 
     @property
     def n(self) -> int:
@@ -82,7 +66,31 @@ class DecoratedNonNestingPartition:
             if not combined:
                 raise ValueError("cannot infer m from an empty diagram")
             m = combined.count(combined[0]) - 1
-        return cls(m, side1, side2)
+        d = cls(m, side1, side2)
+        check_partition(d)
+        return d
+
+
+def check_partition(d: DecoratedNonNestingPartition) -> None:
+    """Raise ValueError unless ``d`` is a decorated non-nesting partition
+    (see the class)."""
+    if d.m < 1:
+        raise ValueError(f"m must be positive, got {d.m}")
+    labels1 = set(d.side1)
+    labels2 = set(d.side2)
+    if labels1 & labels2:
+        raise ValueError("a block must lie entirely on one side of the red line")
+    n = len(labels1) + len(labels2)
+    if labels1 | labels2 != set(range(1, n + 1)):
+        raise ValueError("labels must be exactly 1..n")
+    for side in (d.side1, d.side2):
+        for label in set(side):
+            if side.count(label) != d.m + 1:
+                raise ValueError(
+                    f"block {label} has {side.count(label)} points, expected {d.m + 1}"
+                )
+        if not _non_nesting(side):
+            raise ValueError("nesting arcs")
 
 
 def _parse_label(token: str) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dyckwords import DOWN, UP, complete_word, step_sequences
 from .numbers import charpoly_A_closed, charpoly_C_closed
@@ -17,32 +17,16 @@ from .sketches import ENUMERATION_LIMIT, Sketch, _check_guard
 @dataclass(frozen=True)
 class LabeledDyckPath:
     """Up-steps of rise m and unit down-steps, prefixes never negative,
-    up-steps labeled with distinct positive integers (not necessarily [n])."""
+    up-steps labeled with distinct positive integers (not necessarily [n]).
+
+    Not checked by the constructor: paths from the enumerator or a valid
+    sketch are valid by construction, and ``DecoratedDyckPath.parse``
+    validates text (:func:`check_decorated_path`).
+    """
 
     m: int
     steps: tuple[str, ...]
     labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        ups = sum(1 for s in self.steps if s == UP)
-        downs = len(self.steps) - ups
-        if any(s not in (UP, DOWN) for s in self.steps):
-            raise ValueError("steps must be 'U' or 'D'")
-        if downs != self.m * ups:
-            raise ValueError(f"{ups} up-steps need {self.m * ups} down-steps, got {downs}")
-        height = 0
-        for s in self.steps:
-            height += self.m if s == UP else -1
-            if height < 0:
-                raise ValueError("negative prefix sum")
-        if len(self.labels) != ups:
-            raise ValueError(f"{ups} up-steps but {len(self.labels)} labels")
-        if len(set(self.labels)) != len(self.labels) or any(
-            label < 1 for label in self.labels
-        ):
-            raise ValueError("labels must be distinct positive integers")
 
     @property
     def up_count(self) -> int:
@@ -59,15 +43,8 @@ class LabeledDyckPath:
         return [idx for idx, h in enumerate(self.heights()) if h == 0]
 
     def to_text(self) -> str:
-        parts = []
-        ups_seen = 0
-        for s in self.steps:
-            if s == UP:
-                parts.append(f"U{self.labels[ups_seen]}")
-                ups_seen += 1
-            else:
-                parts.append("D")
-        return " ".join(parts)
+        labels = iter(self.labels)
+        return " ".join([f"U{next(labels)}" if s == UP else DOWN for s in self.steps])
 
     def __str__(self) -> str:
         return self.to_text()
@@ -83,14 +60,6 @@ class DecoratedDyckPath:
 
     path: LabeledDyckPath
     mark: int
-
-    def __post_init__(self):
-        n = self.path.up_count
-        if set(self.path.labels) != set(range(1, n + 1)):
-            raise ValueError("decorated path labels must be exactly 1..n")
-        heights = self.path.heights()
-        if not 0 <= self.mark < len(heights) or heights[self.mark] != 0:
-            raise ValueError(f"mark {self.mark} is not an x-axis point")
 
     @property
     def n(self) -> int:
@@ -111,11 +80,11 @@ class DecoratedDyckPath:
         return LabeledDyckPath(self.m, steps, self.path.labels[ups_before:])
 
     def to_text(self) -> str:
-        left = self.part1().to_text()
-        right = self.part2().to_text()
-        if left and right:
-            return f"{left} | {right}"
-        return f"{left} |" if left else f"| {right}"
+        labels = iter(self.path.labels)
+        tokens = [f"U{next(labels)}" if s == UP else DOWN for s in self.path.steps]
+        tokens.insert(self.mark, "|")
+        # The empty path prints "| ", the form of every path with an empty part 1.
+        return " ".join(tokens) if len(tokens) > 1 else "| "
 
     def __str__(self) -> str:
         return self.to_text()
@@ -148,7 +117,42 @@ class DecoratedDyckPath:
             if ups == 0 or downs % ups:
                 raise ValueError("cannot infer m; pass it explicitly")
             m = downs // ups
-        return cls(LabeledDyckPath(m, tuple(steps), tuple(labels)), mark_token)
+        decorated = cls(LabeledDyckPath(m, tuple(steps), tuple(labels)), mark_token)
+        check_decorated_path(decorated)
+        return decorated
+
+
+def check_labeled_path(path: LabeledDyckPath) -> None:
+    """Raise ValueError unless ``path`` is a labeled path (see the class)."""
+    if path.m < 1:
+        raise ValueError(f"m must be positive, got {path.m}")
+    ups = sum(1 for s in path.steps if s == UP)
+    downs = len(path.steps) - ups
+    if any(s not in (UP, DOWN) for s in path.steps):
+        raise ValueError("steps must be 'U' or 'D'")
+    if downs != path.m * ups:
+        raise ValueError(f"{ups} up-steps need {path.m * ups} down-steps, got {downs}")
+    height = 0
+    for s in path.steps:
+        height += path.m if s == UP else -1
+        if height < 0:
+            raise ValueError("negative prefix sum")
+    if len(path.labels) != ups:
+        raise ValueError(f"{ups} up-steps but {len(path.labels)} labels")
+    if len(set(path.labels)) != len(path.labels) or any(label < 1 for label in path.labels):
+        raise ValueError("labels must be distinct positive integers")
+
+
+def check_decorated_path(decorated: DecoratedDyckPath) -> None:
+    """Raise ValueError unless ``decorated`` is a decorated path: a labeled
+    path with label set [n] whose mark is an x-axis point."""
+    path = decorated.path
+    check_labeled_path(path)
+    if set(path.labels) != set(range(1, path.up_count + 1)):
+        raise ValueError("decorated path labels must be exactly 1..n")
+    heights = path.heights()
+    if not 0 <= decorated.mark < len(heights) or heights[decorated.mark] != 0:
+        raise ValueError(f"mark {decorated.mark} is not an x-axis point")
 
 
 class UnlabeledCensus(NamedTuple):
@@ -196,17 +200,26 @@ def enumerate_decorated_paths(
     labels).
 
     Each pair of parts takes every permutation of [n] as its labels once, so
-    the loops below (sorted first parts, then second parts and permutations,
-    both generated in lex order) already run in that order.
+    the loops of ``_decorated_parts`` (sorted first parts, then second parts
+    and permutations, both generated in lex order) already run in that order.
     """
-    _check_guard(n, m, limit)
-    firsts = sorted(s for ups in range(n + 1) for s in step_sequences(ups, m))
     return [
         DecoratedDyckPath(LabeledDyckPath(m, steps1 + steps2, labels), len(steps1))
-        for steps1 in firsts
-        for steps2 in step_sequences(n - steps1.count(UP), m)
-        for labels in itertools.permutations(range(1, n + 1))
+        for steps1, steps2, labelings in _decorated_parts(n, m, limit)
+        for labels in labelings
     ]
+
+
+def _decorated_parts(n: int, m: int, limit: int) -> Iterator[tuple]:
+    """The step pairs (part 1, part 2) of the decorated paths of size n in
+    enumeration order, each with the labelings, all of [n]'s permutations,
+    that its paths take."""
+    _check_guard(n, m, limit)
+    firsts = sorted(s for ups in range(n + 1) for s in step_sequences(ups, m))
+    labelings = list(itertools.permutations(range(1, n + 1)))
+    for steps1 in firsts:
+        for steps2 in step_sequences(n - steps1.count(UP), m):
+            yield steps1, steps2, labelings
 
 
 def primitive_part_bounds(path: LabeledDyckPath) -> list[tuple[int, int]]:
@@ -276,6 +289,7 @@ def assemble_compartments(
         raise ValueError("no compartments to assemble")
     m = pieces[0].m
     for piece in pieces:
+        check_labeled_path(piece)
         if piece.m != m:
             raise ValueError("mixed rise parameters")
         if compartments(piece) != 1:
@@ -286,17 +300,51 @@ def assemble_compartments(
     for piece in pieces:
         steps += piece.steps
         labels += piece.labels
-    return LabeledDyckPath(m, steps, labels)
+    path = LabeledDyckPath(m, steps, labels)
+    check_labeled_path(path)  # two pieces may share a label
+    return path
 
 
 def compartment_distribution(
     n: int, m: int, limit: int = ENUMERATION_LIMIT
 ) -> list[int]:
-    """Entry j: decorated paths whose second part has j compartments."""
+    """Entry j: decorated paths whose second part has j compartments,
+    counted on the steps and labels without building the paths."""
     counts = [0] * (n + 1)
-    for decorated in enumerate_decorated_paths(n, m, limit):
-        counts[compartments(decorated.part2())] += 1
+    for steps1, steps2, labelings in _decorated_parts(n, m, limit):
+        starts = _part_starts(steps2, m, steps1.count(UP))
+        for labels in labelings:
+            counts[_count_compartments(labels, starts)] += 1
     return counts
+
+
+def _part_starts(steps: Sequence[str], m: int, first: int = 0) -> list[int]:
+    """Index of the first label of each primitive part of ``steps``, whose
+    labels are numbered from ``first``."""
+    starts = []
+    height = 0
+    ups = first
+    for s in steps:
+        if height == 0:
+            starts.append(ups)
+        if s == UP:
+            height += m
+            ups += 1
+        else:
+            height -= 1
+    return starts
+
+
+def _count_compartments(labels: Sequence[int], starts: Sequence[int]) -> int:
+    """Compartments of the path made of the primitive parts that start at
+    ``labels[a]`` for a in ``starts`` and run to the end of ``labels``.
+
+    A compartment ends at the part holding the largest label not in an
+    earlier compartment, which is the largest label from any of its parts
+    onwards, so the compartments are the distinct values of that maximum.
+    ``len(compartment_decomposition(path))`` is the reference.
+    """
+    return len({max(labels[a:]) for a in starts})
 
 
 def shifted_coefficient_identity(n: int, m: int) -> bool:
@@ -326,11 +374,5 @@ def unlabeled_census(n: int, m: int) -> UnlabeledCensus:
     by_axis_points = {k: 0 for k in range(1, n + 1)}
     if n >= 1:
         for steps in step_sequences(n, m):
-            height = 0
-            returns = 0
-            for s in steps:
-                height += m if s == UP else -1
-                if height == 0:
-                    returns += 1
-            by_axis_points[returns] += 1
+            by_axis_points[len(_part_starts(steps, m))] += 1
     return UnlabeledCensus(by_upsteps, by_axis_points)

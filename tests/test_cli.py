@@ -135,6 +135,14 @@ ENUMERATION_SHA256 = {
         "e745b7d31611743e428db7f30c6a1412938e0a7e44c0014e4abcc111f695da38"
     ),
     "stats compartments 4 1": "f692f34081acce76e67b05aca8e36d463e9c4bd95e47932c951715f4729ad75c",
+    # the benchmark's bulk sizes
+    "enumerate paths 5 1": "e579332549a432217612dc110472f4c75934563ae44dea5329f992b80e41c455",
+    "enumerate partitions 5 1 --output csv": (
+        "a5fd00ec6da0546181d2787ede618bc17829fb69f979c9b8dc70120c2e9ae8f2"
+    ),
+    "stats compartments 5 1 --output json": (
+        "130ed8e62b7277d16205d596983e19af22f1b9b47e4125239dbd0a1a03eb30e5"
+    ),
     "poset A:4,2": "767386efe246a0789ecaf956c3d178948d2affafcbd49b8b9f4d042d1cc1b150",
     "poset B:2,2": "3b5c1c3fc852154dd74029e0ed9778526577d2ef1be551b6af52a1ef1188e5b7",
     "poset Gamma:3,1": "496c6339a6de56b949e67e23a5db7a2ff8cfddf3ba8bd4d581803397256c23a0",
@@ -583,6 +591,25 @@ class TestBiject:
         ],
     )
     def test_bad_token_is_named(self, capture, direction, text, message):
+        assert capture("biject", direction, text) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "direction, text, message",
+        [
+            ("path-to-sketch", "D U1 |", "negative prefix sum"),
+            ("path-to-sketch", "U1 D U1 D |", "labels must be distinct positive integers"),
+            ("path-to-sketch", "U1 | D", "mark 1 is not an x-axis point"),
+            ("path-to-sketch", "U2 D |", "decorated path labels must be exactly 1..n"),
+            ("partition-to-sketch", "| 2 1 1 2", "nesting arcs"),
+            (
+                "partition-to-sketch",
+                "1 1 | 1 2 2",
+                "a block must lie entirely on one side of the red line",
+            ),
+        ],
+    )
+    def test_invalid_structure_is_named(self, capture, direction, text, message):
+        """Text that tokenises but is no path or partition is refused by parse."""
         assert capture("biject", direction, text) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])

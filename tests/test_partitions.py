@@ -35,24 +35,24 @@ class TestConstruction:
         right = DecoratedNonNestingPartition.parse("| 1 1")
         assert right.side1 == ()
 
+    # The constructor does not check; text is checked where it is parsed.
     def test_rejects_wrong_block_size(self):
-        with pytest.raises(ValueError):
-            DecoratedNonNestingPartition(2, (), (1, 1))
+        with pytest.raises(ValueError, match="block 1 has 2 points, expected 3"):
+            DecoratedNonNestingPartition.parse("| 1 1", 2)
 
     def test_rejects_nesting(self):
         # arcs of block 1 sit strictly inside the arcs of block 2
-        with pytest.raises(ValueError):
-            DecoratedNonNestingPartition(2, (), (2, 1, 1, 1, 2, 2))
+        with pytest.raises(ValueError, match="nesting arcs"):
+            DecoratedNonNestingPartition.parse("| 2 1 1 1 2 2", 2)
 
     def test_rejects_nesting_diagram_from_example(self):
         # arc 4-5 nests strictly inside arc 3-6
-        side = (1, 2, 3, 1, 1, 3)
         with pytest.raises(ValueError):
-            DecoratedNonNestingPartition(2, (), side)
+            DecoratedNonNestingPartition.parse("| 1 2 3 1 1 3", 2)
 
     def test_rejects_straddling_block(self):
-        with pytest.raises(ValueError):
-            DecoratedNonNestingPartition(1, (1,), (1, 2, 2))
+        with pytest.raises(ValueError, match="one side of the red line"):
+            DecoratedNonNestingPartition.parse("1 | 1 2 2", 1)
 
     def test_crossings_are_fine(self):
         d = DecoratedNonNestingPartition(1, (), (1, 2, 1, 2))

@@ -2,13 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from braidarr.arrangements import SizeGuard
 from braidarr.numbers import charpoly_A_closed, raney
 from braidarr.paths import (
     DecoratedDyckPath,
     LabeledDyckPath,
+    _count_compartments,
+    _part_starts,
     assemble_compartments,
+    check_labeled_path,
     compartment_decomposition,
     compartment_distribution,
     compartments,
@@ -31,14 +36,15 @@ COMPARTMENT_PATH = LabeledDyckPath(1, tuple("UUUDDUDDUUDDUD"), (9, 2, 8, 6, 4, 1
 
 class TestLabeledDyckPath:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LabeledDyckPath(1, ("D", "U"), (1,))  # negative prefix
-        with pytest.raises(ValueError):
-            LabeledDyckPath(1, ("U", "D", "D"), (1,))  # too many downs
-        with pytest.raises(ValueError):
-            LabeledDyckPath(1, ("U", "D"), (1, 2))  # label count
-        with pytest.raises(ValueError):
-            LabeledDyckPath(1, ("U", "D", "U", "D"), (1, 1))  # repeated label
+        # The constructor does not check; text is checked where it is parsed.
+        with pytest.raises(ValueError, match="negative prefix sum"):
+            check_labeled_path(LabeledDyckPath(1, ("D", "U"), (1,)))
+        with pytest.raises(ValueError, match="need 1 down-steps, got 2"):
+            check_labeled_path(LabeledDyckPath(1, ("U", "D", "D"), (1,)))
+        with pytest.raises(ValueError, match="1 up-steps but 2 labels"):
+            check_labeled_path(LabeledDyckPath(1, ("U", "D"), (1, 2)))
+        with pytest.raises(ValueError, match="distinct positive"):
+            check_labeled_path(LabeledDyckPath(1, ("U", "D", "U", "D"), (1, 1)))
 
     def test_arbitrary_positive_labels_allowed(self):
         path = LabeledDyckPath(1, ("U", "D"), (17,))
@@ -50,15 +56,13 @@ class TestLabeledDyckPath:
 
 class TestDecoratedDyckPath:
     def test_mark_must_sit_on_axis(self):
-        path = LabeledDyckPath(1, ("U", "D", "U", "D"), (1, 2))
-        assert DecoratedDyckPath(path, 2).part1().labels == (1,)
-        with pytest.raises(ValueError):
-            DecoratedDyckPath(path, 1)
+        assert DecoratedDyckPath.parse("U1 D | U2 D").part1().labels == (1,)
+        with pytest.raises(ValueError, match="mark 1 is not an x-axis point"):
+            DecoratedDyckPath.parse("U1 | D U2 D")
 
     def test_labels_must_be_initial_segment(self):
-        path = LabeledDyckPath(1, ("U", "D"), (2,))
-        with pytest.raises(ValueError):
-            DecoratedDyckPath(path, 0)
+        with pytest.raises(ValueError, match="exactly 1..n"):
+            DecoratedDyckPath.parse("| U2 D")
 
     def test_text_round_trip(self):
         d = sketch_to_path(Sketch.parse(SKETCH_52))
@@ -188,6 +192,50 @@ class TestPrimitivePartsAndCompartments:
         assert steps == COMPARTMENT_PATH.steps
 
 
+EXHAUSTIVE_SIZES = [(n, m) for n in range(5) for m in range(1, 8) if (m + 1) * n <= 8]
+
+
+@st.composite
+def labeled_paths(draw):
+    """A labeled path with n <= 9 up-steps of rise m <= 3 and distinct
+    labels in 1..40, drawn step by step."""
+    n = draw(st.integers(0, 9))
+    m = draw(st.integers(1, 3))
+    steps = []
+    height = ups = 0
+    while ups < n or height:
+        if ups < n and (height == 0 or draw(st.booleans())):
+            steps.append("U")
+            height += m
+            ups += 1
+        else:
+            steps.append("D")
+            height -= 1
+    labels = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    return LabeledDyckPath(m, tuple(steps), tuple(labels))
+
+
+class TestCompartmentWalk:
+    """The walk that ``compartment_distribution`` runs on each path's labels
+    against ``compartment_decomposition``, the reference."""
+
+    @pytest.mark.parametrize("n,m", EXHAUSTIVE_SIZES)
+    def test_every_decorated_path(self, n, m):
+        for d in enumerate_decorated_paths(n, m):
+            steps1 = d.path.steps[: d.mark]
+            starts = _part_starts(d.path.steps[d.mark :], m, steps1.count("U"))
+            expected = len(compartment_decomposition(d.part2()))
+            assert _count_compartments(d.path.labels, starts) == expected
+
+    @given(labeled_paths())
+    def test_random_labeled_paths(self, path):
+        check_labeled_path(path)
+        starts = _part_starts(path.steps, path.m)
+        assert _count_compartments(path.labels, starts) == len(
+            compartment_decomposition(path)
+        )
+
+
 class TestReconstruction:
     def test_shuffled_compartments_reassemble(self):
         rng = random.Random(7)
@@ -202,6 +250,15 @@ class TestReconstruction:
     def test_rejects_disconnected_piece(self):
         with pytest.raises(ValueError):
             assemble_compartments([LabeledDyckPath(1, ("U", "D", "U", "D"), (2, 1))])
+
+    def test_rejects_invalid_pieces(self):
+        def piece(*labels):
+            return LabeledDyckPath(1, ("U", "D"), labels)
+
+        with pytest.raises(ValueError, match="1 up-steps but 0 labels"):
+            assemble_compartments([piece(2), piece()])
+        with pytest.raises(ValueError, match="distinct positive"):
+            assemble_compartments([piece(1), piece(1)])
 
 
 class TestCompartmentDistribution:
