@@ -42,9 +42,13 @@ class LabeledDyckPath:
     def axis_positions(self) -> list[int]:
         return [idx for idx, h in enumerate(self.heights()) if h == 0]
 
-    def to_text(self) -> str:
+    def _tokens(self) -> list[str]:
+        """The text tokens: ``U<label>`` per up-step, ``D`` per down-step."""
         labels = iter(self.labels)
-        return " ".join([f"U{next(labels)}" if s == UP else DOWN for s in self.steps])
+        return [f"U{next(labels)}" if s == UP else DOWN for s in self.steps]
+
+    def to_text(self) -> str:
+        return " ".join(self._tokens())
 
     def __str__(self) -> str:
         return self.to_text()
@@ -80,8 +84,7 @@ class DecoratedDyckPath:
         return LabeledDyckPath(self.m, steps, self.path.labels[ups_before:])
 
     def to_text(self) -> str:
-        labels = iter(self.path.labels)
-        tokens = [f"U{next(labels)}" if s == UP else DOWN for s in self.path.steps]
+        tokens = self.path._tokens()
         tokens.insert(self.mark, "|")
         # The empty path prints "| ", the form of every path with an empty part 1.
         return " ".join(tokens) if len(tokens) > 1 else "| "
