@@ -402,7 +402,7 @@ def _cmd_poset(args: argparse.Namespace) -> int:
 
 def _poset_summary(built: poset.IntersectionPoset, n: int) -> Iterable[str]:
     """Flat counts per dimension, then the charpoly, computed when printed."""
-    by_dim = Counter(node.flat.dimension for node in built.nodes)
+    by_dim = Counter(built.dims.tolist())
     yield f"flats: {len(built)}"
     for dim in sorted(by_dim, reverse=True):
         yield f"dim {dim}: {by_dim[dim]}"

@@ -4,25 +4,26 @@ Flats are represented combinatorially, one cell per coordinate: either the
 coordinate is zero on the flat, or it is ``x_v = 2^off * x_r`` for the
 smallest coordinate r of its component, whose own cell is ``(r, 0)``.  Naming
 each component by its smallest coordinate makes this form canonical with no
-normalisation pass, so it is exact and hashable; the JSON format reads the
-zero set and the components off it.
+normalisation pass.  A poset keeps its flats as two int64 arrays of cells,
+``root`` and ``off``, one row per flat (0-based, root -1 for a zero
+coordinate); one lexsort on them gives the node order, and the JSON format
+reads the zero set and the components off each row.
 
 The lattice is closed one rank at a time on integer numpy arrays.  Each
-flat is one packed int64 key, decoded into two rows of cells (``root`` and
-``offset``, 0-based, root -1 for a zero coordinate) when it is cut.  One
-vectorised step over every flat of a rank and every hyperplane gives, per
-(flat, plane) pair, whether the plane contains the flat (that plane's bit in
-the flat's mask) or else the key of the child flat.  Every hyperplane passes through the origin, so a plane that
-does not contain a flat X cuts it in a flat one dimension lower, and these
-(X, child) pairs are exactly the Hasse covers; they are recorded as the
-closure finds them.  Flats are ordered by hyperplane masks: X contains Y
-exactly when every hyperplane containing X also contains Y.  The Mobius
-recursion runs rank by rank on the masks packed into uint64 words.  Every
-array is an integer array; there is no floating point anywhere.
+flat is one packed int64 key, decoded into its rows of cells when it is
+cut.  One vectorised step over every flat of a rank and every hyperplane
+gives, per (flat, plane) pair, whether the plane contains the flat (that
+plane's bit in the flat's mask) or else the key of the child flat.  Every
+hyperplane passes through the origin, so a plane that does not contain a
+flat X cuts it in a flat one dimension lower, and these (X, child) pairs are
+exactly the Hasse covers; they are recorded as the closure finds them.
+Flats are ordered by hyperplane masks: X contains Y exactly when every
+hyperplane containing X also contains Y.  The Mobius recursion runs rank by
+rank on the masks packed into uint64 words.  Every array is an integer
+array; there is no floating point anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,57 +41,16 @@ BLOCK = 1 << 15
 CUT_ENTRIES = 10
 
 
-@dataclass(frozen=True)
-class Flat:
-    """Canonical form of a nonempty intersection of hyperplanes.
-
-    ``cells[v-1]`` is None when x_v = 0 on the flat, and otherwise
-    ``(r, off)``: x_v = 2^off * x_r, where r is the smallest coordinate of
-    v's component, so ``cells[r-1] == (r, 0)``.  Each flat has exactly one
-    such tuple, so equal flats compare and hash equal.  ``loops`` and
-    ``components`` give the grouped form of the JSON dump: (vertex, offset)
-    pairs sorted by vertex, and components sorted by their smallest vertex.
-    """
-
-    cells: tuple[tuple[int, int] | None, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    @property
-    def dimension(self) -> int:
-        return sum(1 for v, cell in enumerate(self.cells, 1) if cell == (v, 0))
-
-    @property
-    def loops(self) -> frozenset[int]:
-        return frozenset(v for v, cell in enumerate(self.cells, 1) if cell is None)
-
-    @property
-    def components(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # A root is the first vertex of its component in vertex order, so the
-        # groups come out sorted by smallest vertex.
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for v, cell in enumerate(self.cells, 1):
-            if cell is not None:
-                groups.setdefault(cell[0], []).append((v, cell[1]))
-        return tuple(tuple(group) for group in groups.values())
-
-    def sort_key(self) -> tuple:
-        return (tuple(sorted(self.loops)), self.components)
-
-
-@dataclass(frozen=True)
-class PosetNode:
-    flat: Flat
-    mu: int
-
-
 class IntersectionPoset:
     """All flats of an arrangement with Mobius values and the Hasse relation.
 
-    Nodes are sorted by descending dimension (ambient space first) and then
-    by canonical key, so node order is deterministic.  ``masks[a]`` is node
+    Node a is row a of ``root`` and ``off``: coordinate v + 1 is zero on the
+    flat when ``root[a, v]`` is -1, and otherwise ``x_(v+1) = 2^off[a, v] *
+    x_(r+1)`` with r = ``root[a, v]`` the first vertex of v's component
+    (all 0-based).  ``dims[a]`` is the flat's dimension and ``mu[a]`` its
+    Mobius value.  Nodes are sorted by descending dimension (ambient space
+    first), then by sorted zero coordinates, then by components (see
+    :func:`_order`), so node order is deterministic.  ``masks[a]`` is node
     a's hyperplane mask: bit h % 64 of word h // 64 is set when hyperplane h
     (in ``hyperplanes_of`` order) contains the flat, so node a contains node
     b exactly when ``masks[a]`` is a subset of ``masks[b]``.  ``edges`` are
@@ -98,38 +58,36 @@ class IntersectionPoset:
     """
 
     def __init__(
-        self, nodes: Sequence[PosetNode], masks: np.ndarray, edges: Sequence[tuple[int, int]]
+        self, root: np.ndarray, off: np.ndarray, mu: np.ndarray, masks: np.ndarray,
+        edges: np.ndarray,
     ):
-        self.nodes = tuple(nodes)
-        self.masks = masks
-        self.edges = tuple(edges)
+        self.root, self.off, self.mu, self.masks, self.edges = root, off, mu, masks, edges
+        self.dims = (root == np.arange(root.shape[1])).sum(axis=1)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.mu)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover pairs (a, b) where b covers a, as the closure recorded them."""
-        return list(self.edges)
+        return list(map(tuple, self.edges.tolist()))
 
     def to_json_dict(self) -> dict:
         flats = []
-        for index, node in enumerate(self.nodes):
+        rows = zip(self.dims.tolist(), self.mu.tolist(), self.root.tolist(), self.off.tolist())
+        for index, (dim, mu, roots, offs) in enumerate(rows):
+            loops, components = [], {}
+            for v, (r, o) in enumerate(zip(roots, offs), 1):
+                if r < 0:
+                    loops.append(v)
+                else:
+                    # A root is its component's first vertex, so the groups
+                    # come out sorted by smallest vertex.
+                    components.setdefault(r, []).append([v, o])
             flats.append(
-                {
-                    "id": index,
-                    "dim": node.flat.dimension,
-                    "mu": node.mu,
-                    "loops": sorted(node.flat.loops),
-                    "components": [
-                        [[v, off] for v, off in comp] for comp in node.flat.components
-                    ],
-                }
+                {"id": index, "dim": dim, "mu": mu, "loops": loops,
+                 "components": list(components.values())}
             )
-        return {
-            "n": self.nodes[0].flat.n,
-            "flats": flats,
-            "hasse": [[a, b] for a, b in self.hasse_edges()],
-        }
+        return {"n": self.root.shape[1], "flats": flats, "hasse": self.edges.tolist()}
 
 
 def check_poset_size(n: int, flavor: str, bound: int) -> None:
@@ -228,21 +186,39 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
         key = children
 
     root, off = code.decode(np.concatenate(keys))
-    flats = [
-        Flat(tuple(None if r < 0 else (r + 1, o) for r, o in zip(row_r, row_o)))
-        for row_r, row_o in zip(root.tolist(), off.tolist())
-    ]
     bits = np.packbits(np.concatenate(contained), axis=1, bitorder="little")
     masks = np.ascontiguousarray(np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))).view("<u8")
     mu = _mobius(masks, np.cumsum([0] + [len(k) for k in keys]))
 
-    order = sorted(range(len(flats)), key=lambda a: (-flats[a].dimension, flats[a].sort_key()))
+    order = _order(root, off)
     position = np.empty(len(order), dtype=np.int64)
     position[order] = np.arange(len(order))
     covers = position[np.concatenate(edges)]
     covers = covers[np.lexsort((covers[:, 1], covers[:, 0]))]
-    nodes = [PosetNode(flats[a], value) for a, value in zip(order, mu[order].tolist())]
-    return IntersectionPoset(nodes, masks[order], map(tuple, covers.tolist()))
+    return IntersectionPoset(root[order], off[order], mu[order], masks[order], covers)
+
+
+def _order(root: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The node order: descending dimension, then the sorted zero
+    coordinates, then the components in order of their first vertex, each a
+    list of (vertex, offset) pairs, all compared lexicographically.
+
+    One lexsort gives it.  Each row is taken in (root, vertex) order, which
+    puts the zero coordinates (root -1) first.  The zero coordinates are read
+    padded with -1, so that a shorter list sorts first, and then every
+    position as (continues its component, vertex, offset), so that a
+    component that ends sorts before one that goes on.  Flats with the same
+    zero coordinates cover the same vertices, so their positions line up.
+    """
+    vertex = np.argsort(root, axis=1, kind="stable")
+    first = np.take_along_axis(root, vertex, axis=1)
+    loops = np.where(first < 0, vertex, -1)
+    shifted = np.take_along_axis(off, vertex, axis=1)
+    starts = first == vertex
+    triples = np.stack([~starts, vertex, shifted], axis=2).reshape(len(root), -1)
+    keys = np.column_stack([-starts.sum(axis=1), loops, triples])
+    # lexsort reads its last key first.
+    return np.lexsort(keys[:, ::-1].T)
 
 
 def _dedupe(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,6 +305,6 @@ def _mobius(masks: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
 def charpoly_from_poset(poset: IntersectionPoset, n: int) -> IntPolynomial:
     """Mobius-weighted dimension generating polynomial."""
     coeffs = [0] * (n + 1)
-    for node in poset.nodes:
-        coeffs[node.flat.dimension] += node.mu
+    for dim, mu in zip(poset.dims.tolist(), poset.mu.tolist()):
+        coeffs[dim] += mu
     return IntPolynomial(coeffs)

@@ -156,6 +156,9 @@ ENUMERATION_SHA256 = {
     "poset A:5,2 --output table": (
         "70a16602f29f0bad4991072c62964c497ad0e236a637b9b9e7fe04bb34aaa2cb"
     ),
+    # 72 planes, two mask words and offsets up to ±22; no coordinate planes
+    "poset A:3,11": "8dd2066e1656c8e075aa5469d8e7a221a4b3557c46fc5d4b58e34fcf391414f4",
+    "poset B:5,1": "3f214d71fc94b51698c47ee9ae5bc25943596fbc6ed310093d6644c48f96acc0",
 }
 
 

@@ -47,8 +47,8 @@ class TestConstruction:
 
     def test_rejects_nesting_diagram_from_example(self):
         # arc 4-5 nests strictly inside arc 3-6
-        with pytest.raises(ValueError):
-            DecoratedNonNestingPartition.parse("| 1 2 3 1 1 3", 2)
+        with pytest.raises(ValueError, match="nesting arcs"):
+            DecoratedNonNestingPartition.parse("| 1 1 2 3 3 2", 1)
 
     def test_rejects_straddling_block(self):
         with pytest.raises(ValueError, match="one side of the red line"):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from braidarr.numbers import (
     regions_B_closed,
     zaslavsky,
 )
-from braidarr.poset import Flat, build_poset, charpoly_from_poset
+from braidarr.poset import build_poset, charpoly_from_poset
 
 # Hyperplane set from the worked six-coordinate example: x1 = 0, x1 = 2^2 x2,
 # x4 = 2 x3, x5 = 2^3 x4, x5 = 2^4 x3.
@@ -39,6 +40,59 @@ CONFLICT = Hyperplane("pair", 5, 3, 5)
 # The scalar reference: one flat and one plane at a time, on Flat tuples.
 # build_poset closes whole ranks at once on arrays; these tests hold it to
 # this closure.
+
+
+@dataclass(frozen=True)
+class Flat:
+    """Canonical form of a nonempty intersection of hyperplanes.
+
+    ``cells[v-1]`` is None when x_v = 0 on the flat, and otherwise
+    ``(r, off)``: x_v = 2^off * x_r, where r is the smallest coordinate of
+    v's component, so ``cells[r-1] == (r, 0)``.  Each flat has exactly one
+    such tuple, so equal flats compare and hash equal.  ``loops`` and
+    ``components`` give the grouped form of the JSON dump: (vertex, offset)
+    pairs sorted by vertex, and components sorted by their smallest vertex.
+    """
+
+    cells: tuple
+
+    @property
+    def dimension(self):
+        return sum(1 for v, cell in enumerate(self.cells, 1) if cell == (v, 0))
+
+    @property
+    def loops(self):
+        return frozenset(v for v, cell in enumerate(self.cells, 1) if cell is None)
+
+    @property
+    def components(self):
+        groups = {}
+        for v, cell in enumerate(self.cells, 1):
+            if cell is not None:
+                groups.setdefault(cell[0], []).append((v, cell[1]))
+        return tuple(tuple(group) for group in groups.values())
+
+
+def flat_of(poset, a):
+    """Node a's row of cells as a Flat."""
+    rows = zip(poset.root[a].tolist(), poset.off[a].tolist())
+    return Flat(tuple(None if r < 0 else (r + 1, o) for r, o in rows))
+
+
+def check_order_and_dump(poset, spec):
+    """The nodes are the scalar closure's flats sorted by (-dimension, sorted
+    loops, components), and each JSON flat reads the same loops and
+    components as its Flat."""
+    flats = [flat_of(poset, a) for a in range(len(poset))]
+    expected = sorted(
+        scalar_closure(spec),
+        key=lambda f: (-f.dimension, tuple(sorted(f.loops)), f.components),
+    )
+    assert flats == expected
+    for entry, flat in zip(poset.to_json_dict()["flats"], flats):
+        assert entry["dim"] == flat.dimension
+        assert entry["loops"] == sorted(flat.loops)
+        assert entry["components"] == [[list(pair) for pair in comp] for comp in flat.components]
 
 
 def ambient_flat(n):
@@ -283,7 +337,7 @@ class TestBuildPoset:
     def test_A21_poset(self):
         poset = build_poset(ArrangementSpec.preset("A:2,1"))
         assert len(poset) == 7
-        mus = sorted(node.mu for node in poset.nodes)
+        mus = sorted(poset.mu.tolist())
         assert mus == [-1, -1, -1, -1, -1, 1, 4]
         assert charpoly_from_poset(poset, 2) == IntPolynomial([4, -5, 1])
 
@@ -342,8 +396,8 @@ class TestBuildPoset:
             spec = ArrangementSpec.preset(name)
             planes = hyperplanes_of(spec)
             poset = build_poset(spec)
-            for a, node in enumerate(poset.nodes):
-                flat = node.flat
+            for a in range(len(poset)):
+                flat = flat_of(poset, a)
                 containing = [h for bit, h in enumerate(planes) if mask_of(poset, a) >> bit & 1]
                 assert containing == [h for h in planes if intersect_flat(flat, h) == flat]
                 assert fold(containing, spec.n) == flat, (name, flat)
@@ -359,7 +413,7 @@ class TestBuildPoset:
         for name in ("A:3,2", "B:3,2", "Gamma:3,2", "Delta:4,1", "A:4,1", "B:1,1"):
             spec = ArrangementSpec.preset(name)
             poset = build_poset(spec)
-            got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+            got = {flat_of(poset, a): mask_of(poset, a) for a in range(len(poset))}
             assert len(got) == len(poset)
             assert got == scalar_closure(spec), name
 
@@ -368,7 +422,7 @@ class TestBuildPoset:
         spec = ArrangementSpec.preset("A:3,11")
         poset = build_poset(spec)
         assert poset.masks.shape == (len(poset), 2)
-        got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+        got = {flat_of(poset, a): mask_of(poset, a) for a in range(len(poset))}
         assert got == scalar_closure(spec)
         assert charpoly_from_poset(poset, 3) == charpoly_A_closed(3, 11)
 
@@ -379,10 +433,12 @@ class TestBuildPoset:
             4, MULTIPLICATIVE, {(1, 2): [1500, -7], (2, 3): [1000], (3, 4): [1000, 3]}, True
         )
         poset = build_poset(spec)
-        got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+        got = {flat_of(poset, a): mask_of(poset, a) for a in range(len(poset))}
         assert got == scalar_closure(spec)
-        offsets = {off for node in poset.nodes for comp in node.flat.components for _, off in comp}
+        flats = [flat_of(poset, a) for a in range(len(poset))]
+        offsets = {off for flat in flats for comp in flat.components for _, off in comp}
         assert min(offsets) == -3500
+        check_order_and_dump(poset, spec)
 
     def test_rejects_additive(self):
         with pytest.raises(ValueError):
@@ -432,10 +488,10 @@ class TestContainment:
         rng = random.Random(7)
         for name in ("A:2,1", "B:2,2", "Gamma:3,1"):
             poset = build_poset(ArrangementSpec.preset(name))
-            for b, node_b in enumerate(poset.nodes):
-                point = generic_point(node_b.flat, rng)
-                for a, node_a in enumerate(poset.nodes):
-                    assert lies_on(point, node_a.flat) == contains(poset, a, b), (name, a, b)
+            for b in range(len(poset)):
+                point = generic_point(flat_of(poset, b), rng)
+                for a in range(len(poset)):
+                    assert lies_on(point, flat_of(poset, a)) == contains(poset, a, b), (name, a, b)
 
     def test_hasse_edges(self):
         poset = build_poset(ArrangementSpec.preset("A:2,1"))
@@ -486,9 +542,10 @@ def sparse_specs(draw):
 def test_random_sparse_poset(spec):
     """On a random sub-arrangement: the closure equals the scalar closure,
     poset chi equals ff chi, the stored edges are exactly the covers of mask
-    containment, and every mu is the scalar recursion over it."""
+    containment, every mu is the scalar recursion over it, and the node
+    order and JSON flats are those of the scalar flats."""
     poset = build_poset(spec)
-    got = {node.flat: mask_of(poset, a) for a, node in enumerate(poset.nodes)}
+    got = {flat_of(poset, a): mask_of(poset, a) for a in range(len(poset))}
     assert got == scalar_closure(spec)
     assert charpoly_from_poset(poset, spec.n) == charpoly_ff(spec)
     above = strictly_above(poset)
@@ -499,4 +556,5 @@ def test_random_sparse_poset(spec):
     for b in range(len(poset)):
         higher = np.nonzero(above[:, b])[0]
         mu.append(-sum(mu[a] for a in higher) if len(higher) else 1)
-    assert [node.mu for node in poset.nodes] == mu
+    assert poset.mu.tolist() == mu
+    check_order_and_dump(poset, spec)
