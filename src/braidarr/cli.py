@@ -69,16 +69,13 @@ CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
     "Delta": lambda n, m: numbers.regions_Delta_closed(n, m),
 }
 
-ENUMERATIONS: dict[str, Callable[[int, int, int], Iterable]] = {
-    "sketches": lambda n, m, limit: sketches.enumerate_sketches(n, m, limit),
-    "paths": lambda n, m, limit: paths.enumerate_decorated_paths(n, m, limit),
-    # Every sketch of size (n, m) has rise m, so none is asked for it.
-    "partitions": lambda n, m, limit: (
-        partitions.DecoratedNonNestingPartition(
-            m, tuple(i for i, _ in s.w1), tuple(i for i, _ in s.w2)
-        )
-        for s in sketches.enumerate_sketches(n, m, limit)
+# Each builds its table, after the size guard, and returns its lines lazily.
+ENUMERATIONS: dict[str, Callable[[int, int, int], Iterable[str]]] = {
+    "sketches": lambda n, m, limit: sketches.sketch_lines(n, m, limit),
+    "paths": lambda n, m, limit: (
+        p.to_text() for p in paths.enumerate_decorated_paths(n, m, limit)
     ),
+    "partitions": lambda n, m, limit: partitions.partition_lines(n, m, limit),
 }
 
 # Each returns an object with ``to_text``, except the witness: a tuple of points.
@@ -212,8 +209,7 @@ def _emit(
     if output == "csv" and csv is not None:
         header, rows = csv
         lines = itertools.chain((header,), rows)
-    for line in lines:
-        print(line)
+    sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def _resolve_spec(
@@ -322,12 +318,12 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    objects = ENUMERATIONS[args.kind](args.n, args.m, args.limit)
+    lines = ENUMERATIONS[args.kind](args.n, args.m, args.limit)
     _emit(
         args.output,
-        lambda: [x.to_text() for x in objects],
-        (x.to_text() for x in objects),
-        ("index,item", (f'{index},"{x.to_text()}"' for index, x in enumerate(objects))),
+        lambda: list(lines),
+        lines,
+        ("index,item", (f'{index},"{line}"' for index, line in enumerate(lines))),
     )
     return 0
 

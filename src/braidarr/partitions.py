@@ -8,8 +8,9 @@ arcs join consecutive occurrences of each label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .sketches import Sketch, enumerate_sketches
+from .sketches import ENUMERATION_LIMIT, Sketch, enumerate_sketches, text_lines
 
 ISOLATED = "isolated"
 TANGLED = "tangled"
@@ -131,6 +132,14 @@ def sketch_to_partition(
         tuple(i for i, _ in sketch.w1),
         tuple(i for i, _ in sketch.w2),
     )
+
+
+def partition_lines(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> Iterator[str]:
+    """``sketch_to_partition(s, m).to_text()`` for each sketch s of
+    ``enumerate_sketches(n, m)``, in that order."""
+    lines = text_lines(n, m, limit, lambda letter: str(letter[0]), "|")
+    # ``to_text`` writes n = 0's empty diagram "| ", not the joined "|".
+    return lines if n else iter([DecoratedNonNestingPartition(m, (), ()).to_text()])
 
 
 def partition_to_sketch(d: DecoratedNonNestingPartition) -> Sketch:

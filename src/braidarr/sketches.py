@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .arrangements import Hyperplane, SizeGuard
 from .dyckwords import Letter, complete_word, step_sequences
@@ -162,29 +161,59 @@ def _is_orderly(word: Sequence[Letter], m: int) -> bool:
 
 
 def enumerate_sketches(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> list[Sketch]:
-    """All sketches for given n and m, in ``Sketch.sort_key`` order.
+    """All sketches for given n and m, in ``Sketch.sort_key`` order."""
+    letters = [divmod(c, m + 1) for c in range((n + 1) * (m + 1))]
 
-    The orderly words on a k-subset of [n] are those on {0, ..., k-1} under
-    the increasing relabelling, which keeps their order, so each size's
-    words are built and sorted once (``_sorted_words``).  The key's zero
-    letter sorts before every real letter, so keys compare as w1 (a proper
-    prefix first), then w2: the left words are sorted, and each takes its
-    right words in their sorted order.
+    def word(code: Sequence[int]) -> tuple[Letter, ...]:
+        return tuple(map(letters.__getitem__, code))
+
+    return [Sketch(w1, w2) for w1, rights in _side_table(n, m, limit, word, word) for w2 in rights]
+
+
+def text_lines(n: int, m: int, limit: int, label: Callable[[Letter], str], zero: str) -> Iterator[str]:
+    """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
+    ``label`` of each letter and ``zero`` between the sides, space-separated.
+    The size guard runs at once; each line is made when read, as the text of
+    its left word (with the zero) plus the text of a right word."""
+    letters = [divmod(c, m + 1) for c in range((n + 1) * (m + 1))]
+    lefts = [label(letter) + " " for letter in letters]
+    rights = [" " + label(letter) for letter in letters]
+    table = _side_table(n, m, limit, lambda code: "".join(map(lefts.__getitem__, code)) + zero,
+                        lambda code: "".join(map(rights.__getitem__, code)))
+    return itertools.chain.from_iterable(map(prefix.__add__, texts) for prefix, texts in table)
+
+
+def sketch_lines(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> Iterator[str]:
+    """``s.to_text()`` for each sketch s of ``enumerate_sketches(n, m)``."""
+    return text_lines(n, m, limit, _LETTER_TEXT.__getitem__, "0")
+
+
+def _side_table(n: int, m: int, limit: int, left: Callable, right: Callable) -> Iterator[tuple]:
+    """The sketches of size (n, m) in ``Sketch.sort_key`` order, as pairs (a
+    left word, the right words it takes), each side word rendered once by
+    ``left`` or ``right`` from its letters coded ``i * (m + 1) + k``.
+
+    A left word is a reversed orderly word on a subset of [n], and takes the
+    orderly words on the complement.  The key's zero letter sorts before
+    every real letter, so keys compare as w1 (a proper prefix first), then
+    w2: the left words are sorted once, and right words keep the order of
+    ``_sorted_words``, which the coding and relabelling onto a subset keep.
     """
     _check_guard(n, m, limit)
+    width = m + 1
     universe = range(1, n + 1)
-    words = {}  # the sorted orderly words on each subset of [n]
+    lefts = []  # (reversed word, the complementary subset)
+    rights = {}  # subset -> its rendered sorted words
     for size in range(n + 1):
         coded = _sorted_words(size, m)
         for subset in itertools.combinations(universe, size):
-            alphabet = [(i, k) for i in subset for k in range(m + 1)]
-            words[subset] = [tuple(map(alphabet.__getitem__, word)) for word in coded]
-    lefts = []  # (w1, the sorted words of the complementary subset)
-    for negatives, side in words.items():
-        positives = words[tuple(i for i in universe if i not in negatives)]
-        lefts.extend((word[::-1], positives) for word in side)
-    lefts.sort(key=itemgetter(0))
-    return [Sketch(w1, w2) for w1, positives in lefts for w2 in positives]
+            code = [i * width + k for i in subset for k in range(width)]
+            words = [tuple(map(code.__getitem__, word)) for word in coded]
+            rights[subset] = list(map(right, words))
+            complement = tuple(i for i in universe if i not in subset)
+            lefts.extend((word[::-1], complement) for word in words)
+    lefts.sort()
+    return ((left(word), rights[complement]) for word, complement in lefts)
 
 
 def _sorted_words(size: int, m: int) -> list[tuple[int, ...]]:
@@ -212,12 +241,11 @@ def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:
 
     Coordinates named in w2 are positive, those in w1 negative.  Exponents
     come from the difference-constraint system "earlier symbol strictly
-    smaller", solved by Bellman-Ford with a uniform rational slack.
+    smaller", solved by Bellman-Ford with a uniform slack of 1/(n + 1).
     """
     n, m = sketch.n, sketch.m
-    slack = Fraction(1, n + 1)
-    positive = _solve_side(sketch.w2, slack)
-    negative = _solve_side(tuple(reversed(sketch.w1)), slack)
+    positive = _solve_side(sketch.w2, n + 1)
+    negative = _solve_side(tuple(reversed(sketch.w1)), n + 1)
     coords = []
     for i in range(1, n + 1):
         if i in positive:
@@ -232,26 +260,27 @@ def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:
     return point
 
 
-def _solve_side(word: Sequence[Letter], slack: Fraction) -> dict[int, Fraction]:
+def _solve_side(word: Sequence[Letter], scale: int) -> dict[int, Fraction]:
     """Solve X_i + k < X_j + l for all letter pairs in word order.
 
-    Encoded as X_i - X_j <= (l - k) - slack and relaxed from an implicit
-    source at distance 0; a negative cycle would mean the side ordering is
-    contradictory, which cannot happen for a valid sketch.
+    Encoded as X_i - X_j <= (l - k) - 1/scale, in integer units of 1/scale,
+    and relaxed from an implicit source at distance 0; a negative cycle would
+    mean the side ordering is contradictory, which cannot happen for a valid
+    sketch.
     """
     variables = sorted({i for i, _ in word})
     if not variables:
         return {}
-    edges: list[tuple[int, int, Fraction]] = []
+    edges: list[tuple[int, int, int]] = []
     for a in range(len(word)):
         i, k = word[a]
         for b in range(a + 1, len(word)):
             j, l = word[b]
             if i == j:
                 continue
-            # constraint X_i - X_j <= (l - k) - slack, i.e. relax j -> i
-            edges.append((j, i, Fraction(l - k) - slack))
-    dist = {v: Fraction(0) for v in variables}
+            # constraint X_i - X_j <= (l - k) - 1/scale, i.e. relax j -> i
+            edges.append((j, i, (l - k) * scale - 1))
+    dist = dict.fromkeys(variables, 0)
     for _ in range(len(variables) - 1):
         changed = False
         for u, v, w in edges:
@@ -263,7 +292,7 @@ def _solve_side(word: Sequence[Letter], slack: Fraction) -> dict[int, Fraction]:
     for u, v, w in edges:
         if dist[u] + w < dist[v]:
             raise InfeasibleSystem("negative cycle in difference constraints")
-    return dist
+    return {v: Fraction(d, scale) for v, d in dist.items()}
 
 
 def point_to_sketch(point: Sequence[LogPoint], m: int) -> Sketch:

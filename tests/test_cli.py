@@ -149,6 +149,16 @@ ENUMERATION_SHA256 = {
     "charpoly Delta:3,1 --method poset": (
         "2db00a49711388bf3eadb2b53b5b25a76eea1cc9fe0065ca4224f3e492717652"
     ),
+    # taken from the object enumeration: the benchmark's oracle checks only
+    # the number of distinct lines of n = 6; two-digit exponents; n = 0
+    "enumerate sketches 6 1": "27415c5c6cb2a3060d8526678b27907adb4cd9654c283b6e0aa10378d60ab3d4",
+    "enumerate sketches 1 11 --output csv": (
+        "f274fe81024714444cd295f6b123c80f9fca7406a949957e108384ed512c2b18"
+    ),
+    "enumerate partitions 0 1": "9a39916cc6b59141ccbe5dea6c5382faaddc2c684d216911e7ccfa0a09942690",
+    "enumerate partitions 3 2 --output json": (
+        "56eb1fde72ed9b57d6e473ed906d7094463e861811791e4da181e685f933f7f0"
+    ),
     # past the benchmark's sizes, taken from the flat-at-a-time closure
     "poset A:4,4": "ac088d64b46a15b1ca8d5471cda7aa97ee769dd2f0173cac6497a4aeff75e22f",
     "poset A:5,1": "7e675f0e28bfbf0b9bf1654d0758046990b8cc0adad552511955f785a4840b39",
@@ -514,6 +524,12 @@ class TestEnumerate:
         assert code == 2
         assert "limit" in err
 
+    @pytest.mark.parametrize("output", ["table", "json", "csv"])
+    @pytest.mark.parametrize("kind", sorted(cli.ENUMERATIONS))
+    def test_refusal_prints_no_line(self, capture, kind, output):
+        assert_rejected(*capture("enumerate", kind, "7", "1", "--output", output))
+        assert_rejected(*capture("enumerate", kind, "-1", "1", "--output", output))
+
     def test_limit_override(self, capture):
         code, out, _ = capture("enumerate", "sketches", "1", "12", "--limit", "26")
         assert code == 0
@@ -728,13 +744,20 @@ class TestUsage:
         """A reader that stops after one line ends the program with exit 1
         and nothing on stderr.  The output is larger than a pipe's buffer, so
         the program is still writing when the pipe closes."""
+        self._close_after_first_line("sketches", b"0 1^0 1^1")
+
+    def test_closed_stdout_on_partition_stream(self):
+        self._close_after_first_line("partitions", b"| 1 1 2 2")
+
+    @staticmethod
+    def _close_after_first_line(kind, first):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
             [sys.executable, "-c", "from braidarr.cli import main; main()",
-             "enumerate", "sketches", "5", "1"],
+             "enumerate", kind, "5", "1"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
-        assert proc.stdout.readline().startswith(b"0 1^0 1^1")
+        assert proc.stdout.readline().startswith(first)
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1

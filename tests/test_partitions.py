@@ -12,6 +12,7 @@ from braidarr.partitions import (
     b_equivalent,
     classify_blocks,
     count_B_regions_enum,
+    partition_lines,
     partition_to_sketch,
     sketch_to_partition,
 )
@@ -21,6 +22,8 @@ SKETCH_52 = "3^2 3^1 1^2 3^0 1^1 1^0 0 5^0 5^1 5^2 4^0 2^0 4^1 2^1 4^2 2^2"
 PARTITION_52 = "3 3 1 3 1 1 | 5 5 5 4 2 4 2 4 2"
 # Same arc diagram with the red line moved past the isolated block labeled 5.
 PARTITION_52_MOVED = "3 3 1 3 1 1 5 5 5 | 4 2 4 2 4 2"
+# Every size with (m+1)n <= 10, n = 0 with two values of m.
+STREAM_SIZES = [(n, m) for n in range(6) for m in range(1, 10) if (m + 1) * n <= 10 and (n or m <= 2)]
 
 
 class TestConstruction:
@@ -86,6 +89,17 @@ class TestSketchPartitionBijection:
             seen.add(d)
         # distinct sketches map to distinct partitions
         assert len(seen) == math.factorial(n) * raney(n, m, 2)
+
+    @pytest.mark.parametrize("n,m", STREAM_SIZES)
+    def test_text_stream_matches_objects(self, n, m):
+        expected = [sketch_to_partition(s, m).to_text() for s in enumerate_sketches(n, m)]
+        assert list(partition_lines(n, m)) == expected
+
+    def test_text_stream_guards_when_built(self):
+        with pytest.raises(SizeGuard):
+            partition_lines(7, 1)
+        with pytest.raises(ValueError, match="need n >= 0"):
+            partition_lines(-1, 1)
 
 
 class TestBlockClassification:

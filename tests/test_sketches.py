@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from braidarr.sketches import (
     hyperplane_side,
     is_valid_sketch,
     point_to_sketch,
+    sketch_lines,
     witness_point,
 )
 
@@ -31,6 +34,9 @@ ALL_21_SKETCHES = {
     "2^1 2^0 0 1^0 1^1",
     "1^1 1^0 0 2^0 2^1",
 }
+
+# Every size with (m+1)n <= 10, n = 0 with two values of m.
+STREAM_SIZES = [(n, m) for n in range(6) for m in range(1, 10) if (m + 1) * n <= 10 and (n or m <= 2)]
 
 
 class TestParsing:
@@ -105,6 +111,16 @@ class TestEnumeration:
             enumerate_sketches(7, 1)
         assert enumerate_sketches(1, 6, limit=14)
 
+    @pytest.mark.parametrize("n,m", STREAM_SIZES)
+    def test_text_stream_matches_objects(self, n, m):
+        assert list(sketch_lines(n, m)) == [s.to_text() for s in enumerate_sketches(n, m)]
+
+    def test_text_stream_guards_when_built(self):
+        with pytest.raises(SizeGuard):
+            sketch_lines(7, 1)
+        with pytest.raises(ValueError, match="need n >= 0"):
+            sketch_lines(-1, 1)
+
     # Sizes past the default limit or at it, with exponents up to 11.
     @pytest.mark.parametrize("n,m,limit", [(1, 11, 12), (2, 6, 14), (3, 3, 12)])
     def test_order_past_the_default_limit(self, n, m, limit):
@@ -150,6 +166,20 @@ class TestWitness:
             point = witness_point(s)
             signatures.add(tuple(hyperplane_side(point, h) for h in planes))
         assert len(signatures) == len(sketches)
+
+    def test_witness_json_pinned(self):
+        """sha256 of the witness JSON, as ``biject sketch-to-witness`` prints it,
+        of every sketch with (m+1)n <= 8 in enumeration order; taken from the
+        solver that relaxed on Fraction weights."""
+        digest = hashlib.sha256()
+        for n in range(1, 5):
+            for m in range(1, 8 // n):
+                for s in enumerate_sketches(n, m):
+                    line = json.dumps([lp.to_json_dict() for lp in witness_point(s)]) + "\n"
+                    digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "66ba8b725b4bdc4e1b581877dd429f7daac2bd2e97f43e17705c54b1e1f5b7e7"
+        )
 
 
 class TestPointToSketch:
