@@ -51,8 +51,8 @@ class NonIntegerCoefficient(ArithmeticError):
 
 
 class SizeGuard(ValueError):
-    """A route refuses a target's size: the kernel's or the poset closure's
-    work or memory budget, the poset's int64 key, or the enumeration limit."""
+    """A route refuses a target's size: the work or memory budget of the
+    kernel, the poset closure or an enumeration, or the poset's int64 key."""
 
 
 @dataclass(frozen=True)
@@ -461,7 +461,8 @@ def charpoly_ff(
     most n; the result must pass ``_check_interpolant`` and must reproduce
     the count at a held-out (n+2)-th modulus.  A target whose
     n + 2 counts would break a kernel budget is refused before any count,
-    and one that no n + 2 admissible moduli could fit before planning.
+    and one that no n + 2 admissible moduli could fit before planning.  An
+    override meets the budgets before its moduli are tested for admissibility.
     """
     n = spec.n
     shape = KernelShape.of(spec)
@@ -475,12 +476,11 @@ def charpoly_ff(
                 f"need at least {n + 2} moduli for degree {n} plus a held-out check, "
                 f"got {len(qs)}"
             )
+    check_kernel_cost(shape, qs, f"moduli up to {qs[-1]} break the kernel budget for n={n}")
+    if moduli is not None:
         for q in qs:
             if not modulus_admissible(spec, q):
                 raise InadmissibleModulus(f"override modulus {q} is inadmissible")
-    check_kernel_cost(
-        shape, qs[: n + 2], f"moduli up to {qs[n + 1]} break the kernel budget for n={n}"
-    )
     nodes = qs[: n + 1]
     counts = [count_complement_points(spec, q) for q in nodes]
     poly = _lagrange_interpolate(nodes, counts)

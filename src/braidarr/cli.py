@@ -70,12 +70,10 @@ CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
 }
 
 # Each builds its table, after the size guard, and returns its lines lazily.
-ENUMERATIONS: dict[str, Callable[[int, int, int], Iterable[str]]] = {
-    "sketches": lambda n, m, limit: sketches.sketch_lines(n, m, limit),
-    "paths": lambda n, m, limit: (
-        p.to_text() for p in paths.enumerate_decorated_paths(n, m, limit)
-    ),
-    "partitions": lambda n, m, limit: partitions.partition_lines(n, m, limit),
+ENUMERATIONS: dict[str, Callable[[int, int], Iterable[str]]] = {
+    "sketches": lambda n, m: sketches.sketch_lines(n, m),
+    "paths": lambda n, m: (p.to_text() for p in paths.enumerate_decorated_paths(n, m)),
+    "partitions": lambda n, m: partitions.partition_lines(n, m),
 }
 
 # Each returns an object with ``to_text``, except the witness: a tuple of points.
@@ -164,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run built-in verification suites")
     p.add_argument("suite", choices=("table1",))
     _add_output_arg(p)
-    p.add_argument("--json", action="store_true", help="alias for --output json")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("poset", help="dump the intersection poset")
@@ -183,7 +180,6 @@ def _add_target_args(p: argparse.ArgumentParser) -> None:
 def _add_size_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--limit", type=int, default=sketches.ENUMERATION_LIMIT)
     _add_output_arg(p)
 
 
@@ -253,12 +249,6 @@ def _closed_charpoly(spec: ArrangementSpec) -> IntPolynomial:
     return _closed_form(spec.flavor, spec.include_coordinate_hyperplanes, n, m, uniform)
 
 
-def _preset_closed_charpoly(family: str, n: int, m: int) -> IntPolynomial:
-    """The closed form of a preset, read off its (family, n, m) alone."""
-    flavor, coords, clip = arrangements.PRESETS[family]
-    return _closed_form(flavor, coords, n, m, clip == 0)
-
-
 def _closed_form(flavor: str, coords: bool, n: int, m: int, uniform: bool) -> IntPolynomial:
     """The A or C closed form of a target with uniform [-m, m] shifts.
 
@@ -275,16 +265,25 @@ def _closed_form(flavor: str, coords: bool, n: int, m: int, uniform: bool) -> In
     raise UsageError("no closed form for this spec; closed applies to A and C presets")
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> int:
-    # A preset's closed form is decided from its (family, n, m), before its
-    # O(n^2) spec would be built.
+def _resolve_target(args: argparse.Namespace) -> tuple[str, tuple | ArrangementSpec, list | None]:
+    """The target's name; a preset's (family, n, m) under ``--method
+    closed``, whose formulas read no more and so build no O(n^2) spec, or
+    else its spec; and the ``--moduli`` override, parsed for every method."""
     if args.method == "closed" and args.target and not args.spec:
-        shape = parse_preset(args.target)
-        _parse_moduli(args.moduli)  # unused by closed, but a malformed value is still refused
-        target, p = args.target, _preset_closed_charpoly(*shape)
+        target, parsed = args.target, parse_preset(args.target)
     else:
-        spec, target = _resolve_spec(args, args.method)
-        p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
+        parsed, target = _resolve_spec(args, args.method)
+    return target, parsed, _parse_moduli(args.moduli)
+
+
+def _cmd_charpoly(args: argparse.Namespace) -> int:
+    target, parsed, moduli = _resolve_target(args)
+    if isinstance(parsed, ArrangementSpec):
+        p = ROUTES[args.method](parsed, moduli)
+    else:
+        family, n, m = parsed
+        flavor, coords, clip = arrangements.PRESETS[family]
+        p = _closed_form(flavor, coords, n, m, clip == 0)
     text = p.to_text()
     _emit(
         args.output,
@@ -298,16 +297,15 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     # The closed region formulas also cover B, Gamma and Delta, which have no
-    # closed characteristic polynomial, and read only the preset's (n, m).
-    if args.method == "closed" and args.target and not args.spec:
-        family, n, m = parse_preset(args.target)
-        target, count = args.target, CLOSED_REGIONS[family](n, m)
+    # closed characteristic polynomial.
+    target, parsed, moduli = _resolve_target(args)
+    if not isinstance(parsed, ArrangementSpec):
+        family, n, m = parsed
+        count = CLOSED_REGIONS[family](n, m)
+    elif args.method == "closed":
+        raise UsageError("--method closed for regions needs a preset target")
     else:
-        spec, target = _resolve_spec(args, args.method)
-        if args.method == "closed":
-            raise UsageError("--method closed for regions needs a preset target")
-        p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
-        count = zaslavsky(p, spec.n)
+        count = zaslavsky(ROUTES[args.method](parsed, moduli), parsed.n)
     _emit(
         args.output,
         lambda: {"target": target, "method": args.method, "regions": count},
@@ -318,7 +316,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    lines = ENUMERATIONS[args.kind](args.n, args.m, args.limit)
+    lines = ENUMERATIONS[args.kind](args.n, args.m)
     _emit(
         args.output,
         lambda: list(lines),
@@ -347,7 +345,7 @@ def _cmd_biject(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    distribution = paths.compartment_distribution(args.n, args.m, args.limit)
+    distribution = paths.compartment_distribution(args.n, args.m)
     _emit(
         args.output,
         lambda: {"distribution": distribution},
@@ -377,7 +375,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         csv_rows.append(f"{n},{m},{count},{expected_regions},{status}")
     all_ok = all(row["ok"] for row in rows)
     _emit(
-        "json" if args.json else args.output,
+        args.output,
         lambda: {"rows": rows, "ok": all_ok},
         lines,
         ("n,m,regions,expected_regions,ok", csv_rows),

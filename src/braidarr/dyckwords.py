@@ -50,7 +50,8 @@ def complete_word(
     """
     word: list[Letter] = []
     position: dict[Letter, int] = {}
-    emitted = [0] * (m + 1)  # emitted[k] = number of exponent-k letters so far
+    # Exponent k comes at the k-th down-step at the earliest, so k < len(steps).
+    emitted = [0] * (min(m, len(steps)) + 1)  # emitted[k]: exponent-k letters so far
     up_count = 0
     for step in steps:
         if step == UP:
@@ -60,7 +61,7 @@ def complete_word(
         else:
             best_k = -1
             best_pos = None
-            for k in range(1, m + 1):
+            for k in range(1, len(emitted)):
                 if emitted[k] < emitted[k - 1]:
                     pred = (labels[emitted[k]], k - 1)
                     if best_pos is None or position[pred] < best_pos:

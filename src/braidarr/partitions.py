@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .sketches import ENUMERATION_LIMIT, Sketch, enumerate_sketches, text_lines
+from .sketches import Sketch, enumerate_sketches, text_lines
 
 ISOLATED = "isolated"
 TANGLED = "tangled"
@@ -134,10 +134,10 @@ def sketch_to_partition(
     )
 
 
-def partition_lines(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> Iterator[str]:
+def partition_lines(n: int, m: int) -> Iterator[str]:
     """``sketch_to_partition(s, m).to_text()`` for each sketch s of
     ``enumerate_sketches(n, m)``, in that order."""
-    lines = text_lines(n, m, limit, lambda letter: str(letter[0]), "|")
+    lines = text_lines(n, m, lambda letter: str(letter[0]), "|")
     # ``to_text`` writes n = 0's empty diagram "| ", not the joined "|".
     return lines if n else iter([DecoratedNonNestingPartition(m, (), ()).to_text()])
 

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dyckwords import DOWN, UP, complete_word, step_sequences
 from .numbers import charpoly_A_closed, charpoly_C_closed
-from .sketches import ENUMERATION_LIMIT, Sketch, _check_guard
+from .sketches import Sketch, _check_guard
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,7 @@ def path_to_sketch(decorated: DecoratedDyckPath) -> Sketch:
     return Sketch(w1, w2)
 
 
-def enumerate_decorated_paths(
-    n: int, m: int, limit: int = ENUMERATION_LIMIT
-) -> list[DecoratedDyckPath]:
+def enumerate_decorated_paths(n: int, m: int) -> list[DecoratedDyckPath]:
     """All decorated paths of size n, ordered by (part-1 steps, part-2 steps,
     labels).
 
@@ -208,21 +206,19 @@ def enumerate_decorated_paths(
     """
     return [
         DecoratedDyckPath(LabeledDyckPath(m, steps1 + steps2, labels), len(steps1))
-        for steps1, steps2, labelings in _decorated_parts(n, m, limit)
+        for steps1, steps2, labelings in _decorated_parts(n, m)
         for labels in labelings
     ]
 
 
-def _decorated_parts(n: int, m: int, limit: int) -> Iterator[tuple]:
+def _decorated_parts(n: int, m: int) -> Iterator[tuple]:
     """The step pairs (part 1, part 2) of the decorated paths of size n in
     enumeration order, each with the labelings, all of [n]'s permutations,
-    that its paths take."""
-    _check_guard(n, m, limit)
+    that its paths take.  The size guard runs at once."""
+    _check_guard(n, m)
     firsts = sorted(s for ups in range(n + 1) for s in step_sequences(ups, m))
     labelings = list(itertools.permutations(range(1, n + 1)))
-    for steps1 in firsts:
-        for steps2 in step_sequences(n - steps1.count(UP), m):
-            yield steps1, steps2, labelings
+    return ((s1, s2, labelings) for s1 in firsts for s2 in step_sequences(n - s1.count(UP), m))
 
 
 def primitive_part_bounds(path: LabeledDyckPath) -> list[tuple[int, int]]:
@@ -308,13 +304,12 @@ def assemble_compartments(
     return path
 
 
-def compartment_distribution(
-    n: int, m: int, limit: int = ENUMERATION_LIMIT
-) -> list[int]:
+def compartment_distribution(n: int, m: int) -> list[int]:
     """Entry j: decorated paths whose second part has j compartments,
     counted on the steps and labels without building the paths."""
+    parts = _decorated_parts(n, m)
     counts = [0] * (n + 1)
-    for steps1, steps2, labelings in _decorated_parts(n, m, limit):
+    for steps1, steps2, labelings in parts:
         starts = _part_starts(steps2, m, steps1.count(UP))
         for labels in labelings:
             counts[_count_compartments(labels, starts)] += 1
@@ -370,7 +365,7 @@ def unlabeled_census(n: int, m: int) -> UnlabeledCensus:
     ``by_upsteps[k]`` counts paths with k up-steps for k = 0..n;
     ``by_axis_points[k]`` counts paths with n up-steps and k+1 axis points.
     """
-    _check_guard(n, m, ENUMERATION_LIMIT)
+    _check_guard(n, m)
     by_upsteps = tuple(
         sum(1 for _ in step_sequences(k, m)) for k in range(n + 1)
     )

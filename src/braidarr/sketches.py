@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .arrangements import Hyperplane, SizeGuard
+from .arrangements import WORK_BUDGET, Hyperplane, check_budgets
 from .dyckwords import Letter, complete_word, step_sequences
 
-ENUMERATION_LIMIT = 12
+# int64 entries per printed letter at an enumeration's peak; traced: 2 to 3.3.
+LETTER_ENTRIES = 4
 
 
 class _LetterText(dict):
@@ -160,38 +161,40 @@ def _is_orderly(word: Sequence[Letter], m: int) -> bool:
     return True
 
 
-def enumerate_sketches(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> list[Sketch]:
+def enumerate_sketches(n: int, m: int) -> list[Sketch]:
     """All sketches for given n and m, in ``Sketch.sort_key`` order."""
-    letters = [divmod(c, m + 1) for c in range((n + 1) * (m + 1))]
+    _check_guard(n, m)
+    letters = [(i, k) for i in range(1, n + 1) for k in range(m + 1)]
 
     def word(code: Sequence[int]) -> tuple[Letter, ...]:
         return tuple(map(letters.__getitem__, code))
 
-    return [Sketch(w1, w2) for w1, rights in _side_table(n, m, limit, word, word) for w2 in rights]
+    return [Sketch(w1, w2) for w1, rights in _side_table(n, m, word, word) for w2 in rights]
 
 
-def text_lines(n: int, m: int, limit: int, label: Callable[[Letter], str], zero: str) -> Iterator[str]:
+def text_lines(n: int, m: int, label: Callable[[Letter], str], zero: str) -> Iterator[str]:
     """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
     ``label`` of each letter and ``zero`` between the sides, space-separated.
     The size guard runs at once; each line is made when read, as the text of
     its left word (with the zero) plus the text of a right word."""
-    letters = [divmod(c, m + 1) for c in range((n + 1) * (m + 1))]
+    _check_guard(n, m)
+    letters = [(i, k) for i in range(1, n + 1) for k in range(m + 1)]
     lefts = [label(letter) + " " for letter in letters]
     rights = [" " + label(letter) for letter in letters]
-    table = _side_table(n, m, limit, lambda code: "".join(map(lefts.__getitem__, code)) + zero,
+    table = _side_table(n, m, lambda code: "".join(map(lefts.__getitem__, code)) + zero,
                         lambda code: "".join(map(rights.__getitem__, code)))
     return itertools.chain.from_iterable(map(prefix.__add__, texts) for prefix, texts in table)
 
 
-def sketch_lines(n: int, m: int, limit: int = ENUMERATION_LIMIT) -> Iterator[str]:
+def sketch_lines(n: int, m: int) -> Iterator[str]:
     """``s.to_text()`` for each sketch s of ``enumerate_sketches(n, m)``."""
-    return text_lines(n, m, limit, _LETTER_TEXT.__getitem__, "0")
+    return text_lines(n, m, _LETTER_TEXT.__getitem__, "0")
 
 
-def _side_table(n: int, m: int, limit: int, left: Callable, right: Callable) -> Iterator[tuple]:
+def _side_table(n: int, m: int, left: Callable, right: Callable) -> Iterator[tuple]:
     """The sketches of size (n, m) in ``Sketch.sort_key`` order, as pairs (a
     left word, the right words it takes), each side word rendered once by
-    ``left`` or ``right`` from its letters coded ``i * (m + 1) + k``.
+    ``left`` or ``right`` from its letters coded ``(i - 1) * (m + 1) + k``.
 
     A left word is a reversed orderly word on a subset of [n], and takes the
     orderly words on the complement.  The key's zero letter sorts before
@@ -199,7 +202,6 @@ def _side_table(n: int, m: int, limit: int, left: Callable, right: Callable) -> 
     w2: the left words are sorted once, and right words keep the order of
     ``_sorted_words``, which the coding and relabelling onto a subset keep.
     """
-    _check_guard(n, m, limit)
     width = m + 1
     universe = range(1, n + 1)
     lefts = []  # (reversed word, the complementary subset)
@@ -207,7 +209,7 @@ def _side_table(n: int, m: int, limit: int, left: Callable, right: Callable) -> 
     for size in range(n + 1):
         coded = _sorted_words(size, m)
         for subset in itertools.combinations(universe, size):
-            code = [i * width + k for i in subset for k in range(width)]
+            code = [(i - 1) * width + k for i in subset for k in range(width)]
             words = [tuple(map(code.__getitem__, word)) for word in coded]
             rights[subset] = list(map(right, words))
             complement = tuple(i for i in universe if i not in subset)
@@ -337,11 +339,15 @@ def hyperplane_side(point: Sequence[LogPoint], h: Hyperplane) -> int:
     return magnitude if a.sign > 0 else -magnitude
 
 
-def _check_guard(n: int, m: int, limit: int) -> None:
+def _check_guard(n: int, m: int) -> None:
+    """Refuse, by :func:`check_budgets`, a size whose lines (n (m+1) + 1 letters
+    per region of A_n^(m), one step and ``LETTER_ENTRIES`` entries each) break
+    a budget; the regions' product stops past the work budget, so this is quick."""
     if n < 0 or m < 1:
         raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    size = (m + 1) * n
-    if size > limit:
-        raise SizeGuard(
-            f"(m+1)*n = {size} exceeds the enumeration limit of {limit}"
-        )
+    letters = (n * (m + 1) + 1) * (2 if n else 1)
+    for j in range(n * m + 3, n * m + n + 2):
+        if letters > WORK_BUDGET:
+            break
+        letters *= j
+    check_budgets(f"enumerating n={n}, m={m}", LETTER_ENTRIES * letters, letters, "letters")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from braidarr import arrangements, cli, poset
+from braidarr import arrangements, cli, poset, sketches
 from braidarr.arrangements import ArrangementSpec
 from braidarr.cli import run
 from braidarr.numbers import (
@@ -159,6 +159,14 @@ ENUMERATION_SHA256 = {
     "enumerate partitions 3 2 --output json": (
         "56eb1fde72ed9b57d6e473ed906d7094463e861811791e4da181e685f933f7f0"
     ),
+    # past the old (m+1) n <= 12 rule, taken under its --limit override
+    "enumerate partitions 3 4": "8090f469eff9c1ea7226f94d64b0ae583fda82590287f68140ad48b698683f68",
+    "enumerate paths 4 3 --output csv": (
+        "803099174d9b50f07c5fa5af9c8141d268f23a849caf38a69944d4ad595a4b61"
+    ),
+    "enumerate sketches 5 2 --output json": (
+        "9a82209eb71cad8c41b0a40bd34da42ea0e9f0c03048cb84245b11573e902804"
+    ),
     # past the benchmark's sizes, taken from the flat-at-a-time closure
     "poset A:4,4": "ac088d64b46a15b1ca8d5471cda7aa97ee769dd2f0173cac6497a4aeff75e22f",
     "poset A:5,1": "7e675f0e28bfbf0b9bf1654d0758046990b8cc0adad552511955f785a4840b39",
@@ -242,6 +250,26 @@ class TestCharpoly:
         code, out, _ = capture("charpoly", "A:2,1", "--moduli", "11,13,19,29")
         assert code == 0
         assert out.strip() == "t^2 - 5*t + 4"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("charpoly", "A:2,1", "--moduli", ",".join(
+                str(10**16 + k) for k in (61, 69, 79, 99))),
+            ("charpoly", "A:2,1", "--moduli", ",".join(
+                str(10**30 + k) for k in (57, 99, 201, 323))),
+            # the sixth modulus would never be counted
+            ("regions", "A:3,1", "--moduli", f"5,11,13,19,29,{10**30 + 57}"),
+        ],
+        ids=["17-digit", "31-digit", "unused-31-digit"],
+    )
+    def test_huge_moduli_refused_before_admissibility(self, capture, argv):
+        # admissibility factors q - 1 by trial division, unbounded on these
+        start = time.process_time()
+        code, out, err = capture(*argv)
+        assert_rejected(code, out, err)
+        assert "kernel budget" in err
+        assert time.process_time() - start < 1
 
     def test_spec_file(self, capture, tmp_path):
         spec_file = tmp_path / "spec.json"
@@ -352,8 +380,12 @@ class TestRegions:
         cases = [
             (("A:2,1", "--spec", str(bad)), "give either a preset target or --spec"),
             (("--spec", str(bad)), "spec must be a JSON object"),
+            (("--spec", str(good), "--moduli", "x"), "bad --moduli value"),
             (("--spec", str(good)), "needs a preset target"),
             ((), "missing target"),
+            (("Q:2,1", "--moduli", "x"), "bad preset"),
+            (("B:2,1", "--moduli", "x"), "bad --moduli value"),
+            (("A:2,1", "--moduli", "abc"), "bad --moduli value"),
         ]
         for argv, message in cases:
             code, out, err = capture("regions", *argv, "--method", "closed")
@@ -520,9 +552,13 @@ class TestEnumerate:
         assert json.loads(out) == ["| 1 1", "1 1 |"]
 
     def test_guard_message(self, capture):
+        # 7,207,200 lines of 15 letters, 4 entries each
+        code, _, err = capture("enumerate", "sketches", "7", "1")
+        assert code == 2
+        assert "would hold 432432000 int64 entries" in err and "memory budget" in err
         code, _, err = capture("enumerate", "sketches", "9", "2")
         assert code == 2
-        assert "limit" in err
+        assert "work budget" in err
 
     @pytest.mark.parametrize("output", ["table", "json", "csv"])
     @pytest.mark.parametrize("kind", sorted(cli.ENUMERATIONS))
@@ -531,9 +567,32 @@ class TestEnumerate:
         assert_rejected(*capture("enumerate", kind, "-1", "1", "--output", output))
 
     def test_limit_override(self, capture):
-        code, out, _ = capture("enumerate", "sketches", "1", "12", "--limit", "26")
+        # the budgets admit what --limit was needed for, and the option is gone
+        code, out, _ = capture("enumerate", "sketches", "1", "12")
         assert code == 0
         assert len(out.splitlines()) == 2
+        assert capture("enumerate", "sketches", "1", "12", "--limit", "26")[0] == 2
+
+    @pytest.mark.parametrize("n,m", [("1000000", "1"), ("1", "1000000000")])
+    def test_huge_size_refused_at_once(self, capture, n, m):
+        start = time.process_time()
+        assert_rejected(*capture("enumerate", "sketches", n, m))
+        assert time.process_time() - start < 0.5
+
+    @pytest.mark.parametrize("kind", sorted(cli.ENUMERATIONS))
+    def test_size_zero_with_a_huge_m(self, capture, traced_peak, kind):
+        # one empty object, and no table of letters with subscript 0
+        (code, out, _), peak = traced_peak(capture, "enumerate", kind, "0", "1000000")
+        assert code == 0 and len(out.splitlines()) == 1
+        assert peak < 10**6
+
+    def test_peak_memory_within_the_letter_entries(self, capture, traced_peak):
+        # 87,360 lines of 16 letters
+        letters = regions_A_closed(5, 2) * 16
+        argv = ("enumerate", "paths", "5", "2", "--output", "json")
+        (code, out, _), peak = traced_peak(capture, *argv)
+        assert code == 0 and len(json.loads(out)) == regions_A_closed(5, 2)
+        assert peak < sketches.LETTER_ENTRIES * letters * 8
 
     @pytest.mark.parametrize("output", ["table", "json", "csv"])
     @pytest.mark.parametrize("m", ["1", "3"])
@@ -677,7 +736,7 @@ class TestVerify:
         assert all(line.endswith("OK") for line in lines)
 
     def test_table1_json(self, capture):
-        code, out, _ = capture("verify", "table1", "--json")
+        code, out, _ = capture("verify", "table1", "--output", "json")
         assert code == 0
         data = json.loads(out)
         assert data["ok"] is True

@@ -174,6 +174,6 @@ class TestCountBRegions:
         assert expected == regions_B_closed(n, m)
 
     def test_guard(self):
-        # (m+1)*n = 14, the first size past the shared enumeration limit of 12
+        # 7,207,200 sketches, past the enumeration's memory budget
         with pytest.raises(SizeGuard):
             count_B_regions_enum(7, 1)

@@ -115,6 +115,12 @@ class TestSketchPathBijection:
         s_right = Sketch.parse("0 1^0 1^1")
         assert sketch_to_path(s_right).part1().steps == ()
 
+    def test_empty_path_with_a_huge_m(self, traced_peak):
+        # the word's exponent counts are sized by its steps, not by m
+        sketch, peak = traced_peak(path_to_sketch, DecoratedDyckPath.parse("|", 10**6))
+        assert sketch == Sketch((), ())
+        assert peak < 10**6
+
 
 class TestEnumeration:
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from braidarr.sketches import (
     LogPoint,
     OnHyperplane,
     Sketch,
+    _check_guard,
     enumerate_sketches,
     hyperplane_side,
     is_valid_sketch,
@@ -109,7 +110,19 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(SizeGuard):
             enumerate_sketches(7, 1)
-        assert enumerate_sketches(1, 6, limit=14)
+        # (m+1) n = 14, past the old rule, is within the budgets
+        assert enumerate_sketches(1, 6)
+
+    def test_guard_grid(self):
+        """The budgets admit every size the old (m+1) n <= 12 rule did, and
+        refuse the first sizes past 2.5 * 10^7 letters."""
+        for n in range(13):
+            for m in range(1, 13):
+                if (m + 1) * n <= 12:
+                    _check_guard(n, m)
+        for n, m in [(7, 1), (6, 2), (5, 5)]:
+            with pytest.raises(SizeGuard, match="memory budget"):
+                _check_guard(n, m)
 
     @pytest.mark.parametrize("n,m", STREAM_SIZES)
     def test_text_stream_matches_objects(self, n, m):
@@ -121,10 +134,10 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="need n >= 0"):
             sketch_lines(-1, 1)
 
-    # Sizes past the default limit or at it, with exponents up to 11.
-    @pytest.mark.parametrize("n,m,limit", [(1, 11, 12), (2, 6, 14), (3, 3, 12)])
-    def test_order_past_the_default_limit(self, n, m, limit):
-        sketches = enumerate_sketches(n, m, limit=limit)
+    # Sizes at or past the old (m+1) n <= 12 rule, with exponents up to 11.
+    @pytest.mark.parametrize("n,m", [(1, 11), (2, 6), (3, 3), (3, 4)])
+    def test_order_past_the_old_rule(self, n, m):
+        sketches = enumerate_sketches(n, m)
         assert len(sketches) == len(set(sketches)) == regions_A_closed(n, m)
         assert all(is_valid_sketch(s) for s in sketches)
         keys = [s.sort_key() for s in sketches]
