@@ -265,25 +265,20 @@ def _closed_form(flavor: str, coords: bool, n: int, m: int, uniform: bool) -> In
     raise UsageError("no closed form for this spec; closed applies to A and C presets")
 
 
-def _resolve_target(args: argparse.Namespace) -> tuple[str, tuple | ArrangementSpec, list | None]:
-    """The target's name; a preset's (family, n, m) under ``--method
-    closed``, whose formulas read no more and so build no O(n^2) spec, or
-    else its spec; and the ``--moduli`` override, parsed for every method."""
-    if args.method == "closed" and args.target and not args.spec:
-        target, parsed = args.target, parse_preset(args.target)
-    else:
-        parsed, target = _resolve_spec(args, args.method)
-    return target, parsed, _parse_moduli(args.moduli)
-
-
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    target, parsed, moduli = _resolve_target(args)
-    if isinstance(parsed, ArrangementSpec):
-        p = ROUTES[args.method](parsed, moduli)
+    # A preset's closed form is decided from its (family, n, m), before its
+    # O(n^2) spec would be built; --moduli is parsed for every method.
+    spec = None
+    if args.method == "closed" and args.target and not args.spec:
+        target, (family, n, m) = args.target, parse_preset(args.target)
     else:
-        family, n, m = parsed
+        spec, target = _resolve_spec(args, args.method)
+    moduli = _parse_moduli(args.moduli)
+    if spec is None:
         flavor, coords, clip = arrangements.PRESETS[family]
         p = _closed_form(flavor, coords, n, m, clip == 0)
+    else:
+        p = ROUTES[args.method](spec, moduli)
     text = p.to_text()
     _emit(
         args.output,
@@ -297,15 +292,19 @@ def _cmd_charpoly(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     # The closed region formulas also cover B, Gamma and Delta, which have no
-    # closed characteristic polynomial.
-    target, parsed, moduli = _resolve_target(args)
-    if not isinstance(parsed, ArrangementSpec):
-        family, n, m = parsed
+    # closed characteristic polynomial, and read only the preset's (n, m).
+    spec = None
+    if args.method == "closed" and args.target and not args.spec:
+        target, (family, n, m) = args.target, parse_preset(args.target)
+    else:
+        spec, target = _resolve_spec(args, args.method)
+    moduli = _parse_moduli(args.moduli)
+    if spec is None:
         count = CLOSED_REGIONS[family](n, m)
     elif args.method == "closed":
         raise UsageError("--method closed for regions needs a preset target")
     else:
-        count = zaslavsky(ROUTES[args.method](parsed, moduli), parsed.n)
+        count = zaslavsky(ROUTES[args.method](spec, moduli), spec.n)
     _emit(
         args.output,
         lambda: {"target": target, "method": args.method, "regions": count},

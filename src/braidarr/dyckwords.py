@@ -8,6 +8,7 @@ carry exactly the same information.
 """
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterator, Sequence
 
 UP = "U"
@@ -19,58 +20,45 @@ Letter = tuple[int, int]
 def step_sequences(ups: int, m: int) -> Iterator[tuple[str, ...]]:
     """All step tuples with ``ups`` up-steps of rise m and nonnegative prefixes.
 
-    Yielded in lexicographic order ('D' sorts before 'U').
+    Yielded in lexicographic order ('D' sorts before 'U'), by a depth-first
+    walk on an explicit stack, so a path of any length needs no recursion.
     """
     out: list[str] = []
-
-    def extend(ups_left: int, height: int) -> Iterator[tuple[str, ...]]:
+    # (steps of out to keep, step to add, up-steps left, height after it)
+    stack = [(0, "", ups, 0)]
+    while stack:
+        kept, step, ups_left, height = stack.pop()
+        del out[kept:]
+        if step:
+            out.append(step)
         if ups_left == 0 and height == 0:
             yield tuple(out)
-            return
-        if height > 0:
-            out.append(DOWN)
-            yield from extend(ups_left, height - 1)
-            out.pop()
+            continue
         if ups_left > 0:
-            out.append(UP)
-            yield from extend(ups_left - 1, height + m)
-            out.pop()
-
-    yield from extend(ups, 0)
+            stack.append((len(out), UP, ups_left - 1, height + m))
+        if height > 0:
+            stack.append((len(out), DOWN, ups_left, height - 1))
 
 
-def complete_word(
-    steps: Sequence[str], labels: Sequence[int], m: int
-) -> tuple[Letter, ...]:
-    """The unique valid word whose up-steps carry ``labels`` in order.
+def complete_word(steps: Sequence[str], labels: Sequence[int], m: int) -> Iterator[Letter]:
+    """The letters, in order, of the unique valid word whose up-steps carry
+    ``labels`` in order.
 
-    Up-steps emit ``(label, 0)``.  At a down-step the pending exponent-k
-    letters are ordered by the positions of their exponent-(k-1)
-    predecessors, which forces a single choice; we assert it exists.
+    Up-steps emit ``(label, 0)``.  A letter ``(i, k)`` with k < m makes
+    ``(i, k + 1)`` pending, and a down-step emits the pending letter whose
+    predecessor came first, so the pending letters (one per label at most)
+    form one queue.
     """
-    word: list[Letter] = []
-    position: dict[Letter, int] = {}
-    # Exponent k comes at the k-th down-step at the earliest, so k < len(steps).
-    emitted = [0] * (min(m, len(steps)) + 1)  # emitted[k]: exponent-k letters so far
+    pending: deque[Letter] = deque()
     up_count = 0
     for step in steps:
         if step == UP:
             letter = (labels[up_count], 0)
             up_count += 1
-            emitted[0] += 1
+        elif pending:
+            letter = pending.popleft()
         else:
-            best_k = -1
-            best_pos = None
-            for k in range(1, len(emitted)):
-                if emitted[k] < emitted[k - 1]:
-                    pred = (labels[emitted[k]], k - 1)
-                    if best_pos is None or position[pred] < best_pos:
-                        best_pos = position[pred]
-                        best_k = k
-            if best_k < 0:
-                raise ValueError("down-step with no pending letter; not a valid path")
-            letter = (labels[emitted[best_k]], best_k)
-            emitted[best_k] += 1
-        position[letter] = len(word)
-        word.append(letter)
-    return tuple(word)
+            raise ValueError("down-step with no pending letter; not a valid path")
+        if letter[1] < m:
+            pending.append((letter[0], letter[1] + 1))
+        yield letter

@@ -190,7 +190,7 @@ def path_to_sketch(decorated: DecoratedDyckPath) -> Sketch:
     m = decorated.m
     p1 = decorated.part1()
     p2 = decorated.part2()
-    w2 = complete_word(p2.steps, p2.labels, m)
+    w2 = tuple(complete_word(p2.steps, p2.labels, m))
     mirrored = complete_word(p1.steps, p1.labels, m)
     w1 = tuple((i, m - k) for i, k in mirrored)
     return Sketch(w1, w2)

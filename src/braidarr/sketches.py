@@ -16,8 +16,11 @@ from typing import Callable, Iterator, Sequence
 from .arrangements import WORK_BUDGET, Hyperplane, check_budgets
 from .dyckwords import Letter, complete_word, step_sequences
 
-# int64 entries per printed letter at an enumeration's peak; traced: 2 to 3.3.
+# int64 entries at an enumeration's peak per printed letter (traced: 2 to
+# 3.3) and per letter (i, k) of the alphabet; at n = 1, where the alphabet is
+# half the printed letters, the peak traced 20 to 22 entries per (i, k).
 LETTER_ENTRIES = 4
+ALPHABET_ENTRIES = 24
 
 
 class _LetterText(dict):
@@ -178,17 +181,15 @@ def text_lines(n: int, m: int, label: Callable[[Letter], str], zero: str) -> Ite
     The size guard runs at once; each line is made when read, as the text of
     its left word (with the zero) plus the text of a right word."""
     _check_guard(n, m)
-    letters = [(i, k) for i in range(1, n + 1) for k in range(m + 1)]
-    lefts = [label(letter) + " " for letter in letters]
-    rights = [" " + label(letter) for letter in letters]
-    table = _side_table(n, m, lambda code: "".join(map(lefts.__getitem__, code)) + zero,
-                        lambda code: "".join(map(rights.__getitem__, code)))
+    text = [label((i, k)) for i in range(1, n + 1) for k in range(m + 1)].__getitem__
+    table = _side_table(n, m, lambda code: " ".join([*map(text, code), zero]),
+                        lambda code: " ".join(["", *map(text, code)]))
     return itertools.chain.from_iterable(map(prefix.__add__, texts) for prefix, texts in table)
 
 
 def sketch_lines(n: int, m: int) -> Iterator[str]:
     """``s.to_text()`` for each sketch s of ``enumerate_sketches(n, m)``."""
-    return text_lines(n, m, _LETTER_TEXT.__getitem__, "0")
+    return text_lines(n, m, "{0[0]}^{0[1]}".format, "0")
 
 
 def _side_table(n: int, m: int, left: Callable, right: Callable) -> Iterator[tuple]:
@@ -341,13 +342,16 @@ def hyperplane_side(point: Sequence[LogPoint], h: Hyperplane) -> int:
 
 def _check_guard(n: int, m: int) -> None:
     """Refuse, by :func:`check_budgets`, a size whose lines (n (m+1) + 1 letters
-    per region of A_n^(m), one step and ``LETTER_ENTRIES`` entries each) break
-    a budget; the regions' product stops past the work budget, so this is quick."""
+    per region of A_n^(m), ``LETTER_ENTRIES`` each) and alphabet (n (m+1)
+    letters, ``ALPHABET_ENTRIES`` each), at one step a letter, break a budget;
+    the regions' product stops past the work budget, so this is quick."""
     if n < 0 or m < 1:
         raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    letters = (n * (m + 1) + 1) * (2 if n else 1)
+    alphabet = n * (m + 1)
+    letters = (alphabet + 1) * (2 if n else 1)
     for j in range(n * m + 3, n * m + n + 2):
         if letters > WORK_BUDGET:
             break
         letters *= j
-    check_budgets(f"enumerating n={n}, m={m}", LETTER_ENTRIES * letters, letters, "letters")
+    entries = LETTER_ENTRIES * letters + ALPHABET_ENTRIES * alphabet
+    check_budgets(f"enumerating n={n}, m={m}", entries, letters + alphabet, "letters")

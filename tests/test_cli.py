@@ -552,10 +552,11 @@ class TestEnumerate:
         assert json.loads(out) == ["| 1 1", "1 1 |"]
 
     def test_guard_message(self, capture):
-        # 7,207,200 lines of 15 letters, 4 entries each
+        # 7,207,200 lines of 15 letters, 4 entries each, and 14 letters of
+        # the alphabet, 24 entries each
         code, _, err = capture("enumerate", "sketches", "7", "1")
         assert code == 2
-        assert "would hold 432432000 int64 entries" in err and "memory budget" in err
+        assert "would hold 432432336 int64 entries" in err and "memory budget" in err
         code, _, err = capture("enumerate", "sketches", "9", "2")
         assert code == 2
         assert "work budget" in err
@@ -586,13 +587,29 @@ class TestEnumerate:
         assert code == 0 and len(out.splitlines()) == 1
         assert peak < 10**6
 
-    def test_peak_memory_within_the_letter_entries(self, capture, traced_peak):
-        # 87,360 lines of 16 letters
-        letters = regions_A_closed(5, 2) * 16
-        argv = ("enumerate", "paths", "5", "2", "--output", "json")
+    @pytest.mark.parametrize(
+        "kind,n,m,output",
+        # 87,360 lines of 16 letters; 2 lines of 100,002 letters, whose
+        # alphabet of 100,001 letters is most of the peak
+        [("paths", 5, 2, "json"), ("sketches", 1, 100000, "table")],
+    )
+    def test_peak_memory_within_the_letter_entries(self, capture, traced_peak, kind, n, m, output):
+        alphabet = n * (m + 1)
+        letters = regions_A_closed(n, m) * (alphabet + 1)
+        argv = ("enumerate", kind, str(n), str(m), "--output", output)
         (code, out, _), peak = traced_peak(capture, *argv)
-        assert code == 0 and len(json.loads(out)) == regions_A_closed(5, 2)
-        assert peak < sketches.LETTER_ENTRIES * letters * 8
+        lines = json.loads(out) if output == "json" else out.splitlines()
+        assert code == 0 and len(lines) == regions_A_closed(n, m)
+        assert peak < (sketches.LETTER_ENTRIES * letters + sketches.ALPHABET_ENTRIES * alphabet) * 8
+
+    @pytest.mark.parametrize("n,m", [(1, 2000), (2, 1000)])
+    def test_long_words(self, capture, n, m):
+        # a word of n (m+1) letters is walked without a frame per step
+        for kind in sorted(cli.ENUMERATIONS):
+            code, out, _ = capture("enumerate", kind, str(n), str(m))
+            assert code == 0 and out.count("\n") == regions_A_closed(n, m)
+        code, out, _ = capture("stats", "compartments", str(n), str(m), "--output", "json")
+        assert code == 0 and sum(json.loads(out)["distribution"]) == regions_A_closed(n, m)
 
     @pytest.mark.parametrize("output", ["table", "json", "csv"])
     @pytest.mark.parametrize("m", ["1", "3"])

@@ -124,6 +124,14 @@ class TestEnumeration:
             with pytest.raises(SizeGuard, match="memory budget"):
                 _check_guard(n, m)
 
+    # At n = 1 the alphabet's n (m+1) letters, 24 entries each, weigh as
+    # much as the 2 (m+2) printed ones: 8 (m + 2) + 24 (m + 1) <= 10^8.
+    @pytest.mark.parametrize("n,m", [(1, 3124998), (2, 1765), (3, 76)])
+    def test_largest_admitted_m(self, n, m):
+        _check_guard(n, m)
+        with pytest.raises(SizeGuard, match="memory budget"):
+            _check_guard(n, m + 1)
+
     @pytest.mark.parametrize("n,m", STREAM_SIZES)
     def test_text_stream_matches_objects(self, n, m):
         assert list(sketch_lines(n, m)) == [s.to_text() for s in enumerate_sketches(n, m)]
