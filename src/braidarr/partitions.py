@@ -137,7 +137,7 @@ def sketch_to_partition(
 def partition_lines(n: int, m: int) -> Iterator[str]:
     """``sketch_to_partition(s, m).to_text()`` for each sketch s of
     ``enumerate_sketches(n, m)``, in that order."""
-    lines = text_lines(n, m, lambda letter: str(letter[0]), "|")
+    lines = text_lines(n, m, "|", exponents=False)
     # ``to_text`` writes n = 0's empty diagram "| ", not the joined "|".
     return lines if n else iter([DecoratedNonNestingPartition(m, (), ()).to_text()])
 

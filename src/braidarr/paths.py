@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dyckwords import DOWN, UP, complete_word, step_sequences
-from .numbers import charpoly_A_closed, charpoly_C_closed
+from .arrangements import WORK_BUDGET, check_budgets
+from .numbers import charpoly_A_closed, charpoly_C_closed, raney
 from .sketches import Sketch, _check_guard
 
 
@@ -364,8 +365,17 @@ def unlabeled_census(n: int, m: int) -> UnlabeledCensus:
 
     ``by_upsteps[k]`` counts paths with k up-steps for k = 0..n;
     ``by_axis_points[k]`` counts paths with n up-steps and k+1 axis points.
+    The walks take k (m+1) steps per path, ``raney(k, m, 1)`` paths for each
+    k (summed up to the work budget), and hold one path's steps twice.
     """
-    _check_guard(n, m)
+    if n < 0 or m < 1:
+        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
+    walked = 0
+    for k in range(n + 1):
+        walked += raney(k, m, 1) * k * (m + 1)
+        if walked > WORK_BUDGET:
+            break
+    check_budgets(f"the census of n={n}, m={m}", 2 * n * (m + 1), walked, "steps")
     by_upsteps = tuple(
         sum(1 for _ in step_sequences(k, m)) for k in range(n + 1)
     )

@@ -8,30 +8,32 @@ realizing a given sketch.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .arrangements import WORK_BUDGET, Hyperplane, check_budgets
 from .dyckwords import Letter, complete_word, step_sequences
 
-# int64 entries at an enumeration's peak per printed letter (traced: 2 to
-# 3.3) and per letter (i, k) of the alphabet; at n = 1, where the alphabet is
-# half the printed letters, the peak traced 20 to 22 entries per (i, k).
+# int64 entries at an enumeration's peak per printed letter and per letter
+# (i, k) of the alphabet.  Sketches from the int32 side table traced (peak
+# tracemalloc / ru_maxrss less the interpreter) 1.0 / 1.1 per printed letter
+# at (6, 1) and 1.2 / 1.2 at (5, 4) in table form, 2.1 / 3.5 and 1.8 / 2.4 in
+# json, and at (1, 3124998), where the alphabet is half the printed letters,
+# 8.2 / 10.0 per (i, k).  Paths still trace up to 3.2 per printed letter.
 LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
 
-
-class _LetterText(dict):
-    """The ``i^k`` text of each letter, formatted once on first use."""
-
-    def __missing__(self, letter: Letter) -> str:
-        text = self[letter] = f"{letter[0]}^{letter[1]}"
-        return text
+CHUNK_TOKENS = 1 << 18  # rendered at a time by ``text_lines``
 
 
-_LETTER_TEXT = _LetterText()
+@functools.lru_cache(maxsize=1024)  # bounded: a long sketch has many letters
+def _letter_text(letter: Letter) -> str:
+    return f"{letter[0]}^{letter[1]}"
 
 
 class OnHyperplane(ValueError):
@@ -80,8 +82,7 @@ class Sketch:
         return self.to_text()
 
     def to_text(self) -> str:
-        text = _LETTER_TEXT.__getitem__
-        return " ".join([*map(text, self.w1), "0", *map(text, self.w2)])
+        return " ".join([*map(_letter_text, self.w1), "0", *map(_letter_text, self.w2)])
 
     @classmethod
     def parse(cls, text: str) -> "Sketch":
@@ -166,77 +167,120 @@ def _is_orderly(word: Sequence[Letter], m: int) -> bool:
 
 def enumerate_sketches(n: int, m: int) -> list[Sketch]:
     """All sketches for given n and m, in ``Sketch.sort_key`` order."""
-    _check_guard(n, m)
-    letters = [(i, k) for i in range(1, n + 1) for k in range(m + 1)]
+    lefts, rights, first, count = _side_table(n, m)
+    letters = [None, *((i, k) for i in range(1, n + 1) for k in range(m + 1))]
+    w1s, w2s = (
+        [tuple(map(letters.__getitem__, filter(None, row))) for row in rows.tolist()]
+        for rows in (lefts, rights)
+    )
+    pairs = zip(w1s, first.tolist(), count.tolist())
+    return [Sketch(w1, w2) for w1, j, c in pairs for w2 in w2s[j:j + c]]
 
-    def word(code: Sequence[int]) -> tuple[Letter, ...]:
-        return tuple(map(letters.__getitem__, code))
 
-    return [Sketch(w1, w2) for w1, rights in _side_table(n, m, word, word) for w2 in rights]
-
-
-def text_lines(n: int, m: int, label: Callable[[Letter], str], zero: str) -> Iterator[str]:
+def text_lines(n: int, m: int, zero: str, exponents: bool = True) -> Iterator[str]:
     """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
-    ``label`` of each letter and ``zero`` between the sides, space-separated.
-    The size guard runs at once; each line is made when read, as the text of
-    its left word (with the zero) plus the text of a right word."""
-    _check_guard(n, m)
-    text = [label((i, k)) for i in range(1, n + 1) for k in range(m + 1)].__getitem__
-    table = _side_table(n, m, lambda code: " ".join([*map(text, code), zero]),
-                        lambda code: " ".join(["", *map(text, code)]))
-    return itertools.chain.from_iterable(map(prefix.__add__, texts) for prefix, texts in table)
+    letters as ``i^k`` (``i`` without ``exponents``), ``zero`` between the
+    sides.  The side table is built at once; lines are rendered when read,
+    ``CHUNK_TOKENS`` tokens at a time, by one gather from ``_token_table``
+    with the NULs dropped.  Each line holds every token once, so all lines
+    are equally long, and the last space of each becomes its newline."""
+    lefts, rights, first, count = _side_table(n, m)
+    table = _token_table(n, m, zero, exponents)
+    cells = table.view(np.dtype((np.void, table.shape[1]))).ravel()
+    line_bytes = np.count_nonzero(table)
+    ends = np.cumsum(count)
+    shift = first - ends + count  # line l of left row j takes right row shift[j] + l
+    per_chunk = max(1, CHUNK_TOKENS // lefts.shape[1])
+
+    def chunks() -> Iterator[str]:
+        for start in range(0, ends[-1], per_chunk):
+            line = np.arange(start, min(start + per_chunk, ends[-1]))
+            left = np.searchsorted(ends, line, side="right")
+            text = cells[lefts[left] + rights[shift[left] + line]].view(np.uint8)
+            text = text[text != 0]
+            text[line_bytes - 1::line_bytes] = ord("\n")
+            yield from str(text.data, "ascii").splitlines()
+
+    return chunks()
 
 
 def sketch_lines(n: int, m: int) -> Iterator[str]:
     """``s.to_text()`` for each sketch s of ``enumerate_sketches(n, m)``."""
-    return text_lines(n, m, "{0[0]}^{0[1]}".format, "0")
+    return text_lines(n, m, "0")
 
 
-def _side_table(n: int, m: int, left: Callable, right: Callable) -> Iterator[tuple]:
-    """The sketches of size (n, m) in ``Sketch.sort_key`` order, as pairs (a
-    left word, the right words it takes), each side word rendered once by
-    ``left`` or ``right`` from its letters coded ``(i - 1) * (m + 1) + k``.
+def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The sketches of size (n, m) in ``Sketch.sort_key`` order, after the
+    guard, as int32 arrays ``(lefts, rights, first, count)``: left row j with
+    each right row from ``first[j]`` to ``first[j] + count[j] - 1`` in turn.
 
-    A left word is a reversed orderly word on a subset of [n], and takes the
-    orderly words on the complement.  The key's zero letter sorts before
-    every real letter, so keys compare as w1 (a proper prefix first), then
-    w2: the left words are sorted once, and right words keep the order of
-    ``_sorted_words``, which the coding and relabelling onto a subset keep.
-    """
+    Letter (i, k) is token ``(i - 1) * (m + 1) + k + 1``.  A row has n (m+1)
+    + 1 tokens: a left row starts with a reversed orderly word on a subset of
+    [n], a right row ends with one on the complement, and the rest is 0, the
+    zero letter, so a sketch is its two rows added.  0 sorts first, as the
+    zero letter does in the key, so the left rows are sorted once; right
+    words keep the order of ``_sorted_words``, which coding onto a subset
+    keeps."""
+    _check_guard(n, m)
     width = m + 1
-    universe = range(1, n + 1)
-    lefts = []  # (reversed word, the complementary subset)
-    rights = {}  # subset -> its rendered sorted words
-    for size in range(n + 1):
-        coded = _sorted_words(size, m)
-        for subset in itertools.combinations(universe, size):
-            code = [(i - 1) * width + k for i in subset for k in range(width)]
-            words = [tuple(map(code.__getitem__, word)) for word in coded]
-            rights[subset] = list(map(right, words))
-            complement = tuple(i for i in universe if i not in subset)
-            lefts.extend((word[::-1], complement) for word in words)
-    lefts.sort()
-    return ((left(word), rights[complement]) for word, complement in lefts)
+    sorted_words = [_sorted_words(size, m) for size in range(n + 1)]
+    subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+    sizes = np.array([len(sorted_words[len(s)]) for s in subsets])
+    offsets = dict(zip(subsets, (np.cumsum(sizes) - sizes).tolist()))
+    lefts = np.zeros((sizes.sum(), n * width + 1), np.int32)
+    rights = np.zeros_like(lefts)
+    first, count = np.empty((2, len(lefts)), np.int32)
+    for subset in subsets:
+        place = np.arange(len(subset) * width, dtype=np.int32)
+        code = np.array(subset, np.int32)[place // width] * width + place % width + 1
+        words = code[sorted_words[len(subset)]]
+        rows = slice(offsets[subset], offsets[subset] + len(words))
+        lefts[rows, :place.size] = words[:, ::-1]
+        rights[rows, lefts.shape[1] - place.size:] = words
+        first[rows] = offsets[tuple(sorted(set(range(n)) - set(subset)))]
+        count[rows] = len(sorted_words[n - len(subset)])
+    order = _row_order(lefts)
+    return lefts[order], rights, first[order], count[order]
 
 
-def _sorted_words(size: int, m: int) -> list[tuple[int, ...]]:
-    """The sorted orderly words on {0, ..., size-1}, letter (p, k) coded as
-    ``p * (m + 1) + k``, which keeps the order of letters.
-
-    A word is ``complete_word`` of its step sequence and its up-step labels,
-    and relabelling the word of ``range(size)`` gives it for every labelling.
-    """
+def _sorted_words(size: int, m: int) -> np.ndarray:
+    """The sorted orderly words on {0, ..., size-1}, one int32 row each, letter
+    (p, k) coded as ``p * (m + 1) + k``: each step sequence's ``complete_word``
+    on ``range(size)``, relabelled by every permutation."""
     width = m + 1
-    templates = [
-        [p * width + k for p, k in complete_word(steps, range(size), m)]
-        for steps in step_sequences(size, m)
-    ]
-    words = []
-    for labels in itertools.permutations(range(size)):
-        code = [p * width + k for p in labels for k in range(width)]
-        words.extend(tuple(map(code.__getitem__, template)) for template in templates)
-    words.sort()
-    return words
+    steps = list(step_sequences(size, m))
+    codes = (p * width + k for s in steps for p, k in complete_word(s, range(size), m))
+    templates = np.fromiter(codes, np.int32, len(steps) * size * width).reshape(len(steps), -1)
+    labels = np.array(list(itertools.permutations(range(size))), np.int32)
+    words = labels[:, templates // width] * width + templates % width
+    words = words.reshape(len(labels) * len(steps), -1)
+    return words[_row_order(words)] if size > 1 else words
+
+
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The lexicographic order of nonnegative int32 rows, by their bytes."""
+    keys = np.ascontiguousarray(rows, ">i4")
+    return np.argsort(keys.view(np.dtype((np.void, keys.shape[1] * 4))).ravel())
+
+
+def _token_table(n: int, m: int, zero: str, exponents: bool) -> np.ndarray:
+    """Each token's text (see :func:`_side_table`) and a space, one NUL-padded
+    uint8 row each; leading zeros of numbers are NULs too."""
+
+    def digits(values: np.ndarray) -> np.ndarray:  # the units digit is never leading
+        powers = [10**p for p in reversed(range(len(str(values.max(initial=0)))))]
+        columns = (np.where(values < (p if p > 1 else 0), 0, values // p % 10 + 48) for p in powers)
+        return np.column_stack([column.astype(np.uint8) for column in columns])
+
+    code = np.arange(n * (m + 1), dtype=np.int32)
+    columns = [digits(code // (m + 1) + 1)]
+    if exponents:
+        columns += [np.full((code.size, 1), ord("^"), np.uint8), digits(code % (m + 1))]
+    letters = np.hstack([*columns, np.full((code.size, 1), ord(" "), np.uint8)])
+    table = np.zeros((code.size + 1, max(letters.shape[1], len(zero) + 1)), np.uint8)
+    table[0, :len(zero) + 1] = list(f"{zero} ".encode())
+    table[1:, :letters.shape[1]] = letters
+    return table
 
 
 def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:

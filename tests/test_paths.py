@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -314,6 +315,24 @@ class TestUnlabeledCensus:
         assert census.by_axis_points == {1: 1, 2: 1}
         census = unlabeled_census(2, 2)
         assert census.by_axis_points[2] == raney(0, 2, 4)
+
+    def test_past_the_labelled_guard(self):
+        # the labelled enumeration of n = 7, m = 1 is refused; its census
+        # walks a few thousand steps
+        census = unlabeled_census(7, 1)
+        assert census.by_upsteps[7] == 429
+        assert census.by_axis_points[7] == 1
+
+    @pytest.mark.parametrize(
+        "n,m,error",
+        [(10**6, 1, SizeGuard), (10**12, 1, SizeGuard), (1, 10**12, SizeGuard),
+         (-1, 1, ValueError), (1, 0, ValueError)],
+    )
+    def test_huge_size_refused_at_once(self, n, m, error):
+        start = time.process_time()
+        with pytest.raises(error):
+            unlabeled_census(n, m)
+        assert time.process_time() - start < 0.5
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (2, 4), (1, 5)])
     def test_matches_raney_formulas(self, n, m):

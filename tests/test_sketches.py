@@ -1,17 +1,26 @@
 import hashlib
+import io
+import itertools
 import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidarr import cli
 from braidarr.arrangements import ArrangementSpec, Hyperplane, SizeGuard, hyperplanes_of
+from braidarr.dyckwords import complete_word, step_sequences
 from braidarr.numbers import raney, regions_A_closed
+from braidarr.partitions import partition_lines
 from braidarr.sketches import (
     LogPoint,
     OnHyperplane,
     Sketch,
     _check_guard,
+    _letter_text,
     enumerate_sketches,
     hyperplane_side,
     is_valid_sketch,
@@ -40,11 +49,125 @@ ALL_21_SKETCHES = {
 STREAM_SIZES = [(n, m) for n in range(6) for m in range(1, 10) if (m + 1) * n <= 10 and (n or m <= 2)]
 
 
+def _sorted_words(size, m):
+    """Reference: the sorted orderly words on {0, ..., size-1} as tuples,
+    letter (p, k) coded as ``p * (m + 1) + k``."""
+    width = m + 1
+    templates = [
+        [p * width + k for p, k in complete_word(steps, range(size), m)]
+        for steps in step_sequences(size, m)
+    ]
+    words = []
+    for labels in itertools.permutations(range(size)):
+        code = [p * width + k for p in labels for k in range(width)]
+        words.extend(tuple(map(code.__getitem__, template)) for template in templates)
+    words.sort()
+    return words
+
+
+def _side_table(n, m, left, right):
+    """Reference: pairs (a left word, the right words it takes) in
+    ``Sketch.sort_key`` order, each side word rendered once by ``left`` or
+    ``right`` from its letters coded ``(i - 1) * (m + 1) + k``."""
+    width = m + 1
+    universe = range(1, n + 1)
+    lefts = []  # (reversed word, the complementary subset)
+    rights = {}  # subset -> its rendered sorted words
+    for size in range(n + 1):
+        coded = _sorted_words(size, m)
+        for subset in itertools.combinations(universe, size):
+            code = [(i - 1) * width + k for i in subset for k in range(width)]
+            words = [tuple(map(code.__getitem__, word)) for word in coded]
+            rights[subset] = list(map(right, words))
+            complement = tuple(i for i in universe if i not in subset)
+            lefts.extend((word[::-1], complement) for word in words)
+    lefts.sort()
+    return [(left(word), rights[complement]) for word, complement in lefts]
+
+
+def reference_sketches(n, m):
+    letters = [(i, k) for i in range(1, n + 1) for k in range(m + 1)]
+
+    def word(code):
+        return tuple(map(letters.__getitem__, code))
+
+    return [Sketch(w1, w2) for w1, rights in _side_table(n, m, word, word) for w2 in rights]
+
+
+def reference_lines(n, m, label, zero):
+    text = [label((i, k)) for i in range(1, n + 1) for k in range(m + 1)].__getitem__
+    table = _side_table(
+        n, m,
+        lambda code: " ".join([*map(text, code), zero]),
+        lambda code: " ".join(["", *map(text, code)]),
+    )
+    return [prefix + line for prefix, lines in table for line in lines]
+
+
+def reference_partition_lines(n, m):
+    return reference_lines(n, m, lambda letter: str(letter[0]), "|") if n else ["| "]
+
+
+def assert_matches_reference(n, m):
+    lines = reference_lines(n, m, "{0[0]}^{0[1]}".format, "0")
+    assert list(sketch_lines(n, m)) == lines
+    assert enumerate_sketches(n, m) == reference_sketches(n, m)
+    assert [s.to_text() for s in enumerate_sketches(n, m)] == lines
+    assert list(partition_lines(n, m)) == reference_partition_lines(n, m)
+
+
+# Every size with n (m+1) <= 14 that the guard admits, and n = 0.
+REFERENCE_SIZES = [
+    (n, m) for n in range(7) for m in range(1, 14) if n * (m + 1) <= 14 and (n or m <= 3)
+]
+
+
+class TestReference:
+    """The array enumeration against the tuple side table it replaced."""
+
+    @settings(max_examples=12)
+    @given(st.sampled_from(REFERENCE_SIZES))
+    def test_random_size(self, size):
+        assert_matches_reference(*size)
+
+    # n = 0; 3- and 4-character letters in one line; a full partition line
+    @pytest.mark.parametrize("n,m", [(0, 1), (0, 1000), (1, 12), (2, 11), (3, 3)])
+    def test_fixed_size(self, n, m):
+        assert_matches_reference(n, m)
+
+    @pytest.mark.parametrize("kind", ["sketches", "partitions"])
+    @pytest.mark.parametrize("n,m", [(0, 2), (1, 12), (2, 11), (3, 1)])
+    def test_cli_forms(self, kind, n, m):
+        if kind == "sketches":
+            lines = reference_lines(n, m, "{0[0]}^{0[1]}".format, "0")
+        else:
+            lines = reference_partition_lines(n, m)
+        expected = {
+            "table": "".join(f"{line}\n" for line in lines),
+            "csv": "index,item\n" + "".join(f'{i},"{line}"\n' for i, line in enumerate(lines)),
+            "json": json.dumps(lines, sort_keys=True) + "\n",
+        }
+        for output, text in expected.items():
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.run(["enumerate", kind, str(n), str(m), "--output", output]) == 0
+            assert out.getvalue() == text, output
+
+    def test_six_one(self):
+        lines = reference_lines(6, 1, "{0[0]}^{0[1]}".format, "0")
+        assert list(sketch_lines(6, 1)) == lines
+
+
 class TestParsing:
     def test_round_trip(self):
         s = Sketch.parse(LONG_WORD)
         assert s.to_text() == LONG_WORD
         assert s.n == 5 and s.m == 2
+
+    def test_letter_cache_is_bounded(self):
+        Sketch((), tuple((1, k) for k in range(100001))).to_text()
+        info = _letter_text.cache_info()
+        assert 0 < info.currsize <= info.maxsize < 100001
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
