@@ -12,33 +12,33 @@ reads the zero set and the components off each row.
 The lattice is closed one rank at a time on integer numpy arrays.  Each
 flat is one packed int64 key, decoded into its rows of cells when it is
 cut.  One vectorised step over every flat of a rank and every hyperplane
-gives, per (flat, plane) pair, whether the plane contains the flat (that
-plane's bit in the flat's mask) or else the key of the child flat.  Every
-hyperplane passes through the origin, so a plane that does not contain a
-flat X cuts it in a flat one dimension lower, and these (X, child) pairs are
-exactly the Hasse covers; they are recorded as the closure finds them.
-Flats are ordered by hyperplane masks: X contains Y exactly when every
-hyperplane containing X also contains Y.  The Mobius recursion runs rank by
-rank on the masks packed into uint64 words.  Every array is an integer
-array; there is no floating point anywhere.
+gives, per (flat, plane) pair, whether the plane contains the flat or else
+the key of the child flat.  Every hyperplane passes through the origin, so a
+plane that does not contain a flat X cuts it in a flat one dimension lower,
+and these (X, plane, child) cuts give exactly the Hasse covers; they are
+recorded as the closure finds them.  The same cuts give the Mobius values,
+by Weisner's theorem (see :func:`build_poset`), so no two flats are ever
+compared.  Every array is an integer array; there is no floating point
+anywhere.
 """
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .arrangements import MULTIPLICATIVE, ArrangementSpec, SizeGuard, check_budgets, hyperplanes_of
 from .numbers import IntPolynomial
 
-# (flat, plane) pairs per closure step and (flat, flat) pairs per Mobius step;
-# bounds each temporary array to 256 KB.
+# (flat, plane) pairs per closure step; bounds each temporary array of _cut
+# to 256 KB.
 BLOCK = 1 << 15
 # int64 entries per (flat, plane) pair at the peak of cutting a rank, in the
-# edges' _dedupe: the parents and child keys of the cut pairs, child indices,
-# edge codes, _dedupe's argsort, sorted copy, inverse and two cumsum
-# temporaries, and the distinct children.  Traced peaks were 8 to 9.5.
-CUT_ENTRIES = 10
+# children's _dedupe: the int32 parents and planes of the cuts, the child keys
+# (sorted in place), their argsort with its merge buffer, the inverse and the
+# distinct children, beside the earlier ranks' keys, Mobius values and edges.
+# Peaks per pair of the largest rank cut, tracemalloc / ru_maxrss less the
+# interpreter (numpy 2.4, x86-64): A:5,2 4.95 / 5.7-6.6, A:5,4 4.56 / 6.5,
+# A:6,1 4.50 / 5.7-7.1, A:6,2 5.21 / 7.0; this is the largest, rounded up.
+CUT_ENTRIES = 8
 
 
 class IntersectionPoset:
@@ -50,18 +50,12 @@ class IntersectionPoset:
     (all 0-based).  ``dims[a]`` is the flat's dimension and ``mu[a]`` its
     Mobius value.  Nodes are sorted by descending dimension (ambient space
     first), then by sorted zero coordinates, then by components (see
-    :func:`_order`), so node order is deterministic.  ``masks[a]`` is node
-    a's hyperplane mask: bit h % 64 of word h // 64 is set when hyperplane h
-    (in ``hyperplanes_of`` order) contains the flat, so node a contains node
-    b exactly when ``masks[a]`` is a subset of ``masks[b]``.  ``edges`` are
-    the sorted cover pairs (a, b), b covered by a, found by the closure.
+    :func:`_order`), so node order is deterministic.  ``edges`` are the
+    sorted cover pairs (a, b), b covered by a, found by the closure.
     """
 
-    def __init__(
-        self, root: np.ndarray, off: np.ndarray, mu: np.ndarray, masks: np.ndarray,
-        edges: np.ndarray,
-    ):
-        self.root, self.off, self.mu, self.masks, self.edges = root, off, mu, masks, edges
+    def __init__(self, root: np.ndarray, off: np.ndarray, mu: np.ndarray, edges: np.ndarray):
+        self.root, self.off, self.mu, self.edges = root, off, mu, edges
         self.dims = (root == np.arange(root.shape[1])).sum(axis=1)
 
     def __len__(self) -> int:
@@ -136,12 +130,22 @@ class _CellCode:
 def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     """All flats, closed rank by rank from the ambient flat, with Mobius values.
 
-    Rank r + 1 is every child of a rank-r flat.  For each (flat, plane) pair
-    the plane either contains the flat, which sets its mask bit, or gives a
-    child one dimension lower and the cover edge (flat, child).  Children are
-    de-duplicated on their packed keys, and then :func:`check_budgets`
-    refuses the new rank if its cut or the Mobius sums up to it break a
-    budget (the ambient flat's cut is no larger than the plane list).
+    Rank r + 1 is every child of a rank-r flat.  Each (flat, plane) pair whose
+    plane does not contain the flat is a cut: it gives a child one dimension
+    lower and the cover edge (flat, child).  Children are de-duplicated on
+    their packed keys, and then :func:`check_budgets` refuses the new rank if
+    cutting it breaks a budget (the ambient flat's cut is no larger than the
+    plane list).
+
+    Mobius values come from the cuts by Weisner's theorem (Stanley, EC I,
+    ch. 3): in a finite lattice, the mu(0, y) with y v a = x sum to 0 for
+    any atom a <= x.  The flats under reverse inclusion form a geometric
+    lattice whose atoms are the planes (all pass through the origin), and
+    Y v H is Y cut by H.  Take for H the smallest plane h(X) cut into X.  A
+    Y with Y v H = X != Y is not contained in H, so X covers Y by
+    semimodularity, and ``mu(X) = -sum mu(Y)`` over the cuts (Y, h(X)) into
+    X.  A partial sum is at most the rank above's sum of |mu|, a coefficient
+    of chi, at most the number of regions, so the int64 sums are exact.
     """
     n = spec.n
     # B of _CellCode, from the shifts, so that no plane is listed before the check.
@@ -157,45 +161,53 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
         dtype=np.int64,
     ).reshape(-1, 3)
     ambient = code.cells(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-    key = np.array([ambient @ code.powers])
-    keys, contained, edges = [], [], []
+    key, mu = np.array([ambient @ code.powers]), np.ones(1, dtype=np.int64)
+    keys, mus, edges = [], [], []
     start = work = 0
     step = max(1, BLOCK // max(len(planes), 1))
     while len(key):
         keys.append(key)
-        parents, cut = [], []
+        mus.append(mu)
+        # The parent, plane and child key of each cut, one block per step.
+        # The budget keeps a rank's flats, and so parent indices, in int32.
+        cuts = ([], [], [])
         for lo in range(0, len(key), step):
             contains, child = _cut(code, key[lo : lo + step], ijk)
-            contained.append(contains)
-            parent, _ = np.nonzero(~contains)
-            parents.append(parent + lo)
-            cut.append(child[~contains])
-        children, child = _dedupe(np.concatenate(cut))
-        # The children are cut next, and Mobius compares each with every
-        # earlier flat by mask words.
-        work += len(children) * (start + len(key)) * -(-len(planes) // 64)
+            parent, plane = np.nonzero(~contains)
+            cuts[0].append((parent + lo).astype(np.int32))
+            cuts[1].append(plane.astype(np.int32))
+            cuts[2].append(child[~contains])
+        parent, plane, cut = map(np.concatenate, cuts)
+        del cuts
+        children, child = _dedupe(cut)
+        del cut
+        # The children are cut next.
+        work += len(children) * len(planes)
         check_budgets(
             f"the poset's rank {len(keys)} ({len(children)} flats)",
-            CUT_ENTRIES * len(children) * len(planes), work, "mask word comparisons",
+            CUT_ENTRIES * len(children) * len(planes), work, "(flat, plane) cuts",
         )
+        # Weisner's sum for each child X over the cuts (Y, h(X)) into it.
+        lowest = np.full(len(children), len(planes), dtype=np.int32)
+        np.minimum.at(lowest, child, plane)
+        weisner = plane == lowest[child]
+        mu_children = np.zeros(len(children), dtype=np.int64)
+        np.subtract.at(mu_children, child[weisner], mu[parent[weisner]])
         # Two planes can cut a flat in the same child: one edge per pair.
-        pairs, _ = _dedupe(np.concatenate(parents) * len(children) + child)
-        parent, child = np.divmod(pairs, len(children))
+        pairs = parent.astype(np.int64) * len(children) + child
+        pairs.sort(kind="stable")
+        parent, child = np.divmod(pairs[_firsts(pairs)], len(children))
         edges.append(np.stack([start + parent, start + len(key) + child], axis=1))
         start += len(key)
-        key = children
+        key, mu = children, mu_children
 
     root, off = code.decode(np.concatenate(keys))
-    bits = np.packbits(np.concatenate(contained), axis=1, bitorder="little")
-    masks = np.ascontiguousarray(np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))).view("<u8")
-    mu = _mobius(masks, np.cumsum([0] + [len(k) for k in keys]))
-
     order = _order(root, off)
     position = np.empty(len(order), dtype=np.int64)
     position[order] = np.arange(len(order))
     covers = position[np.concatenate(edges)]
     covers = covers[np.lexsort((covers[:, 1], covers[:, 0]))]
-    return IntersectionPoset(root[order], off[order], mu[order], masks[order], covers)
+    return IntersectionPoset(root[order], off[order], np.concatenate(mus)[order], covers)
 
 
 def _order(root: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -222,20 +234,30 @@ def _order(root: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def _dedupe(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values and each value's index among them.
+    """The sorted distinct values and each value's index among them; the
+    int64 ``values`` are overwritten, so that no copy of them is held.
 
     This is ``np.unique(values, return_inverse=True)`` on a stable argsort:
     ``np.unique``'s default sort loads numpy's SIMD sort code, which added
     about 1.5 MB to the peak RSS of a poset dump (numpy 2.4, x86-64).
     """
     order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.empty(len(values), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(len(values), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    values[:] = values[order]
+    first = _firsts(values)
+    distinct = values[first]
+    # Each sorted value's index among the distinct ones.
+    np.cumsum(first, out=values)
+    values -= 1
+    inverse = np.empty_like(values)
+    inverse[order] = values
+    return distinct, inverse
+
+
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each value of a sorted array differs from the one before."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
 
 
 def _cut(code: _CellCode, key: np.ndarray, ijk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,31 +297,6 @@ def _cut(code: _CellCode, key: np.ndarray, ijk: np.ndarray) -> tuple[np.ndarray,
         -np.take_along_axis(comp_cells, hi, axis=1),
     )
     return contains, key[:, None] + delta
-
-
-def _mobius(masks: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-    """Mobius values mu(0, X) of the flats in rank order; rank r holds rows
-    ``bounds[r]:bounds[r + 1]``.
-
-    Every flat strictly containing one of rank r has a lower rank, so
-    ``mu[rank r] = -(above @ mu[earlier ranks])`` where ``above[b, a]`` says
-    ``masks[a]`` is a subset of ``masks[b]``.  The sum of |mu| over a
-    central arrangement's flats is its number of regions, so no int64 sum
-    overflows.
-    """
-    mu = np.zeros(len(masks), dtype=np.int64)
-    mu[0] = 1  # the ambient flat
-    words = masks.shape[1]
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        earlier = masks[:lo]
-        step = max(1, BLOCK // (lo * max(words, 1)))
-        for b in range(lo, hi, step):
-            rows = masks[b : min(b + step, hi)]
-            outside = np.zeros((len(rows), lo), dtype=bool)
-            for w in range(words):
-                outside |= (earlier[:, w] & ~rows[:, w, None]) != 0
-            mu[b : b + len(rows)] = -((~outside).astype(np.int64) @ mu[:lo])
-    return mu
 
 
 def charpoly_from_poset(poset: IntersectionPoset, n: int) -> IntPolynomial:

@@ -69,6 +69,8 @@ class Sketch:
         if not (self.w1 or self.w2):
             if m is None:
                 raise ValueError("cannot infer m from the empty sketch; pass it explicitly")
+            if m < 1:
+                raise ValueError(f"m must be positive, got {m}")
             return m
         if m is not None and m != self.m:
             raise ValueError(f"m={m} disagrees with the sketch's m={self.m}")

@@ -174,7 +174,7 @@ ENUMERATION_SHA256 = {
     "poset A:5,2 --output table": (
         "70a16602f29f0bad4991072c62964c497ad0e236a637b9b9e7fe04bb34aaa2cb"
     ),
-    # 72 planes, two mask words and offsets up to ±22; no coordinate planes
+    # 72 planes, more than 64, and offsets up to ±22; no coordinate planes
     "poset A:3,11": "8dd2066e1656c8e075aa5469d8e7a221a4b3557c46fc5d4b58e34fcf391414f4",
     "poset B:5,1": "3f214d71fc94b51698c47ee9ae5bc25943596fbc6ed310093d6644c48f96acc0",
 }
@@ -710,6 +710,21 @@ class TestBiject:
     @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
     def test_empty_sketch_takes_m(self, capture, direction):
         assert capture("biject", direction, "0", "--m", "2") == (0, "| \n", "")
+
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "direction, text",
+        [
+            ("sketch-to-path", "0"),
+            ("sketch-to-partition", "0"),
+            ("path-to-sketch", "|"),
+            ("partition-to-sketch", "|"),
+        ],
+    )
+    def test_empty_object_refuses_m_below_one(self, capture, direction, text, m):
+        assert capture("biject", direction, text, "--m", m) == (
+            2, "", f"error: m must be positive, got {m}\n"
+        )
 
     @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
     def test_sketch_m_must_agree(self, capture, direction):
