@@ -38,7 +38,6 @@ from .paths import (
     LabeledDyckPath,
     compartment_distribution,
     compartments,
-    enumerate_decorated_paths,
     path_to_sketch,
     primitive_parts,
     shifted_coefficient_identity,

@@ -169,7 +169,7 @@ class ArrangementSpec:
             shifts = {}
         if not isinstance(shifts, Mapping):
             raise ValueError(f"spec 'shifts' must be an object, got {shifts!r}")
-        pair_shifts = {}
+        pair_shifts, keys = {}, {}
         for key, values in shifts.items():
             if not isinstance(values, list) or not all(map(_is_int, values)):
                 raise ValueError(f"shifts of {key!r} must be a list of integers")
@@ -177,7 +177,9 @@ class ArrangementSpec:
                 i, j = map(int, key.split(","))
             except ValueError:
                 raise ValueError(f"bad shifts key {key!r}; expected 'i,j'") from None
-            pair_shifts[(i, j)] = values
+            if (i, j) in keys:
+                raise ValueError(f"shifts keys {keys[(i, j)]!r} and {key!r} name the same pair")
+            pair_shifts[(i, j)], keys[(i, j)] = values, key
         flavor = MULTIPLICATIVE if flavor == "A" else ADDITIVE
         return cls(n, flavor, pair_shifts, coords)
 

@@ -72,7 +72,7 @@ CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
 # Each builds its table, after the size guard, and returns its lines lazily.
 ENUMERATIONS: dict[str, Callable[[int, int], Iterable[str]]] = {
     "sketches": lambda n, m: sketches.sketch_lines(n, m),
-    "paths": lambda n, m: (p.to_text() for p in paths.enumerate_decorated_paths(n, m)),
+    "paths": lambda n, m: paths.path_lines(n, m),
     "partitions": lambda n, m: partitions.partition_lines(n, m),
 }
 

@@ -4,15 +4,17 @@ coefficients.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .dyckwords import DOWN, UP, complete_word, step_sequences
 from .arrangements import WORK_BUDGET, check_budgets
 from .numbers import charpoly_A_closed, charpoly_C_closed, raney
-from .sketches import Sketch, _check_guard
+from .sketches import Sketch, _check_guard, _digits, render_lines
 
 
 @dataclass(frozen=True)
@@ -197,29 +199,34 @@ def path_to_sketch(decorated: DecoratedDyckPath) -> Sketch:
     return Sketch(w1, w2)
 
 
-def enumerate_decorated_paths(n: int, m: int) -> list[DecoratedDyckPath]:
-    """All decorated paths of size n, ordered by (part-1 steps, part-2 steps,
-    labels).
+def path_lines(n: int, m: int) -> Iterator[str]:
+    """``d.to_text()`` for each decorated path d of size n, in the order of
+    :func:`_path_table`: each pair's template, j - 1 at its j-th up-step, n
+    at the mark and n + 1 at each down-step, read through each label row."""
+    pairs, labels = _path_table(n, m)
+    steps = np.frombuffer("".join(f"{p1}|{p2}" for p1, p2 in pairs).encode(), np.uint8)
+    steps = steps.reshape(len(pairs), -1)
+    templates = np.cumsum(steps == ord(UP), axis=1, dtype=np.int32) - 1
+    templates[steps == ord("|")] = n
+    templates[steps == ord(DOWN)] = n + 1
 
-    Each pair of parts takes every permutation of [n] as its labels once, so
-    the loops of ``_decorated_parts`` (sorted first parts, then second parts
-    and permutations, both generated in lex order) already run in that order.
-    """
-    return [
-        DecoratedDyckPath(LabeledDyckPath(m, steps1 + steps2, labels), len(steps1))
-        for steps1, steps2, labelings in _decorated_parts(n, m)
-        for labels in labelings
-    ]
+    def rows(line: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(labels[line % len(labels)], templates[line // len(labels)], 1)
+
+    tokens = ["|", _digits(np.arange(1, n + 1), UP), DOWN]
+    lines = render_lines(tokens, rows, len(pairs) * len(labels), steps.shape[1])
+    return lines if n else iter(["| "])  # ``to_text`` of the empty path
 
 
-def _decorated_parts(n: int, m: int) -> Iterator[tuple]:
-    """The step pairs (part 1, part 2) of the decorated paths of size n in
-    enumeration order, each with the labelings, all of [n]'s permutations,
-    that its paths take.  The size guard runs at once."""
+def _path_table(n: int, m: int) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """After the size guard, the sorted step pairs (part 1, part 2) of size n
+    as text, and the permutations of [n] in lex order as int32 rows
+    followed by 0 and n + 1, the codes of ``|`` and ``D`` (``Ui`` is i).
+    Decorated path l is pair l // n! labelled by permutation l % n!."""
     _check_guard(n, m)
-    firsts = sorted(s for ups in range(n + 1) for s in step_sequences(ups, m))
-    labelings = list(itertools.permutations(range(1, n + 1)))
-    return ((s1, s2, labelings) for s1 in firsts for s2 in step_sequences(n - s1.count(UP), m))
+    firsts = sorted("".join(s) for ups in range(n + 1) for s in step_sequences(ups, m))
+    pairs = [(s1, "".join(s2)) for s1 in firsts for s2 in step_sequences(n - s1.count(UP), m)]
+    return pairs, np.array([(*p, 0, n + 1) for p in permutations(range(1, n + 1))], np.int32)
 
 
 def primitive_part_bounds(path: LabeledDyckPath) -> list[tuple[int, int]]:
@@ -306,15 +313,19 @@ def assemble_compartments(
 
 
 def compartment_distribution(n: int, m: int) -> list[int]:
-    """Entry j: decorated paths whose second part has j compartments,
-    counted on the steps and labels without building the paths."""
-    parts = _decorated_parts(n, m)
-    counts = [0] * (n + 1)
-    for steps1, steps2, labelings in parts:
-        starts = _part_starts(steps2, m, steps1.count(UP))
-        for labels in labelings:
-            counts[_count_compartments(labels, starts)] += 1
-    return counts
+    """Entry j: decorated paths whose second part has j compartments.  A
+    compartment ends at the part holding the largest label not yet in one,
+    the largest from any of its parts onwards, so the compartments are the
+    distinct suffix maxima of the labels at part 2's part starts, and one
+    ends where the maximum differs from the next start's (0 past the last);
+    ``compartment_decomposition`` is the reference."""
+    pairs, labels = _path_table(n, m)
+    suffix_max = np.maximum.accumulate(labels[:, n::-1], axis=1)[:, ::-1]
+    counts = np.zeros(n + 1, np.int64)
+    for p1, p2 in pairs:
+        maxima = suffix_max[:, [*_part_starts(p2, m, p1.count(UP)), n]]
+        counts += np.bincount((maxima[:, 1:] != maxima[:, :-1]).sum(1), minlength=n + 1)
+    return counts.tolist()
 
 
 def _part_starts(steps: Sequence[str], m: int, first: int = 0) -> list[int]:
@@ -332,18 +343,6 @@ def _part_starts(steps: Sequence[str], m: int, first: int = 0) -> list[int]:
         else:
             height -= 1
     return starts
-
-
-def _count_compartments(labels: Sequence[int], starts: Sequence[int]) -> int:
-    """Compartments of the path made of the primitive parts that start at
-    ``labels[a]`` for a in ``starts`` and run to the end of ``labels``.
-
-    A compartment ends at the part holding the largest label not in an
-    earlier compartment, which is the largest label from any of its parts
-    onwards, so the compartments are the distinct values of that maximum.
-    ``len(compartment_decomposition(path))`` is the reference.
-    """
-    return len({max(labels[a:]) for a in starts})
 
 
 def shifted_coefficient_identity(n: int, m: int) -> bool:

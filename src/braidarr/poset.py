@@ -39,6 +39,11 @@ BLOCK = 1 << 15
 # interpreter (numpy 2.4, x86-64): A:5,2 4.95 / 5.7-6.6, A:5,4 4.56 / 6.5,
 # A:6,1 4.50 / 5.7-7.1, A:6,2 5.21 / 7.0; this is the largest, rounded up.
 CUT_ENTRIES = 8
+# int64 entries per printed number (2n + 3 or fewer per flat, 2 per edge) at
+# the JSON dump's peak.  Traced, tracemalloc / ru_maxrss less the RSS before
+# the dump: A:6,1 10.3 / 10.0, A:5,4 10.6 / 10.0, A:6,2 10.5 / 10.1, rounded
+# up here; the encoder's buffer of small strings adds a few MB at any size.
+DUMP_ENTRIES = 11
 
 
 class IntersectionPoset:
@@ -66,6 +71,9 @@ class IntersectionPoset:
         return list(map(tuple, self.edges.tolist()))
 
     def to_json_dict(self) -> dict:
+        """The JSON form, refused if its dump breaks a budget (``DUMP_ENTRIES``)."""
+        numbers = len(self) * (2 * self.root.shape[1] + 3) + 2 * len(self.edges)
+        check_budgets("the poset's JSON dump", DUMP_ENTRIES * numbers, numbers, "numbers")
         flats = []
         rows = zip(self.dims.tolist(), self.mu.tolist(), self.root.tolist(), self.off.tolist())
         for index, (dim, mu, roots, offs) in enumerate(rows):

@@ -12,7 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,11 +24,12 @@ from .dyckwords import Letter, complete_word, step_sequences
 # tracemalloc / ru_maxrss less the interpreter) 1.0 / 1.1 per printed letter
 # at (6, 1) and 1.2 / 1.2 at (5, 4) in table form, 2.1 / 3.5 and 1.8 / 2.4 in
 # json, and at (1, 3124998), where the alphabet is half the printed letters,
-# 8.2 / 10.0 per (i, k).  Paths still trace up to 3.2 per printed letter.
+# 8.2 / 10.0 per (i, k).  Paths from their own table trace 0.1 / 0.2 and
+# 0.03 / 0.04, 1.5 / 1.6 and 1.1 / 1.2 in json, and 2.8 / 3.3 per (i, k).
 LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
 
-CHUNK_TOKENS = 1 << 18  # rendered at a time by ``text_lines``
+CHUNK_TOKENS = 1 << 18  # rendered at a time by ``render_lines``
 
 
 @functools.lru_cache(maxsize=1024)  # bounded: a long sketch has many letters
@@ -128,14 +129,14 @@ def is_valid_sketch(sketch: Sketch) -> bool:
     [n] and k in [0, m], must appear once, all letters of a subscript on one
     side of the zero; w2 and the reverse of w1 must both be orderly (exponents
     of one subscript increase, and earlier letters keep their lead after
-    adding 1 to exponents).
+    adding 1 to exponents).  A nonempty sketch needs m >= 1.
     """
     letters = sketch.letters
     if len(set(letters)) != len(letters):
         return False
     n, m = sketch.n, sketch.m
-    if n == 0:
-        return not letters
+    if n == 0 or m < 1:  # n = 0 only for the empty sketch, m >= 1 for any other
+        return n == 0 and not letters
     subs1 = {i for i, _ in sketch.w1}
     subs2 = {i for i, _ in sketch.w2}
     if subs1 & subs2:
@@ -182,24 +183,42 @@ def enumerate_sketches(n: int, m: int) -> list[Sketch]:
 def text_lines(n: int, m: int, zero: str, exponents: bool = True) -> Iterator[str]:
     """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
     letters as ``i^k`` (``i`` without ``exponents``), ``zero`` between the
-    sides.  The side table is built at once; lines are rendered when read,
-    ``CHUNK_TOKENS`` tokens at a time, by one gather from ``_token_table``
-    with the NULs dropped.  Each line holds every token once, so all lines
-    are equally long, and the last space of each becomes its newline."""
+    sides, rendered by :func:`render_lines` from the side table."""
     lefts, rights, first, count = _side_table(n, m)
-    table = _token_table(n, m, zero, exponents)
-    cells = table.view(np.dtype((np.void, table.shape[1]))).ravel()
-    line_bytes = np.count_nonzero(table)
     ends = np.cumsum(count)
     shift = first - ends + count  # line l of left row j takes right row shift[j] + l
-    per_chunk = max(1, CHUNK_TOKENS // lefts.shape[1])
+
+    def rows(line: np.ndarray) -> np.ndarray:
+        left = np.searchsorted(ends, line, side="right")
+        return lefts[left] + rights[shift[left] + line]
+
+    code = np.arange(n * (m + 1), dtype=np.int32)
+    letters = _digits(code // (m + 1) + 1)
+    if exponents:
+        letters = np.hstack([letters, _digits(code % (m + 1), "^")])
+    return render_lines([zero, letters], rows, ends[-1], lefts.shape[1])
+
+
+def render_lines(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray], np.ndarray],
+                 lines: int, width: int) -> Iterator[str]:
+    """Lines 0 to ``lines - 1``, rendered when read.  ``rows`` maps line
+    numbers to their codes, ``width`` a line; code t is the t-th token (a str
+    is one, an array one per uint8 row, NULs dropped) and a space.  Lines must
+    be equally long; the last space of each becomes its newline.  Chunks of
+    ``CHUNK_TOKENS`` tokens are gathered from one byte table and decoded once."""
+    blocks = [np.uint8([list(t.encode())]) if isinstance(t, str) else t for t in tokens]
+    cell = max(block.shape[1] for block in blocks) + 1
+    table = np.vstack([np.pad(block, ((0, 0), (0, cell - block.shape[1]))) for block in blocks])
+    table[:, -1] = ord(" ")
+    cells = table.view(np.dtype((np.void, cell))).ravel()
+    per_chunk = max(1, CHUNK_TOKENS // width)
 
     def chunks() -> Iterator[str]:
-        for start in range(0, ends[-1], per_chunk):
-            line = np.arange(start, min(start + per_chunk, ends[-1]))
-            left = np.searchsorted(ends, line, side="right")
-            text = cells[lefts[left] + rights[shift[left] + line]].view(np.uint8)
+        for start in range(0, lines, per_chunk):
+            line = np.arange(start, min(start + per_chunk, lines))
+            text = cells[rows(line)].view(np.uint8)
             text = text[text != 0]
+            line_bytes = text.size // line.size
             text[line_bytes - 1::line_bytes] = ord("\n")
             yield from str(text.data, "ascii").splitlines()
 
@@ -265,24 +284,12 @@ def _row_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(keys.view(np.dtype((np.void, keys.shape[1] * 4))).ravel())
 
 
-def _token_table(n: int, m: int, zero: str, exponents: bool) -> np.ndarray:
-    """Each token's text (see :func:`_side_table`) and a space, one NUL-padded
-    uint8 row each; leading zeros of numbers are NULs too."""
-
-    def digits(values: np.ndarray) -> np.ndarray:  # the units digit is never leading
-        powers = [10**p for p in reversed(range(len(str(values.max(initial=0)))))]
-        columns = (np.where(values < (p if p > 1 else 0), 0, values // p % 10 + 48) for p in powers)
-        return np.column_stack([column.astype(np.uint8) for column in columns])
-
-    code = np.arange(n * (m + 1), dtype=np.int32)
-    columns = [digits(code // (m + 1) + 1)]
-    if exponents:
-        columns += [np.full((code.size, 1), ord("^"), np.uint8), digits(code % (m + 1))]
-    letters = np.hstack([*columns, np.full((code.size, 1), ord(" "), np.uint8)])
-    table = np.zeros((code.size + 1, max(letters.shape[1], len(zero) + 1)), np.uint8)
-    table[0, :len(zero) + 1] = list(f"{zero} ".encode())
-    table[1:, :letters.shape[1]] = letters
-    return table
+def _digits(values: np.ndarray, prefix: str = "") -> np.ndarray:
+    """``prefix`` and the digits of each value (>= 0), a uint8 row each, leading zeros NUL."""
+    powers = [10**p for p in reversed(range(len(str(values.max(initial=0)))))]
+    columns = (np.where(values < (p if p > 1 else 0), 0, values // p % 10 + 48) for p in powers)
+    head = np.tile(np.frombuffer(prefix.encode(), np.uint8), (len(values), 1))
+    return np.column_stack([head, *(column.astype(np.uint8) for column in columns)])
 
 
 def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:

@@ -177,6 +177,20 @@ ENUMERATION_SHA256 = {
     # 72 planes, more than 64, and offsets up to ±22; no coordinate planes
     "poset A:3,11": "8dd2066e1656c8e075aa5469d8e7a221a4b3557c46fc5d4b58e34fcf391414f4",
     "poset B:5,1": "3f214d71fc94b51698c47ee9ae5bc25943596fbc6ed310093d6644c48f96acc0",
+    # taken from the object enumeration of paths: n = 6; n = 0; a long line;
+    # and the compartments from the walk over every labelling
+    "enumerate paths 6 1": "208a1588ff4dd89084f9852dd2e6a3129a0adb3fbf461206ecf44baf9afe63dd",
+    "enumerate paths 0 1 --output csv": (
+        "6036493227ac48202e1d04be272b19f9fef32e3e360ec0aae50fb3b87cef7cad"
+    ),
+    "enumerate paths 1 12": "6c47305db00d576d72d32d06e34c88627dd49b4e925bee584f3085916419ed66",
+    "enumerate paths 5 2 --output json": (
+        "bd4ac1ca9757a21cc65a83d17b57c15868ce08f5857b4b40a770a1eb36f7a03f"
+    ),
+    "stats compartments 6 1 --output csv": (
+        "3412c9f9bc0e43ecb2c6e3ae9e5aa867eee8e1f94838440929499c9909e7fbb7"
+    ),
+    "stats compartments 5 4": "2a500255715d4be2ed36fdb2770a523316546fb245d8be7912e8b4fe7025d28d",
 }
 
 
@@ -327,6 +341,15 @@ class TestCharpoly:
         code, out, err = capture("charpoly", "--spec", spec_file(tmp_path, spec))
         assert_rejected(code, out, err)
         assert f"bad shifts key {key!r}" in err
+
+    @pytest.mark.parametrize("again", ["01,2", " 1, 2"])
+    def test_spec_repeated_pair_is_named(self, capture, tmp_path, again):
+        # read one after the other, the second key's shifts replaced the
+        # first's: t^2 - 3*t + 2, one plane short of {"1,2": [0, 1]}
+        spec = {"n": 2, "flavor": "A", "coords": True, "shifts": {"1,2": [0], again: [1]}}
+        code, out, err = capture("charpoly", "--spec", spec_file(tmp_path, spec))
+        assert_rejected(code, out, err)
+        assert f"shifts keys '1,2' and {again!r} name the same pair" in err
 
     def test_spec_coords_string(self, capture, tmp_path):
         # "false" is a true value in Python: read as a bool it added the
@@ -695,6 +718,13 @@ class TestBiject:
             ("path-to-sketch", "U1 D U1 D |", "labels must be distinct positive integers"),
             ("path-to-sketch", "U1 | D", "mark 1 is not an x-axis point"),
             ("path-to-sketch", "U2 D |", "decorated path labels must be exactly 1..n"),
+            ("path-to-sketch", "U1 |", "m must be positive, got 0"),
+            ("sketch-to-path", "1^0 0", "not a valid sketch: '1^0 0'"),
+            ("sketch-to-partition", "1^0 0", "not a valid sketch: '1^0 0'"),
+            ("sketch-to-witness", "1^0 0", "not a valid sketch: '1^0 0'"),
+            ("sketch-to-path", "0 1^0 2^0", "not a valid sketch: '0 1^0 2^0'"),
+            ("sketch-to-partition", "0 1^0 2^0", "not a valid sketch: '0 1^0 2^0'"),
+            ("sketch-to-witness", "0 1^0 2^0", "not a valid sketch: '0 1^0 2^0'"),
             ("partition-to-sketch", "| 2 1 1 2", "nesting arcs"),
             (
                 "partition-to-sketch",
@@ -704,7 +734,8 @@ class TestBiject:
         ],
     )
     def test_invalid_structure_is_named(self, capture, direction, text, message):
-        """Text that tokenises but is no path or partition is refused by parse."""
+        """Text that tokenises but is no sketch (m >= 1 included), path or
+        partition is refused."""
         assert capture("biject", direction, text) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
@@ -828,6 +859,15 @@ class TestPoset:
         assert code == 0
         assert "flats: 7" in out
         assert "charpoly: t^2 - 5*t + 4" in out
+
+    def test_json_dump_past_the_memory_budget(self, capture, monkeypatch):
+        # the dump of A:2,1 prints 7 * 7 + 2 * 10 numbers; the table form is
+        # not counted
+        monkeypatch.setattr(poset, "DUMP_ENTRIES", arrangements.MEMORY_BUDGET // 69 + 1)
+        code, out, err = capture("poset", "A:2,1")
+        assert_rejected(code, out, err)
+        assert "the poset's JSON dump would hold" in err
+        assert capture("poset", "A:2,1", "--output", "table")[0] == 0
 
 
 class TestUsage:

@@ -1,24 +1,30 @@
+import io
+import itertools
+import json
 import math
 import random
 import time
+from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidarr import cli
 from braidarr.arrangements import SizeGuard
+from braidarr.dyckwords import step_sequences
 from braidarr.numbers import charpoly_A_closed, raney
 from braidarr.paths import (
     DecoratedDyckPath,
     LabeledDyckPath,
-    _count_compartments,
     _part_starts,
     assemble_compartments,
     check_labeled_path,
     compartment_decomposition,
     compartment_distribution,
     compartments,
-    enumerate_decorated_paths,
+    path_lines,
     path_to_sketch,
     primitive_parts,
     shifted_coefficient_identity,
@@ -33,6 +39,22 @@ SKETCH_32 = "0 3^0 3^1 3^2 1^0 2^0 1^1 2^1 1^2 2^2"
 SKETCH_52 = "3^2 3^1 1^2 3^0 1^1 1^0 0 5^0 5^1 5^2 4^0 2^0 4^1 2^1 4^2 2^2"
 # Labeled 1-Dyck path with 3 primitive parts and 2 compartments.
 COMPARTMENT_PATH = LabeledDyckPath(1, tuple("UUUDDUDDUUDDUD"), (9, 2, 8, 6, 4, 1, 5))
+
+
+def enumerate_decorated_paths(n, m):
+    """Reference: all decorated paths of size n as objects, ordered by
+    (part-1 steps, part-2 steps, labels).  The first parts are sorted, the
+    second parts and the permutations come in lex order, and each pair of
+    parts takes every permutation of [n] once, so the loops run in that
+    order."""
+    firsts = sorted(s for ups in range(n + 1) for s in step_sequences(ups, m))
+    labelings = list(itertools.permutations(range(1, n + 1)))
+    return [
+        DecoratedDyckPath(LabeledDyckPath(m, steps1 + steps2, labels), len(steps1))
+        for steps1 in firsts
+        for steps2 in step_sequences(n - steps1.count("U"), m)
+        for labels in labelings
+    ]
 
 
 class TestLabeledDyckPath:
@@ -128,19 +150,48 @@ class TestEnumeration:
         "n,m,expected", [(1, 1, 2), (2, 1, 10), (2, 2, 14), (3, 1, 84)]
     )
     def test_counts(self, n, m, expected):
-        paths = enumerate_decorated_paths(n, m)
-        assert len(paths) == expected
-        assert len(set(paths)) == expected
+        lines = list(path_lines(n, m))
+        assert len(lines) == expected
+        assert len(set(lines)) == expected
         assert expected == math.factorial(n) * raney(n, m, 2)
 
     def test_guard(self):
         with pytest.raises(SizeGuard):
-            enumerate_decorated_paths(13, 1)
+            path_lines(13, 1)
+        with pytest.raises(SizeGuard):
+            compartment_distribution(13, 1)
 
     def test_deterministic_order(self):
-        first = enumerate_decorated_paths(2, 2)
-        second = enumerate_decorated_paths(2, 2)
-        assert first == second
+        assert list(path_lines(2, 2)) == list(path_lines(2, 2))
+
+
+# Every size with n (m+1) <= 12, and n = 0.
+REFERENCE_SIZES = [
+    (n, m) for n in range(7) for m in range(1, 12) if (m + 1) * n <= 12 and (n or m <= 7)
+]
+
+
+class TestPathLines:
+    """The path table's lines against the objects' text, the reference."""
+
+    @pytest.mark.parametrize("n,m", [size for size in REFERENCE_SIZES if size != (6, 1)])
+    def test_every_size(self, n, m):
+        assert list(path_lines(n, m)) == [d.to_text() for d in enumerate_decorated_paths(n, m)]
+
+    # n = 0, whose one line is "| "; one long line; empty first and second parts
+    @pytest.mark.parametrize("n,m", [(0, 2), (1, 12), (2, 1), (4, 2)])
+    def test_cli_forms(self, n, m):
+        lines = [d.to_text() for d in enumerate_decorated_paths(n, m)]
+        expected = {
+            "table": "".join(f"{line}\n" for line in lines),
+            "csv": "index,item\n" + "".join(f'{i},"{line}"\n' for i, line in enumerate(lines)),
+            "json": json.dumps(lines, sort_keys=True) + "\n",
+        }
+        for output, text in expected.items():
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.run(["enumerate", "paths", str(n), str(m), "--output", output]) == 0
+            assert out.getvalue() == text, output
 
 
 ORDER_SIZES = [(0, 1), (1, 3), (2, 3), (3, 1), (3, 2), (4, 1)]
@@ -154,6 +205,7 @@ class TestEnumerationOrder:
         paths = enumerate_decorated_paths(n, m)
         key = lambda d: (d.part1().steps, d.part2().steps, d.path.labels)
         assert paths == sorted(paths, key=key)
+        assert list(path_lines(n, m)) == [d.to_text() for d in paths]
 
     @pytest.mark.parametrize("n,m", ORDER_SIZES)
     def test_sketches_sorted(self, n, m):
@@ -199,9 +251,6 @@ class TestPrimitivePartsAndCompartments:
         assert steps == COMPARTMENT_PATH.steps
 
 
-EXHAUSTIVE_SIZES = [(n, m) for n in range(5) for m in range(1, 8) if (m + 1) * n <= 8]
-
-
 @st.composite
 def labeled_paths(draw):
     """A labeled path with n <= 9 up-steps of rise m <= 3 and distinct
@@ -223,24 +272,26 @@ def labeled_paths(draw):
 
 
 class TestCompartmentWalk:
-    """The walk that ``compartment_distribution`` runs on each path's labels
-    against ``compartment_decomposition``, the reference."""
+    """``compartment_distribution``, which counts every labelling of a step
+    pair at once, against ``compartment_decomposition`` on each path of the
+    object reference."""
 
-    @pytest.mark.parametrize("n,m", EXHAUSTIVE_SIZES)
+    @pytest.mark.parametrize("n,m", REFERENCE_SIZES)
     def test_every_decorated_path(self, n, m):
-        for d in enumerate_decorated_paths(n, m):
-            steps1 = d.path.steps[: d.mark]
-            starts = _part_starts(d.path.steps[d.mark :], m, steps1.count("U"))
-            expected = len(compartment_decomposition(d.part2()))
-            assert _count_compartments(d.path.labels, starts) == expected
+        paths = enumerate_decorated_paths(n, m)
+        counts = Counter(len(compartment_decomposition(d.part2())) for d in paths)
+        assert compartment_distribution(n, m) == [counts[j] for j in range(n + 1)]
 
     @given(labeled_paths())
     def test_random_labeled_paths(self, path):
+        """The rule ``compartment_distribution`` counts by: the compartments
+        are the distinct suffix maxima of the labels at the part starts, and
+        one ends where the maximum differs from the next start's, or from 0
+        past the last; labels need not be 1..n."""
         check_labeled_path(path)
-        starts = _part_starts(path.steps, path.m)
-        assert _count_compartments(path.labels, starts) == len(
-            compartment_decomposition(path)
-        )
+        maxima = [max(path.labels[a:]) for a in _part_starts(path.steps, path.m)] + [0]
+        ends = sum(a != b for a, b in zip(maxima, maxima[1:]))
+        assert ends == len(compartment_decomposition(path))
 
 
 class TestReconstruction:
