@@ -41,6 +41,11 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one "error:" line, as for every failure
+        raise UsageError(message)
+
+
 # Table entries look the library function up when called, not at import, so
 # a function rebound after import (the benchmark's tracer does this) runs.
 
@@ -106,13 +111,11 @@ def main() -> None:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # -h
+        return int(exc.code or 0)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -123,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first ``run`` and reused: parsing
     keeps no state in the parser, and a fresh namespace holds each call's
     values."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidarr",
         description="Characteristic polynomials, region counts, and bijections "
         "for refinements of the braid arrangement.",

@@ -20,12 +20,13 @@ from .arrangements import WORK_BUDGET, Hyperplane, check_budgets
 from .dyckwords import Letter, complete_word, step_sequences
 
 # int64 entries at an enumeration's peak per printed letter and per letter
-# (i, k) of the alphabet.  Sketches from the int32 side table traced (peak
-# tracemalloc / ru_maxrss less the interpreter) 1.0 / 1.1 per printed letter
-# at (6, 1) and 1.2 / 1.2 at (5, 4) in table form, 2.1 / 3.5 and 1.8 / 2.4 in
-# json, and at (1, 3124998), where the alphabet is half the printed letters,
-# 8.2 / 10.0 per (i, k).  Paths from their own table trace 0.1 / 0.2 and
-# 0.03 / 0.04, 1.5 / 1.6 and 1.1 / 1.2 in json, and 2.8 / 3.3 per (i, k).
+# (i, k) of the alphabet.  Sketches and partitions from the side table of
+# words traced (peak tracemalloc / ru_maxrss less the interpreter) 0.6 / 0.7
+# per printed letter at (6, 1) and 0.7 / 0.7 at (5, 4) in table form; in
+# json sketches 2.1 / 2.3 and 1.8 / 1.9, partitions 1.4 / 1.5 and 1.1 / 1.3;
+# and at (1, 3124998), where the alphabet is half the printed letters, 7.2 /
+# 7.2 and 3.1 / 3.5 per (i, k).  Paths from their own table trace 0.1 / 0.2
+# and 0.03 / 0.04, 1.5 / 1.6 and 1.1 / 1.2 in json, and 2.8 / 3.3 per (i, k).
 LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
 
@@ -170,33 +171,31 @@ def _is_orderly(word: Sequence[Letter], m: int) -> bool:
 
 def enumerate_sketches(n: int, m: int) -> list[Sketch]:
     """All sketches for given n and m, in ``Sketch.sort_key`` order."""
-    lefts, rights, first, count = _side_table(n, m)
+    words, order, first, count = _side_table(n, m)
     letters = [None, *((i, k) for i in range(1, n + 1) for k in range(m + 1))]
-    w1s, w2s = (
-        [tuple(map(letters.__getitem__, filter(None, row))) for row in rows.tolist()]
-        for rows in (lefts, rights)
-    )
-    pairs = zip(w1s, first.tolist(), count.tolist())
-    return [Sketch(w1, w2) for w1, j, c in pairs for w2 in w2s[j:j + c]]
+    w1s = [tuple(map(letters.__getitem__, filter(None, row))) for row in words.tolist()]
+    w2s = [w1[::-1] for w1 in w1s]
+    pairs = zip(order.tolist(), first.tolist(), count.tolist())
+    return [Sketch(w1s[j], w2) for j, f, c in pairs for w2 in w2s[f:f + c]]
 
 
 def text_lines(n: int, m: int, zero: str, exponents: bool = True) -> Iterator[str]:
     """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
     letters as ``i^k`` (``i`` without ``exponents``), ``zero`` between the
     sides, rendered by :func:`render_lines` from the side table."""
-    lefts, rights, first, count = _side_table(n, m)
+    words, order, first, count = _side_table(n, m)
     ends = np.cumsum(count)
     shift = first - ends + count  # line l of left row j takes right row shift[j] + l
 
     def rows(line: np.ndarray) -> np.ndarray:
         left = np.searchsorted(ends, line, side="right")
-        return lefts[left] + rights[shift[left] + line]
+        return words[order[left]] + words[shift[left] + line, ::-1]
 
     code = np.arange(n * (m + 1), dtype=np.int32)
     letters = _digits(code // (m + 1) + 1)
     if exponents:
         letters = np.hstack([letters, _digits(code % (m + 1), "^")])
-    return render_lines([zero, letters], rows, ends[-1], lefts.shape[1])
+    return render_lines([zero, letters], rows, ends[-1], words.shape[1])
 
 
 def render_lines(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray], np.ndarray],
@@ -232,36 +231,34 @@ def sketch_lines(n: int, m: int) -> Iterator[str]:
 
 def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:
     """The sketches of size (n, m) in ``Sketch.sort_key`` order, after the
-    guard, as int32 arrays ``(lefts, rights, first, count)``: left row j with
-    each right row from ``first[j]`` to ``first[j] + count[j] - 1`` in turn.
+    guard, as arrays ``(words, order, first, count)``: left row ``order[j]``
+    with each right row from ``first[j]`` to ``first[j] + count[j] - 1``.
 
-    Letter (i, k) is token ``(i - 1) * (m + 1) + k + 1``.  A row has n (m+1)
-    + 1 tokens: a left row starts with a reversed orderly word on a subset of
-    [n], a right row ends with one on the complement, and the rest is 0, the
-    zero letter, so a sketch is its two rows added.  0 sorts first, as the
-    zero letter does in the key, so the left rows are sorted once; right
-    words keep the order of ``_sorted_words``, which coding onto a subset
-    keeps."""
+    Letter (i, k) is token ``(i - 1) * (m + 1) + k + 1``.  A row of n (m+1) +
+    1 tokens is a reversed orderly word on a subset of [n], then 0s, the zero
+    letter: a left row, and read backwards a right row, so a sketch is a row
+    and a reversed row added.  0 sorts first, as the zero letter does in the
+    key; right words keep the order of ``_sorted_words``, which coding onto a
+    subset keeps.  Rows are big-endian int32, the byte order ``_row_order``
+    sorts by, so it copies none."""
     _check_guard(n, m)
     width = m + 1
     sorted_words = [_sorted_words(size, m) for size in range(n + 1)]
     subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
     sizes = np.array([len(sorted_words[len(s)]) for s in subsets])
     offsets = dict(zip(subsets, (np.cumsum(sizes) - sizes).tolist()))
-    lefts = np.zeros((sizes.sum(), n * width + 1), np.int32)
-    rights = np.zeros_like(lefts)
-    first, count = np.empty((2, len(lefts)), np.int32)
+    words = np.zeros((sizes.sum(), n * width + 1), ">i4")
+    first, count = np.empty((2, len(words)), np.int32)
     for subset in subsets:
         place = np.arange(len(subset) * width, dtype=np.int32)
         code = np.array(subset, np.int32)[place // width] * width + place % width + 1
-        words = code[sorted_words[len(subset)]]
-        rows = slice(offsets[subset], offsets[subset] + len(words))
-        lefts[rows, :place.size] = words[:, ::-1]
-        rights[rows, lefts.shape[1] - place.size:] = words
+        coded = code[sorted_words[len(subset)]]
+        rows = slice(offsets[subset], offsets[subset] + len(coded))
+        words[rows, :place.size] = coded[:, ::-1]
         first[rows] = offsets[tuple(sorted(set(range(n)) - set(subset)))]
         count[rows] = len(sorted_words[n - len(subset)])
-    order = _row_order(lefts)
-    return lefts[order], rights, first[order], count[order]
+    order = _row_order(words)
+    return words, order, first[order], count[order]
 
 
 def _sorted_words(size: int, m: int) -> np.ndarray:
@@ -317,25 +314,19 @@ def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:
 
 
 def _solve_side(word: Sequence[Letter], scale: int) -> dict[int, Fraction]:
-    """Solve X_i + k < X_j + l for all letter pairs in word order.
+    """Solve X_i + k < X_j + l for consecutive letters of different subscripts.
 
     Encoded as X_i - X_j <= (l - k) - 1/scale, in integer units of 1/scale,
     and relaxed from an implicit source at distance 0; a negative cycle would
     mean the side ordering is contradictory, which cannot happen for a valid
-    sketch.
+    sketch.  The constraint of any later pair holds too: the chain between
+    them weighs no more, as exponents of one subscript increase.
     """
     variables = sorted({i for i, _ in word})
     if not variables:
         return {}
-    edges: list[tuple[int, int, int]] = []
-    for a in range(len(word)):
-        i, k = word[a]
-        for b in range(a + 1, len(word)):
-            j, l = word[b]
-            if i == j:
-                continue
-            # constraint X_i - X_j <= (l - k) - 1/scale, i.e. relax j -> i
-            edges.append((j, i, (l - k) * scale - 1))
+    # constraint X_i - X_j <= (l - k) - 1/scale, i.e. relax j -> i
+    edges = [(j, i, (l - k) * scale - 1) for (i, k), (j, l) in zip(word, word[1:]) if i != j]
     dist = dict.fromkeys(variables, 0)
     for _ in range(len(variables) - 1):
         changed = False

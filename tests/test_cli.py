@@ -191,6 +191,17 @@ ENUMERATION_SHA256 = {
         "3412c9f9bc0e43ecb2c6e3ae9e5aa867eee8e1f94838440929499c9909e7fbb7"
     ),
     "stats compartments 5 4": "2a500255715d4be2ed36fdb2770a523316546fb245d8be7912e8b4fe7025d28d",
+    # taken from the side table with a left and a right row per word: the
+    # largest admitted n(m+1) + 1 at n = 5; csv and json; two-thousand-letter
+    # lines
+    "enumerate sketches 5 4": "f4a483dba263e7574a009986293c8c1c14251198392a0721401f788b84b61cb4",
+    "enumerate partitions 5 4 --output csv": (
+        "577b43b13e4a03c390e99d0f1969aa98216dc9678e35fe203f2df0b784e0a8a6"
+    ),
+    "enumerate sketches 4 3 --output json": (
+        "3d36a1423e777a1d88d664b3990562e0cd81e3d782c63651008940e5e83bbc7b"
+    ),
+    "enumerate sketches 2 1000": "07a511c145a193d1e7ce1e98996ff6be8f8dfd6b6c0fda896acf224dd4c49db9",
 }
 
 
@@ -894,13 +905,27 @@ class TestUsage:
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in err and err == b""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bogus",),
+            ("charpoly", "A:2,1", "--moduli", "-5,13"),
+            ("enumerate", "sketches", "x", "1"),
+            ("enumerate", "sketches", "1", "12", "--limit", "26"),
+        ],
+    )
+    def test_parse_error_is_one_line(self, capture, argv):
+        assert_rejected(*capture(*argv))
+
+    def test_help_exits_zero(self, capture):
+        code, out, err = capture("enumerate", "-h")
+        assert code == 0 and out.startswith("usage: braidarr enumerate") and err == ""
+
     def test_no_arguments(self, capture):
-        code, _, _ = capture()
-        assert code == 2
+        assert_rejected(*capture())
 
     def test_unknown_subcommand(self, capture):
-        code, _, _ = capture("frobnicate")
-        assert code == 2
+        assert_rejected(*capture("frobnicate"))
 
 
 # JSON values of the wrong type for every spec field, plus null and bools,

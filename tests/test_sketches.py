@@ -16,11 +16,14 @@ from braidarr.dyckwords import complete_word, step_sequences
 from braidarr.numbers import raney, regions_A_closed
 from braidarr.partitions import partition_lines
 from braidarr.sketches import (
+    InfeasibleSystem,
     LogPoint,
     OnHyperplane,
     Sketch,
     _check_guard,
     _letter_text,
+    _side_table as side_table,
+    _solve_side,
     enumerate_sketches,
     hyperplane_side,
     is_valid_sketch,
@@ -156,6 +159,15 @@ class TestReference:
     def test_six_one(self):
         lines = reference_lines(6, 1, "{0[0]}^{0[1]}".format, "0")
         assert list(sketch_lines(6, 1)) == lines
+
+
+class TestSideTable:
+    @pytest.mark.parametrize("n,m", [(5, 2), (6, 1)])
+    def test_each_word_held_once(self, traced_peak, n, m):
+        """The table's peak is under 3.5 word tables; with a left and a right
+        row per word and a sorted copy of the left rows it traced 4.8-5.0."""
+        (words, *_), peak = traced_peak(side_table, n, m)
+        assert peak < 3.5 * len(words) * (n * (m + 1) + 1) * 4
 
 
 class TestParsing:
@@ -324,6 +336,64 @@ class TestWitness:
         assert digest.hexdigest() == (
             "66ba8b725b4bdc4e1b581877dd429f7daac2bd2e97f43e17705c54b1e1f5b7e7"
         )
+
+
+def all_pairs_solve_side(word, scale):
+    """Reference: ``_solve_side`` with one constraint for every pair of
+    letters of different subscripts, not only consecutive ones."""
+    variables = sorted({i for i, _ in word})
+    if not variables:
+        return {}
+    edges = []
+    for a in range(len(word)):
+        i, k = word[a]
+        for b in range(a + 1, len(word)):
+            j, l = word[b]
+            if i == j:
+                continue
+            # constraint X_i - X_j <= (l - k) - 1/scale, i.e. relax j -> i
+            edges.append((j, i, (l - k) * scale - 1))
+    dist = dict.fromkeys(variables, 0)
+    for _ in range(len(variables) - 1):
+        changed = False
+        for u, v, w in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            break
+    for u, v, w in edges:
+        if dist[u] + w < dist[v]:
+            raise InfeasibleSystem("negative cycle in difference constraints")
+    return {v: Fraction(d, scale) for v, d in dist.items()}
+
+
+# Distinct numerators, over a denominator larger than any two differ by: no
+# two exponents differ by an integer, so no two values 2^k x_i tie and every
+# point has a sketch.
+DENOMINATOR = 10**6 + 3
+RANDOM_POINTS = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(
+            st.tuples(st.sampled_from([-1, 1]), st.integers(0, 10**6)),
+            min_size=1, max_size=12, unique_by=lambda coordinate: coordinate[1],
+        ),
+    )
+)
+
+
+class TestSolveSide:
+    @settings(max_examples=150)
+    @given(RANDOM_POINTS)
+    def test_consecutive_letters_match_all_pairs(self, drawn):
+        m, coordinates = drawn
+        point = tuple(LogPoint(sign, Fraction(num, DENOMINATOR)) for sign, num in coordinates)
+        sketch = point_to_sketch(point, m)
+        scale = sketch.n + 1
+        for word in (sketch.w2, sketch.w1[::-1]):
+            assert _solve_side(word, scale) == all_pairs_solve_side(word, scale)
+        assert point_to_sketch(witness_point(sketch), m) == sketch
 
 
 class TestPointToSketch:
