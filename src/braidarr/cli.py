@@ -93,7 +93,7 @@ BIJECTIONS: dict[str, Callable[[str, int | None], object]] = {
     "partition-to-sketch": lambda text, m: partitions.partition_to_sketch(
         partitions.DecoratedNonNestingPartition.parse(text, m)
     ),
-    "sketch-to-witness": lambda text, m: sketches.witness_point(_parse_valid_sketch(text)),
+    "sketch-to-witness": lambda text, m: sketches.witness_point(_parse_valid_sketch(text, m)),
 }
 
 
@@ -241,11 +241,11 @@ def _parse_moduli(raw: str | None) -> list[int] | None:
 
 
 def _closed_charpoly(spec: ArrangementSpec) -> IntPolynomial:
-    """The closed form of a spec whose every pair has the shifts [-m, m]."""
+    """The closed form of a spec whose every pair has the shifts [-m, m]:
+    2m + 1 distinct shifts of absolute value at most m = ``m_max``."""
     n, m = spec.n, spec.m_max
-    full = frozenset(range(-m, m + 1))
     uniform = m > 0 and all(
-        spec.pair_shifts.get((i, j)) == full
+        len(spec.pair_shifts.get((i, j), ())) == 2 * m + 1
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     )
@@ -328,10 +328,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_valid_sketch(text: str) -> sketches.Sketch:
+def _parse_valid_sketch(text: str, m: int | None = None) -> sketches.Sketch:
+    """The sketch of ``text``; a given ``m`` must be its m (see ``Sketch.rise``)."""
     sketch = sketches.Sketch.parse(text)
     if not sketches.is_valid_sketch(sketch):
         raise UsageError(f"not a valid sketch: {text!r}")
+    if m is not None:
+        sketch.rise(m)
     return sketch
 
 

@@ -1,10 +1,14 @@
-"""Step grammar shared by sketch words and labeled paths.
+"""Step grammar shared by sketch words, labeled paths and partition sides.
 
 A word over letters ``(i, k)`` with consistent exponent interleaving is
 equivalent to a labeled path: letters with exponent 0 are up-steps (rise m)
 and everything else is a down-step.  The inverse direction fills each
 down-step with a forced letter; the choice is unique, so paths and words
-carry exactly the same information.
+carry exactly the same information.  The forced letter is the oldest
+pending one; read on a partition side (a label's j-th occurrence as exponent
+j - 1) this first in, first out rule says no two arcs nest.  This module
+holds the one walk over paths (:func:`axis_points`) and over sketch or
+partition sides (:func:`is_orderly`).
 """
 from __future__ import annotations
 
@@ -62,3 +66,42 @@ def complete_word(steps: Sequence[str], labels: Sequence[int], m: int) -> Iterat
         if letter[1] < m:
             pending.append((letter[0], letter[1] + 1))
         yield letter
+
+
+def axis_points(steps: Sequence[str], m: int) -> list[int]:
+    """The prefix lengths, 0 first, at which the path of ``steps`` is on the
+    axis; at prefix length a it has taken a // (m + 1) up-steps.  Raises
+    ValueError if a prefix goes below the axis."""
+    points = [0]
+    height = 0
+    for length, step in enumerate(steps, 1):
+        height += m if step == UP else -1
+        if height < 0:
+            raise ValueError("negative prefix sum")
+        if height == 0:
+            points.append(length)
+    return points
+
+
+def is_orderly(word: Sequence[Letter], m: int) -> bool:
+    """Whether ``word`` is an orderly side: each letter (i, 0..m) of its
+    subscripts once, in increasing exponents, and of two letters below
+    exponent m the earlier keeps its lead when both exponents grow by 1.
+
+    Exactly then its exponent-0 labels are distinct, m + 1 letters each, and
+    ``complete_word`` on its skeleton (an up-step i per letter (i, 0), a
+    down-step per other letter) gives it back.  At a down-step of an orderly
+    word its letter (i, k) is pending after (i, k - 1), and the lead rule puts
+    every other pending letter after it, so it heads the queue.  Conversely a
+    completion with distinct labels emits each letter at most once, so with
+    m + 1 per label it emits them all, in increasing exponents and, first in
+    first out, keeping every lead.
+    """
+    labels = [i for i, k in word if k == 0]
+    if len(set(labels)) != len(labels) or len(word) != (m + 1) * len(labels):
+        return False
+    steps = [UP if k == 0 else DOWN for _, k in word]
+    try:
+        return tuple(complete_word(steps, labels, m)) == tuple(word)
+    except ValueError:  # a down-step with nothing pending
+        return False

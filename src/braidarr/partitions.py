@@ -7,9 +7,11 @@ arcs join consecutive occurrences of each label.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
+from .dyckwords import Letter, is_orderly
 from .sketches import Sketch, enumerate_sketches, text_lines
 
 ISOLATED = "isolated"
@@ -85,12 +87,12 @@ def check_partition(d: DecoratedNonNestingPartition) -> None:
     if labels1 | labels2 != set(range(1, n + 1)):
         raise ValueError("labels must be exactly 1..n")
     for side in (d.side1, d.side2):
+        sizes = Counter(side)
         for label in set(side):
-            if side.count(label) != d.m + 1:
-                raise ValueError(
-                    f"block {label} has {side.count(label)} points, expected {d.m + 1}"
-                )
-        if not _non_nesting(side):
+            if sizes[label] != d.m + 1:
+                raise ValueError(f"block {label} has {sizes[label]} points, expected {d.m + 1}")
+        # Arcs nest exactly when the occurrence-numbered side is not orderly.
+        if not is_orderly(_occurrences(side), d.m):
             raise ValueError("nesting arcs")
 
 
@@ -101,23 +103,14 @@ def _parse_label(token: str) -> int:
         raise ValueError(f"bad partition label {token!r}") from None
 
 
-def _arcs(side: tuple[int, ...]) -> list[tuple[int, int]]:
-    last_seen: dict[int, int] = {}
-    arcs = []
-    for position, label in enumerate(side):
-        if label in last_seen:
-            arcs.append((last_seen[label], position))
-        last_seen[label] = position
-    return arcs
-
-
-def _non_nesting(side: tuple[int, ...]) -> bool:
-    arcs = _arcs(side)
-    for a1, b1 in arcs:
-        for a2, b2 in arcs:
-            if a1 < a2 and b2 < b1:
-                return False
-    return True
+def _occurrences(side: Sequence[int]) -> list[Letter]:
+    """Each label of ``side`` with the number of times it occurred before."""
+    seen: Counter[int] = Counter()
+    out = []
+    for label in side:
+        out.append((label, seen[label]))
+        seen[label] += 1
+    return out
 
 
 def sketch_to_partition(
@@ -145,22 +138,11 @@ def partition_lines(n: int, m: int) -> Iterator[str]:
 def partition_to_sketch(d: DecoratedNonNestingPartition) -> Sketch:
     """Restore exponents from occurrence order.
 
-    On the right of the red line the j-th occurrence of a label gets exponent
-    j - 1; on the left it gets m + 1 - j, matching the mirrored reading.
+    On the right of the red line a label's occurrence after j others gets
+    exponent j; on the left it gets m - j, matching the mirrored reading.
     """
-    seen1: dict[int, int] = {}
-    w1 = []
-    for label in d.side1:
-        j = seen1.get(label, 0) + 1
-        seen1[label] = j
-        w1.append((label, d.m + 1 - j))
-    seen2: dict[int, int] = {}
-    w2 = []
-    for label in d.side2:
-        j = seen2.get(label, 0) + 1
-        seen2[label] = j
-        w2.append((label, j - 1))
-    return Sketch(tuple(w1), tuple(w2))
+    w1 = tuple((label, d.m - j) for label, j in _occurrences(d.side1))
+    return Sketch(w1, tuple(_occurrences(d.side2)))
 
 
 def classify_blocks(d: DecoratedNonNestingPartition) -> dict[int, str]:

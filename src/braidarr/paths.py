@@ -4,14 +4,15 @@ coefficients.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dyckwords import DOWN, UP, complete_word, step_sequences
+from .dyckwords import DOWN, UP, axis_points, complete_word, step_sequences
 from .arrangements import WORK_BUDGET, check_budgets
 from .numbers import charpoly_A_closed, charpoly_C_closed, raney
 from .sketches import Sketch, _check_guard, _digits, render_lines
@@ -34,16 +35,6 @@ class LabeledDyckPath:
     @property
     def up_count(self) -> int:
         return len(self.labels)
-
-    def heights(self) -> list[int]:
-        """Lattice heights at positions 0..len(steps)."""
-        out = [0]
-        for s in self.steps:
-            out.append(out[-1] + (self.m if s == UP else -1))
-        return out
-
-    def axis_positions(self) -> list[int]:
-        return [idx for idx, h in enumerate(self.heights()) if h == 0]
 
     def _tokens(self) -> list[str]:
         """The text tokens: ``U<label>`` per up-step, ``D`` per down-step."""
@@ -77,14 +68,12 @@ class DecoratedDyckPath:
         return self.path.m
 
     def part1(self) -> LabeledDyckPath:
-        steps = self.path.steps[: self.mark]
-        ups = sum(1 for s in steps if s == UP)
-        return LabeledDyckPath(self.m, steps, self.path.labels[:ups])
+        ups = self.mark // (self.m + 1)  # up-steps before the mark, an axis point
+        return LabeledDyckPath(self.m, self.path.steps[: self.mark], self.path.labels[:ups])
 
     def part2(self) -> LabeledDyckPath:
-        steps = self.path.steps[self.mark :]
-        ups_before = sum(1 for s in self.path.steps[: self.mark] if s == UP)
-        return LabeledDyckPath(self.m, steps, self.path.labels[ups_before:])
+        ups = self.mark // (self.m + 1)
+        return LabeledDyckPath(self.m, self.path.steps[self.mark :], self.path.labels[ups:])
 
     def to_text(self) -> str:
         tokens = self.path._tokens()
@@ -138,11 +127,7 @@ def check_labeled_path(path: LabeledDyckPath) -> None:
         raise ValueError("steps must be 'U' or 'D'")
     if downs != path.m * ups:
         raise ValueError(f"{ups} up-steps need {path.m * ups} down-steps, got {downs}")
-    height = 0
-    for s in path.steps:
-        height += path.m if s == UP else -1
-        if height < 0:
-            raise ValueError("negative prefix sum")
+    axis_points(path.steps, path.m)
     if len(path.labels) != ups:
         raise ValueError(f"{ups} up-steps but {len(path.labels)} labels")
     if len(set(path.labels)) != len(path.labels) or any(label < 1 for label in path.labels):
@@ -156,8 +141,7 @@ def check_decorated_path(decorated: DecoratedDyckPath) -> None:
     check_labeled_path(path)
     if set(path.labels) != set(range(1, path.up_count + 1)):
         raise ValueError("decorated path labels must be exactly 1..n")
-    heights = path.heights()
-    if not 0 <= decorated.mark < len(heights) or heights[decorated.mark] != 0:
+    if decorated.mark not in axis_points(path.steps, path.m):
         raise ValueError(f"mark {decorated.mark} is not an x-axis point")
 
 
@@ -229,19 +213,8 @@ def _path_table(n: int, m: int) -> tuple[list[tuple[str, str]], np.ndarray]:
     return pairs, np.array([(*p, 0, n + 1) for p in permutations(range(1, n + 1))], np.int32)
 
 
-def primitive_part_bounds(path: LabeledDyckPath) -> list[tuple[int, int]]:
-    """Step ranges [start, end) between consecutive returns to the axis."""
-    bounds = []
-    start = 0
-    for position in path.axis_positions():
-        if position > start:
-            bounds.append((start, position))
-            start = position
-    return bounds
-
-
 def primitive_parts(path: LabeledDyckPath) -> int:
-    return len(primitive_part_bounds(path))
+    return len(axis_points(path.steps, path.m)) - 1
 
 
 def compartment_decomposition(path: LabeledDyckPath) -> tuple[LabeledDyckPath, ...]:
@@ -251,31 +224,17 @@ def compartment_decomposition(path: LabeledDyckPath) -> tuple[LabeledDyckPath, .
     largest label; the next one through the part containing the largest label
     not yet used, and so on.
     """
-    bounds = primitive_part_bounds(path)
-    if not bounds:
-        return ()
-    up_prefix = [0]
-    for s in path.steps:
-        up_prefix.append(up_prefix[-1] + (1 if s == UP else 0))
-    part_labels = [
-        path.labels[up_prefix[a] : up_prefix[b]] for a, b in bounds
-    ]
+    points = axis_points(path.steps, path.m)
+    ups = [a // (path.m + 1) for a in points]  # up-steps before each axis point
     compartments: list[LabeledDyckPath] = []
     done = 0
-    while done < len(bounds):
-        remaining = [lab for labels in part_labels[done:] for lab in labels]
-        target = max(remaining)
-        stop = next(
-            idx for idx in range(done, len(bounds)) if target in part_labels[idx]
-        )
-        a = bounds[done][0]
-        b = bounds[stop][1]
-        compartments.append(
-            LabeledDyckPath(
-                path.m, path.steps[a:b], path.labels[up_prefix[a] : up_prefix[b]]
-            )
-        )
-        done = stop + 1
+    while done < len(points) - 1:
+        remaining = path.labels[ups[done] : ups[-1]]
+        top = ups[done] + remaining.index(max(remaining))
+        stop = bisect.bisect_right(ups, top)  # the end of the part holding label top
+        steps, labels = path.steps[points[done] : points[stop]], path.labels[ups[done] : ups[stop]]
+        compartments.append(LabeledDyckPath(path.m, steps, labels))
+        done = stop
     return tuple(compartments)
 
 
@@ -323,26 +282,10 @@ def compartment_distribution(n: int, m: int) -> list[int]:
     suffix_max = np.maximum.accumulate(labels[:, n::-1], axis=1)[:, ::-1]
     counts = np.zeros(n + 1, np.int64)
     for p1, p2 in pairs:
-        maxima = suffix_max[:, [*_part_starts(p2, m, p1.count(UP)), n]]
+        # part 2's axis points, after part 1's len(p1) // (m + 1) up-steps
+        maxima = suffix_max[:, [(len(p1) + a) // (m + 1) for a in axis_points(p2, m)]]
         counts += np.bincount((maxima[:, 1:] != maxima[:, :-1]).sum(1), minlength=n + 1)
     return counts.tolist()
-
-
-def _part_starts(steps: Sequence[str], m: int, first: int = 0) -> list[int]:
-    """Index of the first label of each primitive part of ``steps``, whose
-    labels are numbered from ``first``."""
-    starts = []
-    height = 0
-    ups = first
-    for s in steps:
-        if height == 0:
-            starts.append(ups)
-        if s == UP:
-            height += m
-            ups += 1
-        else:
-            height -= 1
-    return starts
 
 
 def shifted_coefficient_identity(n: int, m: int) -> bool:
@@ -381,5 +324,5 @@ def unlabeled_census(n: int, m: int) -> UnlabeledCensus:
     by_axis_points = {k: 0 for k in range(1, n + 1)}
     if n >= 1:
         for steps in step_sequences(n, m):
-            by_axis_points[len(_part_starts(steps, m))] += 1
+            by_axis_points[len(axis_points(steps, m)) - 1] += 1
     return UnlabeledCensus(by_upsteps, by_axis_points)

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arrangements import WORK_BUDGET, Hyperplane, check_budgets
-from .dyckwords import Letter, complete_word, step_sequences
+from .dyckwords import Letter, complete_word, is_orderly, step_sequences
 
 # int64 entries at an enumeration's peak per printed letter and per letter
 # (i, k) of the alphabet.  Sketches and partitions from the side table of
@@ -145,28 +145,7 @@ def is_valid_sketch(sketch: Sketch) -> bool:
     if subs1 | subs2 != set(range(1, n + 1)):
         return False
     # Each orderly side holds exactly the letters (i, 0..m) of its subscripts.
-    return _is_orderly(sketch.w2, m) and _is_orderly(tuple(reversed(sketch.w1)), m)
-
-
-def _is_orderly(word: Sequence[Letter], m: int) -> bool:
-    """Conditions on one side: exponents per subscript complete and increasing,
-    and relative order preserved under the exponent +1 shift."""
-    position = {letter: idx for idx, letter in enumerate(word)}
-    subscripts = {i for i, _ in word}
-    if len(position) != len(word) or len(word) != (m + 1) * len(subscripts):
-        return False
-    for i in subscripts:
-        for k in range(m + 1):
-            if (i, k) not in position:
-                return False
-        for k in range(m):
-            if position[(i, k)] > position[(i, k + 1)]:
-                return False
-    low = [(i, k) for (i, k) in word if k < m]
-    for a, b in itertools.permutations(low, 2):
-        if position[a] < position[b] and position[(a[0], a[1] + 1)] > position[(b[0], b[1] + 1)]:
-            return False
-    return True
+    return is_orderly(sketch.w2, m) and is_orderly(sketch.w1[::-1], m)
 
 
 def enumerate_sketches(n: int, m: int) -> list[Sketch]:

@@ -267,6 +267,27 @@ class TestCharpoly:
             assert_rejected(code, out, err)
             assert message in err
 
+    @pytest.mark.parametrize("flavor", ["A", "C"])
+    def test_closed_with_a_huge_shift(self, capture, traced_peak, tmp_path, flavor):
+        # uniformity is read from the number of shifts, not from [-m, m] built
+        spec = spec_file(tmp_path, {"n": 2, "flavor": flavor, "shifts": {"1,2": [10**6]}})
+        argv = ("charpoly", "--spec", spec, "--method", "closed")
+        (code, out, err), peak = traced_peak(capture, *argv)
+        assert_rejected(code, out, err)
+        assert "no closed form" in err
+        assert peak < 10**6
+
+    def test_closed_spec_by_shift_count(self, capture, tmp_path):
+        uniform = {"n": 2, "flavor": "A", "coords": True, "shifts": {"1,2": [1, 0, -1, 1]}}
+        argv = ("charpoly", "--spec", spec_file(tmp_path, uniform), "--method", "closed")
+        assert capture(*argv) == (0, "t^2 - 5*t + 4\n", "")
+        # three shifts, but m = 2 asks for five
+        sparse = {"n": 2, "flavor": "C", "shifts": {"1,2": [-2, 0, 2]}}
+        argv = ("charpoly", "--spec", spec_file(tmp_path, sparse), "--method", "closed")
+        code, out, err = capture(*argv)
+        assert_rejected(code, out, err)
+        assert "no closed form" in err
+
     def test_closed_without_formula(self, capture):
         code, _, err = capture("charpoly", "B:2,1", "--method", "closed")
         assert code == 2
@@ -759,6 +780,7 @@ class TestBiject:
         [
             ("sketch-to-path", "0"),
             ("sketch-to-partition", "0"),
+            ("sketch-to-witness", "0"),
             ("path-to-sketch", "|"),
             ("partition-to-sketch", "|"),
         ],
@@ -768,7 +790,9 @@ class TestBiject:
             2, "", f"error: m must be positive, got {m}\n"
         )
 
-    @pytest.mark.parametrize("direction", ["sketch-to-path", "sketch-to-partition"])
+    @pytest.mark.parametrize(
+        "direction", ["sketch-to-path", "sketch-to-partition", "sketch-to-witness"]
+    )
     def test_sketch_m_must_agree(self, capture, direction):
         # "0 1^0 1^1" has m = 1, so --m 5 contradicts it rather than choosing m
         code, out, err = capture("biject", direction, "0 1^0 1^1", "--m", "5")
@@ -783,6 +807,29 @@ class TestBiject:
         code, out, err = capture("biject", direction, "0")
         assert_rejected(code, out, err)
         assert "empty sketch" in err
+
+    def test_empty_witness_without_m(self, capture):
+        assert capture("biject", "sketch-to-witness", "0") == (0, "[]\n", "")
+        assert capture("biject", "sketch-to-witness", "0", "--m", "3") == (0, "[]\n", "")
+
+    @pytest.mark.parametrize(
+        "direction, text",
+        [
+            # one subscript, m = 3999: 4,000 letters on one side
+            ("sketch-to-path", "0 " + " ".join(f"1^{k}" for k in range(4000))),
+            # one block of 16,000 points, m = 15999
+            ("partition-to-sketch", "| " + " ".join(["1"] * 16000)),
+            # 8,000 blocks of two points, in order
+            ("partition-to-sketch", " ".join(f"{i} {i}" for i in range(1, 8001)) + " |"),
+        ],
+        ids=["sketch-4000", "partition-16000", "partition-8000-blocks"],
+    )
+    def test_long_object_in_linear_time(self, capture, direction, text):
+        # one walk per side; comparing all pairs of letters or arcs took seconds
+        start = time.process_time()
+        code, out, err = capture("biject", direction, text)
+        assert (code, err) == (0, "")
+        assert time.process_time() - start < 0.5
 
     def test_infeasible_witness(self, capture):
         # subscript 1 on both sides of the zero

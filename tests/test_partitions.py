@@ -10,6 +10,7 @@ from braidarr.partitions import (
     TANGLED,
     DecoratedNonNestingPartition,
     b_equivalent,
+    check_partition,
     classify_blocks,
     count_B_regions_enum,
     partition_lines,
@@ -24,6 +25,27 @@ PARTITION_52 = "3 3 1 3 1 1 | 5 5 5 4 2 4 2 4 2"
 PARTITION_52_MOVED = "3 3 1 3 1 1 5 5 5 | 4 2 4 2 4 2"
 # Every size with (m+1)n <= 10, n = 0 with two values of m.
 STREAM_SIZES = [(n, m) for n in range(6) for m in range(1, 10) if (m + 1) * n <= 10 and (n or m <= 2)]
+
+
+def _arcs(side):
+    """Reference: the arcs (p, q) joining consecutive occurrences of a label."""
+    last_seen = {}
+    arcs = []
+    for position, label in enumerate(side):
+        if label in last_seen:
+            arcs.append((last_seen[label], position))
+        last_seen[label] = position
+    return arcs
+
+
+def _non_nesting(side):
+    """Reference: no arc lies strictly inside another, by all pairs of arcs."""
+    arcs = _arcs(side)
+    for a1, b1 in arcs:
+        for a2, b2 in arcs:
+            if a1 < a2 and b2 < b1:
+                return False
+    return True
 
 
 class TestConstruction:
@@ -52,6 +74,28 @@ class TestConstruction:
         # arc 4-5 nests strictly inside arc 3-6
         with pytest.raises(ValueError, match="nesting arcs"):
             DecoratedNonNestingPartition.parse("| 1 1 2 3 3 2", 1)
+
+    # Every size with (m+1) n <= 9, and n, m = 4, 1.
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in range(1, 5) for m in range(1, 9) if (m + 1) * n <= 9] + [(4, 1)]
+    )
+    def test_nesting_matches_all_pairs_of_arcs(self, n, m):
+        """``check_partition``, which reads a side as a word of occurrences,
+        against the arcs compared in pairs, on every side of n blocks of m + 1."""
+        non_nesting = 0
+        for side in itertools.product(range(1, n + 1), repeat=n * (m + 1)):
+            if any(side.count(label) != m + 1 for label in range(1, n + 1)):
+                continue
+            expected = _non_nesting(side)
+            non_nesting += expected
+            for sides in ((side, ()), ((), side)):
+                d = DecoratedNonNestingPartition(m, *sides)
+                if expected:
+                    check_partition(d)
+                else:
+                    with pytest.raises(ValueError, match="nesting arcs"):
+                        check_partition(d)
+        assert non_nesting == math.factorial(n) * raney(n, m, 1)
 
     def test_rejects_straddling_block(self):
         with pytest.raises(ValueError, match="one side of the red line"):

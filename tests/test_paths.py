@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 from braidarr import cli
 from braidarr.arrangements import SizeGuard
-from braidarr.dyckwords import step_sequences
+from braidarr.dyckwords import axis_points, step_sequences
 from braidarr.numbers import charpoly_A_closed, raney
 from braidarr.paths import (
     DecoratedDyckPath,
     LabeledDyckPath,
-    _part_starts,
     assemble_compartments,
     check_labeled_path,
     compartment_decomposition,
@@ -213,6 +212,27 @@ class TestEnumerationOrder:
         assert sketches == sorted(sketches, key=Sketch.sort_key)
 
 
+class TestAxisPoints:
+    def test_three_part_path(self):
+        points = axis_points(COMPARTMENT_PATH.steps, 1)
+        assert points == [0, 8, 12, 14]
+        # labels (9, 2, 8, 6 | 4, 1 | 5) split after 4 and 6 up-steps
+        assert [a // 2 for a in points] == [0, 4, 6, 7]
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 3), (4, 2)])
+    def test_every_path_by_its_heights(self, n, m):
+        for steps in step_sequences(n, m):
+            heights = list(itertools.accumulate((m if s == "U" else -1 for s in steps), initial=0))
+            points = axis_points(steps, m)
+            assert points == [a for a, h in enumerate(heights) if h == 0]
+            assert [a // (m + 1) for a in points] == [steps[:a].count("U") for a in points]
+
+    def test_negative_prefix(self):
+        assert axis_points((), 2) == [0]
+        with pytest.raises(ValueError, match="negative prefix sum"):
+            axis_points("UDDD", 2)
+
+
 class TestPrimitivePartsAndCompartments:
     def test_three_part_path(self):
         assert primitive_parts(COMPARTMENT_PATH) == 3
@@ -289,7 +309,13 @@ class TestCompartmentWalk:
         one ends where the maximum differs from the next start's, or from 0
         past the last; labels need not be 1..n."""
         check_labeled_path(path)
-        maxima = [max(path.labels[a:]) for a in _part_starts(path.steps, path.m)] + [0]
+        starts, height, ups = [], 0, 0  # the first label of each primitive part
+        for step in path.steps:
+            if height == 0:
+                starts.append(ups)
+            height += path.m if step == "U" else -1
+            ups += step == "U"
+        maxima = [max(path.labels[a:]) for a in starts] + [0]
         ends = sum(a != b for a, b in zip(maxima, maxima[1:]))
         assert ends == len(compartment_decomposition(path))
 

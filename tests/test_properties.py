@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, reject
 from hypothesis import strategies as st
+from test_sketches import is_valid_by_reference
 
 from braidarr.partitions import (
     DecoratedNonNestingPartition,
@@ -44,8 +45,9 @@ def sketches(draw):
 
 @given(sketches())
 def test_random_sketch_is_valid(drawn):
-    sketch, _ = drawn
+    sketch, m = drawn
     assert is_valid_sketch(sketch)
+    assert is_valid_by_reference(sketch, m)
 
 
 @given(sketches())

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from braidarr import cli
 from braidarr.arrangements import ArrangementSpec, Hyperplane, SizeGuard, hyperplanes_of
-from braidarr.dyckwords import complete_word, step_sequences
+from braidarr.dyckwords import complete_word, is_orderly, step_sequences
 from braidarr.numbers import raney, regions_A_closed
 from braidarr.partitions import partition_lines
 from braidarr.sketches import (
@@ -50,6 +50,32 @@ ALL_21_SKETCHES = {
 
 # Every size with (m+1)n <= 10, n = 0 with two values of m.
 STREAM_SIZES = [(n, m) for n in range(6) for m in range(1, 10) if (m + 1) * n <= 10 and (n or m <= 2)]
+
+
+def _is_orderly(word, m):
+    """Reference: one orderly side, by its definition.  Exponents per
+    subscript are complete and increasing, and of any two letters with
+    exponents below m the earlier keeps its lead after adding 1 to both."""
+    position = {letter: idx for idx, letter in enumerate(word)}
+    subscripts = {i for i, _ in word}
+    if len(position) != len(word) or len(word) != (m + 1) * len(subscripts):
+        return False
+    for i in subscripts:
+        for k in range(m + 1):
+            if (i, k) not in position:
+                return False
+        for k in range(m):
+            if position[(i, k)] > position[(i, k + 1)]:
+                return False
+    low = [(i, k) for (i, k) in word if k < m]
+    for a, b in itertools.permutations(low, 2):
+        if position[a] < position[b] and position[(a[0], a[1] + 1)] > position[(b[0], b[1] + 1)]:
+            return False
+    return True
+
+
+def is_valid_by_reference(sketch, m):
+    return _is_orderly(sketch.w2, m) and _is_orderly(sketch.w1[::-1], m)
 
 
 def _sorted_words(size, m):
@@ -214,6 +240,43 @@ class TestValidity:
     def test_all_enumerated_are_valid(self):
         for s in enumerate_sketches(2, 2):
             assert is_valid_sketch(s)
+            assert is_valid_by_reference(s, 2)
+
+
+class TestIsOrderly:
+    """``is_orderly``, which completes a word's skeleton, against the
+    definition in ``_is_orderly``."""
+
+    # Every size <= 3 with (m+1) size <= 9, and the empty word.
+    @pytest.mark.parametrize(
+        "size,m", [(0, 1)] + [(s, m) for s in range(1, 4) for m in range(1, 9) if (m + 1) * s <= 9]
+    )
+    def test_every_arrangement_of_the_letters(self, size, m):
+        letters = [(i, k) for i in range(1, size + 1) for k in range(m + 1)]
+        orderly = 0
+        for word in itertools.permutations(letters):
+            verdict = is_orderly(word, m)
+            assert verdict == _is_orderly(word, m), word
+            orderly += verdict
+        assert orderly == math.factorial(size) * raney(size, m, 1)
+
+    @pytest.mark.parametrize("n,m", [(4, 1), (4, 2), (3, 3), (5, 1), (2, 6), (3, 4)])
+    def test_orderly_words_and_their_adjacent_swaps(self, n, m):
+        letters = [(i, k) for i in range(1, n + 1) for k in range(m + 1)]
+        words = [tuple(map(letters.__getitem__, code)) for code in _sorted_words(n, m)]
+        assert all(map(_is_orderly, words, itertools.repeat(m)))
+        for word in words:
+            assert is_orderly(word, m)
+            for p in range(len(word) - 1):
+                swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2:]
+                assert is_orderly(swapped, m) == _is_orderly(swapped, m), swapped
+
+    def test_words_with_repeated_letters(self):
+        letters = [(i, k) for i in (1, 2) for k in range(3)]
+        for length in range(5):
+            for word in itertools.product(letters, repeat=length):
+                for m in (1, 2):
+                    assert is_orderly(word, m) == _is_orderly(word, m), (word, m)
 
 
 class TestEnumeration:
@@ -283,6 +346,7 @@ class TestEnumeration:
         sketches = enumerate_sketches(n, m)
         assert len(sketches) == len(set(sketches)) == regions_A_closed(n, m)
         assert all(is_valid_sketch(s) for s in sketches)
+        assert all(is_valid_by_reference(s, m) for s in sketches)
         keys = [s.sort_key() for s in sketches]
         assert keys == sorted(keys)
 
