@@ -27,9 +27,6 @@ from .numbers import (
 )
 from .partitions import (
     DecoratedNonNestingPartition,
-    b_equivalent,
-    classify_blocks,
-    count_B_regions_enum,
     partition_to_sketch,
     sketch_to_partition,
 )
@@ -52,6 +49,7 @@ from .sketches import (
     hyperplane_side,
     is_valid_sketch,
     point_to_sketch,
+    regions_by_projection,
     witness_point,
 )
 

@@ -223,6 +223,8 @@ def _resolve_spec(
                 data = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read {args.spec!r}: {exc.strerror}") from None
+        except RecursionError:
+            raise UsageError(f"cannot parse {args.spec!r}: JSON nested too deeply") from None
         return ArrangementSpec.from_json_dict(data), args.spec
     if not args.target:
         raise UsageError("missing target; expected a preset like A:3,2 or --spec")

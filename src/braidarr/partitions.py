@@ -1,5 +1,4 @@
-"""Decorated non-nesting partitions and the canonical counting of the
-coordinate-free sub-arrangement's regions.
+"""Decorated non-nesting partitions: the sketches' words with exponents dropped.
 
 A decorated partition is an ordered pair of arc diagrams separated by a red
 line; block labels are stored positionally (one label array per side), and
@@ -12,10 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dyckwords import Letter, is_orderly
-from .sketches import Sketch, enumerate_sketches, text_lines
-
-ISOLATED = "isolated"
-TANGLED = "tangled"
+from .sketches import Sketch, text_lines
 
 
 @dataclass(frozen=True)
@@ -37,14 +33,6 @@ class DecoratedNonNestingPartition:
     @property
     def n(self) -> int:
         return len(set(self.side1)) + len(set(self.side2))
-
-    def block_positions(self, label: int) -> tuple[int, ...]:
-        """Positions of a block inside its own side."""
-        side = self.side1 if label in self.side1 else self.side2
-        return tuple(p for p, lab in enumerate(side) if lab == label)
-
-    def side_of(self, label: int) -> int:
-        return 1 if label in self.side1 else 2
 
     def to_text(self) -> str:
         left = " ".join(str(v) for v in self.side1)
@@ -144,51 +132,3 @@ def partition_to_sketch(d: DecoratedNonNestingPartition) -> Sketch:
     w1 = tuple((label, d.m - j) for label, j in _occurrences(d.side1))
     return Sketch(w1, tuple(_occurrences(d.side2)))
 
-
-def classify_blocks(d: DecoratedNonNestingPartition) -> dict[int, str]:
-    """Label -> "isolated" when a block's points are consecutive, else "tangled"."""
-    out = {}
-    for label in range(1, d.n + 1):
-        positions = d.block_positions(label)
-        out[label] = (
-            ISOLATED if positions[-1] - positions[0] == d.m else TANGLED
-        )
-    return out
-
-
-def b_equivalent(
-    d1: DecoratedNonNestingPartition, d2: DecoratedNonNestingPartition
-) -> bool:
-    """Same region once the coordinate hyperplanes are dropped.
-
-    The diagrams with red lines removed must coincide, and the red line must
-    sit on the same side of every tangled block; it may move past isolated
-    blocks only.
-    """
-    if d1.m != d2.m:
-        return False
-    if d1.side1 + d1.side2 != d2.side1 + d2.side2:
-        return False
-    classes = classify_blocks(d1)
-    for label, kind in classes.items():
-        if kind == TANGLED and d1.side_of(label) != d2.side_of(label):
-            return False
-    return True
-
-
-def count_B_regions_enum(n: int, m: int) -> int:
-    """Count canonical representatives: red line not immediately followed by
-    an isolated block (first right-hand block, if any, is tangled)."""
-    total = 0
-    for sketch in enumerate_sketches(n, m):
-        d = sketch_to_partition(sketch)
-        if _is_canonical(d):
-            total += 1
-    return total
-
-
-def _is_canonical(d: DecoratedNonNestingPartition) -> bool:
-    if not d.side2:
-        return True
-    first = d.side2[0]
-    return classify_blocks(d)[first] == TANGLED

@@ -4,10 +4,9 @@ coefficients.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -222,20 +221,15 @@ def compartment_decomposition(path: LabeledDyckPath) -> tuple[LabeledDyckPath, .
 
     The first compartment runs through the primitive part containing the
     largest label; the next one through the part containing the largest label
-    not yet used, and so on.
+    not yet used, and so on.  So a compartment ends after each part whose
+    suffix maximum of labels differs from the next part's (0 past the last).
     """
     points = axis_points(path.steps, path.m)
     ups = [a // (path.m + 1) for a in points]  # up-steps before each axis point
-    compartments: list[LabeledDyckPath] = []
-    done = 0
-    while done < len(points) - 1:
-        remaining = path.labels[ups[done] : ups[-1]]
-        top = ups[done] + remaining.index(max(remaining))
-        stop = bisect.bisect_right(ups, top)  # the end of the part holding label top
-        steps, labels = path.steps[points[done] : points[stop]], path.labels[ups[done] : ups[stop]]
-        compartments.append(LabeledDyckPath(path.m, steps, labels))
-        done = stop
-    return tuple(compartments)
+    tops = [0, *accumulate(reversed(path.labels), max)][::-1]  # tops[u] = max(labels[u:])
+    cuts = [0] + [p for p in range(1, len(points)) if tops[ups[p - 1]] != tops[ups[p]]]
+    return tuple(LabeledDyckPath(path.m, path.steps[points[a]:points[b]], path.labels[ups[a]:ups[b]])
+                 for a, b in zip(cuts, cuts[1:]))
 
 
 def compartments(path: LabeledDyckPath) -> int:

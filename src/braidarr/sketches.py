@@ -16,7 +16,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arrangements import WORK_BUDGET, Hyperplane, check_budgets
+from .arrangements import MULTIPLICATIVE, WORK_BUDGET, ArrangementSpec, Hyperplane
+from .arrangements import check_budgets, hyperplanes_of
 from .dyckwords import Letter, complete_word, is_orderly, step_sequences
 
 # int64 entries at an enumeration's peak per printed letter and per letter
@@ -27,10 +28,11 @@ from .dyckwords import Letter, complete_word, is_orderly, step_sequences
 # and at (1, 3124998), where the alphabet is half the printed letters, 7.2 /
 # 7.2 and 3.1 / 3.5 per (i, k).  Paths from their own table trace 0.1 / 0.2
 # and 0.03 / 0.04, 1.5 / 1.6 and 1.1 / 1.2 in json, and 2.8 / 3.3 per (i, k).
+# The region projection traces 0.6-0.74 / 0.72-0.87 at (6, 1), (5, 4), (4, 10).
 LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
 
-CHUNK_TOKENS = 1 << 18  # rendered at a time by ``render_lines``
+CHUNK_TOKENS = 1 << 18  # letters rendered or projected at a time
 
 
 @functools.lru_cache(maxsize=1024)  # bounded: a long sketch has many letters
@@ -162,19 +164,43 @@ def text_lines(n: int, m: int, zero: str, exponents: bool = True) -> Iterator[st
     """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
     letters as ``i^k`` (``i`` without ``exponents``), ``zero`` between the
     sides, rendered by :func:`render_lines` from the side table."""
-    words, order, first, count = _side_table(n, m)
-    ends = np.cumsum(count)
-    shift = first - ends + count  # line l of left row j takes right row shift[j] + l
-
-    def rows(line: np.ndarray) -> np.ndarray:
-        left = np.searchsorted(ends, line, side="right")
-        return words[order[left]] + words[shift[left] + line, ::-1]
-
+    rows, lines, width = _sketch_rows(n, m)
     code = np.arange(n * (m + 1), dtype=np.int32)
     letters = _digits(code // (m + 1) + 1)
     if exponents:
         letters = np.hstack([letters, _digits(code % (m + 1), "^")])
-    return render_lines([zero, letters], rows, ends[-1], words.shape[1])
+    return render_lines([zero, letters], rows, lines, width)
+
+
+def regions_by_projection(spec: ArrangementSpec) -> int:
+    """The regions of a multiplicative ``spec``, counted as the distinct sign
+    vectors on its planes of the sketches of A_n^(M), M = max(``spec.m_max``,
+    1): each region of A_n^(M) lies in exactly one region of the spec's.
+
+    A sketch lists the values 2^k x_i in increasing order, so x_i > 0 when
+    letter (i, 0) follows the zero letter, and x_i < 2^k x_j when (i, 0)
+    precedes (j, k): a plane's sign is whether its ``low`` token precedes its
+    ``high`` one.  Rows are read ``CHUNK_TOKENS`` letters at a time, each
+    chunk's signs packed to bits; one ``np.unique`` counts the packed rows."""
+    if spec.flavor != MULTIPLICATIVE:
+        raise ValueError("regions by projection need a multiplicative arrangement")
+    planes = hyperplanes_of(spec)
+    if not planes:
+        return 1
+    m = max(spec.m_max, 1)
+    rows, lines, width = _sketch_rows(spec.n, m)
+    low, high = np.array([(0, (h.i - 1) * (m + 1) + 1) if h.kind == "coord" else
+                          ((h.i - 1) * (m + 1) + 1, (h.j - 1) * (m + 1) + h.k + 1)
+                          for h in planes]).T
+    per_chunk = max(1, CHUNK_TOKENS // width)
+    packed = []
+    for start in range(0, lines, per_chunk):
+        line = rows(np.arange(start, min(start + per_chunk, lines)))
+        position = np.empty(line.shape, np.int32)
+        np.put_along_axis(position, line, np.arange(width, dtype=np.int32), axis=1)
+        packed.append(np.packbits(position.take(low, 1) < position.take(high, 1), axis=1))
+    signs = np.concatenate(packed)
+    return len(np.unique(signs.view(np.dtype((np.void, signs.shape[1]))).ravel()))
 
 
 def render_lines(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray], np.ndarray],
@@ -206,6 +232,21 @@ def render_lines(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray]
 def sketch_lines(n: int, m: int) -> Iterator[str]:
     """``s.to_text()`` for each sketch s of ``enumerate_sketches(n, m)``."""
     return text_lines(n, m, "0")
+
+
+def _sketch_rows(n: int, m: int) -> tuple[Callable[[np.ndarray], np.ndarray], int, int]:
+    """The sketches of :func:`_side_table` as ``(rows, lines, width)``: ``rows``
+    maps line numbers (0 to ``lines - 1``, in ``Sketch.sort_key`` order) to
+    their rows of ``width`` tokens, left row and reversed right row added."""
+    words, order, first, count = _side_table(n, m)
+    ends = np.cumsum(count)
+    shift = first - ends + count  # line l of left row j takes right row shift[j] + l
+
+    def rows(line: np.ndarray) -> np.ndarray:
+        left = np.searchsorted(ends, line, side="right")
+        return words[order[left]] + words[shift[left] + line, ::-1]
+
+    return rows, int(ends[-1]), words.shape[1]
 
 
 def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:

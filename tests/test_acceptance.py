@@ -25,7 +25,7 @@ from braidarr.numbers import (
     regions_Gamma_closed,
     zaslavsky,
 )
-from braidarr.partitions import count_B_regions_enum, partition_to_sketch, sketch_to_partition
+from braidarr.partitions import partition_to_sketch, sketch_to_partition
 from braidarr.paths import (
     compartment_distribution,
     path_to_sketch,
@@ -38,6 +38,7 @@ from braidarr.sketches import (
     enumerate_sketches,
     hyperplane_side,
     point_to_sketch,
+    regions_by_projection,
     witness_point,
 )
 
@@ -147,8 +148,8 @@ def test_criterion_6_sub_arrangement_counts():
             spec = ArrangementSpec.preset(f"{family}:{n},{m}")
             via_ff = zaslavsky(charpoly_ff(spec), n)
             assert via_ff == closed(n, m), (family, n, m, via_ff)
-        assert count_B_regions_enum(n, m) == regions_B_closed(n, m), (n, m)
-    _report(6, "B/Gamma/Delta closed forms vs ff, B enumeration", started)
+            assert regions_by_projection(spec) == closed(n, m), (family, n, m)
+    _report(6, "B/Gamma/Delta closed forms vs ff and by projection", started)
 
 
 def test_criterion_7_identity_suite():

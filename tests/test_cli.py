@@ -367,6 +367,15 @@ class TestCharpoly:
     def test_spec_wrong_type_is_no_traceback(self, capture, tmp_path, spec):
         assert_rejected(*capture("charpoly", "--spec", spec_file(tmp_path, spec)))
 
+    @pytest.mark.parametrize("verb", ["charpoly", "regions", "poset"])
+    def test_spec_nested_too_deeply_is_no_traceback(self, capture, tmp_path, verb):
+        # 5,000 nested lists overflow json.load's recursion: a RecursionError
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": ' + "[" * 5000 + "]" * 5000 + "}")
+        code, out, err = capture(verb, "--spec", str(path))
+        assert_rejected(code, out, err)
+        assert err == f"error: cannot parse {str(path)!r}: JSON nested too deeply\n"
+
     @pytest.mark.parametrize("key", ["1,2,3", "a,b", "1,", "12"])
     def test_spec_bad_key_is_named(self, capture, tmp_path, key):
         spec = {"n": 3, "flavor": "A", "shifts": {key: [1]}}

@@ -3,21 +3,22 @@ import math
 
 import pytest
 
-from braidarr.arrangements import SizeGuard
+from braidarr.arrangements import ArrangementSpec, SizeGuard, hyperplanes_of
 from braidarr.numbers import raney, regions_B_closed
 from braidarr.partitions import (
-    ISOLATED,
-    TANGLED,
     DecoratedNonNestingPartition,
-    b_equivalent,
     check_partition,
-    classify_blocks,
-    count_B_regions_enum,
     partition_lines,
     partition_to_sketch,
     sketch_to_partition,
 )
-from braidarr.sketches import Sketch, enumerate_sketches
+from braidarr.sketches import (
+    Sketch,
+    enumerate_sketches,
+    hyperplane_side,
+    regions_by_projection,
+    witness_point,
+)
 
 SKETCH_52 = "3^2 3^1 1^2 3^0 1^1 1^0 0 5^0 5^1 5^2 4^0 2^0 4^1 2^1 4^2 2^2"
 PARTITION_52 = "3 3 1 3 1 1 | 5 5 5 4 2 4 2 4 2"
@@ -25,6 +26,56 @@ PARTITION_52 = "3 3 1 3 1 1 | 5 5 5 4 2 4 2 4 2"
 PARTITION_52_MOVED = "3 3 1 3 1 1 5 5 5 | 4 2 4 2 4 2"
 # Every size with (m+1)n <= 10, n = 0 with two values of m.
 STREAM_SIZES = [(n, m) for n in range(6) for m in range(1, 10) if (m + 1) * n <= 10 and (n or m <= 2)]
+
+
+ISOLATED = "isolated"
+TANGLED = "tangled"
+
+
+def block_positions(d, label):
+    """Positions of a block inside its own side."""
+    side = d.side1 if label in d.side1 else d.side2
+    return tuple(p for p, lab in enumerate(side) if lab == label)
+
+
+def side_of(d, label):
+    return 1 if label in d.side1 else 2
+
+
+def classify_blocks(d):
+    """Reference: label -> ISOLATED when a block's points are consecutive,
+    else TANGLED."""
+    out = {}
+    for label in range(1, d.n + 1):
+        positions = block_positions(d, label)
+        out[label] = ISOLATED if positions[-1] - positions[0] == d.m else TANGLED
+    return out
+
+
+def b_equivalent(d1, d2):
+    """Reference: the same region once the coordinate hyperplanes are dropped.
+
+    The diagrams with red lines removed must coincide, and the red line must
+    sit on the same side of every tangled block; it may move past isolated
+    blocks only.
+    """
+    if d1.m != d2.m:
+        return False
+    if d1.side1 + d1.side2 != d2.side1 + d2.side2:
+        return False
+    classes = classify_blocks(d1)
+    for label, kind in classes.items():
+        if kind == TANGLED and side_of(d1, label) != side_of(d2, label):
+            return False
+    return True
+
+
+def _is_canonical(d):
+    """Reference: the red line is not immediately followed by an isolated
+    block (the first right-hand block, if any, is tangled)."""
+    if not d.side2:
+        return True
+    return classify_blocks(d)[d.side2[0]] == TANGLED
 
 
 def _arcs(side):
@@ -110,7 +161,7 @@ class TestSketchPartitionBijection:
     def test_five_block_diagram(self):
         d = sketch_to_partition(Sketch.parse(SKETCH_52))
         assert d.to_text() == PARTITION_52
-        blocks = {label: d.block_positions(label) for label in (3, 1, 5, 4, 2)}
+        blocks = {label: block_positions(d, label) for label in (3, 1, 5, 4, 2)}
         assert blocks[3] == (0, 1, 3) and blocks[1] == (2, 4, 5)
         assert blocks[5] == (0, 1, 2)
         assert blocks[4] == (3, 5, 7) and blocks[2] == (4, 6, 8)
@@ -203,10 +254,22 @@ class TestBEquivalence:
                 classes.append([d])
         assert len(classes) == regions_B_closed(n, m)
         # exactly one canonical representative per class
-        from braidarr.partitions import _is_canonical
-
         for cls in classes:
             assert sum(1 for d in cls if _is_canonical(d)) == 1
+
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_classes_are_b_signatures(self, n, m):
+        """Two sketches are B-equivalent exactly when the witness points of
+        their regions lie on the same side of every plane of B."""
+        planes = hyperplanes_of(ArrangementSpec.preset(f"B:{n},{m}"))
+        sketches = enumerate_sketches(n, m)
+        signatures = [
+            tuple(hyperplane_side(witness_point(s), h) for h in planes) for s in sketches
+        ]
+        diagrams = [sketch_to_partition(s) for s in sketches]
+        for a, b in itertools.combinations(range(len(sketches)), 2):
+            assert b_equivalent(diagrams[a], diagrams[b]) == (signatures[a] == signatures[b])
 
 
 class TestCountBRegions:
@@ -214,10 +277,10 @@ class TestCountBRegions:
         "n,m,expected", [(1, 1, 1), (2, 1, 6), (2, 2, 10), (3, 1, 54)]
     )
     def test_counts(self, n, m, expected):
-        assert count_B_regions_enum(n, m) == expected
+        assert regions_by_projection(ArrangementSpec.preset(f"B:{n},{m}")) == expected
         assert expected == regions_B_closed(n, m)
 
     def test_guard(self):
         # 7,207,200 sketches, past the enumeration's memory budget
         with pytest.raises(SizeGuard):
-            count_B_regions_enum(7, 1)
+            regions_by_projection(ArrangementSpec.preset("B:7,1"))

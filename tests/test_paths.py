@@ -1,3 +1,4 @@
+import bisect
 import io
 import itertools
 import json
@@ -54,6 +55,30 @@ def enumerate_decorated_paths(n, m):
         for steps2 in step_sequences(n - steps1.count("U"), m)
         for labels in labelings
     ]
+
+
+def reference_decomposition(path):
+    """Reference: the compartments by the iterated largest-remaining-label
+    rule, one max over the remaining labels per compartment."""
+    points = axis_points(path.steps, path.m)
+    ups = [a // (path.m + 1) for a in points]  # up-steps before each axis point
+    pieces = []
+    done = 0
+    while done < len(points) - 1:
+        remaining = path.labels[ups[done] : ups[-1]]
+        top = ups[done] + remaining.index(max(remaining))
+        stop = bisect.bisect_right(ups, top)  # the end of the part holding label top
+        steps, labels = path.steps[points[done] : points[stop]], path.labels[ups[done] : ups[stop]]
+        pieces.append(LabeledDyckPath(path.m, steps, labels))
+        done = stop
+    return tuple(pieces)
+
+
+def decomposition(path):
+    """``compartment_decomposition``, checked against the reference."""
+    pieces = compartment_decomposition(path)
+    assert pieces == reference_decomposition(path)
+    return pieces
 
 
 class TestLabeledDyckPath:
@@ -262,8 +287,22 @@ class TestPrimitivePartsAndCompartments:
         path = LabeledDyckPath(2, ("U", "D", "D"), (5,))
         assert compartments(path) == 1
 
+    def test_examples_match_reference(self):
+        for labels in ((), (1,), (2, 1), (1, 2)):
+            steps = ("U", "D") * len(labels)
+            decomposition(LabeledDyckPath(1, steps, labels))
+        decomposition(LabeledDyckPath(2, ("U", "D", "D"), (5,)))
+
+    def test_long_path_in_linear_time(self):
+        # 20,000 one-up-step parts with decreasing labels, one compartment
+        # each; a max over the remaining labels per compartment took seconds
+        path = LabeledDyckPath(1, ("U", "D") * 20000, tuple(range(20000, 0, -1)))
+        start = time.process_time()
+        assert len(compartment_decomposition(path)) == 20000
+        assert time.process_time() - start < 0.5
+
     def test_decomposition_recombines(self):
-        pieces = compartment_decomposition(COMPARTMENT_PATH)
+        pieces = decomposition(COMPARTMENT_PATH)
         assert len(pieces) == 2
         assert pieces[0].labels == (9, 2, 8, 6)
         assert pieces[1].labels == (4, 1, 5)
@@ -299,7 +338,9 @@ class TestCompartmentWalk:
     @pytest.mark.parametrize("n,m", REFERENCE_SIZES)
     def test_every_decorated_path(self, n, m):
         paths = enumerate_decorated_paths(n, m)
-        counts = Counter(len(compartment_decomposition(d.part2())) for d in paths)
+        counts = Counter(len(decomposition(d.part2())) for d in paths)
+        for d in paths:
+            decomposition(d.part1())
         assert compartment_distribution(n, m) == [counts[j] for j in range(n + 1)]
 
     @given(labeled_paths())
@@ -317,7 +358,7 @@ class TestCompartmentWalk:
             ups += step == "U"
         maxima = [max(path.labels[a:]) for a in starts] + [0]
         ends = sum(a != b for a, b in zip(maxima, maxima[1:]))
-        assert ends == len(compartment_decomposition(path))
+        assert ends == len(decomposition(path))
 
 
 class TestReconstruction:
@@ -325,7 +366,7 @@ class TestReconstruction:
         rng = random.Random(7)
         for d in enumerate_decorated_paths(3, 1):
             for path in (d.part1(), d.part2()):
-                pieces = list(compartment_decomposition(path))
+                pieces = list(decomposition(path))
                 if not pieces:
                     continue
                 rng.shuffle(pieces)

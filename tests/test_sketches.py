@@ -11,11 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidarr import cli
-from braidarr.arrangements import ArrangementSpec, Hyperplane, SizeGuard, hyperplanes_of
+from braidarr.arrangements import (
+    MULTIPLICATIVE,
+    ArrangementSpec,
+    Hyperplane,
+    SizeGuard,
+    charpoly_ff,
+    hyperplanes_of,
+)
 from braidarr.dyckwords import complete_word, is_orderly, step_sequences
-from braidarr.numbers import raney, regions_A_closed
+from braidarr.numbers import (
+    raney,
+    regions_A_closed,
+    regions_B_closed,
+    regions_Delta_closed,
+    regions_Gamma_closed,
+    zaslavsky,
+)
 from braidarr.partitions import partition_lines
 from braidarr.sketches import (
+    LETTER_ENTRIES,
     InfeasibleSystem,
     LogPoint,
     OnHyperplane,
@@ -23,14 +38,17 @@ from braidarr.sketches import (
     _check_guard,
     _letter_text,
     _side_table as side_table,
+    _sketch_rows,
     _solve_side,
     enumerate_sketches,
     hyperplane_side,
     is_valid_sketch,
     point_to_sketch,
+    regions_by_projection,
     sketch_lines,
     witness_point,
 )
+from test_poset import sparse_specs
 
 LONG_WORD = "3^2 3^1 1^2 3^0 1^1 1^0 0 5^0 5^1 5^2 4^0 2^0 4^1 2^1 4^2 2^2"
 
@@ -500,3 +518,45 @@ class TestHyperplaneSide:
     def test_on_plane_gives_zero(self):
         point = (LogPoint(1, Fraction(3)), LogPoint(1, Fraction(1)))
         assert hyperplane_side(point, Hyperplane("pair", 1, 2, 2)) == 0
+
+
+REGION_FORMULAS = {
+    "A": regions_A_closed,
+    "B": regions_B_closed,
+    "Gamma": regions_Gamma_closed,
+    "Delta": regions_Delta_closed,
+}
+
+
+class TestRegionsByProjection:
+    """The distinct sign vectors of the sketches of A_n^(M) on a
+    sub-arrangement's planes, against the closed formulas and Zaslavsky."""
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in range(1, 5) for m in range(1, 4)] + [(5, 1), (5, 2), (6, 1)]
+    )
+    def test_closed_formulas(self, n, m):
+        for family, closed in REGION_FORMULAS.items():
+            spec = ArrangementSpec.preset(f"{family}:{n},{m}")
+            assert regions_by_projection(spec) == closed(n, m), family
+
+    @given(sparse_specs())
+    def test_random_sparse_specs(self, spec):
+        assert regions_by_projection(spec) == zaslavsky(charpoly_ff(spec), spec.n)
+
+    def test_no_planes(self):
+        assert regions_by_projection(ArrangementSpec(3, MULTIPLICATIVE)) == 1
+
+    def test_refusals(self):
+        with pytest.raises(SizeGuard):
+            regions_by_projection(ArrangementSpec.preset("B:7,1"))
+        with pytest.raises(ValueError, match="multiplicative"):
+            regions_by_projection(ArrangementSpec.preset("C:2,1"))
+
+    def test_peak_within_the_guard(self, traced_peak):
+        # chunked; unchunked, the sign rows of every sketch peaked at 5.8
+        # int64 entries per printed letter
+        _, lines, width = _sketch_rows(6, 1)
+        count, peak = traced_peak(regions_by_projection, ArrangementSpec.preset("B:6,1"))
+        assert count == regions_B_closed(6, 1)
+        assert peak < LETTER_ENTRIES * 8 * lines * width
