@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,7 +84,10 @@ class ArrangementSpec:
 
     Immutable after construction.  ``pair_shifts`` maps ordered pairs
     ``(i, j)`` with ``1 <= i < j <= n`` to finite sets of integer shifts;
-    missing pairs mean no hyperplane between those coordinates.
+    missing pairs mean no hyperplane between those coordinates.  A spec from
+    :meth:`uniform` holds its one shift set and lists its n(n-1)/2 pairs only
+    when ``pair_shifts`` is first read; ``planes``, ``m_max`` and
+    ``uniform_shifts``, which the routes' size guards read, list none.
     """
 
     def __init__(
@@ -109,10 +112,13 @@ class ArrangementSpec:
                 shifts[(i, j)] = fs
         self.n = n
         self.flavor = flavor
-        self.pair_shifts = shifts
         self.include_coordinate_hyperplanes = include_coordinate_hyperplanes
+        self._pairs: dict[tuple[int, int], frozenset[int]] | None = shifts
+        sets = set(shifts.values())
         # Largest absolute shift; 0 when there are no pair hyperplanes.
-        self.m_max = max((abs(k) for fs in shifts.values() for k in fs), default=0)
+        self.m_max = max((abs(k) for fs in sets for k in fs), default=0)
+        full = len(shifts) == n * (n - 1) // 2
+        self._uniform: Collection[int] | None = sets.pop() if full and len(sets) == 1 else None
 
     @classmethod
     def uniform(
@@ -122,12 +128,34 @@ class ArrangementSpec:
         flavor: str = MULTIPLICATIVE,
         include_coordinate_hyperplanes: bool = False,
     ) -> "ArrangementSpec":
-        """Same shift set on every coordinate pair."""
-        values = frozenset(shifts)
-        pair_shifts = {
-            (i, j): values for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        }
-        return cls(n, flavor, pair_shifts, include_coordinate_hyperplanes)
+        """Same shift set on every coordinate pair, in O(1) for a ``range``
+        of shifts: it stays a range, and the pairs are not listed."""
+        spec = cls(n, flavor, None, include_coordinate_hyperplanes)
+        values = shifts if isinstance(shifts, range) else frozenset(int(v) for v in shifts)
+        if n > 1 and values:
+            spec._pairs, spec._uniform = None, values
+            # |k| is largest at an end of a range.
+            ends = (values[0], values[-1]) if isinstance(values, range) else values
+            spec.m_max = max(map(abs, ends))
+        return spec
+
+    @property
+    def pair_shifts(self) -> Mapping[tuple[int, int], frozenset[int]]:
+        if self._pairs is None:
+            pairs = itertools.combinations(range(1, self.n + 1), 2)
+            self._pairs = dict.fromkeys(pairs, frozenset(self._uniform))
+        return self._pairs
+
+    @property
+    def planes(self) -> int:
+        """How many pairs have planes."""
+        return self.n * (self.n - 1) // 2 if self._pairs is None else len(self._pairs)
+
+    @property
+    def uniform_shifts(self) -> Collection[int] | None:
+        """The shift set of every pair (a range for a preset), or None when
+        there is no pair or two pairs' sets differ."""
+        return self._uniform
 
     @classmethod
     def preset(cls, name: str) -> "ArrangementSpec":
@@ -149,10 +177,16 @@ class ArrangementSpec:
 
         Types are checked, never coerced: ``n`` is an integer, ``coords`` a
         boolean (false when absent) and ``shifts`` an object (or absent or
-        null) mapping ``"i,j"`` to lists of integers.
+        null) mapping ``"i,j"`` to lists of integers.  Any other key is
+        refused, so that a misspelt key is not read as absent.
         """
         if not isinstance(data, Mapping):
             raise ValueError("spec must be a JSON object")
+        for key in data:
+            if key not in ("n", "flavor", "coords", "shifts"):
+                raise ValueError(
+                    f"unknown spec key {key!r}; expected 'n', 'flavor', 'coords' or 'shifts'"
+                )
         if "n" not in data:
             raise ValueError("spec has no 'n'")
         n = data["n"]
@@ -197,7 +231,7 @@ class ArrangementSpec:
     def __repr__(self) -> str:
         return (
             f"ArrangementSpec(n={self.n}, flavor={self.flavor!r}, "
-            f"pairs={len(self.pair_shifts)}, coords={self.include_coordinate_hyperplanes})"
+            f"pairs={self.planes}, coords={self.include_coordinate_hyperplanes})"
         )
 
 
@@ -220,38 +254,31 @@ def _is_int(value: object) -> bool:
 
 
 def hyperplanes_of(spec: ArrangementSpec) -> list[Hyperplane]:
-    """Deduplicated hyperplane list in canonical order.
+    """Hyperplane list in canonical order, each plane once.
 
     Coordinate planes come first, then pair hyperplanes ordered by pair and
     ascending shift.  For the multiplicative flavor a shift k < 0 is stored
-    as ``x_j = 2^(-k) x_i`` so that stored powers are nonnegative;
-    deduplication happens through that normal form.
+    as ``x_j = 2^(-k) x_i`` so that stored powers are nonnegative.  A pair
+    (i, j), i < j, and its set of shifts each appear once, and a stored plane's
+    first index is the smaller exactly when k >= 0, so no two planes coincide.
     """
     planes: list[Hyperplane] = []
-    seen: set[tuple] = set()
     if spec.flavor == MULTIPLICATIVE and spec.include_coordinate_hyperplanes:
-        for i in range(1, spec.n + 1):
-            planes.append(Hyperplane("coord", i))
-            seen.add(("coord", i))
-    for (i, j) in sorted(spec.pair_shifts):
-        for k in sorted(spec.pair_shifts[(i, j)]):
+        planes.extend(Hyperplane("coord", i) for i in range(1, spec.n + 1))
+    for (i, j), shifts in sorted(spec.pair_shifts.items()):
+        for k in sorted(shifts):
             if spec.flavor == MULTIPLICATIVE:
                 h = Hyperplane("pair", i, j, k) if k >= 0 else Hyperplane("pair", j, i, -k)
             else:
                 h = Hyperplane("diff", i, j, k)
-            key = (h.kind, h.i, h.j, h.k)
-            if key not in seen:
-                seen.add(key)
-                planes.append(h)
+            planes.append(h)
     return planes
 
 
 class KernelShape(NamedTuple):
-    """What the counting kernel's cost depends on.
-
-    A preset's shape follows from its (family, n, m), so an oversized preset
-    can be refused before its O(n^2) spec is built.  ``planes`` counts the
-    coordinate pairs with hyperplanes, each of which costs one q x q block.
+    """What the counting kernel's cost depends on, read without listing a
+    spec's pairs.  ``planes`` counts the coordinate pairs with hyperplanes,
+    each of which costs one q x q block.
     """
 
     n: int
@@ -263,15 +290,8 @@ class KernelShape(NamedTuple):
     @classmethod
     def of(cls, spec: ArrangementSpec) -> "KernelShape":
         return cls(
-            spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes,
-            len(spec.pair_shifts),
+            spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes, spec.planes
         )
-
-    @classmethod
-    def preset(cls, family: str, n: int, m: int) -> "KernelShape":
-        """The shape of ``ArrangementSpec.preset``; with n = 1 it has no pairs."""
-        flavor, coords, _ = PRESETS[family]
-        return cls(n, m if n > 1 else 0, flavor, coords, n * (n - 1) // 2)
 
     @property
     def least_modulus(self) -> int:
@@ -511,7 +531,7 @@ def _check_interpolant(spec: ArrangementSpec, poly: IntPolynomial) -> None:
         )
     if not poly.has_alternating_signs(n):
         raise InterpolationMismatch(f"interpolant {poly} has non-alternating signs")
-    if not (spec.pair_shifts or spec.include_coordinate_hyperplanes):
+    if not (spec.planes or spec.include_coordinate_hyperplanes):
         return
     if spec.flavor == MULTIPLICATIVE and poly(1) != 0:
         raise InterpolationMismatch(

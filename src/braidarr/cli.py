@@ -55,17 +55,6 @@ ROUTES: dict[str, Callable[[ArrangementSpec, list[int] | None], IntPolynomial]] 
     "poset": lambda spec, moduli: poset.charpoly_from_poset(poset.build_poset(spec), spec.n),
 }
 
-# A route's size guard on a preset's parsed (family, n, m), run before the
-# preset's O(n^2) spec is built; the route checks the built spec again.
-PRESET_GUARDS: dict[str, Callable[[str, int, int], None]] = {
-    "ff": lambda family, n, m: arrangements.check_countable(
-        arrangements.KernelShape.preset(family, n, m)
-    ),
-    "poset": lambda family, n, m: poset.check_poset_size(
-        n, arrangements.PRESETS[family][0], (n - 1) * m
-    ),
-}
-
 CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
     "A": lambda n, m: numbers.regions_A_closed(n, m),
     "B": lambda n, m: numbers.regions_B_closed(n, m),
@@ -200,21 +189,29 @@ def _emit(
 
     ``data`` returns the JSON value, ``lines`` is the table form and ``csv``
     a header with its rows.  A result without a JSON form (``data`` None) or
-    a CSV form (``csv`` None) prints its table form instead.
+    a CSV form (``csv`` None) prints its table form instead.  Python's limit
+    on the digits of an int's str (4300, from 3.10.7) guards parsing input; it
+    is lifted only while exact results are formatted here, lazily, and printed.
     """
-    if output == "json" and data is not None:
-        print(json.dumps(data(), sort_keys=True))
-        return
-    if output == "csv" and csv is not None:
-        header, rows = csv
-        lines = itertools.chain((header,), rows)
-    sys.stdout.writelines(f"{line}\n" for line in lines)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if output == "json" and data is not None:
+            print(json.dumps(data(), sort_keys=True))
+            return
+        if output == "csv" and csv is not None:
+            header, rows = csv
+            lines = itertools.chain((header,), rows)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
-def _resolve_spec(
-    args: argparse.Namespace, route: str | None = None
-) -> tuple[ArrangementSpec, str]:
-    """The target's spec and name; a preset passes ``route``'s guard first."""
+def _resolve_spec(args: argparse.Namespace) -> tuple[ArrangementSpec, str]:
+    """The target's spec and name.  A preset's spec lists no pair until a
+    route reads it, after that route's size guard."""
     if args.spec and args.target:
         raise UsageError("give either a preset target or --spec, not both")
     if args.spec:
@@ -228,13 +225,11 @@ def _resolve_spec(
         return ArrangementSpec.from_json_dict(data), args.spec
     if not args.target:
         raise UsageError("missing target; expected a preset like A:3,2 or --spec")
-    if route in PRESET_GUARDS:
-        PRESET_GUARDS[route](*parse_preset(args.target))
     return ArrangementSpec.preset(args.target), args.target
 
 
 def _parse_moduli(raw: str | None) -> list[int] | None:
-    if not raw:
+    if raw is None:
         return None
     try:
         return [int(part) for part in raw.split(",")]
@@ -243,78 +238,51 @@ def _parse_moduli(raw: str | None) -> list[int] | None:
 
 
 def _closed_charpoly(spec: ArrangementSpec) -> IntPolynomial:
-    """The closed form of a spec whose every pair has the shifts [-m, m]:
-    2m + 1 distinct shifts of absolute value at most m = ``m_max``."""
-    n, m = spec.n, spec.m_max
-    uniform = m > 0 and all(
-        len(spec.pair_shifts.get((i, j), ())) == 2 * m + 1
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    )
-    return _closed_form(spec.flavor, spec.include_coordinate_hyperplanes, n, m, uniform)
-
-
-def _closed_form(flavor: str, coords: bool, n: int, m: int, uniform: bool) -> IntPolynomial:
-    """The A or C closed form of a target with uniform [-m, m] shifts.
+    """The A or C closed form of a spec whose every pair has the shifts
+    [-m, m]: one set of 2m + 1 shifts of absolute value at most m = ``m_max``.
 
     With n = 1 there are no pair hyperplanes, so every target is uniform,
     and both closed forms are independent of m (t - 1 with the coordinate
     hyperplane, t without).
     """
-    if n == 1:
-        m, uniform = 1, True
-    if uniform and flavor == ADDITIVE:
+    n, m = spec.n, max(spec.m_max, 1)
+    uniform = n == 1 or len(spec.uniform_shifts or ()) == 2 * m + 1
+    if uniform and spec.flavor == ADDITIVE:
         return numbers.charpoly_C_closed(n, m)
-    if uniform and coords:
+    if uniform and spec.include_coordinate_hyperplanes:
         return numbers.charpoly_A_closed(n, m)
     raise UsageError("no closed form for this spec; closed applies to A and C presets")
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> int:
-    # A preset's closed form is decided from its (family, n, m), before its
-    # O(n^2) spec would be built; --moduli is parsed for every method.
-    spec = None
-    if args.method == "closed" and args.target and not args.spec:
-        target, (family, n, m) = args.target, parse_preset(args.target)
-    else:
-        spec, target = _resolve_spec(args, args.method)
-    moduli = _parse_moduli(args.moduli)
-    if spec is None:
-        flavor, coords, clip = arrangements.PRESETS[family]
-        p = _closed_form(flavor, coords, n, m, clip == 0)
-    else:
-        p = ROUTES[args.method](spec, moduli)
-    text = p.to_text()
+    spec, target = _resolve_spec(args)
+    p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
     _emit(
         args.output,
-        lambda: {"target": target, "method": args.method, "polynomial": text,
+        lambda: {"target": target, "method": args.method, "polynomial": p.to_text(),
                  "coefficients": list(p.coefficients)},
-        [text],
+        map(IntPolynomial.to_text, [p]),
         ("power,coefficient", (f"{k},{c}" for k, c in enumerate(p.coefficients))),
     )
     return 0
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    # The closed region formulas also cover B, Gamma and Delta, which have no
-    # closed characteristic polynomial, and read only the preset's (n, m).
-    spec = None
-    if args.method == "closed" and args.target and not args.spec:
-        target, (family, n, m) = args.target, parse_preset(args.target)
-    else:
-        spec, target = _resolve_spec(args, args.method)
+    spec, target = _resolve_spec(args)
     moduli = _parse_moduli(args.moduli)
-    if spec is None:
-        count = CLOSED_REGIONS[family](n, m)
-    elif args.method == "closed":
+    if args.method != "closed":
+        count = zaslavsky(ROUTES[args.method](spec, moduli), spec.n)
+    elif args.spec:
         raise UsageError("--method closed for regions needs a preset target")
     else:
-        count = zaslavsky(ROUTES[args.method](spec, moduli), spec.n)
+        # These also cover B, Gamma and Delta, which have no closed chi.
+        family, n, m = parse_preset(target)
+        count = CLOSED_REGIONS[family](n, m)
     _emit(
         args.output,
         lambda: {"target": target, "method": args.method, "regions": count},
-        [str(count)],
-        ("target,regions", [f"{target},{count}"]),
+        map(str, [count]),
+        ("target,regions", (f"{target},{c}" for c in [count])),
     )
     return 0
 
@@ -391,7 +359,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_poset(args: argparse.Namespace) -> int:
-    spec, target = _resolve_spec(args, "poset")
+    spec, target = _resolve_spec(args)
     built = poset.build_poset(spec)
     _emit(
         args.output,

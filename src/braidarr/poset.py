@@ -94,8 +94,7 @@ class IntersectionPoset:
 
 def check_poset_size(n: int, flavor: str, bound: int) -> None:
     """Refuse an additive target, or, with :class:`SizeGuard`, one whose keys
-    (see :class:`_CellCode`) overflow int64 when offsets reach ``bound``.  A
-    preset's bound is (n - 1) m, so it is checked before its spec is built."""
+    (see :class:`_CellCode`) overflow int64 when offsets reach ``bound``."""
     if flavor != MULTIPLICATIVE:
         raise ValueError("posets are built for multiplicative arrangements only")
     base = (n + 1) * (2 * bound + 1)
@@ -156,9 +155,13 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     of chi, at most the number of regions, so the int64 sums are exact.
     """
     n = spec.n
-    # B of _CellCode, from the shifts, so that no plane is listed before the check.
-    largest = sorted((max(map(abs, ks)) for ks in spec.pair_shifts.values()), reverse=True)
-    bound = sum(largest[: n - 1])
+    # B of _CellCode, from the shifts, so that no plane is listed before the
+    # check, nor a uniform spec's pairs.
+    if spec.uniform_shifts is not None:
+        bound = (n - 1) * spec.m_max
+    else:
+        largest = sorted((max(map(abs, ks)) for ks in spec.pair_shifts.values()), reverse=True)
+        bound = sum(largest[: n - 1])
     check_poset_size(n, spec.flavor, bound)
     code = _CellCode(n, bound)
     planes = hyperplanes_of(spec)

@@ -184,11 +184,11 @@ def regions_by_projection(spec: ArrangementSpec) -> int:
     chunk's signs packed to bits; one ``np.unique`` counts the packed rows."""
     if spec.flavor != MULTIPLICATIVE:
         raise ValueError("regions by projection need a multiplicative arrangement")
-    planes = hyperplanes_of(spec)
-    if not planes:
+    if not (spec.planes or spec.include_coordinate_hyperplanes):
         return 1
     m = max(spec.m_max, 1)
     rows, lines, width = _sketch_rows(spec.n, m)
+    planes = hyperplanes_of(spec)
     low, high = np.array([(0, (h.i - 1) * (m + 1) + 1) if h.kind == "coord" else
                           ((h.i - 1) * (m + 1) + 1, (h.j - 1) * (m + 1) + h.k + 1)
                           for h in planes]).T

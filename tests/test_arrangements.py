@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from braidarr import arrangements
+from braidarr import arrangements, cli
 from braidarr.arrangements import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -27,6 +27,9 @@ from braidarr.arrangements import (
 )
 from braidarr.cli import CLOSED_REGIONS
 from braidarr.numbers import IntPolynomial, charpoly_A_closed, charpoly_C_closed, zaslavsky
+from braidarr.poset import build_poset, charpoly_from_poset
+from braidarr.sketches import regions_by_projection
+from test_poset import sparse_specs
 
 
 def brute_force_count(spec: ArrangementSpec, q: int) -> int:
@@ -51,6 +54,22 @@ def brute_force_count(spec: ArrangementSpec, q: int) -> int:
                     break
         total += ok
     return total
+
+
+def listed_preset(family: str, n: int, m: int) -> ArrangementSpec:
+    """The spec of the preset, built from a literal dict of all its pairs."""
+    flavor, coords, clip = arrangements.PRESETS[family]
+    shifts = list(range(clip - m, m + 1))
+    pairs = {(i, j): shifts for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    return ArrangementSpec(n, flavor, pairs, coords)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
 
 
 @st.composite
@@ -95,11 +114,42 @@ class TestSpec:
             ArrangementSpec(2, ADDITIVE, {(1, 2): [0]}, True)
 
     def test_preset_shape_matches_spec(self):
-        # the CLI checks a preset's cost from this shape before building it
+        # the kernel's guard reads this shape before the preset's pairs are listed
         for family in arrangements.PRESETS:
             for n, m in itertools.product((1, 2, 4), (1, 3)):
                 spec = ArrangementSpec.preset(f"{family}:{n},{m}")
-                assert KernelShape.preset(family, n, m) == KernelShape.of(spec)
+                assert KernelShape.of(spec) == KernelShape.of(listed_preset(family, n, m))
+
+    @given(
+        st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 4), st.integers(1, 3)
+    )
+    def test_preset_matches_its_listed_pairs(self, family, n, m):
+        """The preset's spec, whose pairs are listed when first read, and the
+        same spec from a literal dict give the same answer on every route."""
+        listed = listed_preset(family, n, m)
+        event(f"{family}, n={n}")
+        # Each reads a fresh preset, so no route sees pairs another listed.
+        routes = [
+            charpoly_ff,
+            lambda spec: charpoly_from_poset(build_poset(spec), spec.n),
+            cli._closed_charpoly,
+            regions_by_projection,
+            hyperplanes_of,
+            ArrangementSpec.to_json_dict,
+            KernelShape.of,
+        ]
+        for route in routes:
+            preset = ArrangementSpec.preset(f"{family}:{n},{m}")
+            assert outcome(route, preset) == outcome(route, listed)
+        assert set(preset.uniform_shifts or ()) == set(listed.uniform_shifts or ())
+        assert preset.m_max == listed.m_max and preset.planes == listed.planes
+
+    def test_huge_m_lists_no_shifts(self, traced_peak):
+        # a preset's shifts stay a range: listed, 2 * 10^6 + 1 take about 100 MB
+        spec, peak = traced_peak(ArrangementSpec.preset, "A:3,1000000")
+        assert peak < 2**20
+        assert len(spec.uniform_shifts) == 2 * 10**6 + 1
+        assert (spec.m_max, spec.planes) == (10**6, 3)
 
     def test_json_round_trip(self):
         spec = ArrangementSpec(3, MULTIPLICATIVE, {(1, 2): [0], (1, 3): [1]}, True)
@@ -143,6 +193,14 @@ class TestHyperplanes:
         second = hyperplanes_of(spec)
         assert first == second
         assert len(set(first)) == len(first)
+
+    @given(sparse_specs())
+    def test_duplicate_free_on_sparse_specs(self, spec):
+        planes = hyperplanes_of(spec)
+        assert len(set(planes)) == len(planes)
+        assert len(planes) == spec.n * spec.include_coordinate_hyperplanes + sum(
+            map(len, spec.pair_shifts.values())
+        )
 
 
 class TestModuli:

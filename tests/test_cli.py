@@ -297,6 +297,12 @@ class TestCharpoly:
         assert code == 0
         assert out.strip() == "t^2 - 5*t + 4"
 
+    def test_empty_moduli_override(self, capture):
+        # it was read as no override, and the planned moduli were used
+        code, out, err = capture("charpoly", "A:2,1", "--moduli", "")
+        assert_rejected(code, out, err)
+        assert err == "error: bad --moduli value ''\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -368,6 +374,15 @@ class TestCharpoly:
         assert_rejected(*capture("charpoly", "--spec", spec_file(tmp_path, spec)))
 
     @pytest.mark.parametrize("verb", ["charpoly", "regions", "poset"])
+    def test_spec_unknown_key_is_named(self, capture, tmp_path, verb):
+        # "coord" was read as no "coords": charpoly printed t^2 - t, not
+        # t^2 - 3*t + 2
+        spec = {"n": 2, "flavor": "A", "coord": True, "shifts": {"1,2": [0]}}
+        code, out, err = capture(verb, "--spec", spec_file(tmp_path, spec))
+        assert_rejected(code, out, err)
+        assert "unknown spec key 'coord'" in err
+
+    @pytest.mark.parametrize("verb", ["charpoly", "regions", "poset"])
     def test_spec_nested_too_deeply_is_no_traceback(self, capture, tmp_path, verb):
         # 5,000 nested lists overflow json.load's recursion: a RecursionError
         path = tmp_path / "spec.json"
@@ -436,6 +451,25 @@ class TestRegions:
         assert code == 0
         assert out.strip() == "6"
 
+    @pytest.mark.parametrize("output", ["table", "json", "csv"])
+    def test_count_past_the_str_digits_limit(self, capture, output):
+        # about 6,600 digits, past the 4,300 that str() of an int allows
+        limit = sys.get_int_max_str_digits()
+        code, out, err = capture("regions", "A:2000,1", "--method", "closed", "--output", output)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            count = regions_A_closed(2000, 1)
+            assert len(str(count)) > 4300
+            assert out == {
+                "table": f"{count}\n",
+                "csv": f"target,regions\nA:2000,1,{count}\n",
+                "json": f'{{"method": "closed", "regions": {count}, "target": "A:2000,1"}}\n',
+            }[output]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_closed_error_precedence(self, capture, tmp_path):
         # a conflict, then a bad spec file, then a spec given to closed
         bad, good = tmp_path / "bad.json", tmp_path / "good.json"
@@ -459,14 +493,19 @@ class TestRegions:
 
 class TestOversized:
     """Targets far past a route's guard are refused from their preset's
-    (n, m) or their moduli, before the O(n^2) spec or a q x q block exists."""
+    (n, m) or their moduli, before a preset's O(n^2) pairs or a q x q block
+    exist."""
 
     @pytest.fixture
     def no_spec(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("built the O(n^2) spec of an oversized preset")
+        listed = ArrangementSpec.pair_shifts.fget
 
-        monkeypatch.setattr(ArrangementSpec, "uniform", refuse)
+        def refuse(spec):
+            if spec.uniform_shifts is not None:
+                raise AssertionError("listed the O(n^2) pairs of an oversized preset")
+            return listed(spec)
+
+        monkeypatch.setattr(ArrangementSpec, "pair_shifts", property(refuse))
 
     @pytest.mark.parametrize(
         "argv",
@@ -483,10 +522,46 @@ class TestOversized:
     def test_preset_refused_before_its_spec(self, capture, no_spec, argv):
         assert_rejected(*capture(*argv))
 
+    def test_moduli_read_before_the_guard(self, capture, tmp_path, no_spec):
+        # a preset's --moduli is read where a spec file's is, before the guard
+        spec = spec_file(tmp_path, {"n": 1000, "flavor": "A", "coords": True})
+        for target in (("A:1000,1",), ("--spec", spec)):
+            for method in ("ff", "poset"):
+                code, out, err = capture("regions", *target, "--method", method, "--moduli", "x")
+                assert_rejected(code, out, err)
+                assert err == "error: bad --moduli value 'x'\n"
+
     def test_closed_regions_build_no_spec(self, capture, no_spec):
         code, out, _ = capture("regions", "A:1000,1", "--method", "closed")
         assert code == 0
         assert int(out) == regions_A_closed(1000, 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poset", "A:100000,1"),
+            ("regions", "B:100000,1"),
+            ("charpoly", "A:100000,1", "--method", "poset"),
+        ],
+    )
+    def test_huge_preset_refused_at_once(self, capsys, traced_peak, no_spec, argv):
+        # its 5 * 10^9 pairs would take hundreds of GB
+        cli._build_parser()
+        start = time.process_time()
+        code, peak = traced_peak(run, list(argv))
+        assert time.process_time() - start < 0.5
+        assert_rejected(code, *capsys.readouterr())
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("verb", ["charpoly", "regions"])
+    def test_closed_of_a_huge_m_lists_no_shifts(self, capsys, traced_peak, no_spec, verb):
+        # a preset's shifts stay a range: listed, 2 * 10^6 + 1 take about 100 MB
+        cli._build_parser()
+        code, peak = traced_peak(run, [verb, "A:2,1000000", "--method", "closed"])
+        closed = {"charpoly": charpoly_A_closed(2, 10**6).to_text(),
+                  "regions": regions_A_closed(2, 10**6)}[verb]
+        assert (code, *capsys.readouterr()) == (0, f"{closed}\n", "")
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "target, expected",
@@ -719,6 +794,14 @@ class TestBiject:
         )
         assert code == 0
         assert out.strip() == "1^1 1^0 0 2^0 2^1"
+
+    def test_letter_past_the_str_digits_limit(self, capture):
+        # printing lifts the limit on the digits of an int's str; parsing keeps it
+        start = time.process_time()
+        code, out, err = capture("biject", "sketch-to-path", "0 1^" + "9" * 5000)
+        assert time.process_time() - start < 0.5
+        assert_rejected(code, out, err)
+        assert err.startswith("error: bad sketch letter '1^999")
 
     def test_witness_json(self, capture):
         code, out, _ = capture("biject", "sketch-to-witness", "0 1^0 1^1")

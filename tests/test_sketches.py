@@ -553,6 +553,15 @@ class TestRegionsByProjection:
         with pytest.raises(ValueError, match="multiplicative"):
             regions_by_projection(ArrangementSpec.preset("C:2,1"))
 
+    def test_guard_before_the_pairs(self, monkeypatch):
+        # the guard refuses a preset before its 5 * 10^9 pairs are listed
+        def refuse(spec):
+            raise AssertionError("listed the pairs of an oversized preset")
+
+        monkeypatch.setattr(ArrangementSpec, "pair_shifts", property(refuse))
+        with pytest.raises(SizeGuard):
+            regions_by_projection(ArrangementSpec.preset("B:100000,1"))
+
     def test_peak_within_the_guard(self, traced_peak):
         # chunked; unchunked, the sign rows of every sketch peaked at 5.8
         # int64 entries per printed letter
