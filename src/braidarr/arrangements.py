@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -275,34 +275,9 @@ def hyperplanes_of(spec: ArrangementSpec) -> list[Hyperplane]:
     return planes
 
 
-class KernelShape(NamedTuple):
-    """What the counting kernel's cost depends on, read without listing a
-    spec's pairs.  ``planes`` counts the coordinate pairs with hyperplanes,
-    each of which costs one q x q block.
-    """
-
-    n: int
-    m_max: int
-    flavor: str
-    coords: bool
-    planes: int
-
-    @classmethod
-    def of(cls, spec: ArrangementSpec) -> "KernelShape":
-        return cls(
-            spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes, spec.planes
-        )
-
-    @property
-    def least_modulus(self) -> int:
-        """No smaller modulus is admissible."""
-        return self.n * self.m_max + (2 if self.flavor == MULTIPLICATIVE else 1)
-
-    @property
-    def pinned_values(self) -> int:
-        """How many values x1 is pinned to: 0 when additive, 1 with the
-        coordinate planes, else both."""
-        return 1 if self.flavor == ADDITIVE or self.coords else 2
+def least_modulus(spec: ArrangementSpec) -> int:
+    """No smaller modulus is admissible for ``spec``."""
+    return spec.n * spec.m_max + (2 if spec.flavor == MULTIPLICATIVE else 1)
 
 
 def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
@@ -317,7 +292,7 @@ def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
     of 2 behave like the rationals.  Planned moduli use stricter thresholds;
     see :func:`plan_moduli`.
     """
-    if q < KernelShape.of(spec).least_modulus:
+    if q < least_modulus(spec):
         return False
     return spec.flavor == ADDITIVE or (_is_prime(q) and _two_is_primitive_root(q))
 
@@ -353,36 +328,39 @@ def check_budgets(context: str, entries: int, work: int, steps: str) -> None:
         )
 
 
-def check_kernel_cost(shape: KernelShape, moduli: Iterable[int], context: str) -> None:
-    """Refuse counts that break a budget (see :func:`check_budgets`).
+def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str) -> None:
+    """Refuse counts that break a budget (see :func:`check_budgets`), reading
+    ``spec``'s n, flavor, coordinate flag and ``planes`` but none of its pairs.
 
     Memory: a count allocates n weight vectors of q entries and one q x q
     int64 block per pair with planes, and n q + planes q^2 must stay within
-    ``MEMORY_BUDGET`` at every modulus.  Work: with x1 pinned to w values
-    (``pinned_values``) a count takes w q^(n-1) steps for n >= 3, and a
-    padded target (n <= 2) pins a padding coordinate to its one value and
-    takes q^n; the sum over ``moduli`` must stay within ``WORK_BUDGET``.
-    The moduli are read in order up to the first excess, so a lazy range
-    for a huge n is never listed, and no power past 2^64 is formed.
+    ``MEMORY_BUDGET`` at every modulus.  Work: with x1 pinned to w values (1
+    when additive or with the coordinate planes, else 2) a count takes
+    w q^(n-1) steps for n >= 3, and a padded target (n <= 2) pins a padding
+    coordinate to its one value and takes q^n; the sum over ``moduli`` must
+    stay within ``WORK_BUDGET``.  The moduli are read in order up to the
+    first excess, so a lazy range for a huge n is never listed, and no power
+    past 2^64 is formed.
     """
-    n = shape.n
-    exponent, rows = (n - 1, shape.pinned_values) if n >= 3 else (n, 1)
+    n = spec.n
+    pinned = 1 if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes else 2
+    exponent, rows = (n - 1, pinned) if n >= 3 else (n, 1)
     work = 0
     for q in moduli:
         # q^e >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * e >= 64.
         over = (q.bit_length() - 1) * exponent >= 64
         work += WORK_BUDGET + 1 if over else rows * q**exponent
-        entries = n * q + shape.planes * q * q
+        entries = n * q + spec.planes * q * q
         check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
 
-def check_countable(shape: KernelShape) -> None:
+def check_countable(spec: ArrangementSpec) -> None:
     """Refuse a target that no n + 2 admissible moduli can count within the
     budgets.  Such moduli are at least the n + 2 integers from
-    ``least_modulus`` on, so this needs no planning."""
-    n, start = shape.n, shape.least_modulus
+    :func:`least_modulus` on, so this needs no planning."""
+    n, start = spec.n, least_modulus(spec)
     check_kernel_cost(
-        shape, range(start, start + n + 2),
+        spec, range(start, start + n + 2),
         f"no {n + 2} admissible moduli fit the kernel budget for n={n}",
     )
 
@@ -408,9 +386,7 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     for n = 2.
     """
     n = spec.n
-    check_kernel_cost(
-        KernelShape.of(spec), (q,), f"q={q} breaks the kernel budget for n={n}"
-    )
+    check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
     if not modulus_admissible(spec, q):
         raise InadmissibleModulus(
             f"q={q} is not admissible for flavor {spec.flavor!r} "
@@ -487,8 +463,7 @@ def charpoly_ff(
     override meets the budgets before its moduli are tested for admissibility.
     """
     n = spec.n
-    shape = KernelShape.of(spec)
-    check_countable(shape)
+    check_countable(spec)
     if moduli is None:
         qs = list(plan_moduli(spec))
     else:
@@ -498,7 +473,7 @@ def charpoly_ff(
                 f"need at least {n + 2} moduli for degree {n} plus a held-out check, "
                 f"got {len(qs)}"
             )
-    check_kernel_cost(shape, qs, f"moduli up to {qs[-1]} break the kernel budget for n={n}")
+    check_kernel_cost(spec, qs, f"moduli up to {qs[-1]} break the kernel budget for n={n}")
     if moduli is not None:
         for q in qs:
             if not modulus_admissible(spec, q):

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import arrangements, numbers, partitions, paths, poset, sketches
 from .arrangements import ADDITIVE, ArrangementSpec, parse_preset
@@ -46,21 +46,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class Route(NamedTuple):
+    """One ``--method``: ``chi(spec, moduli)``, and ``regions(family, n, m)``
+    where it counts a preset's regions outright rather than as ``zaslavsky(chi)``."""
+
+    chi: Callable[[ArrangementSpec, list[int] | None], IntPolynomial]
+    regions: Callable[[str, int, int], int] | None = None
+
+
 # Table entries look the library function up when called, not at import, so
 # a function rebound after import (the benchmark's tracer does this) runs.
 
-ROUTES: dict[str, Callable[[ArrangementSpec, list[int] | None], IntPolynomial]] = {
-    "ff": lambda spec, moduli: arrangements.charpoly_ff(spec, moduli),
-    "closed": lambda spec, moduli: _closed_charpoly(spec),
-    "poset": lambda spec, moduli: poset.charpoly_from_poset(poset.build_poset(spec), spec.n),
-}
-
-CLOSED_REGIONS: dict[str, Callable[[int, int], int]] = {
-    "A": lambda n, m: numbers.regions_A_closed(n, m),
-    "B": lambda n, m: numbers.regions_B_closed(n, m),
-    "C": lambda n, m: math.factorial(n) * numbers.raney(n, m, 1),
-    "Gamma": lambda n, m: numbers.regions_Gamma_closed(n, m),
-    "Delta": lambda n, m: numbers.regions_Delta_closed(n, m),
+ROUTES: dict[str, Route] = {
+    "ff": Route(lambda spec, moduli: arrangements.charpoly_ff(spec, moduli)),
+    "closed": Route(lambda spec, moduli: _closed_charpoly(spec),
+                    lambda family, n, m: _closed_regions(family, n, m)),
+    "poset": Route(
+        lambda spec, moduli: poset.charpoly_from_poset(poset.build_poset(spec), spec.n)
+    ),
 }
 
 # Each builds its table, after the size guard, and returns its lines lazily.
@@ -122,17 +125,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
-    for verb, text, moduli_help, handler in (
-        ("charpoly", "characteristic polynomial of a target",
-         "comma separated modulus override for ff", _cmd_charpoly),
-        ("regions", "number of regions of a target", None, _cmd_regions),
+    for verb, text in (
+        ("charpoly", "characteristic polynomial of a target"),
+        ("regions", "number of regions of a target"),
     ):
         p = sub.add_parser(verb, help=text)
         _add_target_args(p)
         p.add_argument("--method", choices=ROUTES, default="ff")
         _add_output_arg(p)
-        p.add_argument("--moduli", help=moduli_help)
-        p.set_defaults(handler=handler)
+        p.add_argument("--moduli", help="comma separated modulus override for ff")
+        p.set_defaults(handler=_cmd_route, verb=verb)
 
     p = sub.add_parser("enumerate", help="list sketches, paths, or partitions")
     p.add_argument("kind", choices=ENUMERATIONS)
@@ -243,47 +245,68 @@ def _closed_charpoly(spec: ArrangementSpec) -> IntPolynomial:
 
     With n = 1 there are no pair hyperplanes, so every target is uniform,
     and both closed forms are independent of m (t - 1 with the coordinate
-    hyperplane, t without).
+    hyperplane, t without).  Expanding n roots takes about n^2 D digit steps.
     """
     n, m = spec.n, max(spec.m_max, 1)
     uniform = n == 1 or len(spec.uniform_shifts or ()) == 2 * m + 1
-    if uniform and spec.flavor == ADDITIVE:
-        return numbers.charpoly_C_closed(n, m)
-    if uniform and spec.include_coordinate_hyperplanes:
-        return numbers.charpoly_A_closed(n, m)
-    raise UsageError("no closed form for this spec; closed applies to A and C presets")
+    if not uniform or spec.flavor != ADDITIVE and not spec.include_coordinate_hyperplanes:
+        raise UsageError("no closed form for this spec; closed applies to A and C presets")
+    _check_closed(n, m, lambda digits: n * n * digits)
+    closed = numbers.charpoly_C_closed if spec.flavor == ADDITIVE else numbers.charpoly_A_closed
+    return closed(n, m)
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> int:
-    spec, target = _resolve_spec(args)
-    p = ROUTES[args.method](spec, _parse_moduli(args.moduli))
-    _emit(
-        args.output,
-        lambda: {"target": target, "method": args.method, "polynomial": p.to_text(),
-                 "coefficients": list(p.coefficients)},
-        map(IntPolynomial.to_text, [p]),
-        ("power,coefficient", (f"{k},{c}" for k, c in enumerate(p.coefficients))),
-    )
-    return 0
+def _closed_regions(family: str, n: int, m: int) -> int:
+    """The paper's region count of the preset ``family:n,m``, also for B,
+    Gamma and Delta, which have no closed chi.  A, B and C form a product of
+    about n factors, n D digit steps; Gamma sums n + 1 powers of D^1.585
+    steps each (Karatsuba), and Delta two such sums."""
+    sums = {"Gamma": 1, "Delta": 2}.get(family, 0)
+    _check_closed(n, m, lambda d: sums * n * d**math.log2(3) if sums else n * d)
+    if family == "C":
+        return math.factorial(n) * numbers.raney(n, m, 1)
+    formulas = {"A": numbers.regions_A_closed, "B": numbers.regions_B_closed,
+                "Gamma": numbers.regions_Gamma_closed, "Delta": numbers.regions_Delta_closed}
+    return formulas[family](n, m)
 
 
-def _cmd_regions(args: argparse.Namespace) -> int:
+def _check_closed(n: int, m: int, steps: Callable[[float], float]) -> None:
+    """Refuse a closed formula whose ``steps(D)`` break the work budget,
+    before any arithmetic.  D = n log10(n (m + 1) + 2) bounds the digits of
+    every value formed, a product of at most n factors of n (m + 1) + 2 or
+    less; the n D digits held at most fit the memory budget when the work
+    does.  Process CPU on a 2-vCPU x86-64 machine, m = 1, with printing: chi
+    of A at n = 1500 1.2-1.5 s for 1.2e10 steps, n = 3000 8.5 s for 1.0e11;
+    regions of A at n = 50000 1.6-2.2 s for 1.25e10, 200000 33 s for 2.2e11;
+    of Gamma at n = 2000 0.4-0.7 s for 2.6e9, n = 5000 5.4 s for 3.3e10."""
+    size = min(n, arrangements.WORK_BUDGET)  # a larger n breaks the budget by n^2 alone
+    digits = size * math.log10(size * (m + 1) + 2)
+    context = f"the closed form for n={n}, m={m}"
+    arrangements.check_budgets(context, 0, steps(digits), "digit steps")
+
+
+def _cmd_route(args: argparse.Namespace) -> int:
+    """``charpoly`` or ``regions``, as ``args.verb`` says, by ``args.method``."""
     spec, target = _resolve_spec(args)
     moduli = _parse_moduli(args.moduli)
-    if args.method != "closed":
-        count = zaslavsky(ROUTES[args.method](spec, moduli), spec.n)
+    route, head = ROUTES[args.method], {"target": target, "method": args.method}
+    if args.verb == "charpoly":
+        p = route.chi(spec, moduli)
+        _emit(
+            args.output,
+            lambda: head | {"polynomial": p.to_text(), "coefficients": list(p.coefficients)},
+            map(IntPolynomial.to_text, [p]),
+            ("power,coefficient", (f"{k},{c}" for k, c in enumerate(p.coefficients))),
+        )
+        return 0
+    if route.regions is None:
+        count = zaslavsky(route.chi(spec, moduli), spec.n)
     elif args.spec:
-        raise UsageError("--method closed for regions needs a preset target")
+        raise UsageError(f"--method {args.method} for regions needs a preset target")
     else:
-        # These also cover B, Gamma and Delta, which have no closed chi.
-        family, n, m = parse_preset(target)
-        count = CLOSED_REGIONS[family](n, m)
-    _emit(
-        args.output,
-        lambda: {"target": target, "method": args.method, "regions": count},
-        map(str, [count]),
-        ("target,regions", (f"{target},{c}" for c in [count])),
-    )
+        count = route.regions(*parse_preset(target))
+    csv = ("target,regions", (f"{target},{c}" for c in [count]))
+    _emit(args.output, lambda: head | {"regions": count}, map(str, [count]), csv)
     return 0
 
 
@@ -337,7 +360,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # The poset column stops at n = 3 only to keep this call cheap, as the
         # ff_count benchmark workload runs it: the four n = 4 rows would add
         # about 0.3 s CPU to its 0.04 s (2-vCPU x86-64).
-        polys = {method: route(spec, None) for method, route in ROUTES.items()
+        polys = {method: route.chi(spec, None) for method, route in ROUTES.items()
                  if method != "poset" or n <= 3}
         closed = polys["closed"]
         count = zaslavsky(closed, n)

@@ -12,7 +12,6 @@ from braidarr.arrangements import (
     ArrangementSpec,
     InadmissibleModulus,
     InterpolationMismatch,
-    KernelShape,
     SizeGuard,
     charpoly_ff,
     count_complement_points,
@@ -25,7 +24,6 @@ from braidarr.arrangements import (
     _two_is_primitive_root,
     verify_shift_theorem,
 )
-from braidarr.cli import CLOSED_REGIONS
 from braidarr.numbers import IntPolynomial, charpoly_A_closed, charpoly_C_closed, zaslavsky
 from braidarr.poset import build_poset, charpoly_from_poset
 from braidarr.sketches import regions_by_projection
@@ -62,6 +60,11 @@ def listed_preset(family: str, n: int, m: int) -> ArrangementSpec:
     shifts = list(range(clip - m, m + 1))
     pairs = {(i, j): shifts for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     return ArrangementSpec(n, flavor, pairs, coords)
+
+
+def guard_fields(spec: ArrangementSpec) -> tuple:
+    """What the kernel's size guard reads of a spec, none of it its pairs."""
+    return spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes, spec.planes
 
 
 def outcome(fn, *args):
@@ -114,11 +117,11 @@ class TestSpec:
             ArrangementSpec(2, ADDITIVE, {(1, 2): [0]}, True)
 
     def test_preset_shape_matches_spec(self):
-        # the kernel's guard reads this shape before the preset's pairs are listed
+        # the kernel's guard reads these before the preset's pairs are listed
         for family in arrangements.PRESETS:
             for n, m in itertools.product((1, 2, 4), (1, 3)):
                 spec = ArrangementSpec.preset(f"{family}:{n},{m}")
-                assert KernelShape.of(spec) == KernelShape.of(listed_preset(family, n, m))
+                assert guard_fields(spec) == guard_fields(listed_preset(family, n, m))
 
     @given(
         st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 4), st.integers(1, 3)
@@ -136,7 +139,7 @@ class TestSpec:
             regions_by_projection,
             hyperplanes_of,
             ArrangementSpec.to_json_dict,
-            KernelShape.of,
+            guard_fields,
         ]
         for route in routes:
             preset = ArrangementSpec.preset(f"{family}:{n},{m}")
@@ -345,7 +348,7 @@ class TestCharpolyFF:
         elif family == "C":
             assert chi == charpoly_C_closed(n, m)
         else:
-            assert zaslavsky(chi, n) == CLOSED_REGIONS[family](n, m)
+            assert zaslavsky(chi, n) == cli.ROUTES["closed"].regions(family, n, m)
 
 
 class TestInterpolantChecks:

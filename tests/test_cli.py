@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -13,14 +14,16 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from braidarr import arrangements, cli, poset, sketches
+from braidarr import arrangements, cli, numbers, poset, sketches
 from braidarr.arrangements import ArrangementSpec
 from braidarr.cli import run
 from braidarr.numbers import (
+    IntPolynomial,
     charpoly_A_closed,
     charpoly_C_closed,
     regions_A_closed,
     regions_B_closed,
+    zaslavsky,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -210,6 +213,37 @@ def test_enumeration_stdout_sha256(capture, argv):
     code, out, err = capture(*argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_SHA256[argv]
+
+
+# The methods when the grid was pinned; a new method gets its own pin.
+GRID_METHODS = ("ff", "closed", "poset")
+GRID_SHA256 = "5244d4994c9afff4c1b1263b098cdd1c0507677aff6690c4a86d3ec4cb12720e"
+
+
+def test_route_grid_pinned(capture):
+    """One sha256 over (exit code, stdout, stderr) of both verbs, every
+    method, every preset family at (3,1) and (2,2) and every output; and
+    ``regions`` is ``zaslavsky`` of ``charpoly`` wherever both answer."""
+    assert set(GRID_METHODS) <= set(cli.ROUTES)
+    digest, answers = hashlib.sha256(), {}
+    for method, family, size, verb, output in itertools.product(
+        GRID_METHODS, sorted(arrangements.PRESETS), ("3,1", "2,2"),
+        ("charpoly", "regions"), ("table", "json", "csv"),
+    ):
+        argv = (verb, f"{family}:{size}", "--method", method, "--output", output)
+        result = capture(*argv)
+        digest.update(json.dumps([argv, *result]).encode())
+        if output == "json" and result[0] == 0:
+            answers[verb, method, family, size] = json.loads(result[1])
+    assert digest.hexdigest() == GRID_SHA256
+    checked = 0
+    for (verb, method, family, size), data in answers.items():
+        if verb == "charpoly" and ("regions", method, family, size) in answers:
+            chi = IntPolynomial(data["coefficients"])
+            regions = answers["regions", method, family, size]["regions"]
+            assert regions == zaslavsky(chi, int(size[0]))
+            checked += 1
+    assert checked == 22  # ff: 10, poset: 8 (no C), closed: 4 (A and C)
 
 
 class TestCharpoly:
@@ -576,6 +610,43 @@ class TestOversized:
     )
     def test_closed_charpoly_builds_no_spec(self, capture, no_spec, target, expected):
         assert capture("charpoly", target, "--method", "closed") == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize(
+        "verb, target",
+        [
+            # unguarded: 8.5 s for 18 MB, 33 s for 1.1 MB, 5.4 s for 18,494 digits
+            ("charpoly", "A:3000,1"),
+            ("regions", "A:200000,1"),
+            ("regions", "Gamma:5000,1"),
+            ("regions", "Delta:4000,1"),
+            ("charpoly", "C:10000000000000000000000,1"),
+            ("regions", "B:10000000000000000000000,1"),
+        ],
+    )
+    def test_closed_past_the_work_budget(self, capture, no_spec, verb, target):
+        cli._build_parser()
+        start = time.process_time()
+        code, out, err = capture(verb, target, "--method", "closed")
+        assert time.process_time() - start < 0.1
+        assert_rejected(code, out, err)
+        assert "digit steps, the work budget" in err
+
+    @pytest.mark.parametrize(
+        "verb, target, formula, value",
+        [
+            ("charpoly", "A:1500,1", "charpoly_A_closed", IntPolynomial([0, 1])),
+            ("charpoly", "C:1500,1", "charpoly_C_closed", IntPolynomial([0, 1])),
+            ("regions", "A:50000,1", "regions_A_closed", 7),
+            ("regions", "B:50000,1", "regions_B_closed", 7),
+            ("regions", "Gamma:2000,1", "regions_Gamma_closed", 7),
+            ("regions", "Delta:2000,1", "regions_Delta_closed", 7),
+        ],
+    )
+    def test_closed_within_the_work_budget(self, capture, monkeypatch, verb, target, formula,
+                                           value):
+        # the guard admits these; each formula itself takes about a second
+        monkeypatch.setattr(numbers, formula, lambda n, m: value)
+        assert capture(verb, target, "--method", "closed") == (0, f"{value}\n", "")
 
     @pytest.mark.parametrize(
         "argv",
