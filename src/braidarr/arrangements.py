@@ -330,14 +330,20 @@ def check_budgets(context: str, entries: int, work: int, steps: str) -> None:
 
 def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str) -> None:
     """Refuse counts that break a budget (see :func:`check_budgets`), reading
-    ``spec``'s n, flavor, coordinate flag and ``planes`` but none of its pairs.
+    ``spec``'s n, flavor, coordinate flag, ``planes`` and ``uniform_shifts``
+    but none of its pairs.
 
     Memory: a count allocates n weight vectors of q entries and one q x q
     int64 block per pair with planes, and n q + planes q^2 must stay within
     ``MEMORY_BUDGET`` at every modulus.  Work: with x1 pinned to w values (1
     when additive or with the coordinate planes, else 2) a count takes
     w q^(n-1) steps for n >= 3, and a padded target (n <= 2) pins a padding
-    coordinate to its one value and takes q^n; the sum over ``moduli`` must
+    coordinate to its one value and takes q^n.  The sorted plan takes q^2
+    steps for its block and w (6 C(r, n-1) + 10^4 C(r, n-4)) more, r being
+    q - |S|: 6 C(r, n-1) bounds the r'^3 steps of the contractions over all
+    pinned tuples, and a pinned value costs 10^4 steps (a least-squares fit
+    to traced counts of A:5..7, B:5..6 and C:5..8 gave 7,500, and a step
+    0.3 to 1.7 ns, as in the general plan).  The sum over ``moduli`` must
     stay within ``WORK_BUDGET``.  The moduli are read in order up to the
     first excess, so a lazy range for a huge n is never listed, and no power
     past 2^64 is formed.
@@ -345,11 +351,18 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     n = spec.n
     pinned = 1 if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes else 2
     exponent, rows = (n - 1, pinned) if n >= 3 else (n, 1)
+    symmetric = _symmetric_shifts(spec)
     work = 0
     for q in moduli:
         # q^e >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * e >= 64.
-        over = (q.bit_length() - 1) * exponent >= 64
-        work += WORK_BUDGET + 1 if over else rows * q**exponent
+        if (q.bit_length() - 1) * exponent >= 64:
+            work += WORK_BUDGET + 1
+        elif symmetric is None:
+            work += rows * q**exponent
+        else:
+            r = max(0, q - len(symmetric))
+            pins = math.comb(r, n - 4) if n >= 4 else 0
+            work += q * q + pinned * (6 * math.comb(r, n - 1) + 10**4 * pins)
         entries = n * q + spec.planes * q * q
         check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
@@ -363,6 +376,16 @@ def check_countable(spec: ArrangementSpec) -> None:
         spec, range(start, start + n + 2),
         f"no {n + 2} admissible moduli fit the kernel budget for n={n}",
     )
+
+
+def _symmetric_shifts(spec: ArrangementSpec) -> Collection[int] | None:
+    """The one shift set S of ``spec`` if S = -S and 0 is in S, else None."""
+    shifts = spec.uniform_shifts
+    if shifts is None or 0 not in shifts:
+        return None
+    # A range is symmetric when its ends are.
+    ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts
+    return shifts if all(-k in shifts for k in ends) else None
 
 
 def count_complement_points(spec: ArrangementSpec, q: int) -> int:
@@ -384,6 +407,12 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     one-value coordinates that meet no plane, so :func:`_count_assignments`
     always sees three coordinates or more, at O(q) cost for n = 1 and O(q^2)
     for n = 2.
+
+    The sorted plan: if every pair has one shift set S = -S with 0 in S, a
+    point off the planes has distinct coordinates, and the planes are
+    invariant under the permutations of x2..xn.  So the count after x1's pin
+    is (n-1)! times the increasing tuples x2 < ... < xn of live values that
+    the one block allows pairwise (:func:`_count_increasing`).
     """
     n = spec.n
     check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
@@ -392,7 +421,6 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
             f"q={q} is not admissible for flavor {spec.flavor!r} "
             f"(n={n}, m_max={spec.m_max})"
         )
-    pad = max(0, 3 - n)
     weight = np.ones(q, dtype=np.int64)
     first = np.zeros(q, dtype=np.int64)
     if spec.flavor == ADDITIVE:
@@ -402,23 +430,35 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
         first[1] = q - 1
     else:
         first[:2] = 1, q - 1
-    # No step writes into a weight vector, so x2..xn share one.
-    unary = [np.ones(1, dtype=np.int64)] * pad + [first] + [weight] * (n - 1)
     cols = np.arange(q)
-    pair: dict[tuple[int, int], np.ndarray] = {}
-    for a, b in itertools.combinations(range(len(unary)), 2):
-        shifts = spec.pair_shifts.get((a - pad + 1, b - pad + 1))
-        if shifts is None:
-            pair[(a, b)] = np.broadcast_to(np.int64(1), (len(unary[a]), len(unary[b])))
-            continue
-        block = np.ones((q, q), dtype=np.int64)
+
+    def block(shifts: Iterable[int]) -> np.ndarray:
+        out = np.ones((q, q), dtype=np.int64)
         for s in shifts:
             if spec.flavor == MULTIPLICATIVE:
                 rows = (pow(BASE, s % (q - 1), q) * cols) % q
             else:
                 rows = (cols + s) % q
-            block[rows, cols] = 0
-        pair[(a, b)] = block
+            out[rows, cols] = 0
+        return out
+
+    symmetric = _symmetric_shifts(spec)
+    if symmetric is not None:
+        allowed, total = block(symmetric), 0
+        for value in np.flatnonzero(first):
+            live = np.flatnonzero(weight * allowed[value])
+            # n = 2 reads only how many values are live
+            tri = np.triu(allowed[np.ix_(live, live)], 1) if n > 2 else live
+            total += int(first[value]) * _count_increasing(tri, n - 1)
+        return math.factorial(n - 1) * total
+    # No step writes into a weight vector, so x2..xn share one.
+    pad = max(0, 3 - n)
+    unary = [np.ones(1, dtype=np.int64)] * pad + [first] + [weight] * (n - 1)
+    pair: dict[tuple[int, int], np.ndarray] = {}
+    for a, b in itertools.combinations(range(len(unary)), 2):
+        shifts = spec.pair_shifts.get((a - pad + 1, b - pad + 1))
+        ones = np.broadcast_to(np.int64(1), (len(unary[a]), len(unary[b])))
+        pair[(a, b)] = ones if shifts is None else block(shifts)
     return _count_assignments(unary, pair)
 
 
@@ -447,6 +487,22 @@ def _count_assignments(
     for value in live:
         pinned = [unary[t] * pair[(0, t)][value] for t in range(1, len(unary))]
         total += int(unary[0][value]) * _count_assignments(pinned, rest)
+    return total
+
+
+def _count_increasing(tri: np.ndarray, k: int) -> int:
+    """Increasing k-tuples of rows of ``tri``, a strict upper triangle of 0/1,
+    with ``tri[i, j] = 1`` at every two of them: values are pinned in order,
+    each keeping the later values it allows, until three are left, which
+    ``((T @ T) * T).sum()`` counts, at most C(r, 3) for r rows."""
+    if k < 3:
+        return int(tri.sum()) if k == 2 else len(tri)
+    if k == 3:
+        return int(((tri @ tri) * tri).sum())
+    total = 0
+    for i in range(len(tri) - k + 1):
+        later = tri[i].nonzero()[0]
+        total += _count_increasing(tri[later][:, later], k - 1)
     return total
 
 

@@ -284,8 +284,11 @@ def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:
 def _sorted_words(size: int, m: int) -> np.ndarray:
     """The sorted orderly words on {0, ..., size-1}, one int32 row each, letter
     (p, k) coded as ``p * (m + 1) + k``: each step sequence's ``complete_word``
-    on ``range(size)``, relabelled by every permutation."""
+    on ``range(size)``, relabelled by every permutation.  The one word on one
+    letter is its m + 1 letters in order, built without walking it."""
     width = m + 1
+    if size == 1:
+        return np.arange(width, dtype=np.int32)[None]
     steps = list(step_sequences(size, m))
     codes = (p * width + k for s in steps for p, k in complete_word(s, range(size), m))
     templates = np.fromiter(codes, np.int32, len(steps) * size * width).reshape(len(steps), -1)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import event, given
@@ -63,8 +64,11 @@ def listed_preset(family: str, n: int, m: int) -> ArrangementSpec:
 
 
 def guard_fields(spec: ArrangementSpec) -> tuple:
-    """What the kernel's size guard reads of a spec, none of it its pairs."""
-    return spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes, spec.planes
+    """What the kernel's size guard reads of a spec, none of it its pairs:
+    with the sorted plan, also whether it applies and |S|."""
+    symmetric = arrangements._symmetric_shifts(spec)
+    return (spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes, spec.planes,
+            symmetric is not None, len(symmetric or ()))
 
 
 def outcome(fn, *args):
@@ -91,6 +95,31 @@ def count_problems(draw):
     while not modulus_admissible(spec, q):
         q += 1
     return spec, q
+
+
+@st.composite
+def symmetric_problems(draw):
+    """A spec whose every pair has one shift set S = -S with 0 in S, built by
+    ``uniform`` (from a range or a set) or from a dict as a ``--spec`` file
+    is, and one of its first three planned moduli."""
+    n = draw(st.integers(1, 5))
+    flavor = draw(st.sampled_from("AC"))
+    coords = flavor == "A" and draw(st.booleans())
+    positive = draw(st.sets(st.integers(1, 3), max_size=2))
+    shifts = sorted({0} | positive | {-k for k in positive})
+    build = draw(st.sampled_from(["range", "set", "dict"]))
+    event(f"n={n} {flavor} coords={coords} {build}")
+    if build == "dict":
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        data = {"n": n, "flavor": flavor, "coords": coords,
+                "shifts": {f"{i},{j}": shifts for i, j in pairs}}
+        spec = ArrangementSpec.from_json_dict(data)
+    else:
+        values = range(-max(shifts), max(shifts) + 1) if build == "range" else shifts
+        spec = ArrangementSpec.uniform(
+            n, values, MULTIPLICATIVE if flavor == "A" else ADDITIVE, coords
+        )
+    return spec, draw(st.sampled_from(plan_moduli(spec, count=3)))
 
 
 class TestSpec:
@@ -280,6 +309,32 @@ class TestCounting:
         with pytest.raises(SizeGuard):
             count_complement_points(spec, 6700417)
 
+    @given(symmetric_problems())
+    def test_sorted_plan_matches_the_recursion(self, problem):
+        spec, q = problem
+        # every spec with a pair takes the sorted plan
+        assert (arrangements._symmetric_shifts(spec) is None) == (spec.n == 1)
+        sorted_count = count_complement_points(spec, q)
+        with mock.patch.object(arrangements, "_symmetric_shifts", return_value=None):
+            assert count_complement_points(spec, q) == sorted_count
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ArrangementSpec.preset("Gamma:3,2"),
+            ArrangementSpec.uniform(3, [-1, 0, 1, 2], MULTIPLICATIVE),
+            ArrangementSpec.uniform(3, [-2, 2], MULTIPLICATIVE, True),
+            ArrangementSpec.uniform(4, [-1, 1], ADDITIVE),
+            ArrangementSpec(3, ADDITIVE, {(1, 2): [-1, 0, 1], (1, 3): [-1, 0, 1], (2, 3): [0]}),
+        ],
+        ids=["Gamma-preset", "Gamma-shaped", "no-zero", "no-zero-additive", "one-pair-differs"],
+    )
+    def test_general_plan_kept(self, spec):
+        q = plan_moduli(spec)[0]
+        with mock.patch.object(arrangements, "_count_increasing") as sorted_plan:
+            assert count_complement_points(spec, q) == brute_force_count(spec, q)
+        sorted_plan.assert_not_called()
+
 
 class TestCharpolyFF:
     def test_table_rows(self):
@@ -336,6 +391,16 @@ class TestCharpolyFF:
             charpoly_ff(ArrangementSpec(10, ADDITIVE))
         with pytest.raises(SizeGuard, match="no 13 admissible moduli"):
             charpoly_ff(ArrangementSpec(11, ADDITIVE))
+
+    def test_sorted_plan_budget(self):
+        # w q^(n-1) refused A:7,1 and C:8,1; the sorted plan's step count
+        # admits them, and B:7,1, pinned at two values of x1, stays refused
+        # before any count
+        for name in ("A:7,1", "C:8,1"):
+            spec = ArrangementSpec.preset(name)
+            arrangements.check_kernel_cost(spec, plan_moduli(spec), name)
+        with pytest.raises(SizeGuard, match="moduli up to 101 break"):
+            charpoly_ff(ArrangementSpec.preset("B:7,1"))
 
     @given(
         st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 5), st.integers(1, 4)

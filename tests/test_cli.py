@@ -485,6 +485,16 @@ class TestRegions:
         assert code == 0
         assert out.strip() == "6"
 
+    @pytest.mark.parametrize("argv", [("regions", "C:7,1"), ("charpoly", "A:6,1")])
+    def test_sorted_plan_past_the_old_ceiling(self, capture, argv):
+        # 11 s and 7 s of CPU on a 2-vCPU x86-64 machine with every ordering
+        # of x2..xn counted; 0.2-0.3 s with one increasing tuple per ordering
+        start = time.process_time()
+        code, out, err = capture(*argv)
+        assert time.process_time() - start < 5
+        assert (code, err) == (0, "")
+        assert (code, out, err) == capture(*argv, "--method", "closed")
+
     @pytest.mark.parametrize("output", ["table", "json", "csv"])
     def test_count_past_the_str_digits_limit(self, capture, output):
         # about 6,600 digits, past the 4,300 that str() of an int allows
