@@ -66,11 +66,12 @@ ROUTES: dict[str, Route] = {
     ),
 }
 
-# Each builds its table, after the size guard, and returns its lines lazily.
+# Each builds its table, after the size guard, and returns its text lazily,
+# a chunk of lines joined by newlines at a time.
 ENUMERATIONS: dict[str, Callable[[int, int], Iterable[str]]] = {
-    "sketches": lambda n, m: sketches.sketch_lines(n, m),
-    "paths": lambda n, m: paths.path_lines(n, m),
-    "partitions": lambda n, m: partitions.partition_lines(n, m),
+    "sketches": lambda n, m: sketches.sketch_chunks(n, m),
+    "paths": lambda n, m: paths.path_chunks(n, m),
+    "partitions": lambda n, m: partitions.partition_chunks(n, m),
 }
 
 # Each returns an object with ``to_text``, except the witness: a tuple of points.
@@ -194,6 +195,9 @@ def _emit(
     a CSV form (``csv`` None) prints its table form instead.  Python's limit
     on the digits of an int's str (4300, from 3.10.7) guards parsing input; it
     is lifted only while exact results are formatted here, lazily, and printed.
+    Each table item (a line, or an enumeration's chunk of lines) is written,
+    then its newline apart: a long write cut short by a reader closing stdout
+    raises nothing, and the newline raises at the next flush.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
@@ -205,7 +209,9 @@ def _emit(
         if output == "csv" and csv is not None:
             header, rows = csv
             lines = itertools.chain((header,), rows)
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        for line in lines:
+            sys.stdout.write(line)
+            sys.stdout.write("\n")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -311,11 +317,12 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    lines = ENUMERATIONS[args.kind](args.n, args.m)
+    chunks = ENUMERATIONS[args.kind](args.n, args.m)
+    lines = (line for chunk in chunks for line in chunk.split("\n"))  # json and csv only
     _emit(
         args.output,
         lambda: list(lines),
-        lines,
+        chunks,
         ("index,item", (f'{index},"{line}"' for index, line in enumerate(lines))),
     )
     return 0

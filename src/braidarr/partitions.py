@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dyckwords import Letter, is_orderly
-from .sketches import Sketch, text_lines
+from .sketches import Sketch, text_chunks
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,12 @@ def sketch_to_partition(
     )
 
 
-def partition_lines(n: int, m: int) -> Iterator[str]:
+def partition_chunks(n: int, m: int) -> Iterator[str]:
     """``sketch_to_partition(s, m).to_text()`` for each sketch s of
-    ``enumerate_sketches(n, m)``, in that order."""
-    lines = text_lines(n, m, "|", exponents=False)
+    ``enumerate_sketches(n, m)``, in that order, in chunks (``render_chunks``)."""
+    chunks = text_chunks(n, m, "|", exponents=False)
     # ``to_text`` writes n = 0's empty diagram "| ", not the joined "|".
-    return lines if n else iter([DecoratedNonNestingPartition(m, (), ()).to_text()])
+    return chunks if n else iter([DecoratedNonNestingPartition(m, (), ()).to_text()])
 
 
 def partition_to_sketch(d: DecoratedNonNestingPartition) -> Sketch:

@@ -14,7 +14,7 @@ import numpy as np
 from .dyckwords import DOWN, UP, axis_points, complete_word, step_sequences
 from .arrangements import WORK_BUDGET, check_budgets
 from .numbers import charpoly_A_closed, charpoly_C_closed, raney
-from .sketches import Sketch, _check_guard, _digits, render_lines
+from .sketches import Sketch, _check_guard, _digits, render_chunks
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,11 @@ def path_to_sketch(decorated: DecoratedDyckPath) -> Sketch:
     return Sketch(w1, w2)
 
 
-def path_lines(n: int, m: int) -> Iterator[str]:
+def path_chunks(n: int, m: int) -> Iterator[str]:
     """``d.to_text()`` for each decorated path d of size n, in the order of
-    :func:`_path_table`: each pair's template, j - 1 at its j-th up-step, n
-    at the mark and n + 1 at each down-step, read through each label row."""
+    :func:`_path_table`, in chunks (:func:`render_chunks`): each pair's
+    template, j - 1 at its j-th up-step, n at the mark and n + 1 at each
+    down-step, read through each label row."""
     pairs, labels = _path_table(n, m)
     steps = np.frombuffer("".join(f"{p1}|{p2}" for p1, p2 in pairs).encode(), np.uint8)
     steps = steps.reshape(len(pairs), -1)
@@ -197,8 +198,8 @@ def path_lines(n: int, m: int) -> Iterator[str]:
         return np.take_along_axis(labels[line % len(labels)], templates[line // len(labels)], 1)
 
     tokens = ["|", _digits(np.arange(1, n + 1), UP), DOWN]
-    lines = render_lines(tokens, rows, len(pairs) * len(labels), steps.shape[1])
-    return lines if n else iter(["| "])  # ``to_text`` of the empty path
+    chunks = render_chunks(tokens, rows, len(pairs) * len(labels), steps.shape[1])
+    return chunks if n else iter(["| "])  # ``to_text`` of the empty path
 
 
 def _path_table(n: int, m: int) -> tuple[list[tuple[str, str]], np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -19,15 +20,17 @@ import numpy as np
 from .arrangements import MULTIPLICATIVE, WORK_BUDGET, ArrangementSpec, Hyperplane
 from .arrangements import check_budgets, hyperplanes_of
 from .dyckwords import Letter, complete_word, is_orderly, step_sequences
+from .numbers import raney
 
 # int64 entries at an enumeration's peak per printed letter and per letter
 # (i, k) of the alphabet.  Sketches and partitions from the side table of
-# words traced (peak tracemalloc / ru_maxrss less the interpreter) 0.6 / 0.7
-# per printed letter at (6, 1) and 0.7 / 0.7 at (5, 4) in table form; in
-# json sketches 2.1 / 2.3 and 1.8 / 1.9, partitions 1.4 / 1.5 and 1.1 / 1.3;
-# and at (1, 3124998), where the alphabet is half the printed letters, 7.2 /
-# 7.2 and 3.1 / 3.5 per (i, k).  Paths from their own table trace 0.1 / 0.2
-# and 0.03 / 0.04, 1.5 / 1.6 and 1.1 / 1.2 in json, and 2.8 / 3.3 per (i, k).
+# words traced (peak tracemalloc / ru_maxrss less the interpreter) 0.5 / 0.5
+# per printed letter at (6, 1) and (5, 4) in table form (0.6-0.7 / 0.7 with
+# every size's words kept); in json sketches 2.1 / 2.3 and 1.8 / 1.8,
+# partitions 1.4 / 1.5 and 1.1 / 1.1; and at (1, 3124998), where the alphabet
+# is half the printed letters, 7.2 / 7.2 and 3.1 / 3.1 per (i, k).  Paths
+# from their own table trace 0.1 / 0.2 and 0.03 / 0.05, 1.5 / 1.6 and 1.1 /
+# 1.2 in json, and 2.8 / 3.3 per (i, k).
 # The region projection traces 0.6-0.74 / 0.72-0.87 at (6, 1), (5, 4), (4, 10).
 LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
@@ -160,16 +163,16 @@ def enumerate_sketches(n: int, m: int) -> list[Sketch]:
     return [Sketch(w1s[j], w2) for j, f, c in pairs for w2 in w2s[f:f + c]]
 
 
-def text_lines(n: int, m: int, zero: str, exponents: bool = True) -> Iterator[str]:
+def text_chunks(n: int, m: int, zero: str, exponents: bool = True) -> Iterator[str]:
     """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
     letters as ``i^k`` (``i`` without ``exponents``), ``zero`` between the
-    sides, rendered by :func:`render_lines` from the side table."""
+    sides, rendered from the side table in the chunks of :func:`render_chunks`."""
     rows, lines, width = _sketch_rows(n, m)
     code = np.arange(n * (m + 1), dtype=np.int32)
     letters = _digits(code // (m + 1) + 1)
     if exponents:
         letters = np.hstack([letters, _digits(code % (m + 1), "^")])
-    return render_lines([zero, letters], rows, lines, width)
+    return render_chunks([zero, letters], rows, lines, width)
 
 
 def regions_by_projection(spec: ArrangementSpec) -> int:
@@ -203,13 +206,14 @@ def regions_by_projection(spec: ArrangementSpec) -> int:
     return len(np.unique(signs.view(np.dtype((np.void, signs.shape[1]))).ravel()))
 
 
-def render_lines(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray], np.ndarray],
-                 lines: int, width: int) -> Iterator[str]:
-    """Lines 0 to ``lines - 1``, rendered when read.  ``rows`` maps line
-    numbers to their codes, ``width`` a line; code t is the t-th token (a str
-    is one, an array one per uint8 row, NULs dropped) and a space.  Lines must
-    be equally long; the last space of each becomes its newline.  Chunks of
-    ``CHUNK_TOKENS`` tokens are gathered from one byte table and decoded once."""
+def render_chunks(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray], np.ndarray],
+                  lines: int, width: int) -> Iterator[str]:
+    """Lines 0 to ``lines - 1``, rendered when read, as one str per chunk of
+    ``CHUNK_TOKENS // width`` lines (at least one, the last the rest), joined
+    by newlines with none at the end.  ``rows`` maps line numbers to their
+    codes, ``width`` a line; code t is the t-th token (a str is one, an array
+    one per uint8 row, NULs dropped) and a space.  Lines must be equally long.
+    A chunk is gathered from one byte table and decoded once."""
     blocks = [np.uint8([list(t.encode())]) if isinstance(t, str) else t for t in tokens]
     cell = max(block.shape[1] for block in blocks) + 1
     table = np.vstack([np.pad(block, ((0, 0), (0, cell - block.shape[1]))) for block in blocks])
@@ -224,14 +228,14 @@ def render_lines(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray]
             text = text[text != 0]
             line_bytes = text.size // line.size
             text[line_bytes - 1::line_bytes] = ord("\n")
-            yield from str(text.data, "ascii").splitlines()
+            yield str(text[:-1].data, "ascii")
 
     return chunks()
 
 
-def sketch_lines(n: int, m: int) -> Iterator[str]:
-    """``s.to_text()`` for each sketch s of ``enumerate_sketches(n, m)``."""
-    return text_lines(n, m, "0")
+def sketch_chunks(n: int, m: int) -> Iterator[str]:
+    """``s.to_text()`` of each sketch s of ``enumerate_sketches(n, m)``, in chunks."""
+    return text_chunks(n, m, "0")
 
 
 def _sketch_rows(n: int, m: int) -> tuple[Callable[[np.ndarray], np.ndarray], int, int]:
@@ -263,39 +267,48 @@ def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:
     sorts by, so it copies none."""
     _check_guard(n, m)
     width = m + 1
-    sorted_words = [_sorted_words(size, m) for size in range(n + 1)]
+    # the orderly words on k letters, one per region of C:k,m
+    lengths = [math.factorial(k) * raney(k, m, 1) for k in range(n + 1)]
     subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
-    sizes = np.array([len(sorted_words[len(s)]) for s in subsets])
+    sizes = np.array([lengths[len(s)] for s in subsets])
     offsets = dict(zip(subsets, (np.cumsum(sizes) - sizes).tolist()))
     words = np.zeros((sizes.sum(), n * width + 1), ">i4")
     first, count = np.empty((2, len(words)), np.int32)
-    for subset in subsets:
-        place = np.arange(len(subset) * width, dtype=np.int32)
-        code = np.array(subset, np.int32)[place // width] * width + place % width + 1
-        coded = code[sorted_words[len(subset)]]
-        rows = slice(offsets[subset], offsets[subset] + len(coded))
-        words[rows, :place.size] = coded[:, ::-1]
-        first[rows] = offsets[tuple(sorted(set(range(n)) - set(subset)))]
-        count[rows] = len(sorted_words[n - len(subset)])
+    for size in range(n + 1):  # one size's words alive at a time
+        sorted_words = _sorted_words(size, m)[:, ::-1]
+        place = np.arange(size * width, dtype=np.int32)
+        step = max(1, CHUNK_TOKENS // max(1, place.size))  # coded a chunk at a time, no copy
+        for subset in itertools.combinations(range(n), size):
+            code = np.array(subset, np.int32)[place // width] * width + place % width + 1
+            rows = slice(offsets[subset], offsets[subset] + lengths[size])
+            for row in range(0, lengths[size], step):
+                words[rows, :place.size][row:row + step] = code[sorted_words[row:row + step]]
+            first[rows] = offsets[tuple(sorted(set(range(n)) - set(subset)))]
+            count[rows] = lengths[n - size]
+    del sorted_words  # the largest size's words, not held while the rows are ordered
     order = _row_order(words)
     return words, order, first[order], count[order]
 
 
 def _sorted_words(size: int, m: int) -> np.ndarray:
-    """The sorted orderly words on {0, ..., size-1}, one int32 row each, letter
-    (p, k) coded as ``p * (m + 1) + k``: each step sequence's ``complete_word``
-    on ``range(size)``, relabelled by every permutation.  The one word on one
-    letter is its m + 1 letters in order, built without walking it."""
+    """The sorted orderly words on {0, ..., size-1}, one big-endian int32 row
+    each, letter (p, k) coded as ``p * (m + 1) + k``: each step sequence's
+    ``complete_word`` on ``range(size)``, relabelled by every permutation in
+    place and sorted in place by the rows' bytes, so no copy of the words is
+    made.  The one word on at most one letter is built without walking it."""
     width = m + 1
-    if size == 1:
-        return np.arange(width, dtype=np.int32)[None]
+    if size < 2:
+        return np.arange(size * width, dtype=">i4")[None]
     steps = list(step_sequences(size, m))
     codes = (p * width + k for s in steps for p, k in complete_word(s, range(size), m))
     templates = np.fromiter(codes, np.int32, len(steps) * size * width).reshape(len(steps), -1)
-    labels = np.array(list(itertools.permutations(range(size))), np.int32)
-    words = labels[:, templates // width] * width + templates % width
+    labels = np.array(list(itertools.permutations(range(size))), ">i4")
+    words = np.take(labels, templates // width, axis=1)  # C-ordered, so reshaped in place
+    words *= width
+    words += templates % width
     words = words.reshape(len(labels) * len(steps), -1)
-    return words[_row_order(words)] if size > 1 else words
+    words.view(np.dtype((np.void, words.shape[1] * 4))).sort(axis=0)
+    return words
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray:
@@ -366,23 +379,25 @@ def _solve_side(word: Sequence[Letter], scale: int) -> dict[int, Fraction]:
 
 
 def point_to_sketch(point: Sequence[LogPoint], m: int) -> Sketch:
-    """Total order of 0 and all 2^k x_i at the point, written as a sketch."""
-    negatives: list[tuple[Fraction, Letter]] = []
-    positives: list[tuple[Fraction, Letter]] = []
+    """Total order of 0 and all 2^k x_i at the point, written as a sketch.
+    Exponents are compared as integers, times the lcm of their denominators
+    and negated on the negative side, which lists the largest first."""
+    scale = math.lcm(*(lp.exp.denominator for lp in point))
+    sides: tuple[list, list] = ([], [])  # negatives, positives
     for idx, lp in enumerate(point, start=1):
         if lp.sign == 0:
             raise OnHyperplane(f"coordinate {idx} is zero")
-        for k in range(m + 1):
-            entry = (lp.exp + k, (idx, k))
-            (positives if lp.sign > 0 else negatives).append(entry)
-    negatives.sort(key=lambda e: (-e[0], e[1]))
-    positives.sort(key=lambda e: (e[0], e[1]))
-    for group in (negatives, positives):
+        sign = 1 if lp.sign > 0 else -1
+        exp = lp.exp.numerator * (scale // lp.exp.denominator)
+        sides[sign > 0].extend((sign * (exp + k * scale), (idx, k)) for k in range(m + 1))
+    for group in sides:
+        group.sort()
         for a, b in zip(group, group[1:]):
             if a[0] == b[0]:
                 raise OnHyperplane(
                     f"symbols {a[1]} and {b[1]} compare equal at this point"
                 )
+    negatives, positives = sides
     return Sketch(
         tuple(letter for _, letter in negatives),
         tuple(letter for _, letter in positives),

@@ -215,6 +215,39 @@ def test_enumeration_stdout_sha256(capture, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_SHA256[argv]
 
 
+# sha256 of the stdout of every enumeration in every form at (6, 1) and
+# (5, 2), taken when each line was printed as its own str; the table form now
+# writes a chunk of lines at a time, and json and csv split the chunks.
+ENUMERATION_FORMS_SHA256 = {
+    "sketches 6 1 table": "27415c5c6cb2a3060d8526678b27907adb4cd9654c283b6e0aa10378d60ab3d4",
+    "sketches 6 1 json": "48f77cfef162f4a043d9c1538f43060446d4dff2ce8b789a5584cc73371124f5",
+    "sketches 6 1 csv": "2b9c2e11d60383ede6cfe4581a39b4d20ca0d64d7a779ddd57c64382f6acdf22",
+    "sketches 5 2 table": "01d40b1774d13231d3d5f020eaa731482550de347be1ff453d66a915a274fc05",
+    "sketches 5 2 json": "9a82209eb71cad8c41b0a40bd34da42ea0e9f0c03048cb84245b11573e902804",
+    "sketches 5 2 csv": "1a7079f3cb6dc5bd17ed40b3262de0f76e5e855039bde910e20b64659707ab7b",
+    "paths 6 1 table": "208a1588ff4dd89084f9852dd2e6a3129a0adb3fbf461206ecf44baf9afe63dd",
+    "paths 6 1 json": "18f88288e27727bf33bcfdf018481236a197b276b25c98fbc2616e8acd3d0e1b",
+    "paths 6 1 csv": "8a4bedeed2e2e872625a27ab54448fc10f88a40ce5cd3bd80122ff5801f670f5",
+    "paths 5 2 table": "be0b542990554ac909e575fa0abfb8d00b4885e8f3c93cb5f3be725a896962ed",
+    "paths 5 2 json": "bd4ac1ca9757a21cc65a83d17b57c15868ce08f5857b4b40a770a1eb36f7a03f",
+    "paths 5 2 csv": "6c1c0a667af3ff2eda03892cd1a80064ed84ddde751bd0a612d6808083a69035",
+    "partitions 6 1 table": "a642592159b3b167ac4e4e9f5b2bdc241052c34eff4c058464e313fdcd8317dc",
+    "partitions 6 1 json": "fa7797acf58e768b187d5427faa9d43377244016014d36296a9f693cde5f3962",
+    "partitions 6 1 csv": "c8479c8a8abbacc2fa4fcb7d466a2051dd51a60b2b13a985e816398dbb5e38da",
+    "partitions 5 2 table": "c6311d1adebd97e597ea7f7fcc89b7ac6db08ae2d1d1d63596d2e303de503462",
+    "partitions 5 2 json": "8b22224c5349662e338c039ef242dafc48614e2dcb7db0480249d807a17f1a61",
+    "partitions 5 2 csv": "c753b550ed1ffd9203e295e51ce288a6c43d2e4f6483f2b1a638f86b96aaa1aa",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ENUMERATION_FORMS_SHA256))
+def test_enumeration_forms_sha256(capture, args):
+    kind, n, m, output = args.split()
+    code, out, err = capture("enumerate", kind, n, m, "--output", output)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest, err) == (0, ENUMERATION_FORMS_SHA256[args], "")
+
+
 # The methods when the grid was pinned; a new method gets its own pin.
 GRID_METHODS = ("ff", "closed", "poset")
 GRID_SHA256 = "5244d4994c9afff4c1b1263b098cdd1c0507677aff6690c4a86d3ec4cb12720e"

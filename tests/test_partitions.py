@@ -8,7 +8,7 @@ from braidarr.numbers import raney, regions_B_closed
 from braidarr.partitions import (
     DecoratedNonNestingPartition,
     check_partition,
-    partition_lines,
+    partition_chunks,
     partition_to_sketch,
     sketch_to_partition,
 )
@@ -19,6 +19,7 @@ from braidarr.sketches import (
     regions_by_projection,
     witness_point,
 )
+from test_sketches import chunk_lines
 
 SKETCH_52 = "3^2 3^1 1^2 3^0 1^1 1^0 0 5^0 5^1 5^2 4^0 2^0 4^1 2^1 4^2 2^2"
 PARTITION_52 = "3 3 1 3 1 1 | 5 5 5 4 2 4 2 4 2"
@@ -188,13 +189,13 @@ class TestSketchPartitionBijection:
     @pytest.mark.parametrize("n,m", STREAM_SIZES)
     def test_text_stream_matches_objects(self, n, m):
         expected = [sketch_to_partition(s, m).to_text() for s in enumerate_sketches(n, m)]
-        assert list(partition_lines(n, m)) == expected
+        assert chunk_lines(partition_chunks(n, m)) == expected
 
     def test_text_stream_guards_when_built(self):
         with pytest.raises(SizeGuard):
-            partition_lines(7, 1)
+            partition_chunks(7, 1)
         with pytest.raises(ValueError, match="need n >= 0"):
-            partition_lines(-1, 1)
+            partition_chunks(-1, 1)
 
 
 class TestBlockClassification:

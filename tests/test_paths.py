@@ -24,7 +24,7 @@ from braidarr.paths import (
     compartment_decomposition,
     compartment_distribution,
     compartments,
-    path_lines,
+    path_chunks,
     path_to_sketch,
     primitive_parts,
     shifted_coefficient_identity,
@@ -32,6 +32,8 @@ from braidarr.paths import (
     unlabeled_census,
 )
 from braidarr.sketches import Sketch, enumerate_sketches
+from braidarr import sketches
+from test_sketches import assert_chunked, chunk_lines
 
 # Three-coordinate all-positive region (mark at the start).
 SKETCH_32 = "0 3^0 3^1 3^2 1^0 2^0 1^1 2^1 1^2 2^2"
@@ -174,19 +176,19 @@ class TestEnumeration:
         "n,m,expected", [(1, 1, 2), (2, 1, 10), (2, 2, 14), (3, 1, 84)]
     )
     def test_counts(self, n, m, expected):
-        lines = list(path_lines(n, m))
+        lines = chunk_lines(path_chunks(n, m))
         assert len(lines) == expected
         assert len(set(lines)) == expected
         assert expected == math.factorial(n) * raney(n, m, 2)
 
     def test_guard(self):
         with pytest.raises(SizeGuard):
-            path_lines(13, 1)
+            path_chunks(13, 1)
         with pytest.raises(SizeGuard):
             compartment_distribution(13, 1)
 
     def test_deterministic_order(self):
-        assert list(path_lines(2, 2)) == list(path_lines(2, 2))
+        assert list(path_chunks(2, 2)) == list(path_chunks(2, 2))
 
 
 # Every size with n (m+1) <= 12, and n = 0.
@@ -200,7 +202,19 @@ class TestPathLines:
 
     @pytest.mark.parametrize("n,m", [size for size in REFERENCE_SIZES if size != (6, 1)])
     def test_every_size(self, n, m):
-        assert list(path_lines(n, m)) == [d.to_text() for d in enumerate_decorated_paths(n, m)]
+        expected = [d.to_text() for d in enumerate_decorated_paths(n, m)]
+        assert chunk_lines(path_chunks(n, m)) == expected
+
+    def test_chunks_six_one(self):
+        lines = [d.to_text() for d in enumerate_decorated_paths(6, 1)]
+        assert_chunked(path_chunks(6, 1), lines, 13)  # 16 chunks
+
+    # 84 lines of 7 tokens in chunks of 83 and 1, 42 and 42, and 1 each
+    @pytest.mark.parametrize("tokens", [83 * 7, 42 * 7 + 6, 1])
+    def test_chunk_edges(self, monkeypatch, tokens):
+        monkeypatch.setattr(sketches, "CHUNK_TOKENS", tokens)
+        lines = [d.to_text() for d in enumerate_decorated_paths(3, 1)]
+        assert_chunked(path_chunks(3, 1), lines, 7)
 
     # n = 0, whose one line is "| "; one long line; empty first and second parts
     @pytest.mark.parametrize("n,m", [(0, 2), (1, 12), (2, 1), (4, 2)])
@@ -229,7 +243,7 @@ class TestEnumerationOrder:
         paths = enumerate_decorated_paths(n, m)
         key = lambda d: (d.part1().steps, d.part2().steps, d.path.labels)
         assert paths == sorted(paths, key=key)
-        assert list(path_lines(n, m)) == [d.to_text() for d in paths]
+        assert chunk_lines(path_chunks(n, m)) == [d.to_text() for d in paths]
 
     @pytest.mark.parametrize("n,m", ORDER_SIZES)
     def test_sketches_sorted(self, n, m):

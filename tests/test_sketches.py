@@ -28,7 +28,8 @@ from braidarr.numbers import (
     regions_Gamma_closed,
     zaslavsky,
 )
-from braidarr.partitions import partition_lines
+from braidarr import sketches
+from braidarr.partitions import partition_chunks
 from braidarr.sketches import (
     LETTER_ENTRIES,
     InfeasibleSystem,
@@ -45,7 +46,7 @@ from braidarr.sketches import (
     is_valid_sketch,
     point_to_sketch,
     regions_by_projection,
-    sketch_lines,
+    sketch_chunks,
     witness_point,
 )
 from test_poset import sparse_specs
@@ -155,12 +156,17 @@ def reference_partition_lines(n, m):
     return reference_lines(n, m, lambda letter: str(letter[0]), "|") if n else ["| "]
 
 
+def chunk_lines(chunks):
+    """The lines of an enumeration's chunks: their joined text, split."""
+    return "\n".join(chunks).split("\n")
+
+
 def assert_matches_reference(n, m):
     lines = reference_lines(n, m, "{0[0]}^{0[1]}".format, "0")
-    assert list(sketch_lines(n, m)) == lines
+    assert chunk_lines(sketch_chunks(n, m)) == lines
     assert enumerate_sketches(n, m) == reference_sketches(n, m)
     assert [s.to_text() for s in enumerate_sketches(n, m)] == lines
-    assert list(partition_lines(n, m)) == reference_partition_lines(n, m)
+    assert chunk_lines(partition_chunks(n, m)) == reference_partition_lines(n, m)
 
 
 # Every size with n (m+1) <= 14 that the guard admits, and n = 0.
@@ -202,7 +208,42 @@ class TestReference:
 
     def test_six_one(self):
         lines = reference_lines(6, 1, "{0[0]}^{0[1]}".format, "0")
-        assert list(sketch_lines(6, 1)) == lines
+        assert chunk_lines(sketch_chunks(6, 1)) == lines
+        assert_chunked(sketch_chunks(6, 1), lines, 13)  # 16 chunks
+
+
+def assert_chunked(chunks, lines, width):
+    """``chunks`` are ``lines`` in chunks of ``CHUNK_TOKENS // width`` lines
+    (at least one), the last holding the rest: each its lines joined by
+    newlines, none ending in one."""
+    per_chunk = max(1, sketches.CHUNK_TOKENS // width)
+    chunks = list(chunks)
+    sizes = [chunk.count("\n") + 1 for chunk in chunks]
+    assert not any(chunk.endswith("\n") for chunk in chunks)
+    assert len(chunks) == -(-len(lines) // per_chunk)
+    assert sizes[:-1] == [per_chunk] * (len(chunks) - 1)
+    assert sizes[-1] == len(lines) - per_chunk * (len(chunks) - 1)
+    assert "\n".join(chunks) == "\n".join(lines)
+
+
+class TestChunks:
+    """Enumerations print a chunk of lines at a time, one str each."""
+
+    def test_partitions_five_four(self):
+        lines = reference_partition_lines(5, 4)
+        assert_chunked(partition_chunks(5, 4), lines, 26)  # 72 chunks
+
+    # 84 lines of 7 tokens in chunks of 83 and 1, 42 and 42, and 1 each; the
+    # side table is coded as many rows at a time
+    @pytest.mark.parametrize("tokens", [83 * 7, 42 * 7 + 6, 1])
+    @pytest.mark.parametrize("kind", ["sketches", "partitions"])
+    def test_chunk_edges(self, monkeypatch, tokens, kind):
+        monkeypatch.setattr(sketches, "CHUNK_TOKENS", tokens)
+        if kind == "sketches":
+            chunks, lines = sketch_chunks(3, 1), reference_lines(3, 1, "{0[0]}^{0[1]}".format, "0")
+        else:
+            chunks, lines = partition_chunks(3, 1), reference_partition_lines(3, 1)
+        assert_chunked(chunks, lines, 7)
 
 
 class TestSideTable:
@@ -212,6 +253,15 @@ class TestSideTable:
         row per word and a sorted copy of the left rows it traced 4.8-5.0."""
         (words, *_), peak = traced_peak(side_table, n, m)
         assert peak < 3.5 * len(words) * (n * (m + 1) + 1) * 4
+
+    @pytest.mark.parametrize("n,m", [(6, 1), (4, 10)])
+    def test_one_size_of_words_at_a_time(self, traced_peak, n, m):
+        """Each size's words are built, sorted and coded in place, one size
+        at a time: the peak is the table and the largest size's words, 2.0
+        to 2.2 tables traced; with every size's words kept and a coded copy
+        it traced 2.8-3.0."""
+        (words, *_), peak = traced_peak(side_table, n, m)
+        assert peak < 2.5 * words.nbytes
 
 
 class TestParsing:
@@ -350,13 +400,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n,m", STREAM_SIZES)
     def test_text_stream_matches_objects(self, n, m):
-        assert list(sketch_lines(n, m)) == [s.to_text() for s in enumerate_sketches(n, m)]
+        expected = [s.to_text() for s in enumerate_sketches(n, m)]
+        assert chunk_lines(sketch_chunks(n, m)) == expected
 
     def test_text_stream_guards_when_built(self):
         with pytest.raises(SizeGuard):
-            sketch_lines(7, 1)
+            sketch_chunks(7, 1)
         with pytest.raises(ValueError, match="need n >= 0"):
-            sketch_lines(-1, 1)
+            sketch_chunks(-1, 1)
 
     # Sizes at or past the old (m+1) n <= 12 rule, with exponents up to 11.
     @pytest.mark.parametrize("n,m", [(1, 11), (2, 6), (3, 3), (3, 4)])
@@ -478,7 +529,55 @@ class TestSolveSide:
         assert point_to_sketch(witness_point(sketch), m) == sketch
 
 
+def fraction_point_to_sketch(point, m):
+    """Reference: ``point_to_sketch`` sorting and comparing the Fraction
+    exponents themselves, as it did before integer keys."""
+    negatives, positives = [], []
+    for idx, lp in enumerate(point, start=1):
+        if lp.sign == 0:
+            raise OnHyperplane(f"coordinate {idx} is zero")
+        for k in range(m + 1):
+            entry = (lp.exp + k, (idx, k))
+            (positives if lp.sign > 0 else negatives).append(entry)
+    negatives.sort(key=lambda e: (-e[0], e[1]))
+    positives.sort(key=lambda e: (e[0], e[1]))
+    for group in (negatives, positives):
+        for a, b in zip(group, group[1:]):
+            if a[0] == b[0]:
+                raise OnHyperplane(f"symbols {a[1]} and {b[1]} compare equal at this point")
+    return Sketch(tuple(l for _, l in negatives), tuple(l for _, l in positives))
+
+
+def sketch_or_error(to_sketch, point, m):
+    try:
+        return to_sketch(point, m)
+    except OnHyperplane as exc:
+        return f"OnHyperplane: {exc}"
+
+
+# Small numerators and denominators, so that many points tie (2^k x_i =
+# 2^l x_j) and a few have a zero coordinate: about half lie on a hyperplane.
+TYING_POINTS = st.tuples(
+    st.integers(1, 3),
+    st.lists(
+        st.builds(
+            LogPoint,
+            st.sampled_from([-1, 1] * 6 + [0]),
+            st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+
+
 class TestPointToSketch:
+    @settings(max_examples=400)
+    @given(TYING_POINTS)
+    def test_integer_keys_match_fractions(self, drawn):
+        m, point = drawn
+        expected = sketch_or_error(fraction_point_to_sketch, point, m)
+        assert sketch_or_error(point_to_sketch, point, m) == expected
+
     def test_positive_unit(self):
         point = (LogPoint(1, Fraction(0)),)
         assert point_to_sketch(point, 1).to_text() == "0 1^0 1^1"
