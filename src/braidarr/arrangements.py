@@ -289,30 +289,18 @@ def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
     (q - 1 > n * m_max multiplicative, q > n * m_max additive).
     Multiplicative flavor additionally needs q to be an odd prime with 2 a
     primitive root (verified from the factorization of q - 1) so that powers
-    of 2 behave like the rationals.  Planned moduli use stricter thresholds;
-    see :func:`plan_moduli`.
+    of 2 behave like the rationals.
     """
     if q < least_modulus(spec):
         return False
     return spec.flavor == ADDITIVE or (_is_prime(q) and _two_is_primitive_root(q))
 
 
-def plan_moduli(spec: ArrangementSpec, count: int | None = None) -> tuple[int, ...]:
-    """Smallest ``count`` planned moduli (default n + 2) in ascending order.
-
-    Planning thresholds are deliberately generous: the admissible moduli
-    from (m_max + 1) n + 2 on for the multiplicative flavor, from
-    n (2 m_max + 2) + 1 on for the additive one.  The held-out evaluation
-    in :func:`charpoly_ff` would catch any residual insufficiency.
-    """
-    if count is None:
-        count = spec.n + 2
-    if spec.flavor == MULTIPLICATIVE:
-        start = (spec.m_max + 1) * spec.n + 2
-    else:
-        start = spec.n * (2 * spec.m_max + 2) + 1
+def plan_moduli(spec: ArrangementSpec) -> tuple[int, ...]:
+    """The n + 2 smallest admissible moduli, in ascending order."""
+    start = least_modulus(spec)
     admissible = (q for q in itertools.count(start) if modulus_admissible(spec, q))
-    return tuple(itertools.islice(admissible, count))
+    return tuple(itertools.islice(admissible, spec.n + 2))
 
 
 def check_budgets(context: str, entries: int, work: int, steps: str) -> None:
@@ -338,15 +326,19 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     ``MEMORY_BUDGET`` at every modulus.  Work: with x1 pinned to w values (1
     when additive or with the coordinate planes, else 2) a count takes
     w q^(n-1) steps for n >= 3, and a padded target (n <= 2) pins a padding
-    coordinate to its one value and takes q^n.  The sorted plan takes q^2
-    steps for its block and w (6 C(r, n-1) + 10^4 C(r, n-4)) more, r being
-    q - |S|: 6 C(r, n-1) bounds the r'^3 steps of the contractions over all
-    pinned tuples, and a pinned value costs 10^4 steps (a least-squares fit
-    to traced counts of A:5..7, B:5..6 and C:5..8 gave 7,500, and a step
-    0.3 to 1.7 ns, as in the general plan).  The sum over ``moduli`` must
-    stay within ``WORK_BUDGET``.  The moduli are read in order up to the
-    first excess, so a lazy range for a huge n is never listed, and no power
-    past 2^64 is formed.
+    coordinate to its one value and takes q^n.  For n >= 4 each of its
+    w q^(n-4) contractions is priced at 3 * 10^4 steps more, which binds
+    where q is small and n large (a least-squares fit to traced counts of
+    Gamma:4..6, Delta:4..6 and targets without planes at n = 5..9 gave
+    25 us a contraction and 0.8 ns a step, so 31,000).  The sorted plan
+    takes q^2 steps for its block and w (6 C(r, n-1) + 10^4 C(r, n-4))
+    more, r being q - |S|: 6 C(r, n-1) bounds the r'^3 steps of the
+    contractions over all pinned tuples, and a pinned value costs 10^4
+    steps (a least-squares fit to traced counts of A:5..7, B:5..6 and
+    C:5..8 gave 7,500, and a step 0.3 to 1.7 ns, as in the general plan).
+    The sum over ``moduli`` must stay within ``WORK_BUDGET``.  The moduli
+    are read in order up to the first excess, so a lazy range for a huge n
+    is never listed, and no power past 2^64 is formed.
     """
     n = spec.n
     pinned = 1 if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes else 2
@@ -358,7 +350,8 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
         if (q.bit_length() - 1) * exponent >= 64:
             work += WORK_BUDGET + 1
         elif symmetric is None:
-            work += rows * q**exponent
+            contractions = q ** (n - 4) if n >= 4 else 0
+            work += rows * (q**exponent + 3 * 10**4 * contractions)
         else:
             r = max(0, q - len(symmetric))
             pins = math.comb(r, n - 4) if n >= 4 else 0

@@ -56,7 +56,8 @@ class IntersectionPoset:
     Mobius value.  Nodes are sorted by descending dimension (ambient space
     first), then by sorted zero coordinates, then by components (see
     :func:`_order`), so node order is deterministic.  ``edges`` are the
-    sorted cover pairs (a, b), b covered by a, found by the closure.
+    sorted Hasse cover pairs (a, b) the closure found: a is a flat and b the
+    flat one dimension lower that a plane cuts from it.
     """
 
     def __init__(self, root: np.ndarray, off: np.ndarray, mu: np.ndarray, edges: np.ndarray):
@@ -67,7 +68,8 @@ class IntersectionPoset:
         return len(self.mu)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (a, b) where b covers a, as the closure recorded them."""
+        """Cover pairs (a, b), a a flat and b the flat one dimension lower
+        that a plane cuts from it, as the closure recorded them."""
         return list(map(tuple, self.edges.tolist()))
 
     def to_json_dict(self) -> dict:

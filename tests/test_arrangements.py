@@ -17,6 +17,7 @@ from braidarr.arrangements import (
     charpoly_ff,
     count_complement_points,
     hyperplanes_of,
+    least_modulus,
     modulus_admissible,
     plan_moduli,
     regions_convolution_check,
@@ -71,6 +72,10 @@ def guard_fields(spec: ArrangementSpec) -> tuple:
             symmetric is not None, len(symmetric or ()))
 
 
+def no_count(*args):
+    raise AssertionError("a count ran for a target past the budget")
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of the error it raises."""
     try:
@@ -119,7 +124,50 @@ def symmetric_problems(draw):
         spec = ArrangementSpec.uniform(
             n, values, MULTIPLICATIVE if flavor == "A" else ADDITIVE, coords
         )
-    return spec, draw(st.sampled_from(plan_moduli(spec, count=3)))
+    return spec, draw(st.sampled_from(plan_moduli(spec)[:3]))
+
+
+def old_plan(spec: ArrangementSpec) -> tuple[int, ...]:
+    """The n + 2 moduli planned before the plan started at
+    :func:`least_modulus`, kept as a reference: the admissible ones from
+    (m_max + 1) n + 2 on (multiplicative) or n (2 m_max + 2) + 1 on
+    (additive)."""
+    if spec.flavor == MULTIPLICATIVE:
+        start = (spec.m_max + 1) * spec.n + 2
+    else:
+        start = spec.n * (2 * spec.m_max + 2) + 1
+    admissible = (q for q in itertools.count(start) if modulus_admissible(spec, q))
+    return tuple(itertools.islice(admissible, spec.n + 2))
+
+
+def admissible_walk(spec: ArrangementSpec) -> list[int]:
+    """Every admissible modulus from :func:`least_modulus` through the last
+    of the old plan, which is at least the last planned one."""
+    last = old_plan(spec)[-1]
+    return [q for q in range(least_modulus(spec), last + 1) if modulus_admissible(spec, q)]
+
+
+def assert_counts_are_chi(spec: ArrangementSpec) -> None:
+    """The proof obligation of planning from the bound: the count at every
+    admissible modulus is chi there."""
+    chi = charpoly_ff(spec)
+    walk = admissible_walk(spec)
+    assert set(plan_moduli(spec)) <= set(walk)
+    for q in walk:
+        assert count_complement_points(spec, q) == chi(q), q
+
+
+@st.composite
+def walk_specs(draw):
+    """A sparse spec of either flavor with n <= 4 and shifts in [-2, 2],
+    {0} included, so that m_max = 0 and q = 1 (additive) occur."""
+    n = draw(st.integers(1, 4))
+    flavor = draw(st.sampled_from((MULTIPLICATIVE, ADDITIVE)))
+    coords = flavor == MULTIPLICATIVE and draw(st.booleans())
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    present = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    shifts = st.sets(st.integers(-2, 2), min_size=1, max_size=3)
+    return ArrangementSpec(n, flavor, {p: draw(shifts) for p in present}, coords)
 
 
 class TestSpec:
@@ -237,18 +285,28 @@ class TestHyperplanes:
 
 class TestModuli:
     def test_multiplicative_plan_properties(self):
-        plan = plan_moduli(ArrangementSpec.preset("A:3,2"))
+        spec = ArrangementSpec.preset("A:3,2")
+        plan = plan_moduli(spec)
         assert len(plan) == 5
         for q in plan:
             assert _is_prime(q) and _two_is_primitive_root(q)
-            assert q - 1 > (2 + 1) * 3
+            assert q >= least_modulus(spec)
 
     def test_known_primitive_root_primes(self):
+        # least_modulus is 4 * 4 + 2 = 18
         spec = ArrangementSpec.preset("A:4,4")
-        assert plan_moduli(spec) == (29, 37, 53, 59, 61, 67)
+        assert plan_moduli(spec) == (19, 29, 37, 53, 59, 61)
 
     def test_additive_plan(self):
-        assert plan_moduli(ArrangementSpec.preset("C:2,1")) == (9, 10, 11, 12)
+        # least_modulus is 2 * 1 + 1 = 3
+        assert plan_moduli(ArrangementSpec.preset("C:2,1")) == (3, 4, 5, 6)
+
+    def test_plan_starts_at_the_bound(self):
+        # without planes every modulus from 1 on is admissible
+        assert plan_moduli(ArrangementSpec(3, ADDITIVE)) == (1, 2, 3, 4, 5)
+        assert plan_moduli(ArrangementSpec.uniform(2, [0], ADDITIVE)) == (1, 2, 3, 4)
+        # m_max = 0: q = 2 is refused, and so is 7, where 2 has order 3
+        assert plan_moduli(ArrangementSpec.uniform(1, [], MULTIPLICATIVE, True)) == (3, 5, 11)
 
     def test_admissibility(self):
         mult = ArrangementSpec.preset("A:2,1")
@@ -356,12 +414,33 @@ class TestCharpolyFF:
                     ArrangementSpec.preset(f"C:{n},{m}")
                 ) == charpoly_C_closed(n, m)
 
-    def test_interpolant_matches_extra_moduli(self):
-        spec = ArrangementSpec.preset("A:2,2")
-        p = charpoly_ff(spec)
-        plan = plan_moduli(spec, count=8)
-        for q in plan:
-            assert p(q) == count_complement_points(spec, q)
+    @pytest.mark.parametrize(
+        "spec",
+        [pytest.param(ArrangementSpec.preset(name), id=name)
+         for name in (f"{family}:{n},{m}" for family in arrangements.PRESETS
+                      for n in range(1, 5) for m in (1, 2))]
+        + [pytest.param(ArrangementSpec(n, ADDITIVE), id=f"no planes, n={n}")
+           for n in (1, 2, 4)]
+        + [pytest.param(ArrangementSpec.uniform(n, [0], flavor, flavor == MULTIPLICATIVE),
+                        id=f"shift 0, {flavor}, n={n}")
+           for n in (2, 4) for flavor in (MULTIPLICATIVE, ADDITIVE)],
+    )
+    def test_counts_are_chi_from_the_bound(self, spec):
+        assert_counts_are_chi(spec)
+
+    @given(walk_specs())
+    def test_sparse_counts_are_chi_from_the_bound(self, spec):
+        event(f"{spec.flavor} m_max={spec.m_max}")
+        assert_counts_are_chi(spec)
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"{family}:{n},{m}"
+         for family in arrangements.PRESETS for n in range(1, 6) for m in (1, 2, 3)],
+    )
+    def test_old_plan_gives_the_same_chi(self, name):
+        spec = ArrangementSpec.preset(name)
+        assert charpoly_ff(spec) == charpoly_ff(spec, old_plan(spec))
 
     def test_explicit_moduli(self):
         spec = ArrangementSpec.preset("A:2,1")
@@ -383,24 +462,31 @@ class TestCharpolyFF:
         with pytest.raises(SizeGuard):
             charpoly_ff(ArrangementSpec(10**6, ADDITIVE))
 
-    def test_budget_messages_at_the_boundary(self):
-        # Without planes any modulus from 1 on is admissible.  n = 10 fits the
-        # work budget with moduli 1..12, so the planned moduli 21..32 decide;
-        # from n = 11 on no n + 2 admissible moduli can.
-        with pytest.raises(SizeGuard, match="moduli up to 32 break"):
+    def test_budget_messages_at_the_boundary(self, monkeypatch):
+        # Without planes any modulus from 1 on is admissible, and the plan is
+        # 1..n+2.  n = 9 fits the work budget.  The steps of n = 10 alone
+        # would fit too, but the price of its contractions does not, so it is
+        # refused before any count, as is every n from 11 on.
+        spec = ArrangementSpec(9, ADDITIVE)
+        assert plan_moduli(spec) == tuple(range(1, 12))
+        arrangements.check_kernel_cost(spec, plan_moduli(spec), "n=9")
+        assert sum(q**9 for q in range(1, 13)) < arrangements.WORK_BUDGET
+        monkeypatch.setattr(arrangements, "count_complement_points", no_count)
+        with pytest.raises(SizeGuard, match="no 12 admissible moduli"):
             charpoly_ff(ArrangementSpec(10, ADDITIVE))
         with pytest.raises(SizeGuard, match="no 13 admissible moduli"):
             charpoly_ff(ArrangementSpec(11, ADDITIVE))
 
-    def test_sorted_plan_budget(self):
+    def test_sorted_plan_budget(self, monkeypatch):
         # w q^(n-1) refused A:7,1 and C:8,1; the sorted plan's step count
-        # admits them, and B:7,1, pinned at two values of x1, stays refused
-        # before any count
-        for name in ("A:7,1", "C:8,1"):
+        # admits them, and with moduli from the bound B:7,1 too; B:7,2,
+        # pinned at two values of x1, is refused before any count
+        for name in ("A:7,1", "C:8,1", "B:7,1"):
             spec = ArrangementSpec.preset(name)
             arrangements.check_kernel_cost(spec, plan_moduli(spec), name)
+        monkeypatch.setattr(arrangements, "count_complement_points", no_count)
         with pytest.raises(SizeGuard, match="moduli up to 101 break"):
-            charpoly_ff(ArrangementSpec.preset("B:7,1"))
+            charpoly_ff(ArrangementSpec.preset("B:7,2"))
 
     @given(
         st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 5), st.integers(1, 4)
