@@ -34,9 +34,7 @@ from .paths import (
     DecoratedDyckPath,
     LabeledDyckPath,
     compartment_distribution,
-    compartments,
     path_to_sketch,
-    primitive_parts,
     shifted_coefficient_identity,
     sketch_to_path,
     unlabeled_census,
@@ -45,8 +43,6 @@ from .poset import build_poset, charpoly_from_poset
 from .sketches import (
     LogPoint,
     Sketch,
-    enumerate_sketches,
-    hyperplane_side,
     is_valid_sketch,
     point_to_sketch,
     regions_by_projection,

@@ -20,7 +20,6 @@ from .numbers import IntPolynomial, shift, zaslavsky
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
-BASE = 2
 
 # The budgets of one call, which check_budgets enforces: the steps it takes
 # in all, and the int64 entries it holds at once.
@@ -429,7 +428,7 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
         out = np.ones((q, q), dtype=np.int64)
         for s in shifts:
             if spec.flavor == MULTIPLICATIVE:
-                rows = (pow(BASE, s % (q - 1), q) * cols) % q
+                rows = (pow(2, s % (q - 1), q) * cols) % q
             else:
                 rows = (cols + s) % q
             out[rows, cols] = 0

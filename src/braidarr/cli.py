@@ -295,6 +295,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
     """``charpoly`` or ``regions``, as ``args.verb`` says, by ``args.method``."""
     spec, target = _resolve_spec(args)
     moduli = _parse_moduli(args.moduli)
+    if moduli is not None and args.method != "ff":
+        raise UsageError("--moduli applies to --method ff only")
     route, head = ROUTES[args.method], {"target": target, "method": args.method}
     if args.verb == "charpoly":
         p = route.chi(spec, moduli)

@@ -116,8 +116,8 @@ def sketch_to_partition(
 
 
 def partition_chunks(n: int, m: int) -> Iterator[str]:
-    """``sketch_to_partition(s, m).to_text()`` for each sketch s of
-    ``enumerate_sketches(n, m)``, in that order, in chunks (``render_chunks``)."""
+    """``sketch_to_partition(s, m).to_text()`` for each sketch s of size
+    (n, m), in ``Sketch.sort_key`` order, in chunks (``render_chunks``)."""
     chunks = text_chunks(n, m, "|", exponents=False)
     # ``to_text`` writes n = 0's empty diagram "| ", not the joined "|".
     return chunks if n else iter([DecoratedNonNestingPartition(m, (), ()).to_text()])

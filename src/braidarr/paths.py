@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -213,30 +213,6 @@ def _path_table(n: int, m: int) -> tuple[list[tuple[str, str]], np.ndarray]:
     return pairs, np.array([(*p, 0, n + 1) for p in permutations(range(1, n + 1))], np.int32)
 
 
-def primitive_parts(path: LabeledDyckPath) -> int:
-    return len(axis_points(path.steps, path.m)) - 1
-
-
-def compartment_decomposition(path: LabeledDyckPath) -> tuple[LabeledDyckPath, ...]:
-    """Split into compartments by the iterated largest-remaining-label rule.
-
-    The first compartment runs through the primitive part containing the
-    largest label; the next one through the part containing the largest label
-    not yet used, and so on.  So a compartment ends after each part whose
-    suffix maximum of labels differs from the next part's (0 past the last).
-    """
-    points = axis_points(path.steps, path.m)
-    ups = [a // (path.m + 1) for a in points]  # up-steps before each axis point
-    tops = [0, *accumulate(reversed(path.labels), max)][::-1]  # tops[u] = max(labels[u:])
-    cuts = [0] + [p for p in range(1, len(points)) if tops[ups[p - 1]] != tops[ups[p]]]
-    return tuple(LabeledDyckPath(path.m, path.steps[points[a]:points[b]], path.labels[ups[a]:ups[b]])
-                 for a, b in zip(cuts, cuts[1:]))
-
-
-def compartments(path: LabeledDyckPath) -> int:
-    return len(compartment_decomposition(path))
-
-
 def assemble_compartments(
     parts: Iterable[LabeledDyckPath],
 ) -> LabeledDyckPath:
@@ -244,6 +220,8 @@ def assemble_compartments(
 
     Compartment maxima strictly decrease along a path, so sorting the given
     connected pieces by maximum label descending recovers the original order.
+    A piece is connected, one compartment, when it is nonempty and its largest
+    label lies in its last primitive part.
     """
     pieces = list(parts)
     if not pieces:
@@ -253,7 +231,9 @@ def assemble_compartments(
         check_labeled_path(piece)
         if piece.m != m:
             raise ValueError("mixed rise parameters")
-        if compartments(piece) != 1:
+        # the last primitive part's labels, after the up-steps before its start
+        last = piece.labels[axis_points(piece.steps, m)[-2] // (m + 1):] if piece.labels else ()
+        if max(piece.labels, default=0) not in last:
             raise ValueError(f"piece {piece} is not connected")
     pieces.sort(key=lambda p: -max(p.labels))
     steps: tuple[str, ...] = ()
@@ -272,7 +252,7 @@ def compartment_distribution(n: int, m: int) -> list[int]:
     the largest from any of its parts onwards, so the compartments are the
     distinct suffix maxima of the labels at part 2's part starts, and one
     ends where the maximum differs from the next start's (0 past the last);
-    ``compartment_decomposition`` is the reference."""
+    ``reference_decomposition`` in the tests is the reference."""
     pairs, labels = _path_table(n, m)
     suffix_max = np.maximum.accumulate(labels[:, n::-1], axis=1)[:, ::-1]
     counts = np.zeros(n + 1, np.int64)

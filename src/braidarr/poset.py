@@ -67,11 +67,6 @@ class IntersectionPoset:
     def __len__(self) -> int:
         return len(self.mu)
 
-    def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (a, b), a a flat and b the flat one dimension lower
-        that a plane cuts from it, as the closure recorded them."""
-        return list(map(tuple, self.edges.tolist()))
-
     def to_json_dict(self) -> dict:
         """The JSON form, refused if its dump breaks a budget (``DUMP_ENTRIES``)."""
         numbers = len(self) * (2 * self.root.shape[1] + 3) + 2 * len(self.edges)

