@@ -39,7 +39,7 @@ from .paths import (
     sketch_to_path,
     unlabeled_census,
 )
-from .poset import build_poset, charpoly_from_poset
+from .poset import build_poset, rank_sums
 from .sketches import (
     LogPoint,
     Sketch,

@@ -17,16 +17,20 @@ the key of the child flat.  Every hyperplane passes through the origin, so a
 plane that does not contain a flat X cuts it in a flat one dimension lower,
 and these (X, plane, child) cuts give exactly the Hasse covers; they are
 recorded as the closure finds them.  The same cuts give the Mobius values,
-by Weisner's theorem (see :func:`build_poset`), so no two flats are ever
+by Weisner's theorem (see :func:`_ranks`), so no two flats are ever
 compared.  Every array is an integer array; there is no floating point
 anywhere.
 """
 from __future__ import annotations
 
+import json
+from typing import Iterator
+
 import numpy as np
 
 from .arrangements import MULTIPLICATIVE, ArrangementSpec, SizeGuard, check_budgets, hyperplanes_of
 from .numbers import IntPolynomial
+from .sketches import CHUNK_TOKENS, _digits, byte_cells
 
 # (flat, plane) pairs per closure step; bounds each temporary array of _cut
 # to 256 KB.
@@ -40,10 +44,10 @@ BLOCK = 1 << 15
 # A:6,1 4.50 / 5.7-7.1, A:6,2 5.21 / 7.0; this is the largest, rounded up.
 CUT_ENTRIES = 8
 # int64 entries per printed number (2n + 3 or fewer per flat, 2 per edge) at
-# the JSON dump's peak.  Traced, tracemalloc / ru_maxrss less the RSS before
-# the dump: A:6,1 10.3 / 10.0, A:5,4 10.6 / 10.0, A:6,2 10.5 / 10.1, rounded
-# up here; the encoder's buffer of small strings adds a few MB at any size.
-DUMP_ENTRIES = 11
+# the JSON dump's peak, a chunk's temporaries (about 12 MB) and 10 bytes per
+# flat.  Traced, tracemalloc / ru_maxrss less the RSS before the dump: A:6,1
+# 1.89 / 2.06, A:5,4 0.84 / 0.99, A:6,2 0.39 / 0.42; 1 where it can bind.
+DUMP_ENTRIES = 1
 
 
 class IntersectionPoset:
@@ -67,59 +71,85 @@ class IntersectionPoset:
     def __len__(self) -> int:
         return len(self.mu)
 
-    def to_json_dict(self) -> dict:
-        """The JSON form, refused if its dump breaks a budget (``DUMP_ENTRIES``)."""
-        numbers = len(self) * (2 * self.root.shape[1] + 3) + 2 * len(self.edges)
+    def json_chunks(self, target: str) -> Iterator[str]:
+        """``json.dumps`` of ``{"flats", "hasse": edges, "n", "target"}``, keys
+        sorted, in chunks, after the budget check (``DUMP_ENTRIES``).  Flat a
+        is ``{"components", "dim", "id": a, "loops", "mu"}``, 1-based.  A row,
+        read in a stable argsort of its roots (loops, then components), is n
+        component slots, dim and id, and n loop slots, gathered a chunk of rows
+        at a time from uint8 text tables whose NULs are then dropped."""
+        n, count = self.root.shape[1], len(self)
+        numbers = count * (2 * n + 3) + 2 * len(self.edges)
         check_budgets("the poset's JSON dump", DUMP_ENTRIES * numbers, numbers, "numbers")
-        flats = []
-        rows = zip(self.dims.tolist(), self.mu.tolist(), self.root.tolist(), self.off.tolist())
-        for index, (dim, mu, roots, offs) in enumerate(rows):
-            loops, components = [], {}
-            for v, (r, o) in enumerate(zip(roots, offs), 1):
-                if r < 0:
-                    loops.append(v)
-                else:
-                    # A root is its component's first vertex, so the groups
-                    # come out sorted by smallest vertex.
-                    components.setdefault(r, []).append([v, o])
-            flats.append(
-                {"id": index, "dim": dim, "mu": mu, "loops": loops,
-                 "components": list(components.values())}
-            )
-        return {"n": self.root.shape[1], "flats": flats, "hasse": self.edges.tolist()}
+        v, ids, slot = np.arange(1, n + 1), np.arange(count), np.arange(n)
+        # Cell 0 is empty; a slot opens the first component, a later one, or goes on.
+        heads = byte_cells(["", *(_digits(v, p, ", ") for p in ("[[", "], [[", ", ["))])
+        loops = byte_cells(["", _digits(v), _digits(v, ", ")])
+        dims = byte_cells(['], "dim": 0, "id": ', _digits(v, ']], "dim": ', ', "id": ')])
+        covers = byte_cells([_digits(ids, ", [", ", "), _digits(ids, "", "]")])  # a, count + b
+        ids = byte_cells([_digits(ids, "", ', "loops": [')])
+        # Every flat and cover starts with ", ", which each list's first chunk cuts.
 
+        def chunks() -> Iterator[str]:
+            yield '{"flats": ['
+            step = max(1, CHUNK_TOKENS // (2 * n + 3))
+            for lo in range(0, count, step):
+                rows = slice(lo, lo + step)
+                vertex = np.argsort(self.root[rows], axis=1, kind="stable")
+                first = np.take_along_axis(self.root[rows], vertex, axis=1)
+                loop = first < 0
+                opened = loop.sum(axis=1, keepdims=True)  # the first component's slot
+                head = np.where(first == vertex, np.where(slot == opened, 0, 1), 2) * n + vertex + 1
+                head = heads[np.where(loop, 0, head)].view(np.uint8).reshape(len(vertex), n, -1)
+                offsets = _digits(np.take_along_axis(self.off[rows], vertex, axis=1).ravel(), "", "]")
+                offsets = offsets.reshape(len(vertex), n, -1) * ~loop[:, :, None]
+                text = [np.tile(np.frombuffer(b', {"components": [', np.uint8), (len(vertex), 1)),
+                        np.concatenate([head, offsets], axis=2), dims[self.dims[rows]], ids[rows],
+                        loops[np.where(slot < opened, vertex + 1 + n * (slot > 0), 0)],
+                        _digits(self.mu[rows], '], "mu": ', "}")]
+                text = np.hstack([t.view(np.uint8).reshape(len(vertex), -1) for t in text])
+                yield text.tobytes().translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
+            yield '], "hasse": ['
+            for lo in range(0, len(self.edges), CHUNK_TOKENS // 2):
+                text = covers[self.edges[lo : lo + CHUNK_TOKENS // 2] + [0, count]].tobytes()
+                yield text.translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
+            yield f'], "n": {n}, "target": {json.dumps(target)}}}'
 
-def check_poset_size(n: int, flavor: str, bound: int) -> None:
-    """Refuse an additive target, or, with :class:`SizeGuard`, one whose keys
-    (see :class:`_CellCode`) overflow int64 when offsets reach ``bound``."""
-    if flavor != MULTIPLICATIVE:
-        raise ValueError("posets are built for multiplicative arrangements only")
-    base = (n + 1) * (2 * bound + 1)
-    # C^n >= 2^63 once (bit length of C, less 1) * n >= 63, so C^n is formed
-    # only for n < 63 and a huge n is refused at once.
-    if (base.bit_length() - 1) * n >= 63 or base**n > np.iinfo(np.int64).max:
-        raise SizeGuard(
-            f"n={n} or its shifts are too large for the poset route: offsets reach "
-            f"{bound}, and a flat's {n} cells must pack into one int64 key"
-        )
+        return chunks()
 
 
 class _CellCode:
-    """The packing of a flat's cells into one int64 key.
+    """The packing of a flat's cells into one int64 key, after refusing an
+    additive spec, or, with :class:`SizeGuard`, one whose keys overflow.
 
     A cell is 0 when its coordinate is zero and ``(root + 1) * R + off + B``
     otherwise; the key is the base-C number whose digit v is cell v, with
     ``R = 2B + 1`` and ``C = (n + 1) R``.  An offset is a sum of plane shifts
     along a path in a tree of merges, whose edges join distinct coordinate
     pairs, so B, the sum of the n - 1 largest per-pair shifts, bounds
-    ``|off|`` and every key lies in [0, C^n); :func:`check_poset_size` has
-    checked that C^n fits in an int64.
+    ``|off|`` and every key lies in [0, C^n), which must fit in an int64.  B
+    is read off the shifts, so that no plane is listed before the check, nor
+    a uniform spec's pairs.
     """
 
-    def __init__(self, n: int, bound: int):
-        self.bound = bound
-        self.radix = 2 * bound + 1
+    def __init__(self, spec: ArrangementSpec):
+        if spec.flavor != MULTIPLICATIVE:
+            raise ValueError("posets are built for multiplicative arrangements only")
+        n = spec.n
+        if spec.uniform_shifts is not None:
+            self.bound = (n - 1) * spec.m_max
+        else:
+            largest = sorted((max(map(abs, ks)) for ks in spec.pair_shifts.values()), reverse=True)
+            self.bound = sum(largest[: n - 1])
+        self.radix = 2 * self.bound + 1
         self.base = (n + 1) * self.radix
+        # C^n >= 2^63 once (bit length of C, less 1) * n >= 63, so C^n is
+        # formed only for n < 63 and a huge n is refused at once.
+        if (self.base.bit_length() - 1) * n >= 63 or self.base**n > np.iinfo(np.int64).max:
+            raise SizeGuard(
+                f"n={n} or its shifts are too large for the poset route: offsets reach "
+                f"{self.bound}, and a flat's {n} cells must pack into one int64 key"
+            )
         self.powers = self.base ** np.arange(n, dtype=np.int64)
 
     def cells(self, root: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -132,12 +162,53 @@ class _CellCode:
 
 
 def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
-    """All flats, closed rank by rank from the ambient flat, with Mobius values.
+    """All flats of ``spec`` from :func:`_ranks`, in the node order of
+    :func:`_order`, with one cover per (parent, child) pair of cuts."""
+    code = _CellCode(spec)
+    keys, mus, edges = [], [], []
+    above = start = 0
+    for key, mu, parent, child in _ranks(spec, code):
+        pairs = parent.astype(np.int64) * len(key) + child
+        pairs.sort(kind="stable")
+        parent, child = np.divmod(pairs[_firsts(pairs)], len(key))
+        edges.append(np.stack([above + parent, start + child], axis=1))
+        keys.append(key)
+        mus.append(mu)
+        above, start = start, start + len(key)
+        del pairs, parent, child  # not held through the next rank's cut
 
-    Rank r + 1 is every child of a rank-r flat.  Each (flat, plane) pair whose
+    root, off = code.decode(np.concatenate(keys))
+    order = _order(root, off)
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    # sorted as one int64 key each, a sort of one column
+    covers = position[np.concatenate(edges)]
+    covers = covers[:, 0] * len(order) + covers[:, 1]
+    covers.sort(kind="stable")
+    covers = np.stack(np.divmod(covers, len(order)), axis=1)
+    return IntersectionPoset(root[order], off[order], np.concatenate(mus)[order], covers)
+
+
+def rank_sums(spec: ArrangementSpec) -> tuple[list[int], IntPolynomial]:
+    """The flats of each rank r (of dimension n - r) and chi, the sum of
+    mu(X) t^dim(X), summed as :func:`_ranks` closes each rank."""
+    counts, coeffs = [], [0] * (spec.n + 1)
+    for key, mu, parent, child in _ranks(spec, _CellCode(spec)):
+        coeffs[spec.n - len(counts)] = int(mu.sum())
+        counts.append(len(key))
+        del parent, child  # not held through the next rank's cut
+    return counts, IntPolynomial(coeffs)
+
+
+def _ranks(spec: ArrangementSpec, code: _CellCode) -> Iterator[tuple[np.ndarray, ...]]:
+    """The flats of ``spec``, closed rank by rank from the ambient flat.
+
+    Yields each rank's sorted keys, Mobius values, and the cuts into it as
+    parent indices in the rank above and child indices in this one.  Rank
+    r + 1 is every child of a rank-r flat.  Each (flat, plane) pair whose
     plane does not contain the flat is a cut: it gives a child one dimension
-    lower and the cover edge (flat, child).  Children are de-duplicated on
-    their packed keys, and then :func:`check_budgets` refuses the new rank if
+    lower, and the cover (flat, child).  Children are de-duplicated on their
+    packed keys, and then :func:`check_budgets` refuses the new rank if
     cutting it breaks a budget (the ambient flat's cut is no larger than the
     plane list).
 
@@ -152,15 +223,6 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     of chi, at most the number of regions, so the int64 sums are exact.
     """
     n = spec.n
-    # B of _CellCode, from the shifts, so that no plane is listed before the
-    # check, nor a uniform spec's pairs.
-    if spec.uniform_shifts is not None:
-        bound = (n - 1) * spec.m_max
-    else:
-        largest = sorted((max(map(abs, ks)) for ks in spec.pair_shifts.values()), reverse=True)
-        bound = sum(largest[: n - 1])
-    check_poset_size(n, spec.flavor, bound)
-    code = _CellCode(n, bound)
     planes = hyperplanes_of(spec)
     # 0-based (i, j, k) of x_i = 2^k x_j.  x_i = 0 is stored as x_i = 2^1 x_i,
     # which holds exactly when x_i = 0, so one rule serves both kinds.
@@ -170,21 +232,22 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
     ).reshape(-1, 3)
     ambient = code.cells(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
     key, mu = np.array([ambient @ code.powers]), np.ones(1, dtype=np.int64)
-    keys, mus, edges = [], [], []
-    start = work = 0
+    parent = child = np.zeros(0, dtype=np.int64)
+    rank = work = 0
     step = max(1, BLOCK // max(len(planes), 1))
     while len(key):
-        keys.append(key)
-        mus.append(mu)
+        yield key, mu, parent, child
+        del parent, child  # the consumer's now, not held through the next cut
+        rank += 1
         # The parent, plane and child key of each cut, one block per step.
         # The budget keeps a rank's flats, and so parent indices, in int32.
         cuts = ([], [], [])
         for lo in range(0, len(key), step):
-            contains, child = _cut(code, key[lo : lo + step], ijk)
+            contains, cut = _cut(code, key[lo : lo + step], ijk)
             parent, plane = np.nonzero(~contains)
             cuts[0].append((parent + lo).astype(np.int32))
             cuts[1].append(plane.astype(np.int32))
-            cuts[2].append(child[~contains])
+            cuts[2].append(cut[~contains])
         parent, plane, cut = map(np.concatenate, cuts)
         del cuts
         children, child = _dedupe(cut)
@@ -192,7 +255,7 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
         # The children are cut next.
         work += len(children) * len(planes)
         check_budgets(
-            f"the poset's rank {len(keys)} ({len(children)} flats)",
+            f"the poset's rank {rank} ({len(children)} flats)",
             CUT_ENTRIES * len(children) * len(planes), work, "(flat, plane) cuts",
         )
         # Weisner's sum for each child X over the cuts (Y, h(X)) into it.
@@ -201,21 +264,7 @@ def build_poset(spec: ArrangementSpec) -> IntersectionPoset:
         weisner = plane == lowest[child]
         mu_children = np.zeros(len(children), dtype=np.int64)
         np.subtract.at(mu_children, child[weisner], mu[parent[weisner]])
-        # Two planes can cut a flat in the same child: one edge per pair.
-        pairs = parent.astype(np.int64) * len(children) + child
-        pairs.sort(kind="stable")
-        parent, child = np.divmod(pairs[_firsts(pairs)], len(children))
-        edges.append(np.stack([start + parent, start + len(key) + child], axis=1))
-        start += len(key)
         key, mu = children, mu_children
-
-    root, off = code.decode(np.concatenate(keys))
-    order = _order(root, off)
-    position = np.empty(len(order), dtype=np.int64)
-    position[order] = np.arange(len(order))
-    covers = position[np.concatenate(edges)]
-    covers = covers[np.lexsort((covers[:, 1], covers[:, 0]))]
-    return IntersectionPoset(root[order], off[order], np.concatenate(mus)[order], covers)
 
 
 def _order(root: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -305,11 +354,3 @@ def _cut(code: _CellCode, key: np.ndarray, ijk: np.ndarray) -> tuple[np.ndarray,
         -np.take_along_axis(comp_cells, hi, axis=1),
     )
     return contains, key[:, None] + delta
-
-
-def charpoly_from_poset(poset: IntersectionPoset, n: int) -> IntPolynomial:
-    """Mobius-weighted dimension generating polynomial."""
-    coeffs = [0] * (n + 1)
-    for dim, mu in zip(poset.dims.tolist(), poset.mu.tolist()):
-        coeffs[dim] += mu
-    return IntPolynomial(coeffs)

@@ -36,6 +36,10 @@ LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
 
 CHUNK_TOKENS = 1 << 18  # letters rendered or projected at a time
+# int64 keys up to which _row_order lexsorts packed keys, not the rows' bytes.
+# Process CPU of the two (2-vCPU x86-64): 6,1 (one key) 13 / 29-42 ms, 5,4
+# (three) 70 / 120 ms, 4,10 (five) 26 / 21 ms, 1,3124998 (1.6 million) 1.3 s / 0.
+PACKED_KEYS = 4
 
 
 @functools.lru_cache(maxsize=1024)  # bounded: a long sketch has many letters
@@ -204,11 +208,7 @@ def render_chunks(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray
     codes, ``width`` a line; code t is the t-th token (a str is one, an array
     one per uint8 row, NULs dropped) and a space.  Lines must be equally long.
     A chunk is gathered from one byte table and decoded once."""
-    blocks = [np.uint8([list(t.encode())]) if isinstance(t, str) else t for t in tokens]
-    cell = max(block.shape[1] for block in blocks) + 1
-    table = np.vstack([np.pad(block, ((0, 0), (0, cell - block.shape[1]))) for block in blocks])
-    table[:, -1] = ord(" ")
-    cells = table.view(np.dtype((np.void, cell))).ravel()
+    cells = byte_cells(tokens, " ")
     per_chunk = max(1, CHUNK_TOKENS // width)
 
     def chunks() -> Iterator[str]:
@@ -254,8 +254,8 @@ def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:
     letter: a left row, and read backwards a right row, so a sketch is a row
     and a reversed row added.  0 sorts first, as the zero letter does in the
     key; right words keep the order of ``_sorted_words``, which coding onto a
-    subset keeps.  Rows are big-endian int32, the byte order ``_row_order``
-    sorts by, so it copies none."""
+    subset keeps.  Rows are big-endian int32, so that ``_row_order`` sorts
+    long rows by their bytes without a copy."""
     _check_guard(n, m)
     width = m + 1
     # the orderly words on k letters, one per region of C:k,m
@@ -277,7 +277,7 @@ def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:
             first[rows] = offsets[tuple(sorted(set(range(n)) - set(subset)))]
             count[rows] = lengths[n - size]
     del sorted_words  # the largest size's words, not held while the rows are ordered
-    order = _row_order(words)
+    order = _row_order(words, n * width)
     return words, order, first[order], count[order]
 
 
@@ -302,18 +302,43 @@ def _sorted_words(size: int, m: int) -> np.ndarray:
     return words
 
 
-def _row_order(rows: np.ndarray) -> np.ndarray:
-    """The lexicographic order of nonnegative int32 rows, by their bytes."""
-    keys = np.ascontiguousarray(rows, ">i4")
-    return np.argsort(keys.view(np.dtype((np.void, keys.shape[1] * 4))).ravel())
+def _row_order(rows: np.ndarray, top: int) -> np.ndarray:
+    """The lexicographic order of distinct big-endian int32 rows of tokens in
+    [0, ``top``]: a lexsort of int64 keys, each packing the next 62 // b
+    columns as b-bit digits (b the bit length of ``top``), made a digit place
+    at a time so that no int64 copy of the rows is made; or, past
+    ``PACKED_KEYS`` keys, an argsort of the rows' bytes."""
+    bits = top.bit_length() or 1
+    place = 62 // bits
+    if rows.shape[1] > PACKED_KEYS * place:
+        return np.argsort(rows.view(np.dtype((np.void, rows.shape[1] * 4))).ravel())
+    keys = np.zeros((-(-rows.shape[1] // place), len(rows)), np.int64)
+    for digit in range(place):
+        keys <<= bits
+        columns = rows.T[digit::place]
+        keys[: len(columns)] |= columns
+    return np.lexsort(keys[::-1])  # the last key first
 
 
-def _digits(values: np.ndarray, prefix: str = "") -> np.ndarray:
-    """``prefix`` and the digits of each value (>= 0), a uint8 row each, leading zeros NUL."""
-    powers = [10**p for p in reversed(range(len(str(values.max(initial=0)))))]
-    columns = (np.where(values < (p if p > 1 else 0), 0, values // p % 10 + 48) for p in powers)
-    head = np.tile(np.frombuffer(prefix.encode(), np.uint8), (len(values), 1))
-    return np.column_stack([head, *(column.astype(np.uint8) for column in columns)])
+def byte_cells(tokens: Sequence[str | np.ndarray], suffix: str = "") -> np.ndarray:
+    """One void cell per token (a str is one, a uint8 array one per row): its
+    bytes NUL-padded to the longest token's, then ``suffix``."""
+    blocks = [np.uint8([list(t.encode())]) if isinstance(t, str) else t for t in tokens]
+    cell = max(block.shape[1] for block in blocks) + len(suffix)
+    table = np.vstack([np.pad(block, ((0, 0), (0, cell - block.shape[1]))) for block in blocks])
+    table[:, cell - len(suffix) :] = np.frombuffer(suffix.encode(), np.uint8)
+    return table.view(np.dtype((np.void, cell))).ravel()
+
+
+def _digits(values: np.ndarray, prefix: str = "", suffix: str = "") -> np.ndarray:
+    """``prefix``, each value's decimal text and ``suffix``, a uint8 row each,
+    NULs before the sign (a column only when some value is negative)."""
+    size = np.abs(values)
+    powers = [10**p for p in reversed(range(len(str(size.max(initial=0)))))]
+    columns = [np.where(size < (p if p > 1 else 0), 0, size // p % 10 + 48) for p in powers]
+    sign = [np.where(values < 0, ord("-"), 0)] if values.min(initial=0) < 0 else []
+    ends = [np.tile(np.frombuffer(text.encode(), np.uint8), (len(values), 1)) for text in (prefix, suffix)]
+    return np.column_stack([ends[0], *(c.astype(np.uint8) for c in sign + columns), ends[1]])
 
 
 def witness_point(sketch: Sketch) -> tuple[LogPoint, ...]:

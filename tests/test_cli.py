@@ -180,6 +180,10 @@ ENUMERATION_SHA256 = {
     # 72 planes, more than 64, and offsets up to ±22; no coordinate planes
     "poset A:3,11": "8dd2066e1656c8e075aa5469d8e7a221a4b3557c46fc5d4b58e34fcf391414f4",
     "poset B:5,1": "3f214d71fc94b51698c47ee9ae5bc25943596fbc6ed310093d6644c48f96acc0",
+    # taken from the dict dump, before the JSON was rendered from the arrays:
+    # the benchmark's largest dump, and one of 2.4 MB in several chunks
+    "poset Gamma:4,3": "f65d19466862d19b27f13c32360ae69ba675eeba82bd9c3ad2ba0d15b99cbf65",
+    "poset A:5,2": "4701bbd7af4bd6c80ae8ea8ea8c38f1d4df3b45af433ee6cc8ffdaad2b386c2e",
     # taken from the object enumeration of paths: n = 6; n = 0; a long line;
     # and the compartments from the walk over every labelling
     "enumerate paths 6 1": "208a1588ff4dd89084f9852dd2e6a3129a0adb3fbf461206ecf44baf9afe63dd",
@@ -1092,18 +1096,18 @@ class TestPoset:
 
     def test_B61(self, capture, monkeypatch):
         """n = 6, which the old n <= 5 rule refused, so the table's sha256 is
-        taken from the budget-guarded closure.  The two calls share one build
-        of the poset, which takes about 1.3 s."""
+        taken from the budget-guarded closure.  The two calls share one
+        closure of the poset's ranks."""
         built = {}
-        build = poset.build_poset
+        sums = poset.rank_sums
 
         def build_once(spec):
             text = json.dumps(spec.to_json_dict())
             if text not in built:
-                built[text] = build(spec)
+                built[text] = sums(spec)
             return built[text]
 
-        monkeypatch.setattr(poset, "build_poset", build_once)
+        monkeypatch.setattr(poset, "rank_sums", build_once)
         code, out, err = capture("regions", "B:6,1", "--method", "poset")
         assert (code, out, err) == (0, f"{regions_B_closed(6, 1)}\n", "")
         code, out, err = capture("poset", "B:6,1", "--output", "table")
@@ -1132,6 +1136,16 @@ class TestPoset:
         assert "flats: 7" in out
         assert "charpoly: t^2 - 5*t + 4" in out
 
+    def test_json_dump_of_a_quoted_spec_path(self, capture, tmp_path):
+        """The target, a path with a quote, a backslash and a non-ASCII
+        letter, is escaped as ``json.dumps`` escapes it."""
+        path = tmp_path / 'a "quoted"\\spec é.json'
+        path.write_text(json.dumps({"n": 3, "flavor": "A", "shifts": {"1,2": [-2], "2,3": [1]}}))
+        code, out, err = capture("poset", "--spec", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["target"] == str(path)
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
     def test_json_dump_past_the_memory_budget(self, capture, monkeypatch):
         # the dump of A:2,1 prints 7 * 7 + 2 * 10 numbers; the table form is
         # not counted
@@ -1147,20 +1161,24 @@ class TestUsage:
         """A reader that stops after one line ends the program with exit 1
         and nothing on stderr.  The output is larger than a pipe's buffer, so
         the program is still writing when the pipe closes."""
-        self._close_after_first_line("sketches", b"0 1^0 1^1")
+        self._close_after_first_bytes(["enumerate", "sketches", "5", "1"], b"0 1^0 1^1")
 
     def test_closed_stdout_on_partition_stream(self):
-        self._close_after_first_line("partitions", b"| 1 1 2 2")
+        self._close_after_first_bytes(["enumerate", "partitions", "5", "1"], b"| 1 1 2 2")
+
+    def test_closed_stdout_on_poset_dump(self):
+        """The dump is one JSON line of 2.4 MB, written a chunk at a time."""
+        first = b'{"flats": [{"components": [[[1, 0]], [[2, 0]], [[3, 0]]'
+        self._close_after_first_bytes(["poset", "A:5,2"], first)
 
     @staticmethod
-    def _close_after_first_line(kind, first):
+    def _close_after_first_bytes(argv, first):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
-            [sys.executable, "-c", "from braidarr.cli import main; main()",
-             "enumerate", kind, "5", "1"],
+            [sys.executable, "-c", "from braidarr.cli import main; main()", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
-        assert proc.stdout.readline().startswith(first)
+        assert proc.stdout.read(len(first)) == first
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1

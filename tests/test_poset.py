@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ from braidarr.numbers import (
     regions_B_closed,
     zaslavsky,
 )
-from braidarr.poset import build_poset, charpoly_from_poset
+from braidarr.poset import build_poset, rank_sums
 
 # Hyperplane set from the worked six-coordinate example: x1 = 0, x1 = 2^2 x2,
 # x4 = 2 x3, x5 = 2^3 x4, x5 = 2^4 x3.
@@ -89,10 +90,55 @@ def check_order_and_dump(poset, spec):
         key=lambda f: (-f.dimension, tuple(sorted(f.loops)), f.components),
     )
     assert flats == expected
-    for entry, flat in zip(poset.to_json_dict()["flats"], flats):
+    for entry, flat in zip(reference_dump(poset)["flats"], flats):
         assert entry["dim"] == flat.dimension
         assert entry["loops"] == sorted(flat.loops)
         assert entry["components"] == [[list(pair) for pair in comp] for comp in flat.components]
+    check_rendered(poset, spec)
+
+
+def charpoly_from_poset(poset, n):
+    """The sum of mu(X) t^dim(X) over a whole poset's flats: the reference
+    for ``rank_sums``, which sums each rank as the closure goes."""
+    coeffs = [0] * (n + 1)
+    for dim, mu in zip(poset.dims.tolist(), poset.mu.tolist()):
+        coeffs[dim] += mu
+    return IntPolynomial(coeffs)
+
+
+def reference_dump(poset):
+    """The JSON form as Python objects, flat by flat: the reference for the
+    text ``IntersectionPoset.json_chunks`` renders from the arrays."""
+    flats = []
+    rows = zip(poset.dims.tolist(), poset.mu.tolist(), poset.root.tolist(), poset.off.tolist())
+    for index, (dim, mu, roots, offs) in enumerate(rows):
+        loops, components = [], {}
+        for v, (r, o) in enumerate(zip(roots, offs), 1):
+            if r < 0:
+                loops.append(v)
+            else:
+                # A root is its component's first vertex, so the groups
+                # come out sorted by smallest vertex.
+                components.setdefault(r, []).append([v, o])
+        flats.append(
+            {"id": index, "dim": dim, "mu": mu, "loops": loops,
+             "components": list(components.values())}
+        )
+    return {"n": poset.root.shape[1], "flats": flats, "hasse": poset.edges.tolist()}
+
+
+def check_rendered(poset, spec, target="A:1,1"):
+    """The rendered dump is the reference's ``json.dumps`` text, and the
+    rank sums are the poset's flats per dimension and chi."""
+    text = "".join(poset.json_chunks(target))
+    expected = json.dumps(reference_dump(poset) | {"target": target}, sort_keys=True)
+    if text != expected:  # shown where it starts: pytest's diff of two long lines takes minutes
+        at = next((i for i, pair in enumerate(zip(text, expected)) if len(set(pair)) > 1), len(text))
+        pytest.fail(f"at {at}: {text[at - 40 : at + 40]!r} != {expected[at - 40 : at + 40]!r}")
+    counts, chi = rank_sums(spec)
+    assert counts == [int((poset.dims == spec.n - rank).sum()) for rank in range(len(counts))]
+    assert sum(counts) == len(poset)
+    assert chi == charpoly_from_poset(poset, spec.n)
 
 
 def ambient_flat(n):
@@ -527,7 +573,7 @@ class TestContainment:
 
     def test_json_dump_shape(self):
         poset = build_poset(ArrangementSpec.preset("A:1,1"))
-        data = poset.to_json_dict()
+        data = json.loads("".join(poset.json_chunks("A:1,1")))
         assert data["n"] == 1
         assert len(data["flats"]) == 2
         assert data["hasse"] == [[0, 1]]
@@ -566,3 +612,37 @@ def test_random_sparse_poset(spec):
         mu.append(-sum(mu[a] for a in higher) if len(higher) else 1)
     assert poset.mu.tolist() == mu
     check_order_and_dump(poset, spec)
+
+
+@st.composite
+def preset_specs(draw):
+    """A multiplicative preset within a few thousand flats."""
+    family = draw(st.sampled_from(["A", "B", "Gamma", "Delta"]))
+    n = draw(st.integers(1, 4))
+    return ArrangementSpec.preset(f"{family}:{n},{draw(st.integers(1, 4 - n // 2))}")
+
+
+@given(st.one_of(preset_specs(), sparse_specs()), st.text(max_size=6))
+def test_rendered_dump_and_rank_sums(spec, target):
+    """The dump rendered from the arrays is the reference's text byte for
+    byte, with any target, and the rank sums agree with the whole poset."""
+    check_rendered(build_poset(spec), spec, target)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ArrangementSpec(1, MULTIPLICATIVE, {}, True),
+        # one flat and no edges
+        ArrangementSpec(1, MULTIPLICATIVE, {}, False),
+        ArrangementSpec(3, MULTIPLICATIVE, {}, False),
+        # negative offsets
+        ArrangementSpec(3, MULTIPLICATIVE, {(1, 2): [-3], (2, 3): [-5, 2]}, True),
+        # offsets 8 * 10^8 apart, which no table over their range could hold
+        ArrangementSpec(2, MULTIPLICATIVE, {(1, 2): [400000000, -400000000]}, False),
+        # two-digit vertices
+        ArrangementSpec(10, MULTIPLICATIVE, {(1, 10): [1], (9, 10): [-2]}, True),
+    ],
+)
+def test_rendered_dump_edge_cases(spec):
+    check_rendered(build_poset(spec), spec, 'dir/"quoted"\\é.json')
