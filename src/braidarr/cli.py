@@ -391,15 +391,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_poset(args: argparse.Namespace) -> int:
     """The whole poset as one JSON line of rendered pieces, or its flats per
-    dimension and chi (formatted when printed), summed as the closure goes."""
+    dimension and chi (int64 sums, so formatted at once), from the closure."""
     spec, target = _resolve_spec(args)
     if args.output == "json":
         _emit(args.output, None, [poset.build_poset(spec).json_chunks(target)])
         return 0
     counts, chi = poset.rank_sums(spec)
-    dims = (f"dim {spec.n - rank}: {count}" for rank, count in enumerate(counts))
-    charpoly = (f"charpoly: {p.to_text()}" for p in [chi])
-    _emit(args.output, None, itertools.chain([f"flats: {sum(counts)}"], dims, charpoly))
+    dims = [f"dim {spec.n - rank}: {count}" for rank, count in enumerate(counts)]
+    _emit(args.output, None, [f"flats: {sum(counts)}", *dims, f"charpoly: {chi.to_text()}"])
     return 0
 
 

@@ -44,10 +44,10 @@ BLOCK = 1 << 15
 # A:6,1 4.50 / 5.7-7.1, A:6,2 5.21 / 7.0; this is the largest, rounded up.
 CUT_ENTRIES = 8
 # int64 entries per printed number (2n + 3 or fewer per flat, 2 per edge) at
-# the JSON dump's peak, a chunk's temporaries (about 12 MB) and 10 bytes per
-# flat.  Traced, tracemalloc / ru_maxrss less the RSS before the dump: A:6,1
-# 1.89 / 2.06, A:5,4 0.84 / 0.99, A:6,2 0.39 / 0.42; 1 where it can bind.
-DUMP_ENTRIES = 1
+# the JSON dump's peak: a chunk's temporaries (12-15 MB) and about 2.3 bytes
+# a number.  Traced, tracemalloc / ru_maxrss less the RSS before the dump:
+# A:6,1 1.68 / 2.05, A:5,4 0.90 / 1.16, A:6,2 0.48 / 0.52; the largest, rounded up.
+DUMP_ENTRIES = 3
 
 
 class IntersectionPoset:
@@ -74,10 +74,10 @@ class IntersectionPoset:
     def json_chunks(self, target: str) -> Iterator[str]:
         """``json.dumps`` of ``{"flats", "hasse": edges, "n", "target"}``, keys
         sorted, in chunks, after the budget check (``DUMP_ENTRIES``).  Flat a
-        is ``{"components", "dim", "id": a, "loops", "mu"}``, 1-based.  A row,
-        read in a stable argsort of its roots (loops, then components), is n
-        component slots, dim and id, and n loop slots, gathered a chunk of rows
-        at a time from uint8 text tables whose NULs are then dropped."""
+        is ``{"components", "dim", "id": a, "loops", "mu"}`` (vertices 1-based,
+        ids 0-based): n component slots, dim and id, and n loop slots, read in
+        a stable argsort of its roots (loops, then components) and gathered a
+        chunk of rows at a time from uint8 text tables, NULs then dropped."""
         n, count = self.root.shape[1], len(self)
         numbers = count * (2 * n + 3) + 2 * len(self.edges)
         check_budgets("the poset's JSON dump", DUMP_ENTRIES * numbers, numbers, "numbers")
@@ -89,33 +89,29 @@ class IntersectionPoset:
         covers = byte_cells([_digits(ids, ", [", ", "), _digits(ids, "", "]")])  # a, count + b
         ids = byte_cells([_digits(ids, "", ', "loops": [')])
         # Every flat and cover starts with ", ", which each list's first chunk cuts.
-
-        def chunks() -> Iterator[str]:
-            yield '{"flats": ['
-            step = max(1, CHUNK_TOKENS // (2 * n + 3))
-            for lo in range(0, count, step):
-                rows = slice(lo, lo + step)
-                vertex = np.argsort(self.root[rows], axis=1, kind="stable")
-                first = np.take_along_axis(self.root[rows], vertex, axis=1)
-                loop = first < 0
-                opened = loop.sum(axis=1, keepdims=True)  # the first component's slot
-                head = np.where(first == vertex, np.where(slot == opened, 0, 1), 2) * n + vertex + 1
-                head = heads[np.where(loop, 0, head)].view(np.uint8).reshape(len(vertex), n, -1)
-                offsets = _digits(np.take_along_axis(self.off[rows], vertex, axis=1).ravel(), "", "]")
-                offsets = offsets.reshape(len(vertex), n, -1) * ~loop[:, :, None]
-                text = [np.tile(np.frombuffer(b', {"components": [', np.uint8), (len(vertex), 1)),
-                        np.concatenate([head, offsets], axis=2), dims[self.dims[rows]], ids[rows],
-                        loops[np.where(slot < opened, vertex + 1 + n * (slot > 0), 0)],
-                        _digits(self.mu[rows], '], "mu": ', "}")]
-                text = np.hstack([t.view(np.uint8).reshape(len(vertex), -1) for t in text])
-                yield text.tobytes().translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
-            yield '], "hasse": ['
-            for lo in range(0, len(self.edges), CHUNK_TOKENS // 2):
-                text = covers[self.edges[lo : lo + CHUNK_TOKENS // 2] + [0, count]].tobytes()
-                yield text.translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
-            yield f'], "n": {n}, "target": {json.dumps(target)}}}'
-
-        return chunks()
+        yield '{"flats": ['
+        step = max(1, CHUNK_TOKENS // (2 * n + 3))
+        for lo in range(0, count, step):
+            rows = slice(lo, lo + step)
+            vertex = np.argsort(self.root[rows], axis=1, kind="stable")
+            first = np.take_along_axis(self.root[rows], vertex, axis=1)
+            loop = first < 0
+            opened = loop.sum(axis=1, keepdims=True)  # the first component's slot
+            head = np.where(first == vertex, np.where(slot == opened, 0, 1), 2) * n + vertex + 1
+            head = heads[np.where(loop, 0, head)].view(np.uint8).reshape(len(vertex), n, -1)
+            offsets = _digits(np.take_along_axis(self.off[rows], vertex, axis=1).ravel(), "", "]")
+            offsets = offsets.reshape(len(vertex), n, -1) * ~loop[:, :, None]
+            text = [np.tile(np.frombuffer(b', {"components": [', np.uint8), (len(vertex), 1)),
+                    np.concatenate([head, offsets], axis=2), dims[self.dims[rows]], ids[rows],
+                    loops[np.where(slot < opened, vertex + 1 + n * (slot > 0), 0)],
+                    _digits(self.mu[rows], '], "mu": ', "}")]
+            text = np.hstack([t.view(np.uint8).reshape(len(vertex), -1) for t in text])
+            yield text.tobytes().translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
+        yield '], "hasse": ['
+        for lo in range(0, len(self.edges), CHUNK_TOKENS // 2):
+            text = covers[self.edges[lo : lo + CHUNK_TOKENS // 2] + [0, count]].tobytes()
+            yield text.translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
+        yield f'], "n": {n}, "target": {json.dumps(target)}}}'
 
 
 class _CellCode:

@@ -36,10 +36,6 @@ LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
 
 CHUNK_TOKENS = 1 << 18  # letters rendered or projected at a time
-# int64 keys up to which _row_order lexsorts packed keys, not the rows' bytes.
-# Process CPU of the two (2-vCPU x86-64): 6,1 (one key) 13 / 29-42 ms, 5,4
-# (three) 70 / 120 ms, 4,10 (five) 26 / 21 ms, 1,3124998 (1.6 million) 1.3 s / 0.
-PACKED_KEYS = 4
 
 
 @functools.lru_cache(maxsize=1024)  # bounded: a long sketch has many letters
@@ -304,20 +300,17 @@ def _sorted_words(size: int, m: int) -> np.ndarray:
 
 def _row_order(rows: np.ndarray, top: int) -> np.ndarray:
     """The lexicographic order of distinct big-endian int32 rows of tokens in
-    [0, ``top``]: a lexsort of int64 keys, each packing the next 62 // b
-    columns as b-bit digits (b the bit length of ``top``), made a digit place
-    at a time so that no int64 copy of the rows is made; or, past
-    ``PACKED_KEYS`` keys, an argsort of the rows' bytes."""
-    bits = top.bit_length() or 1
-    place = 62 // bits
-    if rows.shape[1] > PACKED_KEYS * place:
+    [0, ``top``]: a stable argsort of one int64 key per row, its tokens packed
+    a column at a time as digits of ``top``'s bit length, when they fit in 63
+    bits; otherwise an argsort of the rows' bytes."""
+    bits = top.bit_length()
+    if rows.shape[1] * bits > 63:
         return np.argsort(rows.view(np.dtype((np.void, rows.shape[1] * 4))).ravel())
-    keys = np.zeros((-(-rows.shape[1] // place), len(rows)), np.int64)
-    for digit in range(place):
+    keys = np.zeros(len(rows), np.int64)
+    for column in rows.T:
         keys <<= bits
-        columns = rows.T[digit::place]
-        keys[: len(columns)] |= columns
-    return np.lexsort(keys[::-1])  # the last key first
+        keys |= column
+    return np.argsort(keys, kind="stable")
 
 
 def byte_cells(tokens: Sequence[str | np.ndarray], suffix: str = "") -> np.ndarray:
@@ -332,7 +325,7 @@ def byte_cells(tokens: Sequence[str | np.ndarray], suffix: str = "") -> np.ndarr
 
 def _digits(values: np.ndarray, prefix: str = "", suffix: str = "") -> np.ndarray:
     """``prefix``, each value's decimal text and ``suffix``, a uint8 row each,
-    NULs before the sign (a column only when some value is negative)."""
+    leading zeros NUL, after a sign column when some value is negative."""
     size = np.abs(values)
     powers = [10**p for p in reversed(range(len(str(size.max(initial=0)))))]
     columns = [np.where(size < (p if p > 1 else 0), 0, size // p % 10 + 48) for p in powers]
