@@ -22,9 +22,11 @@ MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
 # The budgets of one call, which check_budgets enforces: the steps it takes
-# in all, and the int64 entries it holds at once.
+# in all, and the int64 entries it holds at once.  The ff kernel builds each
+# temporary (words, bools or indices) a chunk of CHUNK_WORDS entries at a time.
 WORK_BUDGET = 2 * 10**10
 MEMORY_BUDGET = 10**8
+CHUNK_WORDS = 1 << 15
 
 # Preset family: flavor, coordinate planes, and the lowest shift as -m plus
 # this offset; the highest shift is m.
@@ -335,6 +337,9 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     contractions over all pinned tuples, and a pinned value costs 10^4
     steps (a least-squares fit to traced counts of A:5..7, B:5..6 and
     C:5..8 gave 7,500, and a step 0.3 to 1.7 ns, as in the general plan).
+    These prices were fitted to the int64 matmul kernel; the packed kernel
+    that replaced it takes about as long on small blocks and a thirtieth of
+    the time at n = 4, so they over-bound it.
     The sum over ``moduli`` must stay within ``WORK_BUDGET``.  The moduli
     are read in order up to the first excess, so a lazy range for a huge n
     is never listed, and no power past 2^64 is formed.
@@ -393,12 +398,13 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     or e_0 + (q-1) e_1, and a count costs w q^(n-1) steps, not q^n.
 
     Every other coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
-    coordinate planes are present), and each pair a 0/1 block that is 0 on
-    its planes, or, without planes, a read-only broadcast view of ones that
-    allocates nothing.  A target with n < 3 is padded in front with 3 - n
-    one-value coordinates that meet no plane, so :func:`_count_assignments`
-    always sees three coordinates or more, at O(q) cost for n = 1 and O(q^2)
-    for n = 2.
+    coordinate planes are present), and each pair a bool block that is False
+    on its planes, or, without planes, a read-only broadcast view of ones
+    that allocates nothing.  A target with n < 4 is padded with 4 - n
+    one-value coordinates that meet no plane, placed after x1, so
+    :func:`_count_assignments` always sees four coordinates or more, the last
+    with a 0/1 weight, at O(q) cost for n <= 2 and O(q^2 / 64) words for
+    n = 3.
 
     The sorted plan: if every pair has one shift set S = -S with 0 in S, a
     point off the planes has distinct coordinates, and the planes are
@@ -425,13 +431,13 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     cols = np.arange(q)
 
     def block(shifts: Iterable[int]) -> np.ndarray:
-        out = np.ones((q, q), dtype=np.int64)
+        out = np.ones((q, q), dtype=bool)
         for s in shifts:
             if spec.flavor == MULTIPLICATIVE:
                 rows = (pow(2, s % (q - 1), q) * cols) % q
             else:
                 rows = (cols + s) % q
-            out[rows, cols] = 0
+            out[rows, cols] = False
         return out
 
     symmetric = _symmetric_shifts(spec)
@@ -444,12 +450,13 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
             total += int(first[value]) * _count_increasing(tri, n - 1)
         return math.factorial(n - 1) * total
     # No step writes into a weight vector, so x2..xn share one.
-    pad = max(0, 3 - n)
-    unary = [np.ones(1, dtype=np.int64)] * pad + [first] + [weight] * (n - 1)
+    pad = max(0, 4 - n)
+    unary = [first] + [np.ones(1, dtype=np.int64)] * pad + [weight] * (n - 1)
+    coordinate = [1] + [0] * pad + list(range(2, n + 1))
     pair: dict[tuple[int, int], np.ndarray] = {}
     for a, b in itertools.combinations(range(len(unary)), 2):
-        shifts = spec.pair_shifts.get((a - pad + 1, b - pad + 1))
-        ones = np.broadcast_to(np.int64(1), (len(unary[a]), len(unary[b])))
+        shifts = spec.pair_shifts.get((coordinate[a], coordinate[b]))
+        ones = np.broadcast_to(True, (len(unary[a]), len(unary[b])))
         pair[(a, b)] = ones if shifts is None else block(shifts)
     return _count_assignments(unary, pair)
 
@@ -459,43 +466,97 @@ def _count_assignments(
 ) -> int:
     """Sum over assignments of the product of unary weights and pair blocks.
 
-    Coordinate 0 is pinned to each value of nonzero weight: the row of block
-    (0, t) at that value folds into the weight of coordinate t, and the
-    sub-count is multiplied by the value's weight.  Three coordinates are
-    contracted as ``((P @ M12) * Q).sum()`` over the rows where coordinate
-    0's weight is nonzero, P and Q being those rows of blocks (0, 1) and
-    (0, 2) times their weights.  Only x1's weight exceeds 1, and its entries
-    sum to q, so each int64 sum is at most q^min(n, 3): at most 2 * 10^10
-    for n != 3 under the work budget, and below 3 * 10^15 for n = 3, where
-    that budget keeps q under 141422; both are far below 2^63.
+    Coordinate 0 is pinned to each value of nonzero weight, its rows of the
+    blocks (0, t) folded into the weights, until four are left.  Those, (a,
+    b, c, d), are summed as ``w0[a] w1[b] w2[c] B01[a, b] B02[a, c] B12[b, c]
+    popcount(D0[a] & D1[b] & D2[c])``, D_t being the rows of block (t, 3)
+    times the 0/1 weight w3, packed by :func:`_pack`: the edge-iterating
+    clique count (Chiba and Nishizeki, SIAM J. Comput. 14 (1985)) with
+    word-parallel intersection.  The pairs (a, b) are listed a chunk of a at
+    a time, and a chunk of pairs meets a chunk of D2's rows at once, so that
+    a temporary holds at most ``CHUNK_WORDS`` entries (or one row of a
+    block).  Only x1's weight exceeds 1, and its entries sum to q, so an
+    int64 sum is at most q^min(n, 4): under the work budget at most
+    2 * 10^10 for n >= 4 and below 3 * 10^15 for n <= 3 (q < 141422), far
+    below 2^63.
     """
+    if len(unary) > 4:
+        rest = {(a - 1, b - 1): block for (a, b), block in pair.items() if a > 0}
+        total = 0
+        for value in np.flatnonzero(unary[0]):
+            pinned = [unary[t] * pair[(0, t)][value] for t in range(1, len(unary))]
+            total += int(unary[0][value]) * _count_assignments(pinned, rest)
+        return total
     live = np.flatnonzero(unary[0])
-    if len(unary) == 3:
-        p = pair[(0, 1)][live] * unary[0][live, None] * unary[1][None, :]
-        quad = pair[(0, 2)][live] * unary[2][None, :]
-        return int(((p @ pair[(1, 2)]) * quad).sum())
-    rest = {(a - 1, b - 1): block for (a, b), block in pair.items() if a > 0}
+    rows = [_pack(pair[(t, 3)][live if t == 0 else slice(None)], unary[3]) for t in range(3)]
+    return _count_four(unary[:3], live, [pair[(0, 1)], pair[(0, 2)], pair[(1, 2)]], rows)
+
+
+def _count_four(weights: Sequence[np.ndarray], live: np.ndarray,
+                blocks: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> int:
+    """:func:`_count_assignments` of four coordinates from the weights (w0,
+    w1, w2), ``live``, the values of nonzero w0, the blocks (B01, B02, B12)
+    and the packed rows (D0 on ``live``, D1, D2)."""
+    (w0, w1, w2), (b01, b02, b12), (d0, d1, d2) = weights, blocks, rows
+    words = max(1, len(d2))
+    width = max(1, min(len(w2), CHUNK_WORDS // words))  # values of c a chunk meets
+    step = max(1, CHUNK_WORDS // max(1, len(w1)))
+    pairs = max(1, CHUNK_WORDS // (words * width))
     total = 0
-    for value in live:
-        pinned = [unary[t] * pair[(0, t)][value] for t in range(1, len(unary))]
-        total += int(unary[0][value]) * _count_assignments(pinned, rest)
+    for start in range(0, len(live), step):
+        a, b = np.nonzero(b01[live[start : start + step]] & (w1 != 0))
+        a += start
+        for s in range(0, len(a), pairs):
+            pa, pb = a[s : s + pairs], b[s : s + pairs]
+            both, weight = d0[:, pa] & d1[:, pb], w0[live[pa]] * w1[pb]
+            for c in range(0, len(w2), width):
+                cols = slice(c, c + width)
+                meet = both[:, :, None] & d2[:, None, cols]  # runs along c
+                count = np.bitwise_count(meet).sum(axis=0, dtype=np.uint32)
+                count *= b02[live[pa], cols] & b12[pb, cols]
+                total += int(weight @ np.einsum("pc,c->p", count, w2[cols]))
     return total
 
 
 def _count_increasing(tri: np.ndarray, k: int) -> int:
     """Increasing k-tuples of rows of ``tri``, a strict upper triangle of 0/1,
     with ``tri[i, j] = 1`` at every two of them: values are pinned in order,
-    each keeping the later values it allows, until three are left, which
-    ``((T @ T) * T).sum()`` counts, at most C(r, 3) for r rows."""
+    each keeping the later values it allows, until four are left, which
+    :func:`_count_four` counts once each with ``tri`` as every block (three
+    behind a one-value coordinate that allows every row)."""
     if k < 3:
         return int(tri.sum()) if k == 2 else len(tri)
-    if k == 3:
-        return int(((tri @ tri) * tri).sum())
-    total = 0
-    for i in range(len(tri) - k + 1):
-        later = tri[i].nonzero()[0]
-        total += _count_increasing(tri[later][:, later], k - 1)
-    return total
+    if tri.sum() < k * (k - 1) // 2:  # fewer edges than a k-tuple has
+        return 0
+    if k > 4:
+        total = 0
+        for i in range(len(tri) - k + 1):
+            later = tri[i].nonzero()[0]
+            if len(later) >= k - 1:
+                total += _count_increasing(tri[later][:, later], k - 1)
+        return total
+    ones = np.ones(len(tri), dtype=np.int64)
+    rows = _pack(tri, ones)
+    if k == 4:
+        return _count_four([ones] * 3, np.arange(len(tri)), [tri] * 3, [rows] * 3)
+    every = np.ones((1, len(tri)), dtype=bool)
+    return _count_four([ones[:1], ones, ones], np.arange(1), [every, every, tri],
+                       [_pack(every, ones), rows, rows])
+
+
+def _pack(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 ``block`` times the 0/1 ``weight`` of its columns as
+    bitsets of uint64 words (padding bits 0), one column of words a row,
+    packed a chunk at a time; the rows of a broadcast view are packed once."""
+    rows, cols = block.shape
+    if rows > 1 and block.strides[0] == 0:
+        return np.broadcast_to(_pack(block[:1], weight), (-(-cols // 64), rows))
+    out = np.zeros((rows, -(-cols // 64)), dtype=np.uint64)
+    step = max(1, CHUNK_WORDS // max(1, cols))
+    for start in range(0, rows, step):
+        bits = (block[start : start + step] != 0) & (weight != 0)
+        out.view(np.uint8)[start : start + step, : -(-cols // 8)] = np.packbits(bits, axis=1)
+    return np.ascontiguousarray(out.T)
 
 
 def charpoly_ff(

@@ -281,8 +281,10 @@ def _sorted_words(size: int, m: int) -> np.ndarray:
     """The sorted orderly words on {0, ..., size-1}, one big-endian int32 row
     each, letter (p, k) coded as ``p * (m + 1) + k``: each step sequence's
     ``complete_word`` on ``range(size)``, relabelled by every permutation in
-    place and sorted in place by the rows' bytes, so no copy of the words is
-    made.  The one word on at most one letter is built without walking it."""
+    place and sorted in place: by one packed key a row (:func:`_row_keys`)
+    where those fit, the sorted keys written back as rows, otherwise by the
+    rows' bytes, so no copy of the words is made.  The one word on at most
+    one letter is built without walking it."""
     width = m + 1
     if size < 2:
         return np.arange(size * width, dtype=">i4")[None]
@@ -294,23 +296,40 @@ def _sorted_words(size: int, m: int) -> np.ndarray:
     words *= width
     words += templates % width
     words = words.reshape(len(labels) * len(steps), -1)
-    words.view(np.dtype((np.void, words.shape[1] * 4))).sort(axis=0)
+    keys = _row_keys(words, size * width - 1)
+    if keys is None:
+        words.view(np.dtype((np.void, words.shape[1] * 4))).sort(axis=0)
+        return words
+    keys.sort()
+    bits = (size * width - 1).bit_length()
+    for column in reversed(range(words.shape[1])):  # each row read back off its key
+        words[:, column] = keys & ((1 << bits) - 1)
+        keys >>= bits
     return words
 
 
 def _row_order(rows: np.ndarray, top: int) -> np.ndarray:
     """The lexicographic order of distinct big-endian int32 rows of tokens in
-    [0, ``top``]: a stable argsort of one int64 key per row, its tokens packed
-    a column at a time as digits of ``top``'s bit length, when they fit in 63
-    bits; otherwise an argsort of the rows' bytes."""
+    [0, ``top``]: an argsort of their :func:`_row_keys` where those fit,
+    otherwise of the rows' bytes."""
+    keys = _row_keys(rows, top)
+    if keys is None:
+        return np.argsort(rows.view(np.dtype((np.void, rows.shape[1] * 4))).ravel())
+    return np.argsort(keys)
+
+
+def _row_keys(rows: np.ndarray, top: int) -> np.ndarray | None:
+    """One int64 key per row of tokens in [0, ``top``], its tokens packed a
+    column at a time as digits of ``top``'s bit length, so that keys order as
+    the rows do; None when a row's tokens need more than 63 bits."""
     bits = top.bit_length()
     if rows.shape[1] * bits > 63:
-        return np.argsort(rows.view(np.dtype((np.void, rows.shape[1] * 4))).ravel())
+        return None
     keys = np.zeros(len(rows), np.int64)
     for column in rows.T:
         keys <<= bits
         keys |= column
-    return np.argsort(keys, kind="stable")
+    return keys
 
 
 def byte_cells(tokens: Sequence[str | np.ndarray], suffix: str = "") -> np.ndarray:

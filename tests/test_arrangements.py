@@ -2,6 +2,7 @@ import itertools
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
@@ -168,6 +169,85 @@ def walk_specs(draw):
     present = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
     shifts = st.sets(st.integers(-2, 2), min_size=1, max_size=3)
     return ArrangementSpec(n, flavor, {p: draw(shifts) for p in present}, coords)
+
+
+def matmul_assignments(unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]) -> int:
+    """Reference for the packed contraction: the int64 matmul recursion that
+    it replaced.  Coordinate 0 is pinned to each value of nonzero weight
+    until three coordinates are left, which ``((P @ M12) * Q).sum()``
+    contracts over the rows where coordinate 0's weight is nonzero, P and Q
+    being those rows of blocks (0, 1) and (0, 2) times their weights."""
+    live = np.flatnonzero(unary[0])
+    if len(unary) == 3:
+        p = pair[(0, 1)][live] * unary[0][live, None] * unary[1][None, :]
+        quad = pair[(0, 2)][live] * unary[2][None, :]
+        return int(((p @ pair[(1, 2)].astype(np.int64)) * quad).sum())
+    rest = {(a - 1, b - 1): block for (a, b), block in pair.items() if a > 0}
+    total = 0
+    for value in live:
+        pinned = [unary[t] * pair[(0, t)][value] for t in range(1, len(unary))]
+        total += int(unary[0][value]) * matmul_assignments(pinned, rest)
+    return total
+
+
+def matmul_increasing(tri: np.ndarray, k: int) -> int:
+    """Reference for the packed count of increasing k-tuples: values are
+    pinned in order until three are left, which ``((T @ T) * T).sum()``
+    counts."""
+    if k < 3:
+        return int(tri.sum()) if k == 2 else len(tri)
+    if k == 3:
+        t = tri.astype(np.int64)
+        return int(((t @ t) * t).sum())
+    total = 0
+    for i in range(len(tri) - k + 1):
+        later = tri[i].nonzero()[0]
+        total += matmul_increasing(tri[later][:, later], k - 1)
+    return total
+
+
+# Column counts of a packed row on both sides of one and two uint64 words.
+PACKED_WIDTHS = (0, 1, 2, 5, 63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def assignment_problems(draw):
+    """Weighted general-plan inputs of 4 to 6 coordinates: an integer weight
+    on x1 and 0/1 weights elsewhere, each block random 0/1 or a broadcast
+    view of ones.  The last coordinate, whose rows are packed, takes a
+    width from ``PACKED_WIDTHS``; the others have at most 12, 6 or 4 values,
+    0 among them.  A weight or block density of 0 leaves no live value, and
+    the chunk size is drawn small enough to cut the loops."""
+    k = draw(st.integers(4, 6))
+    sizes = [draw(st.integers(0, (12, 6, 4)[k - 4])) for _ in range(k - 1)]
+    sizes.append(draw(st.sampled_from(PACKED_WIDTHS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    unary = [rng.integers(0, 30, sizes[0]) * (rng.random(sizes[0]) < density)]
+    unary += [(rng.random(size) < density).astype(np.int64) for size in sizes[1:]]
+    pair = {}
+    for a, b in itertools.combinations(range(k), 2):
+        shape = (sizes[a], sizes[b])
+        ones = draw(st.booleans())
+        pair[(a, b)] = np.broadcast_to(True, shape) if ones else rng.random(shape) < density
+    event(f"k={k} width={sizes[-1]} density={density}")
+    return unary, pair, draw(st.sampled_from((1, 7, 64, arrangements.CHUNK_WORDS)))
+
+
+@st.composite
+def triangles(draw):
+    """A random strict upper triangle of 0/1, k in 3..5 and the chunk size:
+    r rows on both sides of 64 and 128 (at most 70 for k = 5, where the
+    reference pins twice), fewer than k among them.  Chunks of fewer than
+    r^2 / 16 entries are left out, as they would take minutes."""
+    k = draw(st.integers(3, 5))
+    r = draw(st.sampled_from([w for w in PACKED_WIDTHS if k < 5 or w <= 70] + [70]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    event(f"k={k} r={r}")
+    tri = np.triu(rng.random((r, r)) < density, 1)
+    chunks = (1, 7, 64, 1000, arrangements.CHUNK_WORDS)
+    return tri, k, draw(st.sampled_from([c for c in chunks if c >= r * r // 16]))
 
 
 class TestSpec:
@@ -392,6 +472,74 @@ class TestCounting:
         with mock.patch.object(arrangements, "_count_increasing") as sorted_plan:
             assert count_complement_points(spec, q) == brute_force_count(spec, q)
         sorted_plan.assert_not_called()
+
+
+class TestPackedKernel:
+    """The AND-popcount contraction of the last four coordinates against the
+    int64 matmul recursion it replaced."""
+
+    @given(assignment_problems())
+    def test_general_plan_matches_matmul(self, problem):
+        unary, pair, chunk = problem
+        with mock.patch.object(arrangements, "CHUNK_WORDS", chunk):
+            packed = arrangements._count_assignments(unary, pair)
+        assert packed == matmul_assignments(unary, pair)
+
+    @given(triangles())
+    def test_sorted_plan_matches_matmul(self, problem):
+        tri, k, chunk = problem
+        with mock.patch.object(arrangements, "CHUNK_WORDS", chunk):
+            packed = arrangements._count_increasing(tri, k)
+        assert packed == matmul_increasing(tri, k)
+
+    def test_degenerate_inputs(self):
+        ones = np.ones(3, dtype=np.int64)
+        block = np.ones((3, 3), dtype=bool)
+        pair = dict.fromkeys(itertools.combinations(range(4), 2), block)
+        full = [3 * ones, ones, ones, ones]
+        assert arrangements._count_assignments(full, pair) == 3 * 3**4
+        # no live value
+        assert arrangements._count_assignments([0 * ones] + full[1:], pair) == 0
+        # a zero-width block: the last coordinate has no value
+        empty = dict(pair)
+        empty.update({(t, 3): np.ones((3, 0), dtype=bool) for t in range(3)})
+        last = np.ones(0, dtype=np.int64)
+        assert arrangements._count_assignments(full[:3] + [last], empty) == 0
+        # fewer rows than k, and a triangle with no row
+        tri = np.triu(np.ones((3, 3), dtype=bool), 1)
+        rows = arrangements._pack(tri, ones)
+        assert arrangements._count_four([ones] * 3, np.arange(3), [tri] * 3, [rows] * 3) == 0
+        for k in (3, 4, 5):
+            assert arrangements._count_increasing(tri[:k - 1, :k - 1], k) == 0
+            assert arrangements._count_increasing(tri[:0, :0], k) == 0
+        with mock.patch.object(arrangements, "CHUNK_WORDS", 1):
+            assert arrangements._count_increasing(tri, 3) == 1
+            assert arrangements._count_assignments(full, pair) == 3 * 3**4
+
+    @pytest.mark.parametrize(
+        "target, q, blocks",
+        [("A:4,300", 1213, 2), ("Gamma:4,125", 509, 6), ("Delta:4,125", 509, 6)],
+    )
+    def test_count_holds_no_packed_tensor(self, traced_peak, target, q, blocks):
+        # The sorted plan holds one block and its triangle on the live
+        # values, the general plan its six blocks: bools, q^2 bytes each.
+        # A chunk's temporaries are a few of CHUNK_WORDS 8-byte entries.
+        # Packed over every pair of rows, the last coordinate would take
+        # q * q * words * 8 bytes, over 15 MB here; the matmul kernel
+        # peaked at 18 MB (A:4,300) and 16 MB (Gamma:4,125).
+        spec = ArrangementSpec.preset(target)
+        assert modulus_admissible(spec, q)
+        _, peak = traced_peak(count_complement_points, spec, q)
+        bound = blocks * q * q + 4 * 8 * arrangements.CHUNK_WORDS
+        assert peak < bound < q * q * -(-q // 64) * 8 / 4
+
+    def test_broadcast_rows_are_packed_once(self, traced_peak):
+        # Without planes every block is a broadcast view: packed in full, the
+        # rows of x2 against x3 would take q^2 / 8 = 50 MB at q = 20000.
+        q = 20000
+        count, peak = traced_peak(count_complement_points, ArrangementSpec(3, ADDITIVE), q)
+        assert count == q**3
+        assert peak < 2 * 8 * arrangements.CHUNK_WORDS + 64 * q
 
 
 class TestCharpolyFF:
