@@ -322,9 +322,10 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     ``spec``'s n, flavor, coordinate flag, ``planes`` and ``uniform_shifts``
     but none of its pairs.
 
-    Memory: a count allocates n weight vectors of q entries and one q x q
-    int64 block per pair with planes, and n q + planes q^2 must stay within
-    ``MEMORY_BUDGET`` at every modulus.  Work: with x1 pinned to w values (1
+    Memory: n q + planes q^2 must stay within ``MEMORY_BUDGET`` at every
+    modulus.  A count holds n weight vectors of q entries and one q x q bool
+    block per distinct shift set, so this over-bounds it by about 8 planes,
+    and a preset's pairs share one block.  Work: with x1 pinned to w values (1
     when additive or with the coordinate planes, else 2) a count takes
     w q^(n-1) steps for n >= 3, and a padded target (n <= 2) pins a padding
     coordinate to its one value and takes q^n.  For n >= 4 each of its
@@ -398,9 +399,10 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     or e_0 + (q-1) e_1, and a count costs w q^(n-1) steps, not q^n.
 
     Every other coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
-    coordinate planes are present), and each pair a bool block that is False
-    on its planes, or, without planes, a read-only broadcast view of ones
-    that allocates nothing.  A target with n < 4 is padded with 4 - n
+    coordinate planes are present), and each pair a read-only bool block
+    that is False on its planes, built once for each distinct shift set and
+    shared by the pairs that have it, or, without planes, a broadcast view
+    of ones that allocates nothing.  A target with n < 4 is padded with 4 - n
     one-value coordinates that meet no plane, placed after x1, so
     :func:`_count_assignments` always sees four coordinates or more, the last
     with a 0/1 weight, at O(q) cost for n <= 2 and O(q^2 / 64) words for
@@ -429,16 +431,20 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     else:
         first[:2] = 1, q - 1
     cols = np.arange(q)
+    blocks: dict[frozenset[int], np.ndarray] = {}
 
     def block(shifts: Iterable[int]) -> np.ndarray:
-        out = np.ones((q, q), dtype=bool)
-        for s in shifts:
-            if spec.flavor == MULTIPLICATIVE:
-                rows = (pow(2, s % (q - 1), q) * cols) % q
-            else:
-                rows = (cols + s) % q
-            out[rows, cols] = False
-        return out
+        key = frozenset(shifts)
+        if key not in blocks:
+            blocks[key] = out = np.ones((q, q), dtype=bool)
+            for s in key:
+                if spec.flavor == MULTIPLICATIVE:
+                    rows = (pow(2, s % (q - 1), q) * cols) % q
+                else:
+                    rows = (cols + s) % q
+                out[rows, cols] = False
+            out.flags.writeable = False
+        return blocks[key]
 
     symmetric = _symmetric_shifts(spec)
     if symmetric is not None:
@@ -664,31 +670,29 @@ def regions_convolution_check(shifts: Iterable[int], n: int) -> bool:
 
 
 def _lagrange_interpolate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
-    """Exact Lagrange interpolation over the rationals; rejects non-integers."""
+    """Exact Lagrange interpolation in O(n^2) integer steps; rejects
+    non-integers.  Each ``P(t) / (t - x_i)``, P = Π (t - x_j), is scaled by
+    L / Π_{j≠i} (x_i - x_j), L the lcm of those denominators, so the sum is
+    L times the interpolant."""
     size = len(xs)
-    coeffs = [Fraction(0)] * size
-    for i in range(size):
-        basis = [Fraction(1)]
-        denominator = 1
-        for j in range(size):
-            if j == i:
-                continue
-            # basis <- basis * (t - xs[j])
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, b in enumerate(basis):
-                nxt[d + 1] += b
-                nxt[d] -= xs[j] * b
-            basis = nxt
-            denominator *= xs[i] - xs[j]
-        scale = Fraction(ys[i], denominator)
-        for d, b in enumerate(basis):
-            coeffs[d] += b * scale
-    out = []
+    full = [1]  # P, lowest degree first
+    for x in xs:
+        full = [0] + full
+        for d in range(len(full) - 1):
+            full[d] -= x * full[d + 1]
+    denominators = [math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
+                    for i, xi in enumerate(xs)]
+    lcm = math.lcm(*denominators)
+    coeffs = [0] * size
+    for xi, y, denominator in zip(xs, ys, denominators):
+        scale, quotient = y * (lcm // denominator), 0
+        for d in range(size, 0, -1):
+            quotient = full[d] + xi * quotient  # the coefficient of t^(d-1)
+            coeffs[d - 1] += scale * quotient
     for c in coeffs:
-        if c.denominator != 1:
-            raise NonIntegerCoefficient(f"coefficient {c} is not an integer")
-        out.append(int(c))
-    return IntPolynomial(out)
+        if c % lcm:
+            raise NonIntegerCoefficient(f"coefficient {Fraction(c, lcm)} is not an integer")
+    return IntPolynomial([c // lcm for c in coeffs])
 
 
 def _is_prime(q: int) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from braidarr.arrangements import (
     ArrangementSpec,
     InadmissibleModulus,
     InterpolationMismatch,
+    NonIntegerCoefficient,
     SizeGuard,
     charpoly_ff,
     count_complement_points,
@@ -24,6 +26,7 @@ from braidarr.arrangements import (
     regions_convolution_check,
     _check_interpolant,
     _is_prime,
+    _lagrange_interpolate,
     _two_is_primitive_root,
     verify_shift_theorem,
 )
@@ -204,6 +207,39 @@ def matmul_increasing(tri: np.ndarray, k: int) -> int:
         later = tri[i].nonzero()[0]
         total += matmul_increasing(tri[later][:, later], k - 1)
     return total
+
+
+def reference_lagrange(xs, ys) -> IntPolynomial:
+    """Reference for the integer interpolation: the Lagrange interpolation
+    over Fractions that it replaced, O(n^3) Fraction operations."""
+    size = len(xs)
+    coeffs = [Fraction(0)] * size
+    for i in range(size):
+        basis = [Fraction(1)]
+        denominator = 1
+        for j in range(size):
+            if j == i:
+                continue
+            # basis <- basis * (t - xs[j])
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for d, b in enumerate(basis):
+                nxt[d + 1] += b
+                nxt[d] -= xs[j] * b
+            basis = nxt
+            denominator *= xs[i] - xs[j]
+        scale = Fraction(ys[i], denominator)
+        for d, b in enumerate(basis):
+            coeffs[d] += b * scale
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise NonIntegerCoefficient(f"coefficient {c} is not an integer")
+        out.append(int(c))
+    return IntPolynomial(out)
+
+
+# 1 to 10 distinct nodes, negative ones and unsorted orders among them.
+interpolation_nodes = st.lists(st.integers(-60, 60), min_size=1, max_size=10, unique=True)
 
 
 # Column counts of a packed row on both sides of one and two uint64 words.
@@ -522,7 +558,8 @@ class TestPackedKernel:
     )
     def test_count_holds_no_packed_tensor(self, traced_peak, target, q, blocks):
         # The sorted plan holds one block and its triangle on the live
-        # values, the general plan its six blocks: bools, q^2 bytes each.
+        # values, the general plan at most its six blocks: bools, q^2 bytes
+        # each.
         # A chunk's temporaries are a few of CHUNK_WORDS 8-byte entries.
         # Packed over every pair of rows, the last coordinate would take
         # q * q * words * 8 bytes, over 15 MB here; the matmul kernel
@@ -532,6 +569,37 @@ class TestPackedKernel:
         _, peak = traced_peak(count_complement_points, spec, q)
         bound = blocks * q * q + 4 * 8 * arrangements.CHUNK_WORDS
         assert peak < bound < q * q * -(-q // 64) * 8 / 4
+
+    @pytest.mark.parametrize("target", ["Gamma:4,125", "Delta:4,125"])
+    def test_general_plan_holds_one_block(self, traced_peak, target):
+        # The six pairs of a preset share one shift set, so the general plan
+        # holds one q^2-byte block for all of them.
+        q = 509
+        spec = ArrangementSpec.preset(target)
+        assert modulus_admissible(spec, q)
+        _, peak = traced_peak(count_complement_points, spec, q)
+        assert peak < q * q + 4 * 8 * arrangements.CHUNK_WORDS
+
+    @pytest.mark.parametrize(
+        "flavor, coords, q",
+        [(MULTIPLICATIVE, True, 11), (MULTIPLICATIVE, False, 13), (ADDITIVE, False, 9)],
+    )
+    def test_one_block_per_shift_set(self, flavor, coords, q):
+        # Four pairs share {0, 1}, one has {-1} and one no planes: one count
+        # builds the shared block once and reuses it, read-only, on the
+        # other three pairs.
+        shared, other = [0, 1], [-1]
+        shifts = {(1, 2): shared, (1, 3): shared, (2, 4): shared, (3, 4): shared, (2, 3): other}
+        spec = ArrangementSpec(4, flavor, shifts, coords)
+        with mock.patch.object(
+            arrangements, "_count_assignments", wraps=arrangements._count_assignments
+        ) as kernel:
+            assert count_complement_points(spec, q) == brute_force_count(spec, q)
+        (_, pair), _ = kernel.call_args
+        blocks = {id(pair[(a - 1, b - 1)]) for (a, b) in shifts if shifts[(a, b)] is shared}
+        assert len(blocks) == 1
+        assert pair[(1, 2)] is not pair[(0, 1)]
+        assert not any(block.flags.writeable for block in pair.values())
 
     def test_broadcast_rows_are_packed_once(self, traced_peak):
         # Without planes every block is a broadcast view: packed in full, the
@@ -675,6 +743,31 @@ class TestInterpolantChecks:
             _check_interpolant(spec, IntPolynomial([4, -5, 2]))
         with pytest.raises(InterpolationMismatch, match="non-alternating signs"):
             _check_interpolant(spec, IntPolynomial([-4, 3, 1]))
+
+
+class TestInterpolation:
+    """The integer interpolation against the Fraction one it replaced."""
+
+    @given(interpolation_nodes, st.data())
+    def test_integer_data_gives_the_polynomial(self, xs, data):
+        coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), max_size=len(xs)))
+        poly = IntPolynomial(coeffs)
+        ys = [poly(x) for x in xs]
+        event(f"nodes={len(xs)}")
+        assert _lagrange_interpolate(xs, ys) == reference_lagrange(xs, ys) == poly
+
+    @given(interpolation_nodes, st.data())
+    def test_random_data_fails_alike(self, xs, data):
+        ys = data.draw(st.lists(st.integers(-10**9, 10**9), min_size=len(xs), max_size=len(xs)))
+        got = outcome(_lagrange_interpolate, xs, ys)
+        event("non-integer" if isinstance(got, tuple) else "integer")
+        assert got == outcome(reference_lagrange, xs, ys)
+
+    def test_non_integer_coefficient(self):
+        # t (t - 1) / 2 takes integer values, and its lowest non-integer
+        # coefficient is -1/2
+        with pytest.raises(NonIntegerCoefficient, match=r"^coefficient -1/2 is not an integer$"):
+            _lagrange_interpolate([2, 0, 1], [1, 0, 0])
 
 
 class TestShiftTheorem:
