@@ -22,8 +22,8 @@ MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
 # The budgets of one call, which check_budgets enforces: the steps it takes
-# in all, and the int64 entries it holds at once.  The ff kernel builds each
-# temporary (words, bools or indices) a chunk of CHUNK_WORDS entries at a time.
+# in all, and the int64 entries it holds at once.  The ff kernel and the poset
+# closure build each temporary a chunk of CHUNK_WORDS entries at a time.
 WORK_BUDGET = 2 * 10**10
 MEMORY_BUDGET = 10**8
 CHUNK_WORDS = 1 << 15
@@ -289,12 +289,12 @@ def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
     count matches the characteristic polynomial once q clears that bound
     (q - 1 > n * m_max multiplicative, q > n * m_max additive).
     Multiplicative flavor additionally needs q to be an odd prime with 2 a
-    primitive root (verified from the factorization of q - 1) so that powers
-    of 2 behave like the rationals.
+    primitive root, so that powers of 2 behave like the rationals: both hold
+    when 2 has order q - 1 modulo q, checked from the factorization of q - 1.
     """
     if q < least_modulus(spec):
         return False
-    return spec.flavor == ADDITIVE or (_is_prime(q) and _two_is_primitive_root(q))
+    return spec.flavor == ADDITIVE or _two_is_primitive_root(q)
 
 
 def plan_moduli(spec: ArrangementSpec) -> tuple[int, ...]:
@@ -327,12 +327,11 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     block per distinct shift set, so this over-bounds it by about 8 planes,
     and a preset's pairs share one block.  Work: with x1 pinned to w values (1
     when additive or with the coordinate planes, else 2) a count takes
-    w q^(n-1) steps for n >= 3, and a padded target (n <= 2) pins a padding
-    coordinate to its one value and takes q^n.  For n >= 4 each of its
-    w q^(n-4) contractions is priced at 3 * 10^4 steps more, which binds
-    where q is small and n large (a least-squares fit to traced counts of
-    Gamma:4..6, Delta:4..6 and targets without planes at n = 5..9 gave
-    25 us a contraction and 0.8 ns a step, so 31,000).  The sorted plan
+    w q^(n-1) steps.  For n >= 4 each of its w q^(n-4) contractions is priced
+    at 3 * 10^4 steps more, which binds where q is small and n large (a
+    least-squares fit to traced counts of Gamma:4..6, Delta:4..6 and targets
+    without planes at n = 5..9 gave 25 us a contraction and 0.8 ns a step, so
+    31,000).  The sorted plan
     takes q^2 steps for its block and w (6 C(r, n-1) + 10^4 C(r, n-4))
     more, r being q - |S|: 6 C(r, n-1) bounds the r'^3 steps of the
     contractions over all pinned tuples, and a pinned value costs 10^4
@@ -347,16 +346,15 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     """
     n = spec.n
     pinned = 1 if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes else 2
-    exponent, rows = (n - 1, pinned) if n >= 3 else (n, 1)
     symmetric = _symmetric_shifts(spec)
     work = 0
     for q in moduli:
-        # q^e >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * e >= 64.
-        if (q.bit_length() - 1) * exponent >= 64:
+        # q^(n-1) >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * (n-1) >= 64.
+        if (q.bit_length() - 1) * (n - 1) >= 64:
             work += WORK_BUDGET + 1
         elif symmetric is None:
             contractions = q ** (n - 4) if n >= 4 else 0
-            work += rows * (q**exponent + 3 * 10**4 * contractions)
+            work += pinned * (q ** (n - 1) + 3 * 10**4 * contractions)
         else:
             r = max(0, q - len(symmetric))
             pins = math.comb(r, n - 4) if n >= 4 else 0
@@ -402,11 +400,10 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     coordinate planes are present), and each pair a read-only bool block
     that is False on its planes, built once for each distinct shift set and
     shared by the pairs that have it, or, without planes, a broadcast view
-    of ones that allocates nothing.  A target with n < 4 is padded with 4 - n
-    one-value coordinates that meet no plane, placed after x1, so
-    :func:`_count_assignments` always sees four coordinates or more, the last
-    with a 0/1 weight, at O(q) cost for n <= 2 and O(q^2 / 64) words for
-    n = 3.
+    of ones that allocates nothing.  Both plans pin x1 to each value of
+    nonzero weight in one loop.  The general plan folds x1's row of each
+    block into the weights of x2..xn, so no integer weight reaches
+    :func:`_count_assignments`.
 
     The sorted plan: if every pair has one shift set S = -S with 0 in S, a
     point off the planes has distinct coordinates, and the planes are
@@ -448,62 +445,57 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
 
     symmetric = _symmetric_shifts(spec)
     if symmetric is not None:
-        allowed, total = block(symmetric), 0
-        for value in np.flatnonzero(first):
+        allowed = block(symmetric)
+    else:
+        blocks[frozenset()] = np.broadcast_to(True, (q, q))  # pairs without planes
+        rows = [block(spec.pair_shifts.get((1, t), ())) for t in range(2, n + 1)]
+        pairs = itertools.combinations(range(n - 1), 2)  # of x2..xn
+        rest = {(a, b): block(spec.pair_shifts.get((a + 2, b + 2), ())) for a, b in pairs}
+    total = 0
+    for value in np.flatnonzero(first):
+        if symmetric is not None:
             live = np.flatnonzero(weight * allowed[value])
             # n = 2 reads only how many values are live
             tri = np.triu(allowed[np.ix_(live, live)], 1) if n > 2 else live
-            total += int(first[value]) * _count_increasing(tri, n - 1)
-        return math.factorial(n - 1) * total
-    # No step writes into a weight vector, so x2..xn share one.
-    pad = max(0, 4 - n)
-    unary = [first] + [np.ones(1, dtype=np.int64)] * pad + [weight] * (n - 1)
-    coordinate = [1] + [0] * pad + list(range(2, n + 1))
-    pair: dict[tuple[int, int], np.ndarray] = {}
-    for a, b in itertools.combinations(range(len(unary)), 2):
-        shifts = spec.pair_shifts.get((coordinate[a], coordinate[b]))
-        ones = np.broadcast_to(True, (len(unary[a]), len(unary[b])))
-        pair[(a, b)] = ones if shifts is None else block(shifts)
-    return _count_assignments(unary, pair)
+            count = _count_increasing(tri, n - 1)
+        else:
+            count = _count_assignments([weight * row[value] for row in rows], rest)
+        total += int(first[value]) * count
+    return total if symmetric is None else math.factorial(n - 1) * total
 
 
-def _count_assignments(
-    unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]
-) -> int:
-    """Sum over assignments of the product of unary weights and pair blocks.
+def _count_assignments(unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]) -> int:
+    """Sum over assignments of the product of 0/1 unary weights and pair blocks.
 
-    Coordinate 0 is pinned to each value of nonzero weight, its rows of the
-    blocks (0, t) folded into the weights, until four are left.  Those, (a,
-    b, c, d), are summed as ``w0[a] w1[b] w2[c] B01[a, b] B02[a, c] B12[b, c]
-    popcount(D0[a] & D1[b] & D2[c])``, D_t being the rows of block (t, 3)
-    times the 0/1 weight w3, packed by :func:`_pack`: the edge-iterating
-    clique count (Chiba and Nishizeki, SIAM J. Comput. 14 (1985)) with
-    word-parallel intersection.  The pairs (a, b) are listed a chunk of a at
-    a time, and a chunk of pairs meets a chunk of D2's rows at once, so that
-    a temporary holds at most ``CHUNK_WORDS`` entries (or one row of a
-    block).  Only x1's weight exceeds 1, and its entries sum to q, so an
-    int64 sum is at most q^min(n, 4): under the work budget at most
-    2 * 10^10 for n >= 4 and below 3 * 10^15 for n <= 3 (q < 141422), far
-    below 2^63.
+    Fewer than four coordinates are padded in front with one-value coordinates
+    that every block allows; more are cut to four by pinning coordinate 0 to
+    each value of nonzero weight, its rows of the blocks (0, t) folded into the
+    weights.  The four, (a, b, c, d), are summed as ``w0[a] w1[b] w2[c] B01[a,
+    b] B02[a, c] B12[b, c] popcount(D0[a] & D1[b] & D2[c])``, D_t being the
+    rows of block (t, 3) times w3, each distinct block packed once by
+    :func:`_pack`: the edge-iterating clique count (Chiba and Nishizeki, SIAM
+    J. Comput. 14 (1985)) with word-parallel intersection.  A chunk of a lists
+    the pairs (a, b), and a chunk of pairs meets a chunk of D2's rows at once,
+    so a temporary holds at most ``CHUNK_WORDS`` entries (or one block row).
     """
     if len(unary) > 4:
         rest = {(a - 1, b - 1): block for (a, b), block in pair.items() if a > 0}
-        total = 0
-        for value in np.flatnonzero(unary[0]):
-            pinned = [unary[t] * pair[(0, t)][value] for t in range(1, len(unary))]
-            total += int(unary[0][value]) * _count_assignments(pinned, rest)
-        return total
-    live = np.flatnonzero(unary[0])
-    rows = [_pack(pair[(t, 3)][live if t == 0 else slice(None)], unary[3]) for t in range(3)]
-    return _count_four(unary[:3], live, [pair[(0, 1)], pair[(0, 2)], pair[(1, 2)]], rows)
-
-
-def _count_four(weights: Sequence[np.ndarray], live: np.ndarray,
-                blocks: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> int:
-    """:func:`_count_assignments` of four coordinates from the weights (w0,
-    w1, w2), ``live``, the values of nonzero w0, the blocks (B01, B02, B12)
-    and the packed rows (D0 on ``live``, D1, D2)."""
-    (w0, w1, w2), (b01, b02, b12), (d0, d1, d2) = weights, blocks, rows
+        return sum(
+            _count_assignments([unary[t] * pair[(0, t)][value] for t in range(1, len(unary))], rest)
+            for value in np.flatnonzero(unary[0])
+        )
+    pad = 4 - len(unary)
+    if pad:
+        unary = [np.ones(1, dtype=np.int64)] * pad + unary
+        pair = {(a + pad, b + pad): block for (a, b), block in pair.items()}
+        ones = [np.ones((1, len(w)), dtype=bool) for w in unary]
+        pair.update({(a, b): ones[b] for a, b in itertools.combinations(range(4), 2) if a < pad})
+    (w0, w1, w2, w3), (b01, b02, b12) = unary, (pair[(0, 1)], pair[(0, 2)], pair[(1, 2)])
+    b03, b13, b23 = pair[(0, 3)], pair[(1, 3)], pair[(2, 3)]
+    d2 = _pack(b23, w3)
+    d1 = d2 if b13 is b23 else _pack(b13, w3)
+    d0 = d1 if b03 is b13 else d2 if b03 is b23 else _pack(b03, w3)
+    live = w0.nonzero()[0]
     words = max(1, len(d2))
     width = max(1, min(len(w2), CHUNK_WORDS // words))  # values of c a chunk meets
     step = max(1, CHUNK_WORDS // max(1, len(w1)))
@@ -511,16 +503,16 @@ def _count_four(weights: Sequence[np.ndarray], live: np.ndarray,
     total = 0
     for start in range(0, len(live), step):
         a, b = np.nonzero(b01[live[start : start + step]] & (w1 != 0))
-        a += start
+        a = live[start + a]
         for s in range(0, len(a), pairs):
             pa, pb = a[s : s + pairs], b[s : s + pairs]
-            both, weight = d0[:, pa] & d1[:, pb], w0[live[pa]] * w1[pb]
+            both = d0[:, pa] & d1[:, pb]
             for c in range(0, len(w2), width):
                 cols = slice(c, c + width)
                 meet = both[:, :, None] & d2[:, None, cols]  # runs along c
                 count = np.bitwise_count(meet).sum(axis=0, dtype=np.uint32)
-                count *= b02[live[pa], cols] & b12[pb, cols]
-                total += int(weight @ np.einsum("pc,c->p", count, w2[cols]))
+                count *= b02[pa, cols] & b12[pb, cols]
+                total += int(count.sum(axis=0, dtype=np.int64) @ w2[cols])
     return total
 
 
@@ -528,8 +520,7 @@ def _count_increasing(tri: np.ndarray, k: int) -> int:
     """Increasing k-tuples of rows of ``tri``, a strict upper triangle of 0/1,
     with ``tri[i, j] = 1`` at every two of them: values are pinned in order,
     each keeping the later values it allows, until four are left, which
-    :func:`_count_four` counts once each with ``tri`` as every block (three
-    behind a one-value coordinate that allows every row)."""
+    :func:`_count_assignments` counts with ``tri`` as every block."""
     if k < 3:
         return int(tri.sum()) if k == 2 else len(tri)
     if tri.sum() < k * (k - 1) // 2:  # fewer edges than a k-tuple has
@@ -542,12 +533,7 @@ def _count_increasing(tri: np.ndarray, k: int) -> int:
                 total += _count_increasing(tri[later][:, later], k - 1)
         return total
     ones = np.ones(len(tri), dtype=np.int64)
-    rows = _pack(tri, ones)
-    if k == 4:
-        return _count_four([ones] * 3, np.arange(len(tri)), [tri] * 3, [rows] * 3)
-    every = np.ones((1, len(tri)), dtype=bool)
-    return _count_four([ones[:1], ones, ones], np.arange(1), [every, every, tri],
-                       [_pack(every, ones), rows, rows])
+    return _count_assignments([ones] * k, dict.fromkeys(itertools.combinations(range(k), 2), tri))
 
 
 def _pack(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -695,19 +681,6 @@ def _lagrange_interpolate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial
     return IntPolynomial([c // lcm for c in coeffs])
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(x: int) -> set[int]:
     factors = set()
     f = 2
@@ -722,7 +695,8 @@ def _prime_factors(x: int) -> set[int]:
 
 
 def _two_is_primitive_root(q: int) -> bool:
-    """ord(2) == q - 1 for odd prime q, via the factorization of q - 1."""
-    if q == 2:
-        return False
-    return all(pow(2, (q - 1) // p, q) != 1 for p in _prime_factors(q - 1))
+    """2 has order q - 1 modulo q, which makes q prime (Lucas' test): 2^(q-1)
+    is 1 and 2^((q-1)/p) is not, for every prime p dividing q - 1."""
+    return pow(2, q - 1, q) == 1 and all(
+        pow(2, (q - 1) // p, q) != 1 for p in _prime_factors(q - 1)
+    )

@@ -28,13 +28,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .arrangements import MULTIPLICATIVE, ArrangementSpec, SizeGuard, check_budgets, hyperplanes_of
+from .arrangements import (
+    CHUNK_WORDS, MULTIPLICATIVE, ArrangementSpec, SizeGuard, check_budgets, hyperplanes_of,
+)
 from .numbers import IntPolynomial
 from .sketches import CHUNK_TOKENS, _digits, byte_cells
 
-# (flat, plane) pairs per closure step; bounds each temporary array of _cut
-# to 256 KB.
-BLOCK = 1 << 15
 # int64 entries per (flat, plane) pair at the peak of cutting a rank, in the
 # children's _dedupe: the int32 parents and planes of the cuts, the child keys
 # (sorted in place), their argsort with its merge buffer, the inverse and the
@@ -230,12 +229,12 @@ def _ranks(spec: ArrangementSpec, code: _CellCode) -> Iterator[tuple[np.ndarray,
     key, mu = np.array([ambient @ code.powers]), np.ones(1, dtype=np.int64)
     parent = child = np.zeros(0, dtype=np.int64)
     rank = work = 0
-    step = max(1, BLOCK // max(len(planes), 1))
+    step = max(1, CHUNK_WORDS // max(len(planes), 1))
     while len(key):
         yield key, mu, parent, child
         del parent, child  # the consumer's now, not held through the next cut
         rank += 1
-        # The parent, plane and child key of each cut, one block per step.
+        # The parent, plane and child key of each cut, CHUNK_WORDS cuts a step.
         # The budget keeps a rank's flats, and so parent indices, in int32.
         cuts = ([], [], [])
         for lo in range(0, len(key), step):

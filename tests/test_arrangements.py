@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -25,9 +26,7 @@ from braidarr.arrangements import (
     plan_moduli,
     regions_convolution_check,
     _check_interpolant,
-    _is_prime,
     _lagrange_interpolate,
-    _two_is_primitive_root,
     verify_shift_theorem,
 )
 from braidarr.numbers import IntPolynomial, charpoly_A_closed, charpoly_C_closed, zaslavsky
@@ -248,19 +247,19 @@ PACKED_WIDTHS = (0, 1, 2, 5, 63, 64, 65, 127, 128, 129)
 
 @st.composite
 def assignment_problems(draw):
-    """Weighted general-plan inputs of 4 to 6 coordinates: an integer weight
-    on x1 and 0/1 weights elsewhere, each block random 0/1 or a broadcast
-    view of ones.  The last coordinate, whose rows are packed, takes a
-    width from ``PACKED_WIDTHS``; the others have at most 12, 6 or 4 values,
-    0 among them.  A weight or block density of 0 leaves no live value, and
-    the chunk size is drawn small enough to cut the loops."""
-    k = draw(st.integers(4, 6))
-    sizes = [draw(st.integers(0, (12, 6, 4)[k - 4])) for _ in range(k - 1)]
+    """General-plan inputs of 3 to 6 coordinates, as they are after x1's pin:
+    0/1 weights, each block random 0/1 or a broadcast view of ones.  The
+    last coordinate, whose rows are packed, takes a width from
+    ``PACKED_WIDTHS``; the others have at most 12, 12, 6 or 4 values, 0
+    among them, so three coordinates are padded to four.  A weight or block
+    density of 0 leaves no live value, and the chunk size is drawn small
+    enough to cut the loops."""
+    k = draw(st.integers(3, 6))
+    sizes = [draw(st.integers(0, (12, 12, 6, 4)[k - 3])) for _ in range(k - 1)]
     sizes.append(draw(st.sampled_from(PACKED_WIDTHS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
-    unary = [rng.integers(0, 30, sizes[0]) * (rng.random(sizes[0]) < density)]
-    unary += [(rng.random(size) < density).astype(np.int64) for size in sizes[1:]]
+    unary = [(rng.random(size) < density).astype(np.int64) for size in sizes]
     pair = {}
     for a, b in itertools.combinations(range(k), 2):
         shape = (sizes[a], sizes[b])
@@ -401,12 +400,21 @@ class TestHyperplanes:
 
 class TestModuli:
     def test_multiplicative_plan_properties(self):
+        def admissible(q):
+            # q is prime by trial division, and the powers of 2 first reach 1
+            # at 2^(q-1)
+            if q < 3 or not all(q % f for f in range(2, math.isqrt(q) + 1)):
+                return False
+            return next(e for e in range(1, q) if pow(2, e, q) == 1) == q - 1
+
         spec = ArrangementSpec.preset("A:3,2")
         plan = plan_moduli(spec)
         assert len(plan) == 5
-        for q in plan:
-            assert _is_prime(q) and _two_is_primitive_root(q)
-            assert q >= least_modulus(spec)
+        start = least_modulus(spec)
+        assert plan == tuple(q for q in range(start, plan[-1] + 1) if admissible(q))
+        # the bound of a target without pair planes is 2
+        spec = ArrangementSpec.uniform(1, [], MULTIPLICATIVE, True)
+        assert all(modulus_admissible(spec, q) == admissible(q) for q in range(1, 1500))
 
     def test_known_primitive_root_primes(self):
         # least_modulus is 4 * 4 + 2 = 18
@@ -532,8 +540,8 @@ class TestPackedKernel:
         ones = np.ones(3, dtype=np.int64)
         block = np.ones((3, 3), dtype=bool)
         pair = dict.fromkeys(itertools.combinations(range(4), 2), block)
-        full = [3 * ones, ones, ones, ones]
-        assert arrangements._count_assignments(full, pair) == 3 * 3**4
+        full = [ones] * 4
+        assert arrangements._count_assignments(full, pair) == 3**4
         # no live value
         assert arrangements._count_assignments([0 * ones] + full[1:], pair) == 0
         # a zero-width block: the last coordinate has no value
@@ -541,16 +549,37 @@ class TestPackedKernel:
         empty.update({(t, 3): np.ones((3, 0), dtype=bool) for t in range(3)})
         last = np.ones(0, dtype=np.int64)
         assert arrangements._count_assignments(full[:3] + [last], empty) == 0
+        # fewer than four coordinates are padded, none at all to one assignment
+        assert arrangements._count_assignments([], {}) == 1
+        assert arrangements._count_assignments([ones], {}) == 3
         # fewer rows than k, and a triangle with no row
         tri = np.triu(np.ones((3, 3), dtype=bool), 1)
-        rows = arrangements._pack(tri, ones)
-        assert arrangements._count_four([ones] * 3, np.arange(3), [tri] * 3, [rows] * 3) == 0
+        assert arrangements._count_assignments(full, dict.fromkeys(pair, tri)) == 0
         for k in (3, 4, 5):
             assert arrangements._count_increasing(tri[:k - 1, :k - 1], k) == 0
             assert arrangements._count_increasing(tri[:0, :0], k) == 0
         with mock.patch.object(arrangements, "CHUNK_WORDS", 1):
             assert arrangements._count_increasing(tri, 3) == 1
-            assert arrangements._count_assignments(full, pair) == 3 * 3**4
+            assert arrangements._count_assignments(full, pair) == 3**4
+
+    def test_each_distinct_block_is_packed_once(self):
+        # The sorted plan's 4-tuples pack their triangle once for all three
+        # blocks into the last coordinate.
+        tri = np.triu(np.ones((9, 9), dtype=bool), 1)
+        with mock.patch.object(arrangements, "_pack", wraps=arrangements._pack) as pack:
+            assert arrangements._count_increasing(tri, 4) == math.comb(9, 4)
+        assert [call.args[0] is tri for call in pack.call_args_list] == [True]
+        # A preset's pairs share one block, so each contraction of the
+        # general plan packs it once.
+        spec, q = ArrangementSpec.preset("Gamma:6,1"), 11
+        expected = count_complement_points(spec, q)
+        with mock.patch.object(
+            arrangements, "_count_assignments", wraps=arrangements._count_assignments
+        ) as kernel, mock.patch.object(arrangements, "_pack", wraps=arrangements._pack) as pack:
+            assert count_complement_points(spec, q) == expected
+        tails = [call for call in kernel.call_args_list if len(call.args[0]) == 4]
+        assert len(pack.call_args_list) == len(tails) > 1
+        assert len({id(call.args[0]) for call in pack.call_args_list}) == 1
 
     @pytest.mark.parametrize(
         "target, q, blocks",
@@ -595,10 +624,12 @@ class TestPackedKernel:
             arrangements, "_count_assignments", wraps=arrangements._count_assignments
         ) as kernel:
             assert count_complement_points(spec, q) == brute_force_count(spec, q)
-        (_, pair), _ = kernel.call_args
-        blocks = {id(pair[(a - 1, b - 1)]) for (a, b) in shifts if shifts[(a, b)] is shared}
-        assert len(blocks) == 1
-        assert pair[(1, 2)] is not pair[(0, 1)]
+        # x1 is pinned first: x2..x4 are coordinates 0..2, and x1's rows of
+        # its two shared blocks give x2 and x3 one weight
+        (unary, pair), _ = kernel.call_args
+        assert np.array_equal(unary[0], unary[1])
+        assert pair[(0, 2)] is pair[(1, 2)]
+        assert pair[(0, 1)] is not pair[(0, 2)]
         assert not any(block.flags.writeable for block in pair.values())
 
     def test_broadcast_rows_are_packed_once(self, traced_peak):

@@ -368,6 +368,13 @@ class TestCharpoly:
         assert code == 0
         assert out.strip() == "t^2 - 5*t + 4"
 
+    def test_moduli_override_without_planes_at_n_2(self, capture, tmp_path):
+        # a count pins x1 and takes q steps at n = 2; priced at q^2, these
+        # four moduli were refused as past the work budget
+        spec = spec_file(tmp_path, {"n": 2, "flavor": "C"})
+        moduli = "100000,100001,100002,100003"
+        assert capture("charpoly", "--spec", spec, "--moduli", moduli) == (0, "t^2\n", "")
+
     def test_empty_moduli_override(self, capture):
         # it was read as no override, and the planned moduli were used
         code, out, err = capture("charpoly", "A:2,1", "--moduli", "")
@@ -391,8 +398,11 @@ class TestCharpoly:
                 str(10**30 + k) for k in (57, 99, 201, 323))),
             # the sixth modulus would never be counted
             ("regions", "A:3,1", "--moduli", f"5,11,13,19,29,{10**30 + 57}"),
+            # n = 1 is priced at w q^0 steps, so its weights' q entries refuse it
+            ("charpoly", "A:1,1", "--moduli", ",".join(
+                str(10**30 + k) for k in (57, 99, 201))),
         ],
-        ids=["17-digit", "31-digit", "unused-31-digit"],
+        ids=["17-digit", "31-digit", "unused-31-digit", "n-1-31-digit"],
     )
     def test_huge_moduli_refused_before_admissibility(self, capture, argv):
         # admissibility factors q - 1 by trial division, unbounded on these
