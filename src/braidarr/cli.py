@@ -102,8 +102,13 @@ def main() -> None:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run ``argv``'s verb, parsed by its own parser if ``argv`` starts with it."""
+    parser, verbs = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        if argv and argv[0] in verbs:
+            args = verbs[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:  # -h
         return int(exc.code or 0)
@@ -113,10 +118,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``run`` and reused: parsing
-    keeps no state in the parser, and a fresh namespace holds each call's
-    values."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each verb's parser by name, built once: parsing
+    keeps no state in a parser.  The full parser hands a verb's arguments to
+    the verb's parser, so either route prints the same usage, help and errors."""
     parser = _Parser(
         prog="braidarr",
         description="Characteristic polynomials, region counts, and bijections "
@@ -162,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_arg(p, default="json")
     p.set_defaults(handler=_cmd_poset)
 
-    return parser
+    return parser, sub.choices
 
 
 def _add_target_args(p: argparse.ArgumentParser) -> None:

@@ -7,8 +7,8 @@ down-step with a forced letter; the choice is unique, so paths and words
 carry exactly the same information.  The forced letter is the oldest
 pending one; read on a partition side (a label's j-th occurrence as exponent
 j - 1) this first in, first out rule says no two arcs nest.  This module
-holds the one walk over paths (:func:`axis_points`) and over sketch or
-partition sides (:func:`is_orderly`).
+holds the one walk over paths (:func:`axis_points`) and the one over sketch
+or partition sides (:func:`is_orderly`, a single pass with that queue).
 """
 from __future__ import annotations
 
@@ -88,20 +88,23 @@ def is_orderly(word: Sequence[Letter], m: int) -> bool:
     subscripts once, in increasing exponents, and of two letters below
     exponent m the earlier keeps its lead when both exponents grow by 1.
 
-    Exactly then its exponent-0 labels are distinct, m + 1 letters each, and
-    ``complete_word`` on its skeleton (an up-step i per letter (i, 0), a
-    down-step per other letter) gives it back.  At a down-step of an orderly
-    word its letter (i, k) is pending after (i, k - 1), and the lead rule puts
-    every other pending letter after it, so it heads the queue.  Conversely a
-    completion with distinct labels emits each letter at most once, so with
-    m + 1 per label it emits them all, in increasing exponents and, first in
-    first out, keeping every lead.
+    One walk with the queue of ``complete_word``: a letter (i, 0) opens label
+    i, once; any other must head the queue; (i, k), k < m, queues (i, k + 1);
+    at the end the queue is empty, m + 1 letters a label.  In an orderly word
+    (i, k - 1) precedes (i, k), k > 0, and the lead rule queues every other
+    letter after it, so it heads the queue.  Conversely the walk takes each
+    label's letters once, in increasing exponents, keeping every lead.
     """
-    labels = [i for i, k in word if k == 0]
-    if len(set(labels)) != len(labels) or len(word) != (m + 1) * len(labels):
-        return False
-    steps = [UP if k == 0 else DOWN for _, k in word]
-    try:
-        return tuple(complete_word(steps, labels, m)) == tuple(word)
-    except ValueError:  # a down-step with nothing pending
-        return False
+    pending: deque[Letter] = deque()
+    labels: set[int] = set()
+    for letter in word:
+        i, k = letter
+        if k == 0:
+            if i in labels:
+                return False
+            labels.add(i)
+        elif not pending or pending.popleft() != letter:
+            return False
+        if k < m:
+            pending.append((i, k + 1))
+    return not pending and len(word) == (m + 1) * len(labels)

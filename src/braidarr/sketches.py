@@ -138,18 +138,17 @@ def is_valid_sketch(sketch: Sketch) -> bool:
     adding 1 to exponents).  A nonempty sketch needs m >= 1.
     """
     letters = sketch.letters
-    if len(set(letters)) != len(letters):
+    if not letters:
+        return True
+    subscripts, exponents = zip(*letters)
+    n, m = max(subscripts), max(exponents)
+    if n < 1 or m < 1 or len(letters) != n * (m + 1):
         return False
-    n, m = sketch.n, sketch.m
-    if n == 0 or m < 1:  # n = 0 only for the empty sketch, m >= 1 for any other
-        return n == 0 and not letters
     subs1 = {i for i, _ in sketch.w1}
     subs2 = {i for i, _ in sketch.w2}
-    if subs1 & subs2:
+    if subs1 & subs2 or subs1 | subs2 != set(range(1, n + 1)):
         return False
-    if subs1 | subs2 != set(range(1, n + 1)):
-        return False
-    # Each orderly side holds exactly the letters (i, 0..m) of its subscripts.
+    # Each orderly side holds the letters (i, 0..m) of its subscripts once each.
     return is_orderly(sketch.w2, m) and is_orderly(sketch.w1[::-1], m)
 
 
@@ -384,13 +383,16 @@ def _solve_side(word: Sequence[Letter], scale: int) -> dict[int, Fraction]:
     and relaxed from an implicit source at distance 0; a negative cycle would
     mean the side ordering is contradictory, which cannot happen for a valid
     sketch.  The constraint of any later pair holds too: the chain between
-    them weighs no more, as exponents of one subscript increase.
+    them weighs no more, as exponents of one subscript increase.  An edge moves
+    a bound back from a later letter, so edges are relaxed in reverse word
+    order: one pass moves a bound across the side, not back by one letter.
     """
     variables = sorted({i for i, _ in word})
     if not variables:
         return {}
     # constraint X_i - X_j <= (l - k) - 1/scale, i.e. relax j -> i
     edges = [(j, i, (l - k) * scale - 1) for (i, k), (j, l) in zip(word, word[1:]) if i != j]
+    edges.reverse()
     dist = dict.fromkeys(variables, 0)
     for _ in range(len(variables) - 1):
         changed = False

@@ -1049,8 +1049,11 @@ class TestBiject:
             ("partition-to-sketch", "| " + " ".join(["1"] * 16000)),
             # 8,000 blocks of two points, in order
             ("partition-to-sketch", " ".join(f"{i} {i}" for i in range(1, 8001)) + " |"),
+            # 5,000 subscripts, every (i, 0) before every (i, 1): 3 s of CPU
+            # when the witness solve relaxed its edges in word order
+            ("sketch-to-witness", " ".join(["0"] + [f"{i}^{k}" for k in (0, 1) for i in range(1, 5001)])),
         ],
-        ids=["sketch-4000", "partition-16000", "partition-8000-blocks"],
+        ids=["sketch-4000", "partition-16000", "partition-8000-blocks", "witness-5000"],
     )
     def test_long_object_in_linear_time(self, capture, direction, text):
         # one walk per side; comparing all pairs of letters or arcs took seconds
@@ -1164,6 +1167,50 @@ class TestPoset:
         assert_rejected(code, out, err)
         assert "the poset's JSON dump would hold" in err
         assert capture("poset", "A:2,1", "--output", "table")[0] == 0
+
+
+def run_through_full_parser(argv):
+    """``run`` as it was when every argv went through the full parser."""
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["frobnicate"],
+        ["frobnicate", "-h"],
+        ["--output", "json", "regions", "A:2,1"],
+        *([verb, "-h"] for verb in cli._build_parser()[1]),
+        ["biject"],
+        ["biject", "sketch-to-path"],
+        ["biject", "sketch-to-path", "0 1^0 1^1"],
+        ["biject", "sketch-to-path", "0 1^0 1^1", "extra"],
+        ["biject", "sketch-to-path", "--", "0 1^0 1^1"],
+        ["biject", "sketch-to-path", "--", "-1^0 0"],
+        ["biject", "sketch-to-nowhere", "0 1^0 1^1"],
+        ["biject", "sketch-to-witness", "0", "--m", "x"],
+        ["biject", "sketch-to-witness", "0", "--m", "2", "--output", "json"],
+        ["regions", "A:2,1", "--output", "json"],
+        ["enumerate", "sketches", "2", "1", "-h"],
+        ["verify", "table1"],
+        ["verify", "table2"],
+    ],
+    ids=" ".join,
+)
+def test_parsing_unchanged(capsys, argv):
+    """The verb's own parser gives the same code, stdout and stderr as the
+    full parser that hands it the verb's arguments."""
+    expected = (run_through_full_parser(argv), *capsys.readouterr())
+    assert (run(argv), *capsys.readouterr()) == expected
 
 
 class TestUsage:

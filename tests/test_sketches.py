@@ -19,7 +19,7 @@ from braidarr.arrangements import (
     charpoly_ff,
     hyperplanes_of,
 )
-from braidarr.dyckwords import complete_word, is_orderly, step_sequences
+from braidarr.dyckwords import DOWN, UP, complete_word, is_orderly, step_sequences
 from braidarr.numbers import (
     raney,
     regions_A_closed,
@@ -89,6 +89,21 @@ def _is_orderly(word, m):
         if position[a] < position[b] and position[(a[0], a[1] + 1)] > position[(b[0], b[1] + 1)]:
             return False
     return True
+
+
+def _is_orderly_by_completion(word, m):
+    """Reference: ``is_orderly`` as it was before its one queue walk.  A word
+    is orderly exactly when its exponent-0 labels are distinct, m + 1 letters
+    each, and ``complete_word`` on its skeleton (an up-step i per letter
+    (i, 0), a down-step per other letter) gives it back."""
+    labels = [i for i, k in word if k == 0]
+    if len(set(labels)) != len(labels) or len(word) != (m + 1) * len(labels):
+        return False
+    steps = [UP if k == 0 else DOWN for _, k in word]
+    try:
+        return tuple(complete_word(steps, labels, m)) == tuple(word)
+    except ValueError:  # a down-step with nothing pending
+        return False
 
 
 def is_valid_by_reference(sketch, m):
@@ -314,8 +329,9 @@ class TestValidity:
 
 
 class TestIsOrderly:
-    """``is_orderly``, which completes a word's skeleton, against the
-    definition in ``_is_orderly``."""
+    """``is_orderly``, one walk with the pending queue, against the
+    definition in ``_is_orderly`` and the skeleton's completion in
+    ``_is_orderly_by_completion``."""
 
     # Every size <= 3 with (m+1) size <= 9, and the empty word.
     @pytest.mark.parametrize(
@@ -326,7 +342,7 @@ class TestIsOrderly:
         orderly = 0
         for word in itertools.permutations(letters):
             verdict = is_orderly(word, m)
-            assert verdict == _is_orderly(word, m), word
+            assert verdict == _is_orderly(word, m) == _is_orderly_by_completion(word, m), word
             orderly += verdict
         assert orderly == math.factorial(size) * raney(size, m, 1)
 
@@ -339,14 +355,18 @@ class TestIsOrderly:
             assert is_orderly(word, m)
             for p in range(len(word) - 1):
                 swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2:]
-                assert is_orderly(swapped, m) == _is_orderly(swapped, m), swapped
+                verdict = is_orderly(swapped, m)
+                assert verdict == _is_orderly(swapped, m), swapped
+                assert verdict == _is_orderly_by_completion(swapped, m), swapped
 
     def test_words_with_repeated_letters(self):
         letters = [(i, k) for i in (1, 2) for k in range(3)]
         for length in range(5):
             for word in itertools.product(letters, repeat=length):
                 for m in (1, 2):
-                    assert is_orderly(word, m) == _is_orderly(word, m), (word, m)
+                    verdict = is_orderly(word, m)
+                    assert verdict == _is_orderly(word, m), (word, m)
+                    assert verdict == _is_orderly_by_completion(word, m), (word, m)
 
 
 class TestEnumeration:
@@ -488,6 +508,22 @@ def all_pairs_solve_side(word, scale):
                 continue
             # constraint X_i - X_j <= (l - k) - 1/scale, i.e. relax j -> i
             edges.append((j, i, (l - k) * scale - 1))
+    return bellman_ford(variables, edges, scale)
+
+
+def forward_solve_side(word, scale):
+    """Reference: ``_solve_side`` relaxing its edges in word order, so that
+    each pass moves a bound back by one letter only."""
+    variables = sorted({i for i, _ in word})
+    if not variables:
+        return {}
+    edges = [(j, i, (l - k) * scale - 1) for (i, k), (j, l) in zip(word, word[1:]) if i != j]
+    return bellman_ford(variables, edges, scale)
+
+
+def bellman_ford(variables, edges, scale):
+    """The distances from an implicit source at distance 0, ``edges`` relaxed
+    in the order given, as exponents in units of 1/``scale``."""
     dist = dict.fromkeys(variables, 0)
     for _ in range(len(variables) - 1):
         changed = False
@@ -501,6 +537,22 @@ def all_pairs_solve_side(word, scale):
         if dist[u] + w < dist[v]:
             raise InfeasibleSystem("negative cycle in difference constraints")
     return {v: Fraction(d, scale) for v, d in dist.items()}
+
+
+@st.composite
+def orderly_sides(draw, max_size=60):
+    """(m, an orderly side on the subscripts 1..size, size up to ``max_size``):
+    the completion of a random step sequence, its up-steps labelled by a
+    random permutation."""
+    m = draw(st.integers(1, 3))
+    size = draw(st.integers(1, max_size))
+    labels = draw(st.permutations(range(1, size + 1)))
+    steps, ups, height = [], size, 0
+    while ups or height:
+        up = ups > 0 and (height == 0 or draw(st.booleans()))
+        steps.append(UP if up else DOWN)
+        ups, height = (ups - 1, height + m) if up else (ups, height - 1)
+    return m, tuple(complete_word(steps, labels, m))
 
 
 # Distinct numerators, over a denominator larger than any two differ by: no
@@ -529,6 +581,27 @@ class TestSolveSide:
         for word in (sketch.w2, sketch.w1[::-1]):
             assert _solve_side(word, scale) == all_pairs_solve_side(word, scale)
         assert point_to_sketch(witness_point(sketch), m) == sketch
+
+    @settings(max_examples=100, deadline=None)
+    @given(orderly_sides())
+    def test_reverse_order_matches_word_order(self, drawn):
+        m, word = drawn
+        assert is_orderly(word, m)
+        scale = len(word) // (m + 1) + 1
+        assert _solve_side(word, scale) == forward_solve_side(word, scale)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("size", [50, 200])
+    @pytest.mark.parametrize("family", ["increasing", "decreasing", "blocked"])
+    def test_families_match_word_order(self, family, size, m):
+        labels = range(size, 0, -1) if family == "decreasing" else range(1, size + 1)
+        if family == "blocked":  # each label's letters together
+            steps = ([UP] + [DOWN] * m) * size
+        else:  # every (i, 0) first, then the rest in queue order
+            steps = [UP] * size + [DOWN] * (size * m)
+        word = tuple(complete_word(steps, labels, m))
+        assert is_orderly(word, m)
+        assert _solve_side(word, size + 1) == forward_solve_side(word, size + 1)
 
 
 def fraction_point_to_sketch(point, m):
