@@ -8,7 +8,6 @@ from .arrangements import (
     count_complement_points,
     hyperplanes_of,
     plan_moduli,
-    regions_convolution_check,
     verify_shift_theorem,
 )
 from .numbers import (
@@ -16,8 +15,6 @@ from .numbers import (
     charpoly_A_closed,
     charpoly_C_closed,
     raney,
-    raney_convolution_check,
-    regions_A_axis_identity,
     regions_A_closed,
     regions_B_closed,
     regions_Delta_closed,
@@ -35,9 +32,7 @@ from .paths import (
     LabeledDyckPath,
     compartment_distribution,
     path_to_sketch,
-    shifted_coefficient_identity,
     sketch_to_path,
-    unlabeled_census,
 )
 from .poset import build_poset, rank_sums
 from .sketches import (

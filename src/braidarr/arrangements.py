@@ -16,7 +16,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numbers import IntPolynomial, shift, zaslavsky
+from .numbers import IntPolynomial, shift
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -633,26 +633,6 @@ def verify_shift_theorem(
     mult = ArrangementSpec(n, MULTIPLICATIVE, pair_shifts, True)
     add = ArrangementSpec(n, ADDITIVE, pair_shifts, False)
     return charpoly_ff(mult, moduli) == shift(charpoly_ff(add, moduli), -1)
-
-
-def regions_convolution_check(shifts: Iterable[int], n: int) -> bool:
-    """True iff r(mult_n) equals sum over k of C(n,k) r(add_k) r(add_{n-k}).
-
-    Uses the uniform shift set on all pairs; the k = 0 term contributes the
-    one-region empty arrangement.
-    """
-    values = frozenset(shifts)
-    additive_regions = [1]  # index k
-    for k in range(1, n + 1):
-        spec_k = ArrangementSpec.uniform(k, values, ADDITIVE, False)
-        additive_regions.append(zaslavsky(charpoly_ff(spec_k), k))
-    mult = ArrangementSpec.uniform(n, values, MULTIPLICATIVE, True)
-    lhs = zaslavsky(charpoly_ff(mult), n)
-    rhs = sum(
-        math.comb(n, k) * additive_regions[k] * additive_regions[n - k]
-        for k in range(n + 1)
-    )
-    return lhs == rhs
 
 
 def _lagrange_interpolate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:

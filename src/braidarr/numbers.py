@@ -8,7 +8,7 @@ rounded count.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class IntPolynomial:
@@ -205,13 +205,6 @@ def regions_A_closed(n: int, m: int) -> int:
     return value
 
 
-def regions_A_axis_identity(n: int, m: int) -> int:
-    """n! times the sum over k of (k+1) * raney(n-k, m, m*k)."""
-    _require_positive(n, m)
-    total = sum((k + 1) * raney(n - k, m, m * k) for k in range(1, n + 1))
-    return math.factorial(n) * total
-
-
 def regions_B_closed(n: int, m: int) -> int:
     """n! * (A_n(m,2) - A_{n-1}(m,2))."""
     _require_positive(n, m)
@@ -243,32 +236,6 @@ def regions_Delta_closed(n: int, m: int) -> int:
             * _guarded_power(m * (n - k) + 1, n - k - 1)
         )
     return regions_Gamma_closed(n, m) - correction
-
-
-def raney_convolution_check(n: int, m: int, r: int) -> bool:
-    """True iff summing products of A_{k_i}(m,1) over all compositions of n
-    into r nonnegative parts reproduces A_n(m,r)."""
-    if r < 2:
-        raise ValueError(f"r must be at least 2, got {r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    total = 0
-    for parts in _compositions(n, r):
-        product = 1
-        for k in parts:
-            product *= raney(k, m, 1)
-        total += product
-    return total == raney(n, m, r)
-
-
-def _compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All r-tuples of nonnegative integers summing to n."""
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, r - 1):
-            yield (first,) + rest
 
 
 def _guarded_power(base: int, exponent: int) -> int:

@@ -4,16 +4,13 @@ coefficients.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .dyckwords import DOWN, UP, axis_points, complete_word, step_sequences
-from .arrangements import WORK_BUDGET, check_budgets
-from .numbers import charpoly_A_closed, charpoly_C_closed, raney
 from .sketches import Sketch, _check_guard, _digits, render_chunks
 
 
@@ -144,11 +141,6 @@ def check_decorated_path(decorated: DecoratedDyckPath) -> None:
         raise ValueError(f"mark {decorated.mark} is not an x-axis point")
 
 
-class UnlabeledCensus(NamedTuple):
-    by_upsteps: tuple[int, ...]  # index k: unlabeled paths with k up-steps
-    by_axis_points: dict[int, int]  # k: paths with n up-steps and k+1 axis points
-
-
 def sketch_to_path(sketch: Sketch, m: int | None = None) -> DecoratedDyckPath:
     """Translate a sketch into a decorated path.
 
@@ -213,39 +205,6 @@ def _path_table(n: int, m: int) -> tuple[list[tuple[str, str]], np.ndarray]:
     return pairs, np.array([(*p, 0, n + 1) for p in permutations(range(1, n + 1))], np.int32)
 
 
-def assemble_compartments(
-    parts: Iterable[LabeledDyckPath],
-) -> LabeledDyckPath:
-    """Rebuild the unique labeled path whose compartments are ``parts``.
-
-    Compartment maxima strictly decrease along a path, so sorting the given
-    connected pieces by maximum label descending recovers the original order.
-    A piece is connected, one compartment, when it is nonempty and its largest
-    label lies in its last primitive part.
-    """
-    pieces = list(parts)
-    if not pieces:
-        raise ValueError("no compartments to assemble")
-    m = pieces[0].m
-    for piece in pieces:
-        check_labeled_path(piece)
-        if piece.m != m:
-            raise ValueError("mixed rise parameters")
-        # the last primitive part's labels, after the up-steps before its start
-        last = piece.labels[axis_points(piece.steps, m)[-2] // (m + 1):] if piece.labels else ()
-        if max(piece.labels, default=0) not in last:
-            raise ValueError(f"piece {piece} is not connected")
-    pieces.sort(key=lambda p: -max(p.labels))
-    steps: tuple[str, ...] = ()
-    labels: tuple[int, ...] = ()
-    for piece in pieces:
-        steps += piece.steps
-        labels += piece.labels
-    path = LabeledDyckPath(m, steps, labels)
-    check_labeled_path(path)  # two pieces may share a label
-    return path
-
-
 def compartment_distribution(n: int, m: int) -> list[int]:
     """Entry j: decorated paths whose second part has j compartments.  A
     compartment ends at the part holding the largest label not yet in one,
@@ -261,43 +220,3 @@ def compartment_distribution(n: int, m: int) -> list[int]:
         maxima = suffix_max[:, [(len(p1) + a) // (m + 1) for a in axis_points(p2, m)]]
         counts += np.bincount((maxima[:, 1:] != maxima[:, :-1]).sum(1), minlength=n + 1)
     return counts.tolist()
-
-
-def shifted_coefficient_identity(n: int, m: int) -> bool:
-    """Absolute coefficients of the multiplicative polynomial must be the
-    binomial transform of the additive ones."""
-    a = charpoly_A_closed(n, m)
-    c = charpoly_C_closed(n, m)
-    for j in range(n + 1):
-        expected = sum(
-            abs(c.coefficient(i)) * math.comb(i, j) for i in range(j, n + 1)
-        )
-        if abs(a.coefficient(j)) != expected:
-            return False
-    return True
-
-
-def unlabeled_census(n: int, m: int) -> UnlabeledCensus:
-    """Enumeration-derived counts of unlabeled paths.
-
-    ``by_upsteps[k]`` counts paths with k up-steps for k = 0..n;
-    ``by_axis_points[k]`` counts paths with n up-steps and k+1 axis points.
-    The walks take k (m+1) steps per path, ``raney(k, m, 1)`` paths for each
-    k (summed up to the work budget), and hold one path's steps twice.
-    """
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    walked = 0
-    for k in range(n + 1):
-        walked += raney(k, m, 1) * k * (m + 1)
-        if walked > WORK_BUDGET:
-            break
-    check_budgets(f"the census of n={n}, m={m}", 2 * n * (m + 1), walked, "steps")
-    by_upsteps = tuple(
-        sum(1 for _ in step_sequences(k, m)) for k in range(n + 1)
-    )
-    by_axis_points = {k: 0 for k in range(1, n + 1)}
-    if n >= 1:
-        for steps in step_sequences(n, m):
-            by_axis_points[len(axis_points(steps, m)) - 1] += 1
-    return UnlabeledCensus(by_upsteps, by_axis_points)

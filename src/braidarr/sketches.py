@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -36,6 +37,8 @@ LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
 
 CHUNK_TOKENS = 1 << 18  # letters rendered or projected at a time
+
+_exponent = itemgetter(1)  # of a letter (i, k)
 
 
 @functools.lru_cache(maxsize=1024)  # bounded: a long sketch has many letters
@@ -64,11 +67,12 @@ class Sketch:
 
     @property
     def n(self) -> int:
-        return max((i for i, _ in self.letters), default=0)
+        # Letters compare by subscript first, so the largest holds n.
+        return max(itertools.chain(self.w1, self.w2), default=(0, 0))[0]
 
     @property
     def m(self) -> int:
-        return max((k for _, k in self.letters), default=0)
+        return max(map(_exponent, itertools.chain(self.w1, self.w2)), default=0)
 
     def rise(self, m: int | None = None) -> int:
         """The sketch's m.  ``m`` is required for the empty sketch, whose m
@@ -79,9 +83,10 @@ class Sketch:
             if m < 1:
                 raise ValueError(f"m must be positive, got {m}")
             return m
-        if m is not None and m != self.m:
-            raise ValueError(f"m={m} disagrees with the sketch's m={self.m}")
-        return self.m
+        own = self.m
+        if m is not None and m != own:
+            raise ValueError(f"m={m} disagrees with the sketch's m={own}")
+        return own
 
     def sort_key(self) -> tuple[Letter, ...]:
         # (0, 0) marks the zero letter; real letters have subscript >= 1.

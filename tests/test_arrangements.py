@@ -24,7 +24,6 @@ from braidarr.arrangements import (
     least_modulus,
     modulus_admissible,
     plan_moduli,
-    regions_convolution_check,
     _check_interpolant,
     _lagrange_interpolate,
     verify_shift_theorem,
@@ -810,6 +809,22 @@ class TestShiftTheorem:
 
     def test_asymmetric_tuple(self):
         assert verify_shift_theorem(3, {(1, 2): [0], (1, 3): [1], (2, 3): []})
+
+
+def regions_convolution_check(shifts, n):
+    """The regions of the multiplicative arrangement with one shift set on
+    every pair are the sum over k of C(n, k) r(add_k) r(add_(n-k)), r(add_k)
+    the regions of the additive one on k coordinates (one for k = 0)."""
+    def regions(k, flavor=ADDITIVE):
+        if k == 0:
+            return 1
+        spec = ArrangementSpec.uniform(k, frozenset(shifts), flavor, flavor == MULTIPLICATIVE)
+        return zaslavsky(charpoly_ff(spec), k)
+
+    additive = [regions(k) for k in range(n + 1)]
+    return regions(n, MULTIPLICATIVE) == sum(
+        math.comb(n, k) * additive[k] * additive[n - k] for k in range(n + 1)
+    )
 
 
 class TestRegionsConvolution:
