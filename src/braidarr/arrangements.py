@@ -44,11 +44,8 @@ class InadmissibleModulus(ValueError):
 
 
 class InterpolationMismatch(ArithmeticError):
-    """Interpolated polynomial failed a structural or held-out check."""
-
-
-class NonIntegerCoefficient(ArithmeticError):
-    """Exact interpolation produced a non-integer coefficient."""
+    """Exact interpolation gave a non-integer coefficient, or its polynomial
+    failed a structural or held-out check."""
 
 
 class SizeGuard(ValueError):
@@ -620,11 +617,7 @@ def _check_interpolant(spec: ArrangementSpec, poly: IntPolynomial) -> None:
         )
 
 
-def verify_shift_theorem(
-    n: int,
-    pair_shifts: Mapping[tuple[int, int], Iterable[int]],
-    moduli: Sequence[int] | None = None,
-) -> bool:
+def verify_shift_theorem(n: int, pair_shifts: Mapping[tuple[int, int], Iterable[int]]) -> bool:
     """Check that the multiplicative polynomial equals the additive one at t - 1.
 
     Both arrangements are built from the same shift tuple; the multiplicative
@@ -632,7 +625,7 @@ def verify_shift_theorem(
     """
     mult = ArrangementSpec(n, MULTIPLICATIVE, pair_shifts, True)
     add = ArrangementSpec(n, ADDITIVE, pair_shifts, False)
-    return charpoly_ff(mult, moduli) == shift(charpoly_ff(add, moduli), -1)
+    return charpoly_ff(mult) == shift(charpoly_ff(add), -1)
 
 
 def _lagrange_interpolate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
@@ -641,11 +634,7 @@ def _lagrange_interpolate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial
     L / Π_{j≠i} (x_i - x_j), L the lcm of those denominators, so the sum is
     L times the interpolant."""
     size = len(xs)
-    full = [1]  # P, lowest degree first
-    for x in xs:
-        full = [0] + full
-        for d in range(len(full) - 1):
-            full[d] -= x * full[d + 1]
+    full = IntPolynomial.from_roots(xs).coefficients  # P, lowest degree first
     denominators = [math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
                     for i, xi in enumerate(xs)]
     lcm = math.lcm(*denominators)
@@ -657,7 +646,7 @@ def _lagrange_interpolate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial
             coeffs[d - 1] += scale * quotient
     for c in coeffs:
         if c % lcm:
-            raise NonIntegerCoefficient(f"coefficient {Fraction(c, lcm)} is not an integer")
+            raise InterpolationMismatch(f"coefficient {Fraction(c, lcm)} is not an integer")
     return IntPolynomial([c // lcm for c in coeffs])
 
 

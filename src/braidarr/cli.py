@@ -6,8 +6,8 @@ its JSON value, table lines and CSV rows to :func:`_emit`, which prints the
 form ``--output`` names (``poset`` reads it too, to run one form's closure).
 The names ``--method``, ``enumerate`` and ``biject`` accept are the keys of
 ``ROUTES``, ``ENUMERATIONS`` and ``BIJECTIONS``.
-Exit codes: 0 success, 1 verification failure or a closed stdout, 2 usage or
-input-domain error.
+Exit codes: 0 success, 1 a ``verify`` disagreement or a closed stdout, 2 a
+usage or domain error, a size refusal or a route's failed self-check.
 """
 from __future__ import annotations
 

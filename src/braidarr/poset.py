@@ -326,13 +326,12 @@ def _cut(code: _CellCode, key: np.ndarray, ijk: np.ndarray) -> tuple[np.ndarray,
     root, off = code.decode(key)
     weighted = code.cells(root, off) * code.powers
     # Sums over each root's component of the weighted cells and of the digit
-    # weights; column n, which root -1 indexes, stays 0.
+    # weights.  Zero coordinates (root -1) land in column n, which no cut reads.
     comp_cells = np.zeros((len(key), root.shape[1] + 1), dtype=np.int64)
     comp_weight = np.zeros_like(comp_cells)
-    for r in range(root.shape[1]):
-        in_r = root == r
-        comp_cells[:, r] = (weighted * in_r).sum(axis=1)
-        comp_weight[:, r] = (code.powers * in_r).sum(axis=1)
+    rows = np.arange(len(key))[:, None]
+    np.add.at(comp_cells, (rows, root), weighted)
+    np.add.at(comp_weight, (rows, root), code.powers)
     i, j, k = ijk.T
     ri, rj, oi, oj = root[:, i], root[:, j], off[:, i], off[:, j]
     same = ri == rj

@@ -8,7 +8,6 @@ realizing a given sketch.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ CHUNK_TOKENS = 1 << 18  # letters rendered or projected at a time
 _exponent = itemgetter(1)  # of a letter (i, k)
 
 
-@functools.lru_cache(maxsize=1024)  # bounded: a long sketch has many letters
 def _letter_text(letter: Letter) -> str:
     return f"{letter[0]}^{letter[1]}"
 

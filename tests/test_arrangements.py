@@ -16,7 +16,6 @@ from braidarr.arrangements import (
     ArrangementSpec,
     InadmissibleModulus,
     InterpolationMismatch,
-    NonIntegerCoefficient,
     SizeGuard,
     charpoly_ff,
     count_complement_points,
@@ -231,7 +230,7 @@ def reference_lagrange(xs, ys) -> IntPolynomial:
     out = []
     for c in coeffs:
         if c.denominator != 1:
-            raise NonIntegerCoefficient(f"coefficient {c} is not an integer")
+            raise InterpolationMismatch(f"coefficient {c} is not an integer")
         out.append(int(c))
     return IntPolynomial(out)
 
@@ -700,6 +699,15 @@ class TestCharpolyFF:
         spec = ArrangementSpec(2, MULTIPLICATIVE, {}, False)
         assert charpoly_ff(spec) == IntPolynomial([0, 0, 1])
 
+    def test_held_out_refusal(self, monkeypatch):
+        # one point too many at A:3,1's held-out modulus, 29
+        count = arrangements.count_complement_points
+        monkeypatch.setattr(
+            arrangements, "count_complement_points", lambda spec, q: count(spec, q) + (q == 29)
+        )
+        with pytest.raises(InterpolationMismatch, match=r"^held-out check failed at q=29"):
+            charpoly_ff(ArrangementSpec.preset("A:3,1"))
+
     def test_oversized_target_refused_before_planning(self, monkeypatch):
         def no_planning(*args, **kwargs):
             raise AssertionError("plan_moduli ran for a target past the budget")
@@ -796,7 +804,7 @@ class TestInterpolation:
     def test_non_integer_coefficient(self):
         # t (t - 1) / 2 takes integer values, and its lowest non-integer
         # coefficient is -1/2
-        with pytest.raises(NonIntegerCoefficient, match=r"^coefficient -1/2 is not an integer$"):
+        with pytest.raises(InterpolationMismatch, match=r"^coefficient -1/2 is not an integer$"):
             _lagrange_interpolate([2, 0, 1], [1, 0, 0])
 
 

@@ -314,6 +314,16 @@ class TestCharpoly:
         assert code == 2
         assert "preset" in err
 
+    def test_held_out_refusal(self, capture, monkeypatch):
+        # a route's failed self-check exits 2, like a domain error
+        count = arrangements.count_complement_points
+        monkeypatch.setattr(
+            arrangements, "count_complement_points", lambda spec, q: count(spec, q) + (q == 29)
+        )
+        code, out, err = capture("charpoly", "A:3,1")
+        assert_rejected(code, out, err)
+        assert err.startswith("error: held-out check failed at q=29")
+
     def test_closed_single_coordinate(self, capture):
         code, out, _ = capture("charpoly", "A:1,3", "--method", "closed")
         assert code == 0

@@ -221,3 +221,26 @@ def test_routes_read_no_closed_form():
     for module in (arrangements, poset, sketches, paths, partitions, dyckwords):
         bound = [name for name, value in vars(module).items() if id(value) in closed]
         assert not bound, (module.__name__, bound)
+
+
+def test_routes_call_no_closed_form(monkeypatch):
+    """The independence invariant at run time: with every closed form made to
+    raise, the ff and poset routes still give the closed forms' chi."""
+    sizes = [(n, m) for n in range(1, 5) for m in (1, 2)]
+    expected = {
+        (family, n, m): closed(n, m)
+        for family, closed in (("A", charpoly_A_closed), ("C", charpoly_C_closed))
+        for n, m in sizes
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route called a closed form")
+
+    for name in list(vars(numbers)):
+        if name.endswith("_closed"):
+            monkeypatch.setattr(numbers, name, refuse)
+    for (family, n, m), chi in expected.items():
+        spec = arrangements.ArrangementSpec.preset(f"{family}:{n},{m}")
+        assert arrangements.charpoly_ff(spec) == chi, (family, n, m)
+        if family == "A":
+            assert poset.rank_sums(spec)[1] == chi, (n, m)

@@ -23,6 +23,7 @@ from braidarr.numbers import (
     regions_B_closed,
     zaslavsky,
 )
+from braidarr import poset as poset_module
 from braidarr.poset import build_poset, rank_sums
 
 # Hyperplane set from the worked six-coordinate example: x1 = 0, x1 = 2^2 x2,
@@ -646,3 +647,53 @@ def test_rendered_dump_and_rank_sums(spec, target):
 )
 def test_rendered_dump_edge_cases(spec):
     check_rendered(build_poset(spec), spec, 'dir/"quoted"\\é.json')
+
+
+def reference_cut(code, key, ijk):
+    """``_cut`` with each root's component summed by a loop over the roots,
+    the form the two scatters replaced."""
+    root, off = code.decode(key)
+    weighted = code.cells(root, off) * code.powers
+    comp_cells = np.zeros((len(key), root.shape[1] + 1), dtype=np.int64)
+    comp_weight = np.zeros_like(comp_cells)
+    for r in range(root.shape[1]):
+        in_r = root == r
+        comp_cells[:, r] = (weighted * in_r).sum(axis=1)
+        comp_weight[:, r] = (code.powers * in_r).sum(axis=1)
+    i, j, k = ijk.T
+    ri, rj, oi, oj = root[:, i], root[:, j], off[:, i], off[:, j]
+    same = ri == rj
+    contains = same & ((ri < 0) | (oi == k + oj))
+    hi = np.maximum(ri, rj)
+    shift = np.where(ri > rj, 1, -1) * (k + oj - oi)
+    delta = np.where(
+        ~same & (ri >= 0) & (rj >= 0),
+        ((np.minimum(ri, rj) - hi) * code.radix + shift)
+        * np.take_along_axis(comp_weight, hi, axis=1),
+        -np.take_along_axis(comp_cells, hi, axis=1),
+    )
+    return contains, key[:, None] + delta
+
+
+@given(st.one_of(preset_specs(), sparse_specs()), st.data())
+def test_cut_matches_the_loop_over_roots(spec, data):
+    """On random rows of cells, zero coordinates among them, ``_cut``'s
+    scatters give the containment and keys of the loop over the roots."""
+    code = poset_module._CellCode(spec)
+    n = spec.n
+    ijk = np.array(
+        [(h.i - 1, h.i - 1, 1) if h.kind == "coord" else (h.i - 1, h.j - 1, h.k)
+         for h in hyperplanes_of(spec)],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    cell = st.one_of(
+        st.just((-1, 0)),
+        st.tuples(st.integers(0, n - 1), st.integers(-code.bound, code.bound)),
+    )
+    rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=8))
+    root, off = np.array(rows, dtype=np.int64).transpose(2, 0, 1)
+    key = code.cells(root, off) @ code.powers
+    contains, cut = poset_module._cut(code, key, ijk)
+    want_contains, want_cut = reference_cut(code, key, ijk)
+    assert np.array_equal(contains, want_contains)
+    assert np.array_equal(cut, want_cut)
