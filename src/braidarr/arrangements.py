@@ -322,18 +322,22 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     Memory: n q + planes q^2 must stay within ``MEMORY_BUDGET`` at every
     modulus.  A count holds n weight vectors of q entries and one q x q bool
     block per distinct shift set, so this over-bounds it by about 8 planes,
-    and a preset's pairs share one block.  Work: with x1 pinned to w values (1
-    when additive or with the coordinate planes, else 2) a count takes
-    w q^(n-1) steps.  For n >= 4 each of its w q^(n-4) contractions is priced
-    at 3 * 10^4 steps more, which binds where q is small and n large (a
-    least-squares fit to traced counts of Gamma:4..6, Delta:4..6 and targets
-    without planes at n = 5..9 gave 25 us a contraction and 0.8 ns a step, so
-    31,000).  The sorted plan
-    takes q^2 steps for its block and w (6 C(r, n-1) + 10^4 C(r, n-4))
-    more, r being q - |S|: 6 C(r, n-1) bounds the r'^3 steps of the
-    contractions over all pinned tuples, and a pinned value costs 10^4
-    steps (a least-squares fit to traced counts of A:5..7, B:5..6 and
-    C:5..8 gave 7,500, and a step 0.3 to 1.7 ns, as in the general plan).
+    and a preset's pairs share one block.  Work: a count pins x1 and counts
+    the k = n - 1 coordinates left; a multiplicative one without coordinate
+    planes then counts its slices x1 = 0, x2 = 1 (k = n - 2) and, as far as
+    a sparse spec allows, x1 = x2 = 0, x3 = 1 (k = n - 3) and on down to
+    k = 0 (see :func:`count_complement_points`).  The general plan prices a
+    count of k coordinates at q^k steps plus, for k >= 3, 3 * 10^4 steps for
+    each of its q^(k-3) contractions, which binds where q is small and n
+    large (a least-squares fit to traced counts of Gamma:4..6, Delta:4..6
+    and targets without planes at n = 5..9 gave 25 us a contraction and
+    0.8 ns a step, so 31,000).  The sorted plan takes q^2 steps for its
+    block, and 6 C(r, k) + 10^4 C(r, k-3) more for each count, r being
+    q - |S|, the pin and, without coordinate planes, the one slice (every
+    pair has planes): 6 C(r, k) bounds the r'^3 steps of the contractions
+    over all pinned tuples, and a pinned value costs 10^4 steps (a
+    least-squares fit to traced counts of A:5..7, B:5..6 and C:5..8 gave
+    7,500, and a step 0.3 to 1.7 ns, as in the general plan).
     These prices were fitted to the int64 matmul kernel; the packed kernel
     that replaced it takes about as long on small blocks and a thirtieth of
     the time at n = 4, so they over-bound it.
@@ -342,7 +346,7 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     is never listed, and no power past 2^64 is formed.
     """
     n = spec.n
-    pinned = 1 if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes else 2
+    sliced = spec.flavor == MULTIPLICATIVE and not spec.include_coordinate_hyperplanes
     symmetric = _symmetric_shifts(spec)
     work = 0
     for q in moduli:
@@ -350,12 +354,13 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
         if (q.bit_length() - 1) * (n - 1) >= 64:
             work += WORK_BUDGET + 1
         elif symmetric is None:
-            contractions = q ** (n - 4) if n >= 4 else 0
-            work += pinned * (q ** (n - 1) + 3 * 10**4 * contractions)
+            for k in range(n - 1, -1 if sliced else n - 2, -1):  # the pin, then every slice
+                work += q**k + (3 * 10**4 * q ** (k - 3) if k >= 3 else 0)
         else:
             r = max(0, q - len(symmetric))
-            pins = math.comb(r, n - 4) if n >= 4 else 0
-            work += q * q + pinned * (6 * math.comb(r, n - 1) + 10**4 * pins)
+            work += q * q
+            for k in (n - 1, n - 2)[: 1 + sliced]:
+                work += 6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0)
         entries = n * q + spec.planes * q * q
         check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
@@ -386,27 +391,35 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
 
     The count splits by the symmetry of the arrangement (the orbit-counting
     step of the finite field method).  Additive planes are invariant under
-    x -> x + c(1,...,1), whose orbits have size q and one point with x1 = 0.
-    Multiplicative planes are linear, so x -> c x with c in F_q^* acts on
-    the points with x1 != 0 in orbits of size q - 1, each with one point at
-    x1 = 1; the points with x1 = 0 are counted as they are, unless the
-    coordinate planes remove them.  So x1 gets the weight q e_0, (q-1) e_1
-    or e_0 + (q-1) e_1, and a count costs w q^(n-1) steps, not q^n.
+    x -> x + c(1,...,1), whose orbits have size q and one point with x1 = 0,
+    so N = q N[x1 = 0].  Multiplicative planes are linear, so x -> c x with
+    c in F_q^* acts on the points with x1 != 0 in orbits of size q - 1, each
+    with one point at x1 = 1: N = (q-1) N[x1 = 1] + N[x1 = 0], the last
+    term 0 with the coordinate planes.  Without them the slice x1 = 0 is
+    invariant under the same scaling, so N[x1 = 0] = (q-1) N[x1 = 0, x2 = 1]
+    + N[x1 = x2 = 0], and so on while the coordinates set to 0 meet no plane
+    (no pair with planes has both at 0); the origin, when it meets none,
+    counts once.  So each count pins one coordinate to one value, and costs
+    about q^(n-1) steps, plus q^(n-2) for the slice, not q^n.  The slices
+    are summed from the spec's own blocks, never from another target's
+    count.
 
-    Every other coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
+    Every coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
     coordinate planes are present), and each pair a read-only bool block
     that is False on its planes, built once for each distinct shift set and
     shared by the pairs that have it, or, without planes, a broadcast view
-    of ones that allocates nothing.  Both plans pin x1 to each value of
-    nonzero weight in one loop.  The general plan folds x1's row of each
-    block into the weights of x2..xn, so no integer weight reaches
-    :func:`_count_assignments`.
+    of ones that allocates nothing.  The general plan folds the pinned
+    coordinate's row of each block into the weights of the coordinates after
+    it, and its row 0 into them for the next slice, so no integer weight
+    reaches :func:`_count_assignments`.
 
     The sorted plan: if every pair has one shift set S = -S with 0 in S, a
     point off the planes has distinct coordinates, and the planes are
     invariant under the permutations of x2..xn.  So the count after x1's pin
     is (n-1)! times the increasing tuples x2 < ... < xn of live values that
-    the one block allows pairwise (:func:`_count_increasing`).
+    the one block allows pairwise (:func:`_count_increasing`), and the slice
+    x1 = 0, x2 = 1 is (n-2)! times those of x3..xn among the values allowed
+    with both 0 and 1; no slice goes deeper, as every pair has planes.
     """
     n = spec.n
     check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
@@ -415,15 +428,10 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
             f"q={q} is not admissible for flavor {spec.flavor!r} "
             f"(n={n}, m_max={spec.m_max})"
         )
+    pin, scale = (0, q) if spec.flavor == ADDITIVE else (1, q - 1)
     weight = np.ones(q, dtype=np.int64)
-    first = np.zeros(q, dtype=np.int64)
-    if spec.flavor == ADDITIVE:
-        first[0] = q
-    elif spec.include_coordinate_hyperplanes:
+    if spec.include_coordinate_hyperplanes:
         weight[0] = 0
-        first[1] = q - 1
-    else:
-        first[:2] = 1, q - 1
     cols = np.arange(q)
     blocks: dict[frozenset[int], np.ndarray] = {}
 
@@ -440,25 +448,39 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
             out.flags.writeable = False
         return blocks[key]
 
+    sliced = spec.flavor == MULTIPLICATIVE and not spec.include_coordinate_hyperplanes
     symmetric = _symmetric_shifts(spec)
     if symmetric is not None:
         allowed = block(symmetric)
-    else:
-        blocks[frozenset()] = np.broadcast_to(True, (q, q))  # pairs without planes
-        rows = [block(spec.pair_shifts.get((1, t), ())) for t in range(2, n + 1)]
-        pairs = itertools.combinations(range(n - 1), 2)  # of x2..xn
-        rest = {(a, b): block(spec.pair_shifts.get((a + 2, b + 2), ())) for a, b in pairs}
+
+        def orderings(live: np.ndarray, k: int) -> int:
+            """k! times the increasing k-tuples of ``live`` values that
+            ``allowed`` allows pairwise; k < 2 reads only how many are live."""
+            live = np.flatnonzero(live)
+            tri = np.triu(allowed[np.ix_(live, live)], 1) if k > 1 else live
+            return math.factorial(k) * _count_increasing(tri, k)
+
+        total = orderings(weight * allowed[pin], n - 1)
+        if sliced:  # x1 = 0 and x2 = 1: x3..xn avoid both
+            total += orderings(allowed[0] & allowed[1], n - 2)
+        return scale * total
+    blocks[frozenset()] = np.broadcast_to(True, (q, q))  # pairs without planes
+    unary = [weight] * n
+    pairs = itertools.combinations(range(n), 2)
+    pair = {(a, b): block(spec.pair_shifts.get((a + 1, b + 1), ())) for a, b in pairs}
+    # Pin the first coordinate left; while its slice at 0 is counted too,
+    # fold its row 0 into the rest and go on from the next coordinate.
     total = 0
-    for value in np.flatnonzero(first):
-        if symmetric is not None:
-            live = np.flatnonzero(weight * allowed[value])
-            # n = 2 reads only how many values are live
-            tri = np.triu(allowed[np.ix_(live, live)], 1) if n > 2 else live
-            count = _count_increasing(tri, n - 1)
-        else:
-            count = _count_assignments([weight * row[value] for row in rows], rest)
-        total += int(first[value]) * count
-    return total if symmetric is None else math.factorial(n - 1) * total
+    while True:
+        rest = {(a - 1, b - 1): blk for (a, b), blk in pair.items() if a > 0}
+        pinned = [unary[t] * pair[(0, t)][pin] for t in range(1, len(unary))]
+        total += scale * _count_assignments(pinned, rest)
+        if not (sliced and unary[0][0]):
+            return total
+        unary = [unary[t] * pair[(0, t)][0] for t in range(1, len(unary))]
+        pair = rest
+        if not unary:
+            return total + 1  # the origin, on no plane
 
 
 def _count_assignments(unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]) -> int:
@@ -518,8 +540,8 @@ def _count_increasing(tri: np.ndarray, k: int) -> int:
     with ``tri[i, j] = 1`` at every two of them: values are pinned in order,
     each keeping the later values it allows, until four are left, which
     :func:`_count_assignments` counts with ``tri`` as every block."""
-    if k < 3:
-        return int(tri.sum()) if k == 2 else len(tri)
+    if k < 3:  # k = 0 is the one empty tuple
+        return int(tri.sum()) if k == 2 else len(tri) ** k
     if tri.sum() < k * (k - 1) // 2:  # fewer edges than a k-tuple has
         return 0
     if k > 4:

@@ -77,6 +77,14 @@ def no_count(*args):
     raise AssertionError("a count ran for a target past the budget")
 
 
+def kernel_price(spec: ArrangementSpec, moduli) -> int:
+    """The work :func:`arrangements.check_kernel_cost` prices ``spec``'s
+    counts at over ``moduli``."""
+    with mock.patch.object(arrangements, "check_budgets") as budgets:
+        arrangements.check_kernel_cost(spec, moduli, "price")
+    return budgets.call_args.args[2]
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of the error it raises."""
     try:
@@ -101,6 +109,44 @@ def count_problems(draw):
     while not modulus_admissible(spec, q):
         q += 1
     return spec, q
+
+
+@st.composite
+def sliced_specs(draw, sizes=st.integers(1, 5), shifts=st.integers(-1, 1)):
+    """A multiplicative spec without coordinate planes whose first ``free``
+    coordinates, x1 always and x2 or x3 at times, have no pairs, so that the
+    kernel's slice x1 = 0 recurses to x2 = 0 and beyond; the other pairs
+    are drawn as present or not."""
+    n = draw(sizes)
+    free = draw(st.integers(min(n, 1), min(n, 3)))
+    pairs = list(itertools.combinations(range(free + 1, n + 1), 2))
+    present = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    event(f"n={n} free={free}")
+    shift_sets = st.sets(shifts, min_size=1, max_size=3)
+    return ArrangementSpec(n, MULTIPLICATIVE, {p: draw(shift_sets) for p in present})
+
+
+def two_pin_count(spec: ArrangementSpec, q: int) -> int:
+    """Reference for the slice x1 = 0 of a multiplicative spec without
+    coordinate planes: the count with x1 pinned to 0 with weight 1 and to 1
+    with weight q - 1, each a full contraction of x2..xn, as the kernel
+    took it before it counted the slice by its own scaling orbit."""
+    cols = np.arange(q)
+
+    def block(shifts) -> np.ndarray:
+        out = np.ones((q, q), dtype=bool)
+        for s in shifts:
+            out[(pow(2, s % (q - 1), q) * cols) % q, cols] = False
+        return out
+
+    n = spec.n
+    rows = [block(spec.pair_shifts.get((1, t), ())) for t in range(2, n + 1)]
+    rest = {(a, b): block(spec.pair_shifts.get((a + 2, b + 2), ()))
+            for a, b in itertools.combinations(range(n - 1), 2)}
+    return sum(
+        weight * arrangements._count_assignments([row[x1].astype(np.int64) for row in rows], rest)
+        for x1, weight in ((0, 1), (1, q - 1))
+    )
 
 
 @st.composite
@@ -484,6 +530,33 @@ class TestCounting:
         event(f"n={spec.n} missing pairs={spec.n * (spec.n - 1) // 2 - len(spec.pair_shifts)}")
         assert count_complement_points(spec, q) == brute_force_count(spec, q)
 
+    @given(sliced_specs(), st.data())
+    def test_slices_against_brute_force(self, spec, data):
+        # n = 5 keeps to the shift 0, so that q = 3 or 5 is admissible
+        if spec.n == 5:
+            spec = ArrangementSpec(5, MULTIPLICATIVE, {p: [0] for p in spec.pair_shifts})
+        q = data.draw(st.integers(2, (40, 16, 9, 6, 5)[spec.n - 1]))
+        while not modulus_admissible(spec, q):
+            q += 1
+        assert count_complement_points(spec, q) == brute_force_count(spec, q)
+
+    @given(sliced_specs(st.just(5), st.integers(-3, 3)), st.sampled_from((53, 59, 61)))
+    def test_slices_against_two_pins(self, spec, q):
+        # past brute force: 53^5 points
+        assert count_complement_points(spec, q) == two_pin_count(spec, q)
+
+    @pytest.mark.parametrize("target", ["B:5,1", "Delta:5,1"])
+    def test_slice_contracts_n_minus_2_coordinates(self, target):
+        # x1 = 1 leaves x2..x5 to the contraction, and the slice x1 = 0,
+        # x2 = 1 leaves x3..x5: no second count of four coordinates
+        spec, q = ArrangementSpec.preset(target), 11
+        expected = two_pin_count(spec, q)
+        with mock.patch.object(
+            arrangements, "_count_assignments", wraps=arrangements._count_assignments
+        ) as kernel:
+            assert count_complement_points(spec, q) == expected
+        assert [len(call.args[0]) for call in kernel.call_args_list] == [4, 3]
+
     def test_guard(self):
         spec = ArrangementSpec.preset("A:4,4")
         with pytest.raises(SizeGuard):
@@ -623,8 +696,9 @@ class TestPackedKernel:
         ) as kernel:
             assert count_complement_points(spec, q) == brute_force_count(spec, q)
         # x1 is pinned first: x2..x4 are coordinates 0..2, and x1's rows of
-        # its two shared blocks give x2 and x3 one weight
-        (unary, pair), _ = kernel.call_args
+        # its two shared blocks give x2 and x3 one weight.  Without the
+        # coordinate planes the slice x1 = 0 is counted after that pin.
+        (unary, pair), _ = kernel.call_args_list[0]
         assert np.array_equal(unary[0], unary[1])
         assert pair[(0, 2)] is pair[(1, 2)]
         assert pair[(0, 1)] is not pair[(0, 2)]
@@ -731,16 +805,28 @@ class TestCharpolyFF:
         with pytest.raises(SizeGuard, match="no 13 admissible moduli"):
             charpoly_ff(ArrangementSpec(11, ADDITIVE))
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_slice_is_priced(self, n, m):
+        # at the same moduli a B or Delta count pins x1 = 1 as its A or Gamma
+        # partner does, and counts its slice x1 = 0 besides
+        for sliced, partner in (("B", "A"), ("Delta", "Gamma")):
+            moduli = plan_moduli(ArrangementSpec.preset(f"{partner}:{n},{m}"))
+            prices = [kernel_price(ArrangementSpec.preset(f"{family}:{n},{m}"), moduli)
+                      for family in (sliced, partner)]
+            assert prices[0] > prices[1], (sliced, prices)
+
     def test_sorted_plan_budget(self, monkeypatch):
         # w q^(n-1) refused A:7,1 and C:8,1; the sorted plan's step count
-        # admits them, and with moduli from the bound B:7,1 too; B:7,2,
-        # pinned at two values of x1, is refused before any count
-        for name in ("A:7,1", "C:8,1", "B:7,1"):
+        # admits them, and with moduli from the bound B:7,1 too; with the
+        # slice x1 = 0 priced as a count of n - 2 coordinates, so is B:7,3,
+        # while B:7,4, like A:7,4, is refused before any count
+        for name in ("A:7,1", "C:8,1", "B:7,1", "B:7,3"):
             spec = ArrangementSpec.preset(name)
             arrangements.check_kernel_cost(spec, plan_moduli(spec), name)
         monkeypatch.setattr(arrangements, "count_complement_points", no_count)
-        with pytest.raises(SizeGuard, match="moduli up to 101 break"):
-            charpoly_ff(ArrangementSpec.preset("B:7,2"))
+        with pytest.raises(SizeGuard, match="moduli up to 131 break"):
+            charpoly_ff(ArrangementSpec.preset("B:7,4"))
 
     @given(
         st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 5), st.integers(1, 4)
