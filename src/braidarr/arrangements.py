@@ -315,29 +315,24 @@ def check_budgets(context: str, entries: int, work: int, steps: str) -> None:
 
 
 def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str) -> None:
-    """Refuse counts that break a budget (see :func:`check_budgets`), reading
-    ``spec``'s n, flavor, coordinate flag, ``planes`` and ``uniform_shifts``
-    but none of its pairs.
+    """Refuse counts that break a budget (see :func:`check_budgets`).  The
+    counts priced are the ones :func:`_plan` lists, so no pair of a uniform
+    spec is read.
 
     Memory: n q + planes q^2 must stay within ``MEMORY_BUDGET`` at every
     modulus.  A count holds n weight vectors of q entries and one q x q bool
     block per distinct shift set, so this over-bounds it by about 8 planes,
-    and a preset's pairs share one block.  Work: a count pins x1 and counts
-    the k = n - 1 coordinates left; a multiplicative one without coordinate
-    planes then counts its slices x1 = 0, x2 = 1 (k = n - 2) and, as far as
-    a sparse spec allows, x1 = x2 = 0, x3 = 1 (k = n - 3) and on down to
-    k = 0 (see :func:`count_complement_points`).  The general plan prices a
+    and a preset's pairs share one block.  Work: the general plan prices a
     count of k coordinates at q^k steps plus, for k >= 3, 3 * 10^4 steps for
     each of its q^(k-3) contractions, which binds where q is small and n
     large (a least-squares fit to traced counts of Gamma:4..6, Delta:4..6
     and targets without planes at n = 5..9 gave 25 us a contraction and
     0.8 ns a step, so 31,000).  The sorted plan takes q^2 steps for its
     block, and 6 C(r, k) + 10^4 C(r, k-3) more for each count, r being
-    q - |S|, the pin and, without coordinate planes, the one slice (every
-    pair has planes): 6 C(r, k) bounds the r'^3 steps of the contractions
-    over all pinned tuples, and a pinned value costs 10^4 steps (a
-    least-squares fit to traced counts of A:5..7, B:5..6 and C:5..8 gave
-    7,500, and a step 0.3 to 1.7 ns, as in the general plan).
+    q - |S|: 6 C(r, k) bounds the r'^3 steps of the contractions over all
+    pinned tuples, and a pinned value costs 10^4 steps (a least-squares fit
+    to traced counts of A:5..7, B:5..6 and C:5..8 gave 7,500, and a step
+    0.3 to 1.7 ns, as in the general plan).
     These prices were fitted to the int64 matmul kernel; the packed kernel
     that replaced it takes about as long on small blocks and a thirtieth of
     the time at n = 4, so they over-bound it.
@@ -346,20 +341,19 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     is never listed, and no power past 2^64 is formed.
     """
     n = spec.n
-    sliced = spec.flavor == MULTIPLICATIVE and not spec.include_coordinate_hyperplanes
-    symmetric = _symmetric_shifts(spec)
+    symmetric, ks, _ = _plan(spec)
     work = 0
     for q in moduli:
         # q^(n-1) >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * (n-1) >= 64.
         if (q.bit_length() - 1) * (n - 1) >= 64:
             work += WORK_BUDGET + 1
         elif symmetric is None:
-            for k in range(n - 1, -1 if sliced else n - 2, -1):  # the pin, then every slice
+            for k in ks:
                 work += q**k + (3 * 10**4 * q ** (k - 3) if k >= 3 else 0)
         else:
             r = max(0, q - len(symmetric))
             work += q * q
-            for k in (n - 1, n - 2)[: 1 + sliced]:
+            for k in ks:
                 work += 6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0)
         entries = n * q + spec.planes * q * q
         check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
@@ -376,14 +370,35 @@ def check_countable(spec: ArrangementSpec) -> None:
     )
 
 
-def _symmetric_shifts(spec: ArrangementSpec) -> Collection[int] | None:
-    """The one shift set S of ``spec`` if S = -S and 0 is in S, else None."""
-    shifts = spec.uniform_shifts
-    if shifts is None or 0 not in shifts:
-        return None
-    # A range is symmetric when its ends are.
-    ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts
-    return shifts if all(-k in shifts for k in ends) else None
+def _plan(spec: ArrangementSpec) -> tuple[Collection[int] | None, range, bool]:
+    """The counts the kernel makes for ``spec``, which its guard prices: the
+    one shift set S of the sorted plan, if every pair has S, S = -S and 0 is
+    in S, else None for the general plan; the k of each count, the number of
+    coordinates it leaves free; and whether the origin counts.
+
+    The first count pins x1 (k = n - 1).  A multiplicative target without
+    coordinate planes also counts the slice x1 = 0, which is invariant under
+    the same scaling, so N[x1 = 0] = (q-1) N[x1 = 0, x2 = 1] + N[x1 = x2 = 0],
+    and so on: the slice x1 = ... = xd = 0, x(d+1) = 1 (k = n - 1 - d) is
+    counted while the d coordinates at 0 meet no plane, that is while no
+    pair (i, j) with j <= d has planes, and the origin counts once when no
+    pair has any.  A uniform spec's pair (1, 2) has planes, so its one slice
+    is x1 = 0, x2 = 1, and no pair is read.
+    """
+    n, shifts = spec.n, spec.uniform_shifts
+    symmetric = None
+    if shifts is not None and 0 in shifts:
+        # A range is symmetric when its ends are.
+        ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts
+        symmetric = shifts if all(-k in shifts for k in ends) else None
+    # How many leading coordinates may be 0 at once.
+    if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes:
+        zeros = 0
+    elif shifts is not None:
+        zeros = 1
+    else:
+        zeros = min((j for _, j in spec.pair_shifts), default=n + 1) - 1
+    return symmetric, range(n - 1, max(n - 2 - zeros, -1), -1), zeros == n
 
 
 def count_complement_points(spec: ArrangementSpec, q: int) -> int:
@@ -395,23 +410,20 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     so N = q N[x1 = 0].  Multiplicative planes are linear, so x -> c x with
     c in F_q^* acts on the points with x1 != 0 in orbits of size q - 1, each
     with one point at x1 = 1: N = (q-1) N[x1 = 1] + N[x1 = 0], the last
-    term 0 with the coordinate planes.  Without them the slice x1 = 0 is
-    invariant under the same scaling, so N[x1 = 0] = (q-1) N[x1 = 0, x2 = 1]
-    + N[x1 = x2 = 0], and so on while the coordinates set to 0 meet no plane
-    (no pair with planes has both at 0); the origin, when it meets none,
-    counts once.  So each count pins one coordinate to one value, and costs
-    about q^(n-1) steps, plus q^(n-2) for the slice, not q^n.  The slices
-    are summed from the spec's own blocks, never from another target's
-    count.
+    term 0 with the coordinate planes, and otherwise split the same way into
+    the slices and the origin that :func:`_plan` lists.  So each count pins
+    one coordinate to one value, and costs about q^(n-1) steps, plus
+    q^(n-2) for the slice x1 = 0, x2 = 1, not q^n.  The slices are summed
+    from the spec's own blocks, never from another target's count.
 
     Every coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
     coordinate planes are present), and each pair a read-only bool block
     that is False on its planes, built once for each distinct shift set and
     shared by the pairs that have it, or, without planes, a broadcast view
-    of ones that allocates nothing.  The general plan folds the pinned
-    coordinate's row of each block into the weights of the coordinates after
-    it, and its row 0 into them for the next slice, so no integer weight
-    reaches :func:`_count_assignments`.
+    of ones that allocates nothing.  The general plan passes a count's set
+    coordinates, x1..xd = 0 and x(d+1) at the pin, to
+    :func:`_count_assignments` as one-hot 0/1 weights, and its pin loop
+    folds their rows of the blocks into the weights after them.
 
     The sorted plan: if every pair has one shift set S = -S with 0 in S, a
     point off the planes has distinct coordinates, and the planes are
@@ -419,7 +431,7 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     is (n-1)! times the increasing tuples x2 < ... < xn of live values that
     the one block allows pairwise (:func:`_count_increasing`), and the slice
     x1 = 0, x2 = 1 is (n-2)! times those of x3..xn among the values allowed
-    with both 0 and 1; no slice goes deeper, as every pair has planes.
+    with both 0 and 1.
     """
     n = spec.n
     check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
@@ -448,39 +460,26 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
             out.flags.writeable = False
         return blocks[key]
 
-    sliced = spec.flavor == MULTIPLICATIVE and not spec.include_coordinate_hyperplanes
-    symmetric = _symmetric_shifts(spec)
+    symmetric, ks, origin = _plan(spec)
     if symmetric is not None:
         allowed = block(symmetric)
 
-        def orderings(live: np.ndarray, k: int) -> int:
-            """k! times the increasing k-tuples of ``live`` values that
-            ``allowed`` allows pairwise; k < 2 reads only how many are live."""
-            live = np.flatnonzero(live)
+        def count(k: int) -> int:
+            """k! times the increasing k-tuples of live values that
+            ``allowed`` allows pairwise; k < 2 reads only how many are live.
+            The slice (k = n - 2) sets x1 = 0 as well as x2 = 1."""
+            live = np.flatnonzero(weight * allowed[pin] * (allowed[0] if k < n - 1 else 1))
             tri = np.triu(allowed[np.ix_(live, live)], 1) if k > 1 else live
             return math.factorial(k) * _count_increasing(tri, k)
+    else:
+        blocks[frozenset()] = np.broadcast_to(True, (q, q))  # pairs without planes
+        pairs = itertools.combinations(range(n), 2)
+        pair = {(a, b): block(spec.pair_shifts.get((a + 1, b + 1), ())) for a, b in pairs}
 
-        total = orderings(weight * allowed[pin], n - 1)
-        if sliced:  # x1 = 0 and x2 = 1: x3..xn avoid both
-            total += orderings(allowed[0] & allowed[1], n - 2)
-        return scale * total
-    blocks[frozenset()] = np.broadcast_to(True, (q, q))  # pairs without planes
-    unary = [weight] * n
-    pairs = itertools.combinations(range(n), 2)
-    pair = {(a, b): block(spec.pair_shifts.get((a + 1, b + 1), ())) for a, b in pairs}
-    # Pin the first coordinate left; while its slice at 0 is counted too,
-    # fold its row 0 into the rest and go on from the next coordinate.
-    total = 0
-    while True:
-        rest = {(a - 1, b - 1): blk for (a, b), blk in pair.items() if a > 0}
-        pinned = [unary[t] * pair[(0, t)][pin] for t in range(1, len(unary))]
-        total += scale * _count_assignments(pinned, rest)
-        if not (sliced and unary[0][0]):
-            return total
-        unary = [unary[t] * pair[(0, t)][0] for t in range(1, len(unary))]
-        pair = rest
-        if not unary:
-            return total + 1  # the origin, on no plane
+        def count(k: int) -> int:
+            zero, fixed = ((cols == value).astype(np.int64) for value in (0, pin))
+            return _count_assignments([zero] * (n - 1 - k) + [fixed] + [weight] * k, pair)
+    return scale * sum(count(k) for k in ks) + origin
 
 
 def _count_assignments(unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -66,11 +67,12 @@ def listed_preset(family: str, n: int, m: int) -> ArrangementSpec:
 
 
 def guard_fields(spec: ArrangementSpec) -> tuple:
-    """What the kernel's size guard reads of a spec, none of it its pairs:
-    with the sorted plan, also whether it applies and |S|."""
-    symmetric = arrangements._symmetric_shifts(spec)
+    """What the kernel's size guard reads of a spec: its shape and its plan,
+    that is whether the sorted plan applies, |S|, the k of each count and
+    whether the origin counts."""
+    symmetric, ks, origin = arrangements._plan(spec)
     return (spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes, spec.planes,
-            symmetric is not None, len(symmetric or ()))
+            symmetric is not None, len(symmetric or ()), list(ks), origin)
 
 
 def no_count(*args):
@@ -83,6 +85,53 @@ def kernel_price(spec: ArrangementSpec, moduli) -> int:
     with mock.patch.object(arrangements, "check_budgets") as budgets:
         arrangements.check_kernel_cost(spec, moduli, "price")
     return budgets.call_args.args[2]
+
+
+def reference_kernel_price(spec: ArrangementSpec, moduli) -> int:
+    """Reference for the size guard's work: the price it took before the
+    kernel's plan was listed in one place, which priced every slice
+    k = n - 2, ..., 0 of a multiplicative general plan without coordinate
+    planes, whether the kernel reaches it or not."""
+    n = spec.n
+    sliced = spec.flavor == MULTIPLICATIVE and not spec.include_coordinate_hyperplanes
+    shifts, symmetric = spec.uniform_shifts, None
+    if shifts is not None and 0 in shifts:
+        ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts
+        symmetric = shifts if all(-k in shifts for k in ends) else None
+    work = 0
+    for q in moduli:
+        if (q.bit_length() - 1) * (n - 1) >= 64:
+            work += arrangements.WORK_BUDGET + 1
+        elif symmetric is None:
+            for k in range(n - 1, -1 if sliced else n - 2, -1):
+                work += q**k + (3 * 10**4 * q ** (k - 3) if k >= 3 else 0)
+        else:
+            r = max(0, q - len(symmetric))
+            work += q * q
+            for k in (n - 1, n - 2)[: 1 + sliced]:
+                work += 6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0)
+    return work
+
+
+@contextlib.contextmanager
+def outermost_calls(name: str):
+    """Record ``(args, result)`` of each call of ``arrangements.<name>`` that
+    no other call of it encloses, read through a ``wraps`` mock."""
+    real, calls, depth = getattr(arrangements, name), [], 0
+
+    def spy(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            result = real(*args)
+        finally:
+            depth -= 1
+        if not depth:
+            calls.append((args, result))
+        return result
+
+    with mock.patch.object(arrangements, name, wraps=spy):
+        yield calls
 
 
 def outcome(fn, *args):
@@ -147,6 +196,27 @@ def two_pin_count(spec: ArrangementSpec, q: int) -> int:
         weight * arrangements._count_assignments([row[x1].astype(np.int64) for row in rows], rest)
         for x1, weight in ((0, 1), (1, q - 1))
     )
+
+
+@st.composite
+def plan_problems(draw):
+    """A preset with n <= 5 and m <= 2 at its first planned modulus, or a
+    spec of :func:`count_problems` or :func:`sliced_specs` at a small
+    admissible one."""
+    kind = draw(st.sampled_from(["preset", "sparse", "sliced"]))
+    event(kind)
+    if kind == "sparse":
+        return draw(count_problems())
+    if kind == "preset":
+        family = draw(st.sampled_from(sorted(arrangements.PRESETS)))
+        n, m = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+        spec = ArrangementSpec.preset(f"{family}:{n},{m}")
+        return spec, plan_moduli(spec)[0]
+    spec = draw(sliced_specs())
+    q = draw(st.integers(2, 40))
+    while not modulus_admissible(spec, q):
+        q += 1
+    return spec, q
 
 
 @st.composite
@@ -358,6 +428,7 @@ class TestSpec:
             for n, m in itertools.product((1, 2, 4), (1, 3)):
                 spec = ArrangementSpec.preset(f"{family}:{n},{m}")
                 assert guard_fields(spec) == guard_fields(listed_preset(family, n, m))
+                assert spec._pairs is None or n == 1  # the plan listed none
 
     @given(
         st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 4), st.integers(1, 3)
@@ -545,17 +616,59 @@ class TestCounting:
         # past brute force: 53^5 points
         assert count_complement_points(spec, q) == two_pin_count(spec, q)
 
-    @pytest.mark.parametrize("target", ["B:5,1", "Delta:5,1"])
-    def test_slice_contracts_n_minus_2_coordinates(self, target):
-        # x1 = 1 leaves x2..x5 to the contraction, and the slice x1 = 0,
-        # x2 = 1 leaves x3..x5: no second count of four coordinates
+    @pytest.mark.parametrize(
+        "target, free", [("B:5,1", [4, 3]), ("Delta:5,1", [4, 4, 3, 3])], ids=["B:5,1", "Delta:5,1"]
+    )
+    def test_slice_contracts_n_minus_2_coordinates(self, target, free):
+        # x1 = 1 leaves x2..x5 free, and the slice x1 = 0, x2 = 1 leaves
+        # x3..x5: no second count of four free coordinates.  The sorted plan
+        # (B) counts 4- and 3-tuples.  The general plan (Delta) passes all
+        # five coordinates, the set ones as one-hot weights, and pins the
+        # first of the five, so each count also makes one call of four.
         spec, q = ArrangementSpec.preset(target), 11
         expected = two_pin_count(spec, q)
         with mock.patch.object(
             arrangements, "_count_assignments", wraps=arrangements._count_assignments
         ) as kernel:
             assert count_complement_points(spec, q) == expected
-        assert [len(call.args[0]) for call in kernel.call_args_list] == [4, 3]
+        calls = [call.args[0] for call in kernel.call_args_list]
+        assert [sum(np.count_nonzero(w) > 1 for w in unary) for unary in calls] == free
+
+    @given(plan_problems())
+    def test_the_plan_is_what_runs_and_what_is_priced(self, problem):
+        # The outermost counts are the plan's, one for one: the general
+        # plan's count k sets x1..x(n-1-k) to 0 and the next coordinate to
+        # the pin by one-hot weights, the sorted plan's counts k-tuples.
+        spec, q = problem
+        symmetric, ks, origin = arrangements._plan(spec)
+        name = "_count_assignments" if symmetric is None else "_count_increasing"
+        with outermost_calls(name) as calls:
+            total = count_complement_points(spec, q)
+        n = spec.n
+        pin, scale = (0, q) if spec.flavor == ADDITIVE else (1, q - 1)
+        assert len(calls) == len(ks)
+        if symmetric is None:
+            one_hot = np.eye(q, dtype=np.int64)
+            weight = np.ones(q, dtype=np.int64)
+            weight[0] = not spec.include_coordinate_hyperplanes
+            for ((unary, _), _), k in zip(calls, ks):
+                expected = [one_hot[0]] * (n - 1 - k) + [one_hot[pin]] + [weight] * k
+                assert len(unary) == n
+                assert all(map(np.array_equal, unary, expected))
+            counted = sum(result for _, result in calls)
+        else:
+            assert [args[1] for args, _ in calls] == list(ks)
+            counted = sum(math.factorial(args[1]) * result for args, result in calls)
+        # the origin adds 1 exactly when the plan says so, and that is when
+        # it meets no plane
+        assert total - scale * counted == origin
+        coords = spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes
+        assert origin == (not coords and not spec.pair_shifts)
+        # the guard prices those counts: it drops the reference's unreached
+        # slices, which only a general plan with some but not all has
+        price, reference = kernel_price(spec, [q]), reference_kernel_price(spec, [q])
+        assert price <= reference
+        assert (price < reference) == (symmetric is None and 1 < len(ks) < n)
 
     def test_guard(self):
         spec = ArrangementSpec.preset("A:4,4")
@@ -566,9 +679,10 @@ class TestCounting:
     def test_sorted_plan_matches_the_recursion(self, problem):
         spec, q = problem
         # every spec with a pair takes the sorted plan
-        assert (arrangements._symmetric_shifts(spec) is None) == (spec.n == 1)
+        symmetric, ks, origin = arrangements._plan(spec)
+        assert (symmetric is None) == (spec.n == 1)
         sorted_count = count_complement_points(spec, q)
-        with mock.patch.object(arrangements, "_symmetric_shifts", return_value=None):
+        with mock.patch.object(arrangements, "_plan", return_value=(None, ks, origin)):
             assert count_complement_points(spec, q) == sorted_count
 
     @pytest.mark.parametrize(
@@ -695,13 +809,14 @@ class TestPackedKernel:
             arrangements, "_count_assignments", wraps=arrangements._count_assignments
         ) as kernel:
             assert count_complement_points(spec, q) == brute_force_count(spec, q)
-        # x1 is pinned first: x2..x4 are coordinates 0..2, and x1's rows of
-        # its two shared blocks give x2 and x3 one weight.  Without the
-        # coordinate planes the slice x1 = 0 is counted after that pin.
+        # The first count gets every pair's block: x1, x2, x3 and x4 are
+        # coordinates 0..3, x1 set to its pin by a one-hot weight.  Without
+        # the coordinate planes the slice x1 = 0 is counted after it.
         (unary, pair), _ = kernel.call_args_list[0]
-        assert np.array_equal(unary[0], unary[1])
-        assert pair[(0, 2)] is pair[(1, 2)]
-        assert pair[(0, 1)] is not pair[(0, 2)]
+        assert list(np.flatnonzero(unary[0])) == [0 if flavor == ADDITIVE else 1]
+        assert pair[(0, 1)] is pair[(0, 2)] is pair[(1, 3)] is pair[(2, 3)]
+        assert pair[(1, 2)] is not pair[(0, 1)]
+        assert pair[(0, 3)].strides == (0, 0)  # no planes: a view of ones
         assert not any(block.flags.writeable for block in pair.values())
 
     def test_broadcast_rows_are_packed_once(self, traced_peak):
@@ -815,6 +930,31 @@ class TestCharpolyFF:
             prices = [kernel_price(ArrangementSpec.preset(f"{family}:{n},{m}"), moduli)
                       for family in (sliced, partner)]
             assert prices[0] > prices[1], (sliced, prices)
+
+    def test_price_against_the_reference(self):
+        # Presets A, B, C and Gamma keep their price; Delta and sparse sliced
+        # specs pay only for the slices the kernel reaches, which for Delta
+        # stop at x1 = 0, x2 = 1.
+        for family, n, m in itertools.product(arrangements.PRESETS, range(2, 8), (1, 2, 3)):
+            spec = ArrangementSpec.preset(f"{family}:{n},{m}")
+            moduli = plan_moduli(spec)
+            price, reference = kernel_price(spec, moduli), reference_kernel_price(spec, moduli)
+            if family == "Delta":
+                assert price <= reference and (price < reference) == (n > 2), (family, n, m)
+            else:
+                assert price == reference, (family, n, m)
+        sparse = [
+            (ArrangementSpec(5, MULTIPLICATIVE, {(3, 4): [-1, 0, 1], (3, 5): [0, 2], (4, 5): [1]}),
+             [4, 3, 2, 1]),
+            (ArrangementSpec(5, MULTIPLICATIVE, {(1, 2): [0]}), [4, 3]),
+            (ArrangementSpec(6, MULTIPLICATIVE, {(2, 6): [0], (5, 6): [1]}), [5, 4, 3, 2, 1, 0]),
+            (ArrangementSpec(4, MULTIPLICATIVE), [3, 2, 1, 0]),
+        ]
+        for spec, ks in sparse:
+            assert list(arrangements._plan(spec)[1]) == ks
+            moduli = plan_moduli(spec)
+            price, reference = kernel_price(spec, moduli), reference_kernel_price(spec, moduli)
+            assert price <= reference and (price < reference) == (len(ks) < spec.n), ks
 
     def test_sorted_plan_budget(self, monkeypatch):
         # w q^(n-1) refused A:7,1 and C:8,1; the sorted plan's step count
