@@ -279,19 +279,34 @@ def least_modulus(spec: ArrangementSpec) -> int:
 
 
 def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
-    """Check whether q provably yields the correct point count.
+    """Check whether q provably yields the correct point count."""
+    return _refusal(spec, q) is None
 
-    Any conflict among the hyperplane constraints shows up as a cycle whose
-    label sum is nonzero and at most n * m_max in absolute value, so the
-    count matches the characteristic polynomial once q clears that bound
-    (q - 1 > n * m_max multiplicative, q > n * m_max additive).
-    Multiplicative flavor additionally needs q to be an odd prime with 2 a
-    primitive root, so that powers of 2 behave like the rationals: both hold
-    when 2 has order q - 1 modulo q, checked from the factorization of q - 1.
+
+def _refusal(spec: ArrangementSpec, q: int) -> str | None:
+    """Why the count at q may differ from chi(q), or None if it cannot.
+
+    The count is chi(q) while reduction mod q keeps the intersection lattice
+    (Athanasiadis, Adv. Math. 122 (1996)), whose flats are fixed by which
+    cycles of planes are balanced (Zaslavsky, "Biased graphs", JCTB 1989-95).
+    A cycle's shift sum s has |s| <= n m_max.  Additive, it is balanced mod q
+    when q | s, so q > n m_max keeps the lattice; multiplicative, a gain cycle
+    over the powers of 2, when ord_q(2) | s, so an odd prime q with ord_q(2) >
+    n m_max does.  Primality is a base-2 Fermat screen, then odd trial
+    division, at most about 5,000 divisions: a counted q has met the memory
+    price n q <= 10^8 of :func:`check_kernel_cost`, which runs first.
     """
     if q < least_modulus(spec):
-        return False
-    return spec.flavor == ADDITIVE or _two_is_primitive_root(q)
+        return f"it is below least_modulus = {least_modulus(spec)}"
+    if spec.flavor == ADDITIVE:
+        return None
+    if pow(2, q - 1, q) != 1 or any(q % f == 0 for f in range(3, math.isqrt(q) + 1, 2)):
+        return "it is not an odd prime"
+    order, bound = q - 1, spec.n * spec.m_max
+    for p in _prime_factors(q - 1):
+        while order % p == 0 and pow(2, order // p, q) == 1:
+            order //= p
+    return None if order > bound else f"2 has order {order} mod {q}, not above n*m_max = {bound}"
 
 
 def plan_moduli(spec: ArrangementSpec) -> tuple[int, ...]:
@@ -435,10 +450,10 @@ def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     """
     n = spec.n
     check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
-    if not modulus_admissible(spec, q):
+    if (reason := _refusal(spec, q)) is not None:
         raise InadmissibleModulus(
             f"q={q} is not admissible for flavor {spec.flavor!r} "
-            f"(n={n}, m_max={spec.m_max})"
+            f"(n={n}, m_max={spec.m_max}): {reason}"
         )
     pin, scale = (0, q) if spec.flavor == ADDITIVE else (1, q - 1)
     weight = np.ones(q, dtype=np.int64)
@@ -595,8 +610,8 @@ def charpoly_ff(
     check_kernel_cost(spec, qs, f"moduli up to {qs[-1]} break the kernel budget for n={n}")
     if moduli is not None:
         for q in qs:
-            if not modulus_admissible(spec, q):
-                raise InadmissibleModulus(f"override modulus {q} is inadmissible")
+            if (reason := _refusal(spec, q)) is not None:
+                raise InadmissibleModulus(f"override modulus {q} is inadmissible: {reason}")
     nodes = qs[: n + 1]
     counts = [count_complement_points(spec, q) for q in nodes]
     poly = _lagrange_interpolate(nodes, counts)
@@ -682,11 +697,3 @@ def _prime_factors(x: int) -> set[int]:
     if x > 1:
         factors.add(x)
     return factors
-
-
-def _two_is_primitive_root(q: int) -> bool:
-    """2 has order q - 1 modulo q, which makes q prime (Lucas' test): 2^(q-1)
-    is 1 and 2^((q-1)/p) is not, for every prime p dividing q - 1."""
-    return pow(2, q - 1, q) == 1 and all(
-        pow(2, (q - 1) // p, q) != 1 for p in _prime_factors(q - 1)
-    )

@@ -257,6 +257,24 @@ def old_plan(spec: ArrangementSpec) -> tuple[int, ...]:
     return tuple(itertools.islice(admissible, spec.n + 2))
 
 
+def two_is_primitive_root(q: int) -> bool:
+    """The multiplicative admissibility rule before the order rule, kept as
+    a reference: 2 has order q - 1 modulo q, which makes q prime (Lucas'
+    test): 2^(q-1) is 1 and 2^((q-1)/p) is not, for every prime p dividing
+    q - 1."""
+    return pow(2, q - 1, q) == 1 and all(
+        pow(2, (q - 1) // p, q) != 1 for p in arrangements._prime_factors(q - 1)
+    )
+
+
+def primitive_root_plan(spec: ArrangementSpec) -> tuple[int, ...]:
+    """The n + 2 moduli a multiplicative spec was planned at before the order
+    rule: the primes from :func:`least_modulus` on where 2 is a primitive
+    root."""
+    qs = (q for q in itertools.count(least_modulus(spec)) if two_is_primitive_root(q))
+    return tuple(itertools.islice(qs, spec.n + 2))
+
+
 def admissible_walk(spec: ArrangementSpec) -> list[int]:
     """Every admissible modulus from :func:`least_modulus` through the last
     of the old plan, which is at least the last planned one."""
@@ -515,26 +533,33 @@ class TestHyperplanes:
 
 class TestModuli:
     def test_multiplicative_plan_properties(self):
-        def admissible(q):
-            # q is prime by trial division, and the powers of 2 first reach 1
-            # at 2^(q-1)
+        def admissible(spec, q):
+            # q is an odd prime by trial division, and the powers of 2 first
+            # reach 1 past 2^(n m_max)
             if q < 3 or not all(q % f for f in range(2, math.isqrt(q) + 1)):
                 return False
-            return next(e for e in range(1, q) if pow(2, e, q) == 1) == q - 1
+            return next(e for e in range(1, q) if pow(2, e, q) == 1) > spec.n * spec.m_max
 
         spec = ArrangementSpec.preset("A:3,2")
         plan = plan_moduli(spec)
         assert len(plan) == 5
         start = least_modulus(spec)
-        assert plan == tuple(q for q in range(start, plan[-1] + 1) if admissible(q))
-        # the bound of a target without pair planes is 2
-        spec = ArrangementSpec.uniform(1, [], MULTIPLICATIVE, True)
-        assert all(modulus_admissible(spec, q) == admissible(q) for q in range(1, 1500))
+        assert plan == tuple(q for q in range(start, plan[-1] + 1) if admissible(spec, q))
+        # the bound of a target without pair planes is 2, so every odd prime
+        # passes; that of A:4,4 is 18
+        for spec in (ArrangementSpec.uniform(1, [], MULTIPLICATIVE, True),
+                     ArrangementSpec.preset("A:4,4")):
+            assert all(
+                modulus_admissible(spec, q) == admissible(spec, q) for q in range(1, 1500)
+            )
 
     def test_known_primitive_root_primes(self):
-        # least_modulus is 4 * 4 + 2 = 18
+        # least_modulus is 4 * 4 + 2 = 18.  2 is a primitive root mod 19, 29,
+        # 37 and 53; it has order 20 mod 41 and 23 mod 47, above n m_max = 16,
+        # and only 11, 5 and 14 mod the refused 23, 31 and 43.
         spec = ArrangementSpec.preset("A:4,4")
-        assert plan_moduli(spec) == (19, 29, 37, 53, 59, 61)
+        assert primitive_root_plan(spec) == (19, 29, 37, 53, 59, 61)
+        assert plan_moduli(spec) == (19, 29, 37, 41, 47, 53)
 
     def test_additive_plan(self):
         # least_modulus is 2 * 1 + 1 = 3
@@ -544,22 +569,43 @@ class TestModuli:
         # without planes every modulus from 1 on is admissible
         assert plan_moduli(ArrangementSpec(3, ADDITIVE)) == (1, 2, 3, 4, 5)
         assert plan_moduli(ArrangementSpec.uniform(2, [0], ADDITIVE)) == (1, 2, 3, 4)
-        # m_max = 0: q = 2 is refused, and so is 7, where 2 has order 3
-        assert plan_moduli(ArrangementSpec.uniform(1, [], MULTIPLICATIVE, True)) == (3, 5, 11)
+        # m_max = 0: q = 2 is refused as even, and 7, where 2 has order 3,
+        # is admitted like every odd prime
+        assert plan_moduli(ArrangementSpec.uniform(1, [], MULTIPLICATIVE, True)) == (3, 5, 7)
 
     def test_admissibility(self):
         mult = ArrangementSpec.preset("A:2,1")
         assert modulus_admissible(mult, 11)
+        assert modulus_admissible(mult, 7)  # 2 has order 3 mod 7, above n m_max = 2
         assert not modulus_admissible(mult, 12)  # composite
-        assert not modulus_admissible(mult, 7)  # 2 has order 3 mod 7
         assert not modulus_admissible(mult, 3)  # below the cycle bound
+        assert not modulus_admissible(ArrangementSpec.preset("A:3,1"), 7)  # 3 = n m_max
         add = ArrangementSpec.preset("C:2,1")
         assert modulus_admissible(add, 7)
         assert not modulus_admissible(add, 2)
 
     def test_count_rejects_inadmissible(self):
-        with pytest.raises(InadmissibleModulus):
-            count_complement_points(ArrangementSpec.preset("A:2,1"), 7)
+        reason = r"2 has order 3 mod 7, not above n\*m_max = 3$"
+        with pytest.raises(InadmissibleModulus, match=reason):
+            count_complement_points(ArrangementSpec.preset("A:3,1"), 7)
+
+    @pytest.mark.parametrize("q", [341, 561, 645])
+    def test_base_2_pseudoprimes_refused(self, q):
+        # Each passes the Fermat screen, and the powers of 2 mod q repeat
+        # after 10, 40 and 28 steps, above n m_max = 2: only the primality
+        # test refuses them.
+        spec = ArrangementSpec.preset("A:2,1")
+        assert pow(2, q - 1, q) == 1
+        assert not modulus_admissible(spec, q)
+        assert arrangements._refusal(spec, q) == "it is not an odd prime"
+
+    def test_order_bound_is_needed(self, monkeypatch):
+        # A:3,1 at q = 7, where 2 has order 3 = n m_max, with admissibility
+        # off: x2/x1, x3/x1 and x3/x2 must each lie off the powers of 2, a
+        # subgroup of index 2 in F_7^*, which no three values can do.
+        monkeypatch.setattr(arrangements, "_refusal", lambda spec, q: None)
+        assert count_complement_points(ArrangementSpec.preset("A:3,1"), 7) == 0
+        assert charpoly_A_closed(3, 1)(7) == 12
 
 
 class TestCounting:
@@ -879,22 +925,24 @@ class TestCharpolyFF:
     def test_explicit_moduli(self):
         spec = ArrangementSpec.preset("A:2,1")
         assert charpoly_ff(spec, [11, 13, 19, 29]) == IntPolynomial([4, -5, 1])
+        # 2 has order 3 mod 7 and 8 mod 17, above n m_max = 2
+        assert charpoly_ff(spec, [7, 11, 13, 17]) == IntPolynomial([4, -5, 1])
         with pytest.raises(ValueError):
             charpoly_ff(spec, [11, 13, 19])  # no held-out modulus
-        with pytest.raises(InadmissibleModulus):
-            charpoly_ff(spec, [7, 11, 13, 19])
+        with pytest.raises(InadmissibleModulus, match=r"^override modulus 7 is inadmissible: 2 has"):
+            charpoly_ff(ArrangementSpec.preset("A:3,1"), [7, 11, 13, 17, 19])
 
     def test_empty_arrangement(self):
         spec = ArrangementSpec(2, MULTIPLICATIVE, {}, False)
         assert charpoly_ff(spec) == IntPolynomial([0, 0, 1])
 
     def test_held_out_refusal(self, monkeypatch):
-        # one point too many at A:3,1's held-out modulus, 29
+        # one point too many at A:3,1's held-out modulus, 19
         count = arrangements.count_complement_points
         monkeypatch.setattr(
-            arrangements, "count_complement_points", lambda spec, q: count(spec, q) + (q == 29)
+            arrangements, "count_complement_points", lambda spec, q: count(spec, q) + (q == 19)
         )
-        with pytest.raises(InterpolationMismatch, match=r"^held-out check failed at q=29"):
+        with pytest.raises(InterpolationMismatch, match=r"^held-out check failed at q=19"):
             charpoly_ff(ArrangementSpec.preset("A:3,1"))
 
     def test_oversized_target_refused_before_planning(self, monkeypatch):
@@ -959,14 +1007,26 @@ class TestCharpolyFF:
     def test_sorted_plan_budget(self, monkeypatch):
         # w q^(n-1) refused A:7,1 and C:8,1; the sorted plan's step count
         # admits them, and with moduli from the bound B:7,1 too; with the
-        # slice x1 = 0 priced as a count of n - 2 coordinates, so is B:7,3,
-        # while B:7,4, like A:7,4, is refused before any count
-        for name in ("A:7,1", "C:8,1", "B:7,1", "B:7,3"):
+        # slice x1 = 0 priced as a count of n - 2 coordinates, so is B:7,3;
+        # with moduli where 2 has large order, B:7,5 too, while B:7,6, like
+        # A:7,6, is refused before any count
+        for name in ("A:7,1", "C:8,1", "B:7,1", "B:7,3", "B:7,5"):
             spec = ArrangementSpec.preset(name)
             arrangements.check_kernel_cost(spec, plan_moduli(spec), name)
         monkeypatch.setattr(arrangements, "count_complement_points", no_count)
-        with pytest.raises(SizeGuard, match="moduli up to 131 break"):
-            charpoly_ff(ArrangementSpec.preset("B:7,4"))
+        with pytest.raises(SizeGuard, match="moduli up to 107 break"):
+            charpoly_ff(ArrangementSpec.preset("B:7,6"))
+
+    @given(st.one_of(
+        st.builds(lambda family, n, m: ArrangementSpec.preset(f"{family}:{n},{m}"),
+                  st.sampled_from(["A", "B", "Gamma", "Delta"]), st.integers(1, 5),
+                  st.integers(1, 3)),
+        sparse_specs(),
+    ))
+    def test_order_plan_matches_primitive_root_plan(self, spec):
+        reference = primitive_root_plan(spec)
+        event("other moduli" if plan_moduli(spec) != reference else "same moduli")
+        assert charpoly_ff(spec) == charpoly_ff(spec, reference)
 
     @given(
         st.sampled_from(sorted(arrangements.PRESETS)), st.integers(1, 5), st.integers(1, 4)

@@ -318,11 +318,11 @@ class TestCharpoly:
         # a route's failed self-check exits 2, like a domain error
         count = arrangements.count_complement_points
         monkeypatch.setattr(
-            arrangements, "count_complement_points", lambda spec, q: count(spec, q) + (q == 29)
+            arrangements, "count_complement_points", lambda spec, q: count(spec, q) + (q == 19)
         )
         code, out, err = capture("charpoly", "A:3,1")
         assert_rejected(code, out, err)
-        assert err.startswith("error: held-out check failed at q=29")
+        assert err.startswith("error: held-out check failed at q=19")
 
     def test_closed_single_coordinate(self, capture):
         code, out, _ = capture("charpoly", "A:1,3", "--method", "closed")
@@ -377,6 +377,25 @@ class TestCharpoly:
         code, out, _ = capture("charpoly", "A:2,1", "--moduli", "11,13,19,29")
         assert code == 0
         assert out.strip() == "t^2 - 5*t + 4"
+        # 2 has order 3 mod 7, above n m_max = 2
+        assert capture("charpoly", "A:2,1", "--moduli", "7,11,13,17") == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "target, moduli, reason",
+        [
+            ("A:3,1", "7,11,13,17,19", "2 has order 3 mod 7, not above n*m_max = 3"),
+            ("A:3,1", "341,11,13,17,19", "it is not an odd prime"),
+            ("A:3,1", "3,11,13,17,19", "it is below least_modulus = 5"),
+            ("C:2,1", "2,3,4,5", "it is below least_modulus = 3"),
+        ],
+        ids=["order", "pseudoprime", "multiplicative-bound", "additive-bound"],
+    )
+    def test_inadmissible_override_says_why(self, capture, target, moduli, reason):
+        code, out, err = capture("charpoly", target, "--moduli", moduli)
+        assert_rejected(code, out, err)
+        # the first modulus listed is the one refused
+        q = moduli.split(",")[0]
+        assert err == f"error: override modulus {q} is inadmissible: {reason}\n"
 
     def test_moduli_override_without_planes_at_n_2(self, capture, tmp_path):
         # a count pins x1 and takes q steps at n = 2; priced at q^2, these
@@ -415,7 +434,8 @@ class TestCharpoly:
         ids=["17-digit", "31-digit", "unused-31-digit", "n-1-31-digit"],
     )
     def test_huge_moduli_refused_before_admissibility(self, capture, argv):
-        # admissibility factors q - 1 by trial division, unbounded on these
+        # admissibility tests q for primality and factors q - 1 by trial
+        # division, unbounded on these
         start = time.process_time()
         code, out, err = capture(*argv)
         assert_rejected(code, out, err)
