@@ -3,7 +3,6 @@ braid arrangement."""
 
 from .arrangements import (
     ArrangementSpec,
-    Hyperplane,
     charpoly_ff,
     count_complement_points,
     hyperplanes_of,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -53,30 +52,6 @@ class SizeGuard(ValueError):
     kernel, the poset closure or an enumeration, or the poset's int64 key."""
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """One hyperplane in canonical form.
-
-    kind "coord": x_i = 0 (multiplicative flavor only).
-    kind "pair" (multiplicative flavor): x_i = 2^k x_j with k >= 0; a
-    negative shift is stored with i and j swapped so the power is always
-    nonnegative.
-    kind "diff" (additive flavor): x_i - x_j = k with i < j, k any integer.
-    """
-
-    kind: str
-    i: int
-    j: int = 0
-    k: int = 0
-
-    def __str__(self) -> str:
-        if self.kind == "coord":
-            return f"x{self.i} = 0"
-        if self.kind == "pair":
-            return f"x{self.i} = 2^{self.k} x{self.j}"
-        return f"x{self.i} - x{self.j} = {self.k}"
-
-
 class ArrangementSpec:
     """Dimension, flavor, per-pair shift sets, and the coordinate flag.
 
@@ -84,7 +59,7 @@ class ArrangementSpec:
     ``(i, j)`` with ``1 <= i < j <= n`` to finite sets of integer shifts;
     missing pairs mean no hyperplane between those coordinates.  A spec from
     :meth:`uniform` holds its one shift set and lists its n(n-1)/2 pairs only
-    when ``pair_shifts`` is first read; ``planes``, ``m_max`` and
+    when ``pair_shifts`` is first read; ``pairs``, ``m_max`` and
     ``uniform_shifts``, which the routes' size guards read, list none.
     """
 
@@ -104,7 +79,7 @@ class ArrangementSpec:
         shifts: dict[tuple[int, int], frozenset[int]] = {}
         for (i, j), values in (pair_shifts or {}).items():
             if not (1 <= i < j <= n):
-                raise ValueError(f"pair ({i}, {j}) out of range for n={n}")
+                raise ValueError(f"pair ({i}, {j}) out of range: need 1 <= i < j <= {n}")
             fs = frozenset(int(v) for v in values)
             if fs:
                 shifts[(i, j)] = fs
@@ -145,7 +120,7 @@ class ArrangementSpec:
         return self._pairs
 
     @property
-    def planes(self) -> int:
+    def pairs(self) -> int:
         """How many pairs have planes."""
         return self.n * (self.n - 1) // 2 if self._pairs is None else len(self._pairs)
 
@@ -229,7 +204,7 @@ class ArrangementSpec:
     def __repr__(self) -> str:
         return (
             f"ArrangementSpec(n={self.n}, flavor={self.flavor!r}, "
-            f"pairs={self.planes}, coords={self.include_coordinate_hyperplanes})"
+            f"pairs={self.pairs}, coords={self.include_coordinate_hyperplanes})"
         )
 
 
@@ -251,26 +226,25 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def hyperplanes_of(spec: ArrangementSpec) -> list[Hyperplane]:
-    """Hyperplane list in canonical order, each plane once.
+def hyperplanes_of(spec: ArrangementSpec) -> np.ndarray:
+    """The planes as int64 rows (i, j, k) in canonical order, each plane once.
 
-    Coordinate planes come first, then pair hyperplanes ordered by pair and
-    ascending shift.  For the multiplicative flavor a shift k < 0 is stored
-    as ``x_j = 2^(-k) x_i`` so that stored powers are nonnegative.  A pair
-    (i, j), i < j, and its set of shifts each appear once, and a stored plane's
-    first index is the smaller exactly when k >= 0, so no two planes coincide.
+    Coordinates are 0-based.  Multiplicative, a row is x_i = 2^k x_j with
+    k >= 0, a shift k < 0 being stored as (j, i, -k); the coordinate plane
+    x_i = 0 is the row (i, i, 1), as x_i = 2 x_i holds exactly when x_i = 0
+    (the loop at i with gain 2 of the gain graph), so one rule reads both
+    kinds.  Additive, a row is x_i - x_j = k with i < j.  Coordinate planes
+    come first, then pair planes by pair and ascending shift.  A pair (i, j),
+    i < j, and its set of shifts each appear once, and a multiplicative row's
+    first index is the smaller exactly when k >= 0, so no two rows coincide.
+    A shift past int64 raises OverflowError; both readers refuse it first.
     """
-    planes: list[Hyperplane] = []
-    if spec.flavor == MULTIPLICATIVE and spec.include_coordinate_hyperplanes:
-        planes.extend(Hyperplane("coord", i) for i in range(1, spec.n + 1))
+    rows = [(i, i, 1) for i in range(spec.n)] if spec.include_coordinate_hyperplanes else []
     for (i, j), shifts in sorted(spec.pair_shifts.items()):
         for k in sorted(shifts):
-            if spec.flavor == MULTIPLICATIVE:
-                h = Hyperplane("pair", i, j, k) if k >= 0 else Hyperplane("pair", j, i, -k)
-            else:
-                h = Hyperplane("diff", i, j, k)
-            planes.append(h)
-    return planes
+            swap = spec.flavor == MULTIPLICATIVE and k < 0
+            rows.append((j - 1, i - 1, -k) if swap else (i - 1, j - 1, k))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def least_modulus(spec: ArrangementSpec) -> int:
@@ -334,7 +308,7 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     counts priced are the ones :func:`_plan` lists, so no pair of a uniform
     spec is read.
 
-    Memory: n q + planes q^2 must stay within ``MEMORY_BUDGET`` at every
+    Memory: n q + pairs q^2 must stay within ``MEMORY_BUDGET`` at every
     modulus.  A count holds n weight vectors of q entries and one q x q bool
     block per distinct shift set, so this over-bounds it by about 8 planes,
     and a preset's pairs share one block.  Work: the general plan prices a
@@ -370,7 +344,7 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
             work += q * q
             for k in ks:
                 work += 6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0)
-        entries = n * q + spec.planes * q * q
+        entries = n * q + spec.pairs * q * q
         check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
 
@@ -640,7 +614,7 @@ def _check_interpolant(spec: ArrangementSpec, poly: IntPolynomial) -> None:
         )
     if not poly.has_alternating_signs(n):
         raise InterpolationMismatch(f"interpolant {poly} has non-alternating signs")
-    if not (spec.planes or spec.include_coordinate_hyperplanes):
+    if not (spec.pairs or spec.include_coordinate_hyperplanes):
         return
     if spec.flavor == MULTIPLICATIVE and poly(1) != 0:
         raise InterpolationMismatch(

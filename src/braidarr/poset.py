@@ -11,15 +11,17 @@ reads the zero set and the components off each row.
 
 The lattice is closed one rank at a time on integer numpy arrays.  Each
 flat is one packed int64 key, decoded into its rows of cells when it is
-cut.  One vectorised step over every flat of a rank and every hyperplane
-gives, per (flat, plane) pair, whether the plane contains the flat or else
-the key of the child flat.  Every hyperplane passes through the origin, so a
-plane that does not contain a flat X cuts it in a flat one dimension lower,
-and these (X, plane, child) cuts give exactly the Hasse covers; they are
-recorded as the closure finds them.  The same cuts give the Mobius values,
-by Weisner's theorem (see :func:`_ranks`), so no two flats are ever
-compared.  Every array is an integer array; there is no floating point
-anywhere.
+cut.  The planes are the int64 rows (i, j, k) of ``hyperplanes_of``, each
+x_i = 2^k x_j, the coordinate plane x_i = 0 being the row (i, i, 1), so one
+rule cuts both kinds.  One vectorised step over every flat of a rank and
+every plane gives, per (flat, plane) pair, whether the plane contains the
+flat or else the key of the child flat.  Every hyperplane passes through the
+origin, so a plane that does not contain a flat X cuts it in a flat one
+dimension lower, and these (X, plane, child) cuts give exactly the Hasse
+covers; they are recorded as the closure finds them.  The same cuts give
+the Mobius values, by Weisner's theorem (see :func:`_ranks`), so no two
+flats are ever compared.  Every array is an integer array; there is no
+floating point anywhere.
 """
 from __future__ import annotations
 
@@ -218,18 +220,12 @@ def _ranks(spec: ArrangementSpec, code: _CellCode) -> Iterator[tuple[np.ndarray,
     of chi, at most the number of regions, so the int64 sums are exact.
     """
     n = spec.n
-    planes = hyperplanes_of(spec)
-    # 0-based (i, j, k) of x_i = 2^k x_j.  x_i = 0 is stored as x_i = 2^1 x_i,
-    # which holds exactly when x_i = 0, so one rule serves both kinds.
-    ijk = np.array(
-        [(h.i - 1, h.i - 1, 1) if h.kind == "coord" else (h.i - 1, h.j - 1, h.k) for h in planes],
-        dtype=np.int64,
-    ).reshape(-1, 3)
+    ijk = hyperplanes_of(spec)
     ambient = code.cells(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
     key, mu = np.array([ambient @ code.powers]), np.ones(1, dtype=np.int64)
     parent = child = np.zeros(0, dtype=np.int64)
     rank = work = 0
-    step = max(1, CHUNK_WORDS // max(len(planes), 1))
+    step = max(1, CHUNK_WORDS // max(len(ijk), 1))
     while len(key):
         yield key, mu, parent, child
         del parent, child  # the consumer's now, not held through the next cut
@@ -248,13 +244,13 @@ def _ranks(spec: ArrangementSpec, code: _CellCode) -> Iterator[tuple[np.ndarray,
         children, child = _dedupe(cut)
         del cut
         # The children are cut next.
-        work += len(children) * len(planes)
+        work += len(children) * len(ijk)
         check_budgets(
             f"the poset's rank {rank} ({len(children)} flats)",
-            CUT_ENTRIES * len(children) * len(planes), work, "(flat, plane) cuts",
+            CUT_ENTRIES * len(children) * len(ijk), work, "(flat, plane) cuts",
         )
         # Weisner's sum for each child X over the cuts (Y, h(X)) into it.
-        lowest = np.full(len(children), len(planes), dtype=np.int32)
+        lowest = np.full(len(children), len(ijk), dtype=np.int32)
         np.minimum.at(lowest, child, plane)
         weisner = plane == lowest[child]
         mu_children = np.zeros(len(children), dtype=np.int64)

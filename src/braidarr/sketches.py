@@ -172,21 +172,21 @@ def regions_by_projection(spec: ArrangementSpec) -> int:
     vectors on its planes of the sketches of A_n^(M), M = max(``spec.m_max``,
     1): each region of A_n^(M) lies in exactly one region of the spec's.
 
-    A sketch lists the values 2^k x_i in increasing order, so x_i > 0 when
-    letter (i, 0) follows the zero letter, and x_i < 2^k x_j when (i, 0)
-    precedes (j, k): a plane's sign is whether its ``low`` token precedes its
-    ``high`` one.  Rows are read ``CHUNK_TOKENS`` letters at a time, each
-    chunk's signs packed to bits; one ``np.unique`` counts the packed rows."""
+    A sketch lists the values 2^k x_i in increasing order, so x_i < 2^k x_j
+    when letter (i, 0) precedes (j, k): the sign on a plane (i, j, k) of
+    :func:`hyperplanes_of` is whether its ``low`` token precedes its ``high``
+    one.  The coordinate plane (i, i, 1) is read the same way: x_i < 2 x_i
+    exactly when x_i > 0, and (i, 1) exists as M >= 1.  Rows are read
+    ``CHUNK_TOKENS`` letters at a time, each chunk's signs packed to bits;
+    one ``np.unique`` counts the packed rows."""
     if spec.flavor != MULTIPLICATIVE:
         raise ValueError("regions by projection need a multiplicative arrangement")
-    if not (spec.planes or spec.include_coordinate_hyperplanes):
+    if not (spec.pairs or spec.include_coordinate_hyperplanes):
         return 1
     m = max(spec.m_max, 1)
     rows, lines, width = _sketch_rows(spec.n, m)
-    planes = hyperplanes_of(spec)
-    low, high = np.array([(0, (h.i - 1) * (m + 1) + 1) if h.kind == "coord" else
-                          ((h.i - 1) * (m + 1) + 1, (h.j - 1) * (m + 1) + h.k + 1)
-                          for h in planes]).T
+    i, j, k = hyperplanes_of(spec).T
+    low, high = i * (m + 1) + 1, j * (m + 1) + k + 1
     per_chunk = max(1, CHUNK_TOKENS // width)
     packed = []
     for start in range(0, lines, per_chunk):

@@ -108,7 +108,7 @@ def test_criterion_3_bijection_round_trips():
 def test_criterion_4_witness_soundness():
     started = time.time()
     for n, m in [(2, 1), (2, 2), (3, 1)]:
-        planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}"))
+        planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}")).tolist()
         for s in sketch_objects(n, m):
             point = witness_point(s)
             assert point_to_sketch(point, m) == s, s

@@ -517,6 +517,15 @@ class TestCharpoly:
         assert_rejected(code, out, err)
         assert f"bad shifts key {key!r}" in err
 
+    @pytest.mark.parametrize("key,pair", [("2,1", "(2, 1)"), ("1,4", "(1, 4)")])
+    def test_spec_pair_out_of_order_or_range(self, capture, tmp_path, key, pair):
+        # "2,1" is in range, only reversed: the refusal once read "out of
+        # range for n=3", as if 2 or 1 exceeded 3
+        spec = {"n": 3, "flavor": "A", "shifts": {key: [1]}}
+        code, out, err = capture("charpoly", "--spec", spec_file(tmp_path, spec))
+        assert_rejected(code, out, err)
+        assert err == f"error: pair {pair} out of range: need 1 <= i < j <= 3\n"
+
     @pytest.mark.parametrize("again", ["01,2", " 1, 2"])
     def test_spec_repeated_pair_is_named(self, capture, tmp_path, again):
         # read one after the other, the second key's shifts replaced the

@@ -261,7 +261,7 @@ class TestBEquivalence:
     def test_classes_are_b_signatures(self, n, m):
         """Two sketches are B-equivalent exactly when the witness points of
         their regions lie on the same side of every plane of B."""
-        planes = hyperplanes_of(ArrangementSpec.preset(f"B:{n},{m}"))
+        planes = hyperplanes_of(ArrangementSpec.preset(f"B:{n},{m}")).tolist()
         sketches = sketch_objects(n, m)
         signatures = [
             tuple(hyperplane_side(witness_point(s), h) for h in planes) for s in sketches

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from braidarr.arrangements import (
     MULTIPLICATIVE,
     ArrangementSpec,
-    Hyperplane,
     SizeGuard,
     charpoly_ff,
     hyperplanes_of,
@@ -26,17 +25,12 @@ from braidarr.numbers import (
 from braidarr import poset as poset_module
 from braidarr.poset import build_poset, rank_sums
 
-# Hyperplane set from the worked six-coordinate example: x1 = 0, x1 = 2^2 x2,
+# The planes of the worked six-coordinate example as rows (i, j, k) of
+# x_i = 2^k x_j, 0-based, x_i = 0 being (i, i, 1): x1 = 0, x1 = 2^2 x2,
 # x4 = 2 x3, x5 = 2^3 x4, x5 = 2^4 x3.
-EXAMPLE_PLANES = [
-    Hyperplane("coord", 1),
-    Hyperplane("pair", 1, 2, 2),
-    Hyperplane("pair", 4, 3, 1),
-    Hyperplane("pair", 5, 4, 3),
-    Hyperplane("pair", 5, 3, 4),
-]
+EXAMPLE_PLANES = [(0, 0, 1), (0, 1, 2), (3, 2, 1), (4, 3, 3), (4, 2, 4)]
 # x5 = 2^5 x3 contradicts the path x3 -> x4 -> x5 of label sum 4.
-CONFLICT = Hyperplane("pair", 5, 3, 5)
+CONFLICT = (4, 2, 5)
 
 
 # The scalar reference: one flat and one plane at a time, on Flat tuples.
@@ -152,26 +146,24 @@ def _zero_component(flat, root):
 
 
 def intersect_flat(flat, h):
-    """Intersect a flat with one multiplicative hyperplane.
+    """Intersect a flat with one plane, a row (i, j, k) of x_i = 2^k x_j.
 
     A conflicting merge (same component, wrong offset gap) forces the free
     value of that component to zero, so the component joins the loop set
     rather than emptying the intersection; every hyperplane here passes
-    through the origin.
+    through the origin.  The coordinate row (i, i, 1) is such a conflict.
     """
-    cell_i = flat.cells[h.i - 1]
-    if h.kind == "coord":
-        return flat if cell_i is None else _zero_component(flat, cell_i[0])
-    cell_j = flat.cells[h.j - 1]  # h is x_i = 2^k x_j
+    i, j, k = h
+    cell_i, cell_j = flat.cells[i], flat.cells[j]
     if cell_i is None and cell_j is None:
         return flat
     if cell_i is None or cell_j is None:
         return _zero_component(flat, (cell_i or cell_j)[0])
     (root_i, off_i), (root_j, off_j) = cell_i, cell_j
     if root_i == root_j:
-        return flat if off_i == h.k + off_j else _zero_component(flat, root_i)
+        return flat if off_i == k + off_j else _zero_component(flat, root_i)
     # x_(root_i) = 2^shift x_(root_j); the larger root's cells move onto the smaller.
-    shift = h.k + off_j - off_i
+    shift = k + off_j - off_i
     keep, move = root_j, root_i
     if root_i < root_j:
         keep, move, shift = root_i, root_j, -shift
@@ -183,7 +175,7 @@ def intersect_flat(flat, h):
 def scalar_closure(spec):
     """Every flat with its mask (bit h set when plane h contains it), closed
     flat by flat from the ambient flat with ``intersect_flat``."""
-    planes = hyperplanes_of(spec)
+    planes = hyperplanes_of(spec).tolist()
     start = ambient_flat(spec.n)
     masks, frontier = {}, [start]
     seen = {start}
@@ -212,18 +204,15 @@ def fold(planes, n):
 def flat_dimension_by_rank(hyperplanes, n):
     """Dimension of the intersection via exact rank of the true normals.
 
-    Row for ``x_i = 0`` is e_i; row for ``x_i = 2^k x_j`` is e_i - 2^k e_j.
-    This route never looks at the combinatorial flat form, so it serves as an
-    independent cross-check.
+    The row (i, j, k) of ``x_i = 2^k x_j`` has normal e_i - 2^k e_j, which
+    is -e_i for the coordinate row (i, i, 1).  This route never looks at the
+    combinatorial flat form, so it serves as an independent cross-check.
     """
     rows = []
-    for h in hyperplanes:
+    for i, j, k in hyperplanes:
         row = [Fraction(0)] * n
-        if h.kind == "coord":
-            row[h.i - 1] = Fraction(1)
-        else:
-            row[h.i - 1] = Fraction(1)
-            row[h.j - 1] = Fraction(-(2**h.k))
+        row[i] += 1
+        row[j] -= 2**k
         rows.append(row)
     return n - _rank(rows, n)
 
@@ -290,11 +279,11 @@ class TestGraph:
         assert flat.components == (((1, 0),), ((2, 0),), ((3, 0),), ((4, 0),))
 
     def test_single_coordinate(self):
-        flat = fold([Hyperplane("coord", 1)], 3)
+        flat = fold([(0, 0, 1)], 3)
         assert flat.loops == frozenset({1})
 
     def test_loop_closure_spreads(self):
-        planes = [Hyperplane("coord", 1), Hyperplane("pair", 1, 2, 1)]
+        planes = [(0, 0, 1), (0, 1, 1)]
         for order in (planes, planes[::-1]):
             flat = fold(order, 3)
             assert flat.loops == frozenset({1, 2})
@@ -330,7 +319,7 @@ class TestFlatOf:
         assert flat.dimension == 3
 
     def test_origin(self):
-        planes = [Hyperplane("coord", i) for i in (1, 2, 3)]
+        planes = [(i, i, 1) for i in range(3)]
         assert fold(planes, 3).dimension == 0
 
     def test_conflict_collapses_to_loops(self):
@@ -355,7 +344,7 @@ class TestGraphRankAgreement:
 
     def test_exhaustive_small(self):
         for name in ("A:2,1", "A:2,2", "A:3,1"):
-            planes = hyperplanes_of(ArrangementSpec.preset(name))
+            planes = hyperplanes_of(ArrangementSpec.preset(name)).tolist()
             n = ArrangementSpec.preset(name).n
             for r in range(len(planes) + 1):
                 for subset in itertools.combinations(planes, r):
@@ -363,7 +352,7 @@ class TestGraphRankAgreement:
 
     def test_sampled_A32(self):
         spec = ArrangementSpec.preset("A:3,2")
-        planes = hyperplanes_of(spec)
+        planes = hyperplanes_of(spec).tolist()
         for r in range(4):
             for subset in itertools.combinations(planes, r):
                 self.check_subset(list(subset), 3)
@@ -377,15 +366,15 @@ class TestGraphRankAgreement:
 class TestIntersectFlat:
     def test_conflicting_merge_forces_zero(self):
         flat = ambient_flat(2)
-        flat = intersect_flat(flat, Hyperplane("pair", 1, 2, 0))
+        flat = intersect_flat(flat, (0, 1, 0))
         assert flat.dimension == 1
-        flat = intersect_flat(flat, Hyperplane("pair", 1, 2, 1))
+        flat = intersect_flat(flat, (0, 1, 1))
         assert flat.dimension == 0
         assert flat.loops == frozenset({1, 2})
 
     def test_idempotent(self):
         flat = ambient_flat(3)
-        h = Hyperplane("pair", 1, 3, 2)
+        h = (0, 2, 2)
         once = intersect_flat(flat, h)
         assert intersect_flat(once, h) == once
 
@@ -451,7 +440,7 @@ class TestBuildPoset:
         vertex, at offset 0."""
         for name in ("A:3,2", "Gamma:3,2", "Delta:4,1"):
             spec = ArrangementSpec.preset(name)
-            planes = hyperplanes_of(spec)
+            planes = hyperplanes_of(spec).tolist()
             poset = build_poset(spec)
             masks = masks_of(poset, spec)
             for a in range(len(poset)):
@@ -681,11 +670,7 @@ def test_cut_matches_the_loop_over_roots(spec, data):
     scatters give the containment and keys of the loop over the roots."""
     code = poset_module._CellCode(spec)
     n = spec.n
-    ijk = np.array(
-        [(h.i - 1, h.i - 1, 1) if h.kind == "coord" else (h.i - 1, h.j - 1, h.k)
-         for h in hyperplanes_of(spec)],
-        dtype=np.int64,
-    ).reshape(-1, 3)
+    ijk = hyperplanes_of(spec)
     cell = st.one_of(
         st.just((-1, 0)),
         st.tuples(st.integers(0, n - 1), st.integers(-code.bound, code.bound)),

@@ -14,7 +14,6 @@ from braidarr import cli
 from braidarr.arrangements import (
     MULTIPLICATIVE,
     ArrangementSpec,
-    Hyperplane,
     SizeGuard,
     charpoly_ff,
     hyperplanes_of,
@@ -460,7 +459,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
     def test_witnesses_avoid_all_hyperplanes(self, n, m):
-        planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}"))
+        planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}")).tolist()
         for s in sketch_objects(n, m):
             point = witness_point(s)
             for h in planes:
@@ -468,7 +467,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 2)])
     def test_distinct_sketches_separated(self, n, m):
-        planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}"))
+        planes = hyperplanes_of(ArrangementSpec.preset(f"A:{n},{m}")).tolist()
         sketches = sketch_objects(n, m)
         signatures = set()
         for s in sketches:
@@ -671,18 +670,17 @@ class TestPointToSketch:
 
 
 def hyperplane_side(point, h):
-    """Reference: the exact sign of x_i - 2^k x_j (of x_i for a coordinate
-    hyperplane) at a point of ``LogPoint`` coordinates."""
-    if h.kind == "coord":
-        return point[h.i - 1].sign
-    a = point[h.i - 1]
-    b = point[h.j - 1]
+    """Reference: the exact sign of x_i - 2^k x_j for the row (i, j, k) of
+    :func:`hyperplanes_of`, at a point of ``LogPoint`` coordinates; for the
+    coordinate row (i, i, 1) that is the sign of x_i - 2 x_i = -x_i."""
+    i, j, k = h
+    a, b = point[i], point[j]
     if a.sign == 0 and b.sign == 0:
         return 0
     if a.sign != b.sign:
         return 1 if a.sign > b.sign else -1
     left = a.exp
-    right = h.k + b.exp
+    right = k + b.exp
     if left == right:
         return 0
     magnitude = 1 if left > right else -1
@@ -692,23 +690,24 @@ def hyperplane_side(point, h):
 class TestHyperplaneSide:
     def test_exponent_comparison(self):
         point = (LogPoint(1, Fraction(0)), LogPoint(1, Fraction(2)))
-        assert hyperplane_side(point, Hyperplane("pair", 1, 2, 1)) == -1
+        assert hyperplane_side(point, (0, 1, 1)) == -1
 
     def test_sign_dominates(self):
         point = (LogPoint(-1, Fraction(1)), LogPoint(1, Fraction(0)))
-        assert hyperplane_side(point, Hyperplane("pair", 1, 2, 0)) == -1
+        assert hyperplane_side(point, (0, 1, 0)) == -1
 
     def test_rational_exponents(self):
         point = (LogPoint(1, Fraction(1, 2)), LogPoint(1, Fraction(0)))
-        assert hyperplane_side(point, Hyperplane("pair", 1, 2, 1)) == -1
+        assert hyperplane_side(point, (0, 1, 1)) == -1
 
     def test_coordinate_plane(self):
+        # x1 = -2^3, so x1 - 2 x1 = 2^3 > 0
         point = (LogPoint(-1, Fraction(3)),)
-        assert hyperplane_side(point, Hyperplane("coord", 1)) == -1
+        assert hyperplane_side(point, (0, 0, 1)) == 1
 
     def test_on_plane_gives_zero(self):
         point = (LogPoint(1, Fraction(3)), LogPoint(1, Fraction(1)))
-        assert hyperplane_side(point, Hyperplane("pair", 1, 2, 2)) == 0
+        assert hyperplane_side(point, (0, 1, 2)) == 0
 
 
 REGION_FORMULAS = {
@@ -734,6 +733,24 @@ class TestRegionsByProjection:
     @given(sparse_specs())
     def test_random_sparse_specs(self, spec):
         assert regions_by_projection(spec) == zaslavsky(charpoly_ff(spec), spec.n)
+
+    @given(sparse_specs(), st.data())
+    def test_one_sign_rule(self, spec, data):
+        """On every row (i, j, k) of ``hyperplanes_of``, the coordinate row
+        (i, i, 1) among them, letter i^0 precedes j^k in the point's sketch
+        exactly when x_i < 2^k x_j: the rule the projection reads."""
+        # No two exponents differ by an integer, so no two values 2^k x_i tie.
+        exponent = st.builds(Fraction, st.integers(-20, 20), st.just(7))
+        coordinate = st.builds(LogPoint, st.sampled_from([-1, 1]), exponent)
+        point = data.draw(st.lists(
+            coordinate, min_size=spec.n, max_size=spec.n, unique_by=lambda x: x.exp % 1,
+        ))
+        sketch = point_to_sketch(point, max(spec.m_max, 1))
+        word = sketch.w1 + ((0, 0),) + sketch.w2
+        position = {letter: at for at, letter in enumerate(word)}
+        for i, j, k in hyperplanes_of(spec).tolist():
+            below = hyperplane_side(point, (i, j, k)) < 0
+            assert (position[(i + 1, 0)] < position[(j + 1, k)]) == below, (i, j, k)
 
     def test_no_planes(self):
         assert regions_by_projection(ArrangementSpec(3, MULTIPLICATIVE)) == 1
