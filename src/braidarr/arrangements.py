@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -304,46 +304,18 @@ def check_budgets(context: str, entries: int, work: int, steps: str) -> None:
 
 
 def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str) -> None:
-    """Refuse counts that break a budget (see :func:`check_budgets`).  The
-    counts priced are the ones :func:`_plan` lists, so no pair of a uniform
-    spec is read.
-
-    Memory: n q + pairs q^2 must stay within ``MEMORY_BUDGET`` at every
-    modulus.  A count holds n weight vectors of q entries and one q x q bool
-    block per distinct shift set, so this over-bounds it by about 8 planes,
-    and a preset's pairs share one block.  Work: the general plan prices a
-    count of k coordinates at q^k steps plus, for k >= 3, 3 * 10^4 steps for
-    each of its q^(k-3) contractions, which binds where q is small and n
-    large (a least-squares fit to traced counts of Gamma:4..6, Delta:4..6
-    and targets without planes at n = 5..9 gave 25 us a contraction and
-    0.8 ns a step, so 31,000).  The sorted plan takes q^2 steps for its
-    block, and 6 C(r, k) + 10^4 C(r, k-3) more for each count, r being
-    q - |S|: 6 C(r, k) bounds the r'^3 steps of the contractions over all
-    pinned tuples, and a pinned value costs 10^4 steps (a least-squares fit
-    to traced counts of A:5..7, B:5..6 and C:5..8 gave 7,500, and a step
-    0.3 to 1.7 ns, as in the general plan).
-    These prices were fitted to the int64 matmul kernel; the packed kernel
-    that replaced it takes about as long on small blocks and a thirtieth of
-    the time at n = 4, so they over-bound it.
-    The sum over ``moduli`` must stay within ``WORK_BUDGET``.  The moduli
-    are read in order up to the first excess, so a lazy range for a huge n
-    is never listed, and no power past 2^64 is formed.
-    """
-    n = spec.n
-    symmetric, ks, _ = _plan(spec)
-    work = 0
+    """Refuse counts that break a budget (see :func:`check_budgets`): the
+    ones :func:`_plan` lists, so no pair of a uniform spec is read.  Work:
+    the plan's ``price(q)`` summed over ``moduli``, read in order up to the
+    first excess, so a lazy range for a huge n is never listed, and no power
+    past 2^64 is formed.  Memory: n q + pairs q^2 at each modulus.  A count
+    holds n weight vectors of q entries and one q x q bool block per
+    distinct shift set, so this over-bounds it by about 8 planes, and a
+    preset's pairs share one block."""
+    n, price, work = spec.n, _plan(spec).price, 0
     for q in moduli:
         # q^(n-1) >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * (n-1) >= 64.
-        if (q.bit_length() - 1) * (n - 1) >= 64:
-            work += WORK_BUDGET + 1
-        elif symmetric is None:
-            for k in ks:
-                work += q**k + (3 * 10**4 * q ** (k - 3) if k >= 3 else 0)
-        else:
-            r = max(0, q - len(symmetric))
-            work += q * q
-            for k in ks:
-                work += 6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0)
+        work += WORK_BUDGET + 1 if (q.bit_length() - 1) * (n - 1) >= 64 else price(q)
         entries = n * q + spec.pairs * q * q
         check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
@@ -353,122 +325,148 @@ def check_countable(spec: ArrangementSpec) -> None:
     budgets.  Such moduli are at least the n + 2 integers from
     :func:`least_modulus` on, so this needs no planning."""
     n, start = spec.n, least_modulus(spec)
-    check_kernel_cost(
-        spec, range(start, start + n + 2),
-        f"no {n + 2} admissible moduli fit the kernel budget for n={n}",
-    )
+    check_kernel_cost(spec, range(start, start + n + 2),
+                      f"no {n + 2} admissible moduli fit the kernel budget for n={n}")
 
 
-def _plan(spec: ArrangementSpec) -> tuple[Collection[int] | None, range, bool]:
-    """The counts the kernel makes for ``spec``, which its guard prices: the
-    one shift set S of the sorted plan, if every pair has S, S = -S and 0 is
-    in S, else None for the general plan; the k of each count, the number of
-    coordinates it leaves free; and whether the origin counts.
+class _Plan(NamedTuple):
+    """The counts the kernel makes for a spec: the sorted plan's shift set
+    S, or None; the k of each count, the coordinates it leaves free; whether
+    the origin counts; ``price(q)``, their work steps at q, fitted to the
+    int64 matmul kernel, which the packed one matches on small blocks and
+    beats 30-fold at n = 4; and ``count(q)``, the points off the planes."""
 
-    The first count pins x1 (k = n - 1).  A multiplicative target without
-    coordinate planes also counts the slice x1 = 0, which is invariant under
-    the same scaling, so N[x1 = 0] = (q-1) N[x1 = 0, x2 = 1] + N[x1 = x2 = 0],
-    and so on: the slice x1 = ... = xd = 0, x(d+1) = 1 (k = n - 1 - d) is
-    counted while the d coordinates at 0 meet no plane, that is while no
-    pair (i, j) with j <= d has planes, and the origin counts once when no
-    pair has any.  A uniform spec's pair (1, 2) has planes, so its one slice
-    is x1 = 0, x2 = 1, and no pair is read.
-    """
-    n, shifts = spec.n, spec.uniform_shifts
-    symmetric = None
-    if shifts is not None and 0 in shifts:
-        # A range is symmetric when its ends are.
-        ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts
-        symmetric = shifts if all(-k in shifts for k in ends) else None
-    # How many leading coordinates may be 0 at once.
-    if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes:
-        zeros = 0
-    elif shifts is not None:
-        zeros = 1
-    else:
-        zeros = min((j for _, j in spec.pair_shifts), default=n + 1) - 1
-    return symmetric, range(n - 1, max(n - 2 - zeros, -1), -1), zeros == n
+    symmetric: Collection[int] | None
+    ks: range
+    origin: bool
+    price: Callable[[int], int]
+    count: Callable[[int], int]
 
 
-def count_complement_points(spec: ArrangementSpec, q: int) -> int:
-    """Number of points of (Z_q)^n on none of the reduced hyperplanes.
+def _plan(spec: ArrangementSpec) -> _Plan:
+    """The one choice of plan: :func:`_sorted_plan` if every pair has one
+    shift set S with S = -S and 0 in S, else :func:`_general_plan`.
 
-    The count splits by the symmetry of the arrangement (the orbit-counting
+    Both split the count by the arrangement's symmetry (the orbit-counting
     step of the finite field method).  Additive planes are invariant under
     x -> x + c(1,...,1), whose orbits have size q and one point with x1 = 0,
     so N = q N[x1 = 0].  Multiplicative planes are linear, so x -> c x with
     c in F_q^* acts on the points with x1 != 0 in orbits of size q - 1, each
     with one point at x1 = 1: N = (q-1) N[x1 = 1] + N[x1 = 0], the last
-    term 0 with the coordinate planes, and otherwise split the same way into
-    the slices and the origin that :func:`_plan` lists.  So each count pins
-    one coordinate to one value, and costs about q^(n-1) steps, plus
-    q^(n-2) for the slice x1 = 0, x2 = 1, not q^n.  The slices are summed
-    from the spec's own blocks, never from another target's count.
+    term 0 with the coordinate planes.  Without them the slice x1 = 0 is
+    invariant under the same scaling, so N[x1 = 0] = (q-1) N[x1 = 0, x2 = 1]
+    + N[x1 = x2 = 0], and so on: the slice x1 = ... = xd = 0, x(d+1) = 1
+    (k = n - 1 - d) is counted while the d coordinates at 0 meet no plane,
+    that is while no pair (i, j) with j <= d has planes, and the origin
+    counts once when no pair has any.  A uniform spec's pair (1, 2) has
+    planes, so its one slice is x1 = 0, x2 = 1, and no pair is read.  Each
+    count pins one coordinate, and every slice is summed from the spec's
+    own blocks, never from another target's count."""
+    n, shifts = spec.n, spec.uniform_shifts
+    # A range is symmetric when its ends are.
+    ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts or ()
+    symmetric = shifts is not None and 0 in shifts and all(-k in shifts for k in ends)
+    # How many leading coordinates may be 0 at once.
+    if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes:
+        zeros = 0
+    else:
+        zeros = 1 if shifts else min((j for _, j in spec.pair_shifts), default=n + 1) - 1
+    ks, origin = range(n - 1, max(n - 2 - zeros, -1), -1), zeros == n
+    return (_sorted_plan if symmetric else _general_plan)(spec, ks, origin)
 
-    Every coordinate gets a 0/1 weight over Z_q (0 at x = 0 when the
-    coordinate planes are present), and each pair a read-only bool block
-    that is False on its planes, built once for each distinct shift set and
-    shared by the pairs that have it, or, without planes, a broadcast view
-    of ones that allocates nothing.  The general plan passes a count's set
-    coordinates, x1..xd = 0 and x(d+1) at the pin, to
-    :func:`_count_assignments` as one-hot 0/1 weights, and its pin loop
-    folds their rows of the blocks into the weights after them.
 
-    The sorted plan: if every pair has one shift set S = -S with 0 in S, a
-    point off the planes has distinct coordinates, and the planes are
-    invariant under the permutations of x2..xn.  So the count after x1's pin
-    is (n-1)! times the increasing tuples x2 < ... < xn of live values that
-    the one block allows pairwise (:func:`_count_increasing`), and the slice
-    x1 = 0, x2 = 1 is (n-2)! times those of x3..xn among the values allowed
-    with both 0 and 1.
-    """
-    n = spec.n
-    check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
-    if (reason := _refusal(spec, q)) is not None:
-        raise InadmissibleModulus(
-            f"q={q} is not admissible for flavor {spec.flavor!r} "
-            f"(n={n}, m_max={spec.m_max}): {reason}"
-        )
-    pin, scale = (0, q) if spec.flavor == ADDITIVE else (1, q - 1)
+def _counting(spec: ArrangementSpec, q: int) -> tuple[int, np.ndarray, Callable]:
+    """What both plans count with at q: x1's pin p, whose orbit has q - p
+    points; the 0/1 weight of a coordinate (0 at x = 0 with the coordinate
+    planes); and ``block(shifts)``, one read-only q x q bool block per
+    distinct shift set, False on its planes, or for none a broadcast view."""
     weight = np.ones(q, dtype=np.int64)
-    if spec.include_coordinate_hyperplanes:
-        weight[0] = 0
-    cols = np.arange(q)
+    weight[0] = not spec.include_coordinate_hyperplanes
+    cols, mult = np.arange(q), spec.flavor == MULTIPLICATIVE
     blocks: dict[frozenset[int], np.ndarray] = {}
 
     def block(shifts: Iterable[int]) -> np.ndarray:
         key = frozenset(shifts)
         if key not in blocks:
-            blocks[key] = out = np.ones((q, q), dtype=bool)
+            blocks[key] = out = np.ones((q, q), bool) if key else np.broadcast_to(True, (q, q))
             for s in key:
-                if spec.flavor == MULTIPLICATIVE:
-                    rows = (pow(2, s % (q - 1), q) * cols) % q
-                else:
-                    rows = (cols + s) % q
-                out[rows, cols] = False
+                out[(pow(2, s % (q - 1), q) * cols if mult else cols + s) % q, cols] = False
             out.flags.writeable = False
         return blocks[key]
 
-    symmetric, ks, origin = _plan(spec)
-    if symmetric is not None:
+    return int(mult), weight, block
+
+
+def _general_plan(spec: ArrangementSpec, ks: range, origin: bool) -> _Plan:
+    """The plan for any spec.  A count passes all n coordinates to
+    :func:`_count_assignments`, its set ones (x1..xd at 0, x(d+1) at the
+    pin) as one-hot 0/1 weights, whose rows of the blocks its pin loop folds
+    into the weights after them.  Price: q^k steps for a count of k
+    coordinates plus, for k >= 3, 3 * 10^4 for each of its q^(k-3)
+    contractions, which binds where q is small and n large (a least-squares
+    fit to traced counts of Gamma:4..6, Delta:4..6 and targets without
+    planes at n = 5..9 gave 25 us a contraction and 0.8 ns a step)."""
+    n = spec.n
+
+    def price(q: int) -> int:
+        return sum(q**k + (3 * 10**4 * q ** (k - 3) if k >= 3 else 0) for k in ks)
+
+    def count(q: int) -> int:
+        pin, weight, block = _counting(spec, q)
+        pairs = itertools.combinations(range(n), 2)
+        pair = {(a, b): block(spec.pair_shifts.get((a + 1, b + 1), ())) for a, b in pairs}
+        zero, fixed = (np.eye(1, q, value, dtype=np.int64)[0] for value in (0, pin))
+        unary = ([zero] * (n - 1 - k) + [fixed] + [weight] * k for k in ks)
+        return (q - pin) * sum(_count_assignments(u, pair) for u in unary) + origin
+
+    return _Plan(None, ks, origin, price, count)
+
+
+def _sorted_plan(spec: ArrangementSpec, ks: range, origin: bool) -> _Plan:
+    """The plan when every pair has one shift set S = -S with 0 in S.  A
+    point off the planes then has distinct coordinates, and the planes are
+    invariant under the permutations of x2..xn, so the count after x1's pin
+    is (n-1)! times the increasing tuples x2 < ... < xn of live values that
+    the one block allows pairwise (:func:`_count_increasing`), and the slice
+    x1 = 0, x2 = 1 is (n-2)! times those of x3..xn allowed with 0 and 1.
+    Price: q^2 steps for the block, and 6 C(r, k) + 10^4 C(r, k-3) for each
+    count, r being q - |S|: 6 C(r, k) bounds the r'^3 steps of the
+    contractions over all pinned tuples, and a pinned value costs 10^4
+    steps (a least-squares fit to traced counts of A:5..7, B:5..6 and
+    C:5..8 gave 7,500, and a step 0.3 to 1.7 ns)."""
+    n, symmetric = spec.n, spec.uniform_shifts
+
+    def price(q: int) -> int:
+        r = max(0, q - len(symmetric))
+        terms = (6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0) for k in ks)
+        return q * q + sum(terms)
+
+    def count(q: int) -> int:
+        pin, weight, block = _counting(spec, q)
         allowed = block(symmetric)
 
-        def count(k: int) -> int:
-            """k! times the increasing k-tuples of live values that
-            ``allowed`` allows pairwise; k < 2 reads only how many are live.
-            The slice (k = n - 2) sets x1 = 0 as well as x2 = 1."""
+        def tuples(k: int) -> int:
+            # k! times the increasing k-tuples of live values, allowed
+            # pairwise; the slice (k = n - 2) sets x1 = 0 as well as x2 = 1
             live = np.flatnonzero(weight * allowed[pin] * (allowed[0] if k < n - 1 else 1))
             tri = np.triu(allowed[np.ix_(live, live)], 1) if k > 1 else live
             return math.factorial(k) * _count_increasing(tri, k)
-    else:
-        blocks[frozenset()] = np.broadcast_to(True, (q, q))  # pairs without planes
-        pairs = itertools.combinations(range(n), 2)
-        pair = {(a, b): block(spec.pair_shifts.get((a + 1, b + 1), ())) for a, b in pairs}
 
-        def count(k: int) -> int:
-            zero, fixed = ((cols == value).astype(np.int64) for value in (0, pin))
-            return _count_assignments([zero] * (n - 1 - k) + [fixed] + [weight] * k, pair)
-    return scale * sum(count(k) for k in ks) + origin
+        return (q - pin) * sum(map(tuples, ks)) + origin
+
+    return _Plan(symmetric, ks, origin, price, count)
+
+
+def count_complement_points(spec: ArrangementSpec, q: int) -> int:
+    """Number of points of (Z_q)^n on none of the reduced hyperplanes: the
+    counts of :func:`_plan`, once q meets their guard and is admissible."""
+    check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={spec.n}")
+    if (reason := _refusal(spec, q)) is not None:
+        raise InadmissibleModulus(
+            f"q={q} is not admissible for flavor {spec.flavor!r} "
+            f"(n={spec.n}, m_max={spec.m_max}): {reason}"
+        )
+    return _plan(spec).count(q)
 
 
 def _count_assignments(unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]) -> int:
@@ -565,7 +563,8 @@ def charpoly_ff(
 
     Counts at n + 1 admissible moduli fix the unique polynomial of degree at
     most n; the result must pass ``_check_interpolant`` and must reproduce
-    the count at a held-out (n+2)-th modulus.  A target whose
+    the count at every further modulus, held out: the planned (n+2)-th, or
+    each one an override lists past its first n + 1.  A target whose
     n + 2 counts would break a kernel budget is refused before any count,
     and one that no n + 2 admissible moduli could fit before planning.  An
     override meets the budgets before its moduli are tested for admissibility.
@@ -590,13 +589,13 @@ def charpoly_ff(
     counts = [count_complement_points(spec, q) for q in nodes]
     poly = _lagrange_interpolate(nodes, counts)
     _check_interpolant(spec, poly)
-    held_out = qs[n + 1]
-    expected = count_complement_points(spec, held_out)
-    if poly(held_out) != expected:
-        raise InterpolationMismatch(
-            f"held-out check failed at q={held_out}: poly gives {poly(held_out)}, "
-            f"count gives {expected}"
-        )
+    for held_out in qs[n + 1 :]:
+        expected = count_complement_points(spec, held_out)
+        if poly(held_out) != expected:
+            raise InterpolationMismatch(
+                f"held-out check failed at q={held_out}: poly gives {poly(held_out)}, "
+                f"count gives {expected}"
+            )
     return poly
 
 

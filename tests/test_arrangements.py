@@ -70,9 +70,9 @@ def guard_fields(spec: ArrangementSpec) -> tuple:
     """What the kernel's size guard reads of a spec: its shape and its plan,
     that is whether the sorted plan applies, |S|, the k of each count and
     whether the origin counts."""
-    symmetric, ks, origin = arrangements._plan(spec)
+    plan = arrangements._plan(spec)
     return (spec.n, spec.m_max, spec.flavor, spec.include_coordinate_hyperplanes, spec.pairs,
-            symmetric is not None, len(symmetric or ()), list(ks), origin)
+            plan.symmetric is not None, len(plan.symmetric or ()), list(plan.ks), plan.origin)
 
 
 def no_count(*args):
@@ -173,6 +173,19 @@ def sliced_specs(draw, sizes=st.integers(1, 5), shifts=st.integers(-1, 1)):
     event(f"n={n} free={free}")
     shift_sets = st.sets(shifts, min_size=1, max_size=3)
     return ArrangementSpec(n, MULTIPLICATIVE, {p: draw(shift_sets) for p in present})
+
+
+@st.composite
+def priced_specs(draw):
+    """A preset with n <= 8 and m <= 40, taking either plan, or a spec of
+    :func:`sliced_specs` or :func:`sparse_specs`, taking the general plan."""
+    kind = draw(st.sampled_from(["preset", "sliced", "sparse"]))
+    event(kind)
+    if kind == "preset":
+        family = draw(st.sampled_from(sorted(arrangements.PRESETS)))
+        n, m = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+        return ArrangementSpec.preset(f"{family}:{n},{m}")
+    return draw(sliced_specs() if kind == "sliced" else sparse_specs())
 
 
 def two_pin_count(spec: ArrangementSpec, q: int) -> int:
@@ -681,7 +694,8 @@ class TestCounting:
         # plan's count k sets x1..x(n-1-k) to 0 and the next coordinate to
         # the pin by one-hot weights, the sorted plan's counts k-tuples.
         spec, q = problem
-        symmetric, ks, origin = arrangements._plan(spec)
+        plan = arrangements._plan(spec)
+        symmetric, ks, origin = plan.symmetric, plan.ks, plan.origin
         name = "_count_assignments" if symmetric is None else "_count_increasing"
         with outermost_calls(name) as calls:
             total = count_complement_points(spec, q)
@@ -708,8 +722,9 @@ class TestCounting:
         # the guard prices those counts: it drops the reference's unreached
         # slices, which only a general plan with some but not all has
         price, reference = kernel_price(spec, [q]), reference_kernel_price(spec, [q])
-        assert price <= reference
+        assert price == plan.price(q) and price <= reference
         assert (price < reference) == (symmetric is None and 1 < len(ks) < n)
+        assert total == plan.count(q)
 
     def test_guard(self):
         spec = ArrangementSpec.preset("A:4,4")
@@ -719,12 +734,12 @@ class TestCounting:
     @given(symmetric_problems())
     def test_sorted_plan_matches_the_recursion(self, problem):
         spec, q = problem
-        # every spec with a pair takes the sorted plan
-        symmetric, ks, origin = arrangements._plan(spec)
-        assert (symmetric is None) == (spec.n == 1)
-        sorted_count = count_complement_points(spec, q)
-        with mock.patch.object(arrangements, "_plan", return_value=(None, ks, origin)):
-            assert count_complement_points(spec, q) == sorted_count
+        # every spec with a pair takes the sorted plan; the general plan's
+        # record, built for the same counts, gives the same total
+        plan = arrangements._plan(spec)
+        assert (plan.symmetric is None) == (spec.n == 1)
+        general = arrangements._general_plan(spec, plan.ks, plan.origin)
+        assert general.count(q) == count_complement_points(spec, q)
 
     @pytest.mark.parametrize(
         "spec",
@@ -927,6 +942,19 @@ class TestCharpolyFF:
         with pytest.raises(InadmissibleModulus, match=r"^override modulus 7 is inadmissible: 2 has"):
             charpoly_ff(ArrangementSpec.preset("A:3,1"), [7, 11, 13, 17, 19])
 
+    def test_every_override_modulus_is_counted(self):
+        # each modulus past the first n + 1 is a held-out check, as the guard
+        # prices it: none is dropped unread
+        spec, moduli = ArrangementSpec.preset("A:2,1"), [7, 11, 13, 17, 19, 23, 29]
+        count = arrangements.count_complement_points
+        with mock.patch.object(arrangements, "count_complement_points", wraps=count) as spy:
+            assert charpoly_ff(spec, moduli) == IntPolynomial([4, -5, 1])
+        assert [call.args[1] for call in spy.call_args_list] == moduli
+        off_by_one = mock.Mock(side_effect=lambda spec, q: count(spec, q) + (q == 29))
+        with mock.patch.object(arrangements, "count_complement_points", off_by_one):
+            with pytest.raises(InterpolationMismatch, match=r"^held-out check failed at q=29"):
+                charpoly_ff(spec, moduli)
+
     def test_empty_arrangement(self):
         spec = ArrangementSpec(2, MULTIPLICATIVE, {}, False)
         assert charpoly_ff(spec) == IntPolynomial([0, 0, 1])
@@ -994,10 +1022,26 @@ class TestCharpolyFF:
             (ArrangementSpec(4, MULTIPLICATIVE), [3, 2, 1, 0]),
         ]
         for spec, ks in sparse:
-            assert list(arrangements._plan(spec)[1]) == ks
+            assert list(arrangements._plan(spec).ks) == ks
             moduli = plan_moduli(spec)
             price, reference = kernel_price(spec, moduli), reference_kernel_price(spec, moduli)
             assert price <= reference and (price < reference) == (len(ks) < spec.n), ks
+
+    @given(priced_specs())
+    def test_prices_grow_with_q(self, spec):
+        # check_countable prices the n + 2 integers from least_modulus, which
+        # bounds every admissible set of moduli only while each plan's price
+        # and the memory term are nondecreasing in q
+        plan = arrangements._plan(spec)
+        event("general" if plan.symmetric is None else "sorted")
+        general = arrangements._general_plan(spec, plan.ks, plan.origin)
+        qs = range(least_modulus(spec), least_modulus(spec) + 300)
+        with mock.patch.object(arrangements, "check_budgets") as budgets:
+            for q in qs:
+                arrangements.check_kernel_cost(spec, [q], "price")
+        entries = [call.args[1] for call in budgets.call_args_list]
+        for series in (entries, [plan.price(q) for q in qs], [general.price(q) for q in qs]):
+            assert all(a <= b for a, b in zip(series, series[1:]))
 
     def test_sorted_plan_budget(self, monkeypatch):
         # w q^(n-1) refused A:7,1 and C:8,1; the sorted plan's step count
