@@ -312,10 +312,14 @@ def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str
     holds n weight vectors of q entries and one q x q bool block per
     distinct shift set, so this over-bounds it by about 8 planes, and a
     preset's pairs share one block."""
-    n, price, work = spec.n, _plan(spec).price, 0
+    n, price = spec.n, _plan(spec).price
+    work = 0
     for q in moduli:
         # q^(n-1) >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * (n-1) >= 64.
-        work += WORK_BUDGET + 1 if (q.bit_length() - 1) * (n - 1) >= 64 else price(q)
+        if (q.bit_length() - 1) * (n - 1) >= 64:
+            work += WORK_BUDGET + 1
+        else:
+            work += price(q)
         entries = n * q + spec.pairs * q * q
         check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
@@ -325,22 +329,57 @@ def check_countable(spec: ArrangementSpec) -> None:
     budgets.  Such moduli are at least the n + 2 integers from
     :func:`least_modulus` on, so this needs no planning."""
     n, start = spec.n, least_modulus(spec)
-    check_kernel_cost(spec, range(start, start + n + 2),
-                      f"no {n + 2} admissible moduli fit the kernel budget for n={n}")
+    check_kernel_cost(
+        spec, range(start, start + n + 2),
+        f"no {n + 2} admissible moduli fit the kernel budget for n={n}",
+    )
 
 
 class _Plan(NamedTuple):
-    """The counts the kernel makes for a spec: the sorted plan's shift set
+    """The counts the kernel makes for ``spec``: the sorted plan's shift set
     S, or None; the k of each count, the coordinates it leaves free; whether
     the origin counts; ``price(q)``, their work steps at q, fitted to the
     int64 matmul kernel, which the packed one matches on small blocks and
-    beats 30-fold at n = 4; and ``count(q)``, the points off the planes."""
+    beats 30-fold at n = 4; and ``tally(pin, weight, block)``, the sum of
+    those counts at q, which :meth:`count` weights by x1's orbit."""
 
+    spec: ArrangementSpec
     symmetric: Collection[int] | None
     ks: range
     origin: bool
     price: Callable[[int], int]
-    count: Callable[[int], int]
+    tally: Callable[[int, np.ndarray, Callable], int]
+
+    def count(self, q: int) -> int:
+        """The points off the planes at q: the tally, weighted by x1's orbit
+        of q - pin points, plus the origin.  The tally reads x1's pin, the
+        0/1 weight of a coordinate over Z_q (0 at x = 0 with the coordinate
+        planes) and ``block(shifts)``: a read-only q x q bool block, False on
+        the planes, built once per distinct shift set and shared by the pairs
+        that have it, or for no shifts a broadcast view of ones that
+        allocates nothing."""
+        spec = self.spec
+        pin = 0 if spec.flavor == ADDITIVE else 1
+        weight = np.ones(q, dtype=np.int64)
+        if spec.include_coordinate_hyperplanes:
+            weight[0] = 0
+        cols = np.arange(q)
+        blocks: dict[frozenset[int], np.ndarray] = {}
+
+        def block(shifts: Iterable[int]) -> np.ndarray:
+            key = frozenset(shifts)
+            if key not in blocks:
+                blocks[key] = out = np.ones((q, q), bool) if key else np.broadcast_to(True, (q, q))
+                for s in key:
+                    if spec.flavor == MULTIPLICATIVE:
+                        rows = (pow(2, s % (q - 1), q) * cols) % q
+                    else:
+                        rows = (cols + s) % q
+                    out[rows, cols] = False
+                out.flags.writeable = False
+            return blocks[key]
+
+        return (q - pin) * self.tally(pin, weight, block) + self.origin
 
 
 def _plan(spec: ArrangementSpec) -> _Plan:
@@ -363,38 +402,20 @@ def _plan(spec: ArrangementSpec) -> _Plan:
     count pins one coordinate, and every slice is summed from the spec's
     own blocks, never from another target's count."""
     n, shifts = spec.n, spec.uniform_shifts
-    # A range is symmetric when its ends are.
-    ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts or ()
-    symmetric = shifts is not None and 0 in shifts and all(-k in shifts for k in ends)
+    symmetric = False
+    if shifts is not None and 0 in shifts:
+        # A range is symmetric when its ends are.
+        ends = (shifts[0], shifts[-1]) if isinstance(shifts, range) else shifts
+        symmetric = all(-k in shifts for k in ends)
     # How many leading coordinates may be 0 at once.
     if spec.flavor == ADDITIVE or spec.include_coordinate_hyperplanes:
         zeros = 0
+    elif shifts is not None:
+        zeros = 1
     else:
-        zeros = 1 if shifts else min((j for _, j in spec.pair_shifts), default=n + 1) - 1
-    ks, origin = range(n - 1, max(n - 2 - zeros, -1), -1), zeros == n
-    return (_sorted_plan if symmetric else _general_plan)(spec, ks, origin)
-
-
-def _counting(spec: ArrangementSpec, q: int) -> tuple[int, np.ndarray, Callable]:
-    """What both plans count with at q: x1's pin p, whose orbit has q - p
-    points; the 0/1 weight of a coordinate (0 at x = 0 with the coordinate
-    planes); and ``block(shifts)``, one read-only q x q bool block per
-    distinct shift set, False on its planes, or for none a broadcast view."""
-    weight = np.ones(q, dtype=np.int64)
-    weight[0] = not spec.include_coordinate_hyperplanes
-    cols, mult = np.arange(q), spec.flavor == MULTIPLICATIVE
-    blocks: dict[frozenset[int], np.ndarray] = {}
-
-    def block(shifts: Iterable[int]) -> np.ndarray:
-        key = frozenset(shifts)
-        if key not in blocks:
-            blocks[key] = out = np.ones((q, q), bool) if key else np.broadcast_to(True, (q, q))
-            for s in key:
-                out[(pow(2, s % (q - 1), q) * cols if mult else cols + s) % q, cols] = False
-            out.flags.writeable = False
-        return blocks[key]
-
-    return int(mult), weight, block
+        zeros = min((j for _, j in spec.pair_shifts), default=n + 1) - 1
+    ks = range(n - 1, max(n - 2 - zeros, -1), -1)
+    return (_sorted_plan if symmetric else _general_plan)(spec, ks, zeros == n)
 
 
 def _general_plan(spec: ArrangementSpec, ks: range, origin: bool) -> _Plan:
@@ -411,15 +432,15 @@ def _general_plan(spec: ArrangementSpec, ks: range, origin: bool) -> _Plan:
     def price(q: int) -> int:
         return sum(q**k + (3 * 10**4 * q ** (k - 3) if k >= 3 else 0) for k in ks)
 
-    def count(q: int) -> int:
-        pin, weight, block = _counting(spec, q)
+    def tally(pin: int, weight: np.ndarray, block: Callable) -> int:
         pairs = itertools.combinations(range(n), 2)
         pair = {(a, b): block(spec.pair_shifts.get((a + 1, b + 1), ())) for a, b in pairs}
-        zero, fixed = (np.eye(1, q, value, dtype=np.int64)[0] for value in (0, pin))
+        cols = np.arange(len(weight))
+        zero, fixed = ((cols == value).astype(np.int64) for value in (0, pin))
         unary = ([zero] * (n - 1 - k) + [fixed] + [weight] * k for k in ks)
-        return (q - pin) * sum(_count_assignments(u, pair) for u in unary) + origin
+        return sum(_count_assignments(u, pair) for u in unary)
 
-    return _Plan(None, ks, origin, price, count)
+    return _Plan(spec, None, ks, origin, price, tally)
 
 
 def _sorted_plan(spec: ArrangementSpec, ks: range, origin: bool) -> _Plan:
@@ -428,43 +449,42 @@ def _sorted_plan(spec: ArrangementSpec, ks: range, origin: bool) -> _Plan:
     invariant under the permutations of x2..xn, so the count after x1's pin
     is (n-1)! times the increasing tuples x2 < ... < xn of live values that
     the one block allows pairwise (:func:`_count_increasing`), and the slice
-    x1 = 0, x2 = 1 is (n-2)! times those of x3..xn allowed with 0 and 1.
-    Price: q^2 steps for the block, and 6 C(r, k) + 10^4 C(r, k-3) for each
-    count, r being q - |S|: 6 C(r, k) bounds the r'^3 steps of the
-    contractions over all pinned tuples, and a pinned value costs 10^4
-    steps (a least-squares fit to traced counts of A:5..7, B:5..6 and
-    C:5..8 gave 7,500, and a step 0.3 to 1.7 ns)."""
+    x1 = 0, x2 = 1 (k = n - 2) is (n-2)! times those of x3..xn allowed with
+    0 and 1; k < 2 reads only how many are live.  Price: q^2 steps for the
+    block, and 6 C(r, k) + 10^4 C(r, k-3) for each count, r being q - |S|:
+    6 C(r, k) bounds the r'^3 steps of the contractions over all pinned
+    tuples, and a pinned value costs 10^4 steps (a least-squares fit to
+    traced counts of A:5..7, B:5..6 and C:5..8 gave 7,500, and a step 0.3
+    to 1.7 ns)."""
     n, symmetric = spec.n, spec.uniform_shifts
 
     def price(q: int) -> int:
         r = max(0, q - len(symmetric))
-        terms = (6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0) for k in ks)
-        return q * q + sum(terms)
+        work = q * q
+        for k in ks:
+            work += 6 * math.comb(r, k) + (10**4 * math.comb(r, k - 3) if k >= 3 else 0)
+        return work
 
-    def count(q: int) -> int:
-        pin, weight, block = _counting(spec, q)
-        allowed = block(symmetric)
-
-        def tuples(k: int) -> int:
-            # k! times the increasing k-tuples of live values, allowed
-            # pairwise; the slice (k = n - 2) sets x1 = 0 as well as x2 = 1
+    def tally(pin: int, weight: np.ndarray, block: Callable) -> int:
+        allowed, total = block(symmetric), 0
+        for k in ks:
             live = np.flatnonzero(weight * allowed[pin] * (allowed[0] if k < n - 1 else 1))
             tri = np.triu(allowed[np.ix_(live, live)], 1) if k > 1 else live
-            return math.factorial(k) * _count_increasing(tri, k)
+            total += math.factorial(k) * _count_increasing(tri, k)
+        return total
 
-        return (q - pin) * sum(map(tuples, ks)) + origin
-
-    return _Plan(symmetric, ks, origin, price, count)
+    return _Plan(spec, symmetric, ks, origin, price, tally)
 
 
 def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     """Number of points of (Z_q)^n on none of the reduced hyperplanes: the
     counts of :func:`_plan`, once q meets their guard and is admissible."""
-    check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={spec.n}")
+    n = spec.n
+    check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
     if (reason := _refusal(spec, q)) is not None:
         raise InadmissibleModulus(
             f"q={q} is not admissible for flavor {spec.flavor!r} "
-            f"(n={spec.n}, m_max={spec.m_max}): {reason}"
+            f"(n={n}, m_max={spec.m_max}): {reason}"
         )
     return _plan(spec).count(q)
 

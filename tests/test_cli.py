@@ -425,7 +425,8 @@ class TestCharpoly:
                 str(10**16 + k) for k in (61, 69, 79, 99))),
             ("charpoly", "A:2,1", "--moduli", ",".join(
                 str(10**30 + k) for k in (57, 99, 201, 323))),
-            # the sixth modulus would never be counted
+            # the sixth modulus breaks the kernel price before any admissibility
+            # test or count
             ("regions", "A:3,1", "--moduli", f"5,11,13,19,29,{10**30 + 57}"),
             # n = 1 is priced at w q^0 steps, so its weights' q entries refuse it
             ("charpoly", "A:1,1", "--moduli", ",".join(
