@@ -252,11 +252,6 @@ def least_modulus(spec: ArrangementSpec) -> int:
     return spec.n * spec.m_max + (2 if spec.flavor == MULTIPLICATIVE else 1)
 
 
-def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
-    """Check whether q provably yields the correct point count."""
-    return _refusal(spec, q) is None
-
-
 def _refusal(spec: ArrangementSpec, q: int) -> str | None:
     """Why the count at q may differ from chi(q), or None if it cannot.
 
@@ -268,7 +263,7 @@ def _refusal(spec: ArrangementSpec, q: int) -> str | None:
     over the powers of 2, when ord_q(2) | s, so an odd prime q with ord_q(2) >
     n m_max does.  Primality is a base-2 Fermat screen, then odd trial
     division, at most about 5,000 divisions: a counted q has met the memory
-    price n q <= 10^8 of :func:`check_kernel_cost`, which runs first.
+    price n q <= 10^8 of :meth:`_Plan.check`, which runs first.
     """
     if q < least_modulus(spec):
         return f"it is below least_modulus = {least_modulus(spec)}"
@@ -286,7 +281,7 @@ def _refusal(spec: ArrangementSpec, q: int) -> str | None:
 def plan_moduli(spec: ArrangementSpec) -> tuple[int, ...]:
     """The n + 2 smallest admissible moduli, in ascending order."""
     start = least_modulus(spec)
-    admissible = (q for q in itertools.count(start) if modulus_admissible(spec, q))
+    admissible = (q for q in itertools.count(start) if _refusal(spec, q) is None)
     return tuple(itertools.islice(admissible, spec.n + 2))
 
 
@@ -303,38 +298,6 @@ def check_budgets(context: str, entries: int, work: int, steps: str) -> None:
         )
 
 
-def check_kernel_cost(spec: ArrangementSpec, moduli: Iterable[int], context: str) -> None:
-    """Refuse counts that break a budget (see :func:`check_budgets`): the
-    ones :func:`_plan` lists, so no pair of a uniform spec is read.  Work:
-    the plan's ``price(q)`` summed over ``moduli``, read in order up to the
-    first excess, so a lazy range for a huge n is never listed, and no power
-    past 2^64 is formed.  Memory: n q + pairs q^2 at each modulus.  A count
-    holds n weight vectors of q entries and one q x q bool block per
-    distinct shift set, so this over-bounds it by about 8 planes, and a
-    preset's pairs share one block."""
-    n, price = spec.n, _plan(spec).price
-    work = 0
-    for q in moduli:
-        # q^(n-1) >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * (n-1) >= 64.
-        if (q.bit_length() - 1) * (n - 1) >= 64:
-            work += WORK_BUDGET + 1
-        else:
-            work += price(q)
-        entries = n * q + spec.pairs * q * q
-        check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
-
-
-def check_countable(spec: ArrangementSpec) -> None:
-    """Refuse a target that no n + 2 admissible moduli can count within the
-    budgets.  Such moduli are at least the n + 2 integers from
-    :func:`least_modulus` on, so this needs no planning."""
-    n, start = spec.n, least_modulus(spec)
-    check_kernel_cost(
-        spec, range(start, start + n + 2),
-        f"no {n + 2} admissible moduli fit the kernel budget for n={n}",
-    )
-
-
 class _Plan(NamedTuple):
     """The counts the kernel makes for ``spec``: the sorted plan's shift set
     S, or None; the k of each count, the coordinates it leaves free; whether
@@ -349,6 +312,26 @@ class _Plan(NamedTuple):
     origin: bool
     price: Callable[[int], int]
     tally: Callable[[int, np.ndarray, Callable], int]
+
+    def check(self, moduli: Iterable[int], context: str) -> None:
+        """Refuse counts that break a budget (see :func:`check_budgets`): the
+        ones this plan lists, so no pair of a uniform spec is read.  Work:
+        ``price(q)`` summed over ``moduli``, read in order up to the first
+        excess, so a lazy range for a huge n is never listed, and no power
+        past 2^64 is formed.  Memory: n q + pairs q^2 at each modulus.  A
+        count holds n weight vectors of q entries and one q x q bool block
+        per distinct shift set, so this over-bounds it by about 8 planes, and
+        a preset's pairs share one block."""
+        spec = self.spec
+        work = 0
+        for q in moduli:
+            # q^(n-1) >= 2^64 > WORK_BUDGET once (bit length of q, less 1) * (n-1) >= 64.
+            if (q.bit_length() - 1) * (spec.n - 1) >= 64:
+                work += WORK_BUDGET + 1
+            else:
+                work += self.price(q)
+            entries = spec.n * q + spec.pairs * q * q
+            check_budgets(f"{context}: the counts up to q={q}", entries, work, "kernel steps")
 
     def count(self, q: int) -> int:
         """The points off the planes at q: the tally, weighted by x1's orbit
@@ -479,14 +462,14 @@ def _sorted_plan(spec: ArrangementSpec, ks: range, origin: bool) -> _Plan:
 def count_complement_points(spec: ArrangementSpec, q: int) -> int:
     """Number of points of (Z_q)^n on none of the reduced hyperplanes: the
     counts of :func:`_plan`, once q meets their guard and is admissible."""
-    n = spec.n
-    check_kernel_cost(spec, (q,), f"q={q} breaks the kernel budget for n={n}")
+    n, plan = spec.n, _plan(spec)
+    plan.check((q,), f"q={q} breaks the kernel budget for n={n}")
     if (reason := _refusal(spec, q)) is not None:
         raise InadmissibleModulus(
             f"q={q} is not admissible for flavor {spec.flavor!r} "
             f"(n={n}, m_max={spec.m_max}): {reason}"
         )
-    return _plan(spec).count(q)
+    return plan.count(q)
 
 
 def _count_assignments(unary: list[np.ndarray], pair: dict[tuple[int, int], np.ndarray]) -> int:
@@ -589,8 +572,11 @@ def charpoly_ff(
     and one that no n + 2 admissible moduli could fit before planning.  An
     override meets the budgets before its moduli are tested for admissibility.
     """
-    n = spec.n
-    check_countable(spec)
+    n, plan, start = spec.n, _plan(spec), least_modulus(spec)
+    # Admissible moduli are at least the n + 2 integers from least_modulus
+    # on, so a target that those break is refused with no planning.
+    context = f"no {n + 2} admissible moduli fit the kernel budget for n={n}"
+    plan.check(range(start, start + n + 2), context)
     if moduli is None:
         qs = list(plan_moduli(spec))
     else:
@@ -600,7 +586,7 @@ def charpoly_ff(
                 f"need at least {n + 2} moduli for degree {n} plus a held-out check, "
                 f"got {len(qs)}"
             )
-    check_kernel_cost(spec, qs, f"moduli up to {qs[-1]} break the kernel budget for n={n}")
+    plan.check(qs, f"moduli up to {qs[-1]} break the kernel budget for n={n}")
     if moduli is not None:
         for q in qs:
             if (reason := _refusal(spec, q)) is not None:

@@ -22,7 +22,6 @@ from braidarr.arrangements import (
     count_complement_points,
     hyperplanes_of,
     least_modulus,
-    modulus_admissible,
     plan_moduli,
     _check_interpolant,
     _lagrange_interpolate,
@@ -79,11 +78,16 @@ def no_count(*args):
     raise AssertionError("a count ran for a target past the budget")
 
 
+def modulus_admissible(spec: ArrangementSpec, q: int) -> bool:
+    """Whether q passes every admissibility test of ``spec``."""
+    return arrangements._refusal(spec, q) is None
+
+
 def kernel_price(spec: ArrangementSpec, moduli) -> int:
-    """The work :func:`arrangements.check_kernel_cost` prices ``spec``'s
-    counts at over ``moduli``."""
+    """The work ``arrangements._plan(spec).check`` prices ``spec``'s counts
+    at over ``moduli``."""
     with mock.patch.object(arrangements, "check_budgets") as budgets:
-        arrangements.check_kernel_cost(spec, moduli, "price")
+        arrangements._plan(spec).check(moduli, "price")
     return budgets.call_args.args[2]
 
 
@@ -968,12 +972,30 @@ class TestCharpolyFF:
             charpoly_ff(ArrangementSpec.preset("A:3,1"))
 
     def test_oversized_target_refused_before_planning(self, monkeypatch):
+        # a huge n, or a huge m, whose trial division in plan_moduli would
+        # not end in time
         def no_planning(*args, **kwargs):
             raise AssertionError("plan_moduli ran for a target past the budget")
 
         monkeypatch.setattr(arrangements, "plan_moduli", no_planning)
-        with pytest.raises(SizeGuard):
-            charpoly_ff(ArrangementSpec(10**6, ADDITIVE))
+        for spec in (ArrangementSpec(10**6, ADDITIVE),
+                     ArrangementSpec.preset(f"A:2,{10**12}"),
+                     ArrangementSpec.preset(f"C:3,{10**12}"),
+                     ArrangementSpec.preset(f"Gamma:2,{10**8}")):
+            with pytest.raises(SizeGuard, match=f"^no {spec.n + 2} admissible moduli fit"):
+                charpoly_ff(spec)
+
+    @pytest.mark.parametrize("name", ["A:4,1", "Gamma:3,2", "B:5,1"])
+    def test_one_plan_record_per_call(self, name):
+        # a count builds its plan record once, and charpoly_ff once for its
+        # guard and once in each of its n + 2 counts
+        spec = ArrangementSpec.preset(name)
+        with mock.patch.object(arrangements, "_plan", wraps=arrangements._plan) as plan:
+            count_complement_points(spec, plan_moduli(spec)[0])
+            assert plan.call_count == 1
+            plan.reset_mock()
+            charpoly_ff(spec)
+            assert plan.call_count == spec.n + 3
 
     def test_budget_messages_at_the_boundary(self, monkeypatch):
         # Without planes any modulus from 1 on is admissible, and the plan is
@@ -982,7 +1004,7 @@ class TestCharpolyFF:
         # refused before any count, as is every n from 11 on.
         spec = ArrangementSpec(9, ADDITIVE)
         assert plan_moduli(spec) == tuple(range(1, 12))
-        arrangements.check_kernel_cost(spec, plan_moduli(spec), "n=9")
+        arrangements._plan(spec).check(plan_moduli(spec), "n=9")
         assert sum(q**9 for q in range(1, 13)) < arrangements.WORK_BUDGET
         monkeypatch.setattr(arrangements, "count_complement_points", no_count)
         with pytest.raises(SizeGuard, match="no 12 admissible moduli"):
@@ -1028,7 +1050,7 @@ class TestCharpolyFF:
 
     @given(priced_specs())
     def test_prices_grow_with_q(self, spec):
-        # check_countable prices the n + 2 integers from least_modulus, which
+        # charpoly_ff first prices the n + 2 integers from least_modulus, which
         # bounds every admissible set of moduli only while each plan's price
         # and the memory term are nondecreasing in q
         plan = arrangements._plan(spec)
@@ -1037,7 +1059,7 @@ class TestCharpolyFF:
         qs = range(least_modulus(spec), least_modulus(spec) + 300)
         with mock.patch.object(arrangements, "check_budgets") as budgets:
             for q in qs:
-                arrangements.check_kernel_cost(spec, [q], "price")
+                arrangements._plan(spec).check([q], "price")
         entries = [call.args[1] for call in budgets.call_args_list]
         for series in (entries, [plan.price(q) for q in qs], [general.price(q) for q in qs]):
             assert all(a <= b for a, b in zip(series, series[1:]))
@@ -1050,7 +1072,7 @@ class TestCharpolyFF:
         # A:7,6, is refused before any count
         for name in ("A:7,1", "C:8,1", "B:7,1", "B:7,3", "B:7,5"):
             spec = ArrangementSpec.preset(name)
-            arrangements.check_kernel_cost(spec, plan_moduli(spec), name)
+            arrangements._plan(spec).check(plan_moduli(spec), name)
         monkeypatch.setattr(arrangements, "count_complement_points", no_count)
         with pytest.raises(SizeGuard, match="moduli up to 107 break"):
             charpoly_ff(ArrangementSpec.preset("B:7,6"))
