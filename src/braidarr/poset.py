@@ -31,10 +31,10 @@ from typing import Iterator
 import numpy as np
 
 from .arrangements import (
-    CHUNK_WORDS, MULTIPLICATIVE, ArrangementSpec, SizeGuard, check_budgets, hyperplanes_of,
+    MULTIPLICATIVE, ArrangementSpec, SizeGuard, check_budgets, hyperplanes_of, index_chunks,
 )
 from .numbers import IntPolynomial
-from .sketches import CHUNK_TOKENS, _digits, byte_cells
+from .sketches import _digits, byte_cells
 
 # int64 entries per (flat, plane) pair at the peak of cutting a rank, in the
 # children's _dedupe: the int32 parents and planes of the cuts, the child keys
@@ -45,9 +45,9 @@ from .sketches import CHUNK_TOKENS, _digits, byte_cells
 # A:6,1 4.50 / 5.7-7.1, A:6,2 5.21 / 7.0; this is the largest, rounded up.
 CUT_ENTRIES = 8
 # int64 entries per printed number (2n + 3 or fewer per flat, 2 per edge) at
-# the JSON dump's peak: a chunk's temporaries (12-15 MB) and about 2.3 bytes
-# a number.  Traced, tracemalloc / ru_maxrss less the RSS before the dump:
-# A:6,1 1.68 / 2.05, A:5,4 0.90 / 1.16, A:6,2 0.48 / 0.52; the largest, rounded up.
+# the JSON dump's peak, building its id tables (about 4 bytes a number; a chunk
+# takes 2 MB).  Traced, tracemalloc / ru_maxrss less the RSS before the dump:
+# A:6,1 0.46 / 0.47, A:5,4 0.51 / 0.58, A:6,2 0.48 / 0.52; 3 dates from 12-15 MB chunks.
 DUMP_ENTRIES = 3
 
 
@@ -91,9 +91,7 @@ class IntersectionPoset:
         ids = byte_cells([_digits(ids, "", ', "loops": [')])
         # Every flat and cover starts with ", ", which each list's first chunk cuts.
         yield '{"flats": ['
-        step = max(1, CHUNK_TOKENS // (2 * n + 3))
-        for lo in range(0, count, step):
-            rows = slice(lo, lo + step)
+        for rows in index_chunks(count, 2 * n + 3):
             vertex = np.argsort(self.root[rows], axis=1, kind="stable")
             first = np.take_along_axis(self.root[rows], vertex, axis=1)
             loop = first < 0
@@ -107,11 +105,11 @@ class IntersectionPoset:
                     loops[np.where(slot < opened, vertex + 1 + n * (slot > 0), 0)],
                     _digits(self.mu[rows], '], "mu": ', "}")]
             text = np.hstack([t.view(np.uint8).reshape(len(vertex), -1) for t in text])
-            yield text.tobytes().translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
+            yield text.tobytes().translate(None, b"\0").decode("ascii")[2 * (rows[0] == 0) :]
         yield '], "hasse": ['
-        for lo in range(0, len(self.edges), CHUNK_TOKENS // 2):
-            text = covers[self.edges[lo : lo + CHUNK_TOKENS // 2] + [0, count]].tobytes()
-            yield text.translate(None, b"\0").decode("ascii")[2 * (lo == 0) :]
+        for rows in index_chunks(len(self.edges), 2):
+            text = covers[self.edges[rows] + [0, count]].tobytes()
+            yield text.translate(None, b"\0").decode("ascii")[2 * (rows[0] == 0) :]
         yield f'], "n": {n}, "target": {json.dumps(target)}}}'
 
 
@@ -225,18 +223,17 @@ def _ranks(spec: ArrangementSpec, code: _CellCode) -> Iterator[tuple[np.ndarray,
     key, mu = np.array([ambient @ code.powers]), np.ones(1, dtype=np.int64)
     parent = child = np.zeros(0, dtype=np.int64)
     rank = work = 0
-    step = max(1, CHUNK_WORDS // max(len(ijk), 1))
     while len(key):
         yield key, mu, parent, child
         del parent, child  # the consumer's now, not held through the next cut
         rank += 1
-        # The parent, plane and child key of each cut, CHUNK_WORDS cuts a step.
+        # The parent, plane and child key of each cut, a chunk of flats a step.
         # The budget keeps a rank's flats, and so parent indices, in int32.
         cuts = ([], [], [])
-        for lo in range(0, len(key), step):
-            contains, cut = _cut(code, key[lo : lo + step], ijk)
+        for rows in index_chunks(len(key), len(ijk)):
+            contains, cut = _cut(code, key[rows], ijk)
             parent, plane = np.nonzero(~contains)
-            cuts[0].append((parent + lo).astype(np.int32))
+            cuts[0].append(rows[parent].astype(np.int32))
             cuts[1].append(plane.astype(np.int32))
             cuts[2].append(cut[~contains])
         parent, plane, cut = map(np.concatenate, cuts)

@@ -18,24 +18,21 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arrangements import MULTIPLICATIVE, WORK_BUDGET, ArrangementSpec
-from .arrangements import check_budgets, hyperplanes_of
+from .arrangements import check_budgets, hyperplanes_of, index_chunks
 from .dyckwords import Letter, complete_word, is_orderly, step_sequences
 from .numbers import raney
 
 # int64 entries at an enumeration's peak per printed letter and per letter
 # (i, k) of the alphabet.  Sketches and partitions from the side table of
-# words traced (peak tracemalloc / ru_maxrss less the interpreter) 0.5 / 0.5
-# per printed letter at (6, 1) and (5, 4) in table form (0.6-0.7 / 0.7 with
-# every size's words kept); in json sketches 2.1 / 2.3 and 1.8 / 1.8,
-# partitions 1.4 / 1.5 and 1.1 / 1.1; and at (1, 3124998), where the alphabet
-# is half the printed letters, 7.2 / 7.2 and 3.1 / 3.1 per (i, k).  Paths
-# from their own table trace 0.1 / 0.2 and 0.03 / 0.05, 1.5 / 1.6 and 1.1 /
-# 1.2 in json, and 2.8 / 3.3 per (i, k).
-# The region projection traces 0.6-0.74 / 0.72-0.87 at (6, 1), (5, 4), (4, 10).
+# words traced (peak tracemalloc / ru_maxrss less the interpreter) 0.45 / 0.44
+# per printed letter at (6, 1) and 0.48 / 0.47 at (5, 4) in table form; in
+# json sketches 2.1 / 2.4 and 1.8 / 1.9, partitions 1.4 / 1.6 and 1.1 / 1.1;
+# and at (1, 3124998), where the alphabet is half the printed letters, 8.1 /
+# 7.8 and 3.6 / 3.2 per (i, k).  Paths from their own table trace 0.03 / 0.04
+# and 0.02 / 0.02, 1.5 / 1.6 and 1.1 / 1.2 in json, and 2.8 / 3.4 per (i, k).
+# The region projection traces 0.54-0.63 / 0.52-0.66 at (6, 1), (5, 4), (4, 10).
 LETTER_ENTRIES = 4
 ALPHABET_ENTRIES = 24
-
-CHUNK_TOKENS = 1 << 18  # letters rendered or projected at a time
 
 _exponent = itemgetter(1)  # of a letter (i, k)
 
@@ -176,9 +173,8 @@ def regions_by_projection(spec: ArrangementSpec) -> int:
     when letter (i, 0) precedes (j, k): the sign on a plane (i, j, k) of
     :func:`hyperplanes_of` is whether its ``low`` token precedes its ``high``
     one.  The coordinate plane (i, i, 1) is read the same way: x_i < 2 x_i
-    exactly when x_i > 0, and (i, 1) exists as M >= 1.  Rows are read
-    ``CHUNK_TOKENS`` letters at a time, each chunk's signs packed to bits;
-    one ``np.unique`` counts the packed rows."""
+    exactly when x_i > 0, and (i, 1) exists as M >= 1.  Each chunk of rows
+    has its signs packed to bits; one ``np.unique`` counts the packed rows."""
     if spec.flavor != MULTIPLICATIVE:
         raise ValueError("regions by projection need a multiplicative arrangement")
     if not (spec.pairs or spec.include_coordinate_hyperplanes):
@@ -187,10 +183,8 @@ def regions_by_projection(spec: ArrangementSpec) -> int:
     rows, lines, width = _sketch_rows(spec.n, m)
     i, j, k = hyperplanes_of(spec).T
     low, high = i * (m + 1) + 1, j * (m + 1) + k + 1
-    per_chunk = max(1, CHUNK_TOKENS // width)
     packed = []
-    for start in range(0, lines, per_chunk):
-        line = rows(np.arange(start, min(start + per_chunk, lines)))
+    for line in map(rows, index_chunks(lines, width)):
         position = np.empty(line.shape, np.int32)
         np.put_along_axis(position, line, np.arange(width, dtype=np.int32), axis=1)
         packed.append(np.packbits(position.take(low, 1) < position.take(high, 1), axis=1))
@@ -201,17 +195,15 @@ def regions_by_projection(spec: ArrangementSpec) -> int:
 def render_chunks(tokens: Sequence[str | np.ndarray], rows: Callable[[np.ndarray], np.ndarray],
                   lines: int, width: int) -> Iterator[str]:
     """Lines 0 to ``lines - 1``, rendered when read, as one str per chunk of
-    ``CHUNK_TOKENS // width`` lines (at least one, the last the rest), joined
-    by newlines with none at the end.  ``rows`` maps line numbers to their
-    codes, ``width`` a line; code t is the t-th token (a str is one, an array
-    one per uint8 row, NULs dropped) and a space.  Lines must be equally long.
-    A chunk is gathered from one byte table and decoded once."""
+    :func:`index_chunks`, joined by newlines with none at the end.  ``rows``
+    maps line numbers to their codes, ``width`` a line; code t is the t-th
+    token (a str is one, an array one per uint8 row, NULs dropped) and a
+    space.  Lines must be equally long.  A chunk is gathered from one byte
+    table, built at the call so that the tokens are not held, and decoded once."""
     cells = byte_cells(tokens, " ")
-    per_chunk = max(1, CHUNK_TOKENS // width)
 
     def chunks() -> Iterator[str]:
-        for start in range(0, lines, per_chunk):
-            line = np.arange(start, min(start + per_chunk, lines))
+        for line in index_chunks(lines, width):
             text = cells[rows(line)].view(np.uint8)
             text = text[text != 0]
             line_bytes = text.size // line.size
@@ -266,12 +258,11 @@ def _side_table(n: int, m: int) -> tuple[np.ndarray, ...]:
     for size in range(n + 1):  # one size's words alive at a time
         sorted_words = _sorted_words(size, m)[:, ::-1]
         place = np.arange(size * width, dtype=np.int32)
-        step = max(1, CHUNK_TOKENS // max(1, place.size))  # coded a chunk at a time, no copy
         for subset in itertools.combinations(range(n), size):
             code = np.array(subset, np.int32)[place // width] * width + place % width + 1
             rows = slice(offsets[subset], offsets[subset] + lengths[size])
-            for row in range(0, lengths[size], step):
-                words[rows, :place.size][row:row + step] = code[sorted_words[row:row + step]]
+            for row in index_chunks(lengths[size], place.size):  # coded a chunk at a time
+                words[offsets[subset] + row, :place.size] = code[sorted_words[row]]
             first[rows] = offsets[tuple(sorted(set(range(n)) - set(subset)))]
             count[rows] = lengths[n - size]
     del sorted_words  # the largest size's words, not held while the rows are ordered

@@ -25,6 +25,7 @@ from braidarr.numbers import (
     regions_B_closed,
     zaslavsky,
 )
+from test_poset import check_rendered
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -250,6 +251,35 @@ def test_enumeration_forms_sha256(capture, args):
     code, out, err = capture("enumerate", kind, n, m, "--output", output)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest, err) == (0, ENUMERATION_FORMS_SHA256[args], "")
+
+
+CHUNKED_ARGVS = [
+    ("enumerate", kind, "3", "1", "--output", output)
+    for kind in ("sketches", "partitions", "paths") for output in ("table", "json", "csv")
+] + [("poset", "B:3,2", "--output", "table")]
+PROJECTED = [
+    ArrangementSpec.preset("B:3,1"),
+    ArrangementSpec(3, arrangements.MULTIPLICATIVE, {(1, 3): [-1, 2], (2, 3): [0]}, True),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, arrangements.CHUNK_WORDS])
+def test_one_chunk_size_reaches_every_loop(capture, monkeypatch, chunk):
+    """Patching ``CHUNK_WORDS`` alone resizes every chunked loop, the ff
+    kernel's and those of ``index_chunks``, and changes no output; at 1 the
+    JSON dump yields one piece per flat and one per cover."""
+    expected = ([capture(*argv) for argv in CHUNKED_ARGVS],
+                [sketches.regions_by_projection(spec) for spec in PROJECTED])
+    chi = arrangements.charpoly_ff(ArrangementSpec.preset("A:4,1"))
+    monkeypatch.setattr(arrangements, "CHUNK_WORDS", chunk)
+    assert ([capture(*argv) for argv in CHUNKED_ARGVS],
+            [sketches.regions_by_projection(spec) for spec in PROJECTED]) == expected
+    assert arrangements.charpoly_ff(ArrangementSpec.preset("A:4,1")) == chi
+    spec = ArrangementSpec.preset("A:3,1")
+    built = poset.build_poset(spec)
+    check_rendered(built, spec, "A:3,1")
+    if chunk == 1:  # the lists' openers and the closing text are the other three
+        assert len(list(built.json_chunks("A:3,1"))) == len(built) + len(built.edges) + 3
 
 
 # The methods when the grid was pinned; a new method gets its own pin.

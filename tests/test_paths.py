@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidarr import cli
+from braidarr import arrangements, cli
 from braidarr.arrangements import SizeGuard
 from braidarr.dyckwords import axis_points, step_sequences
 from braidarr.numbers import charpoly_A_closed, charpoly_C_closed, raney
@@ -25,7 +25,6 @@ from braidarr.paths import (
     sketch_to_path,
 )
 from braidarr.sketches import Sketch
-from braidarr import sketches
 from test_sketches import assert_chunked, chunk_lines, sketch_objects
 
 # Three-coordinate all-positive region (mark at the start).
@@ -227,12 +226,12 @@ class TestPathLines:
 
     def test_chunks_six_one(self):
         lines = [d.to_text() for d in enumerate_decorated_paths(6, 1)]
-        assert_chunked(path_chunks(6, 1), lines, 13)  # 16 chunks
+        assert_chunked(path_chunks(6, 1), lines, 13)  # 123 chunks
 
     # 84 lines of 7 tokens in chunks of 83 and 1, 42 and 42, and 1 each
     @pytest.mark.parametrize("tokens", [83 * 7, 42 * 7 + 6, 1])
     def test_chunk_edges(self, monkeypatch, tokens):
-        monkeypatch.setattr(sketches, "CHUNK_TOKENS", tokens)
+        monkeypatch.setattr(arrangements, "CHUNK_WORDS", tokens)
         lines = [d.to_text() for d in enumerate_decorated_paths(3, 1)]
         assert_chunked(path_chunks(3, 1), lines, 7)
 

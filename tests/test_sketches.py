@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidarr import cli
+from braidarr import arrangements, cli
 from braidarr.arrangements import (
     MULTIPLICATIVE,
     ArrangementSpec,
@@ -27,7 +27,6 @@ from braidarr.numbers import (
     regions_Gamma_closed,
     zaslavsky,
 )
-from braidarr import sketches
 from braidarr.partitions import partition_chunks
 from braidarr.sketches import (
     LETTER_ENTRIES,
@@ -224,14 +223,14 @@ class TestReference:
     def test_six_one(self):
         lines = reference_lines(6, 1, "{0[0]}^{0[1]}".format, "0")
         assert chunk_lines(sketch_chunks(6, 1)) == lines
-        assert_chunked(sketch_chunks(6, 1), lines, 13)  # 16 chunks
+        assert_chunked(sketch_chunks(6, 1), lines, 13)  # 123 chunks
 
 
 def assert_chunked(chunks, lines, width):
-    """``chunks`` are ``lines`` in chunks of ``CHUNK_TOKENS // width`` lines
+    """``chunks`` are ``lines`` in chunks of ``CHUNK_WORDS // width`` lines
     (at least one), the last holding the rest: each its lines joined by
     newlines, none ending in one."""
-    per_chunk = max(1, sketches.CHUNK_TOKENS // width)
+    per_chunk = max(1, arrangements.CHUNK_WORDS // width)
     chunks = list(chunks)
     sizes = [chunk.count("\n") + 1 for chunk in chunks]
     assert not any(chunk.endswith("\n") for chunk in chunks)
@@ -246,14 +245,14 @@ class TestChunks:
 
     def test_partitions_five_four(self):
         lines = reference_partition_lines(5, 4)
-        assert_chunked(partition_chunks(5, 4), lines, 26)  # 72 chunks
+        assert_chunked(partition_chunks(5, 4), lines, 26)  # 570 chunks
 
     # 84 lines of 7 tokens in chunks of 83 and 1, 42 and 42, and 1 each; the
     # side table is coded as many rows at a time
     @pytest.mark.parametrize("tokens", [83 * 7, 42 * 7 + 6, 1])
     @pytest.mark.parametrize("kind", ["sketches", "partitions"])
     def test_chunk_edges(self, monkeypatch, tokens, kind):
-        monkeypatch.setattr(sketches, "CHUNK_TOKENS", tokens)
+        monkeypatch.setattr(arrangements, "CHUNK_WORDS", tokens)
         if kind == "sketches":
             chunks, lines = sketch_chunks(3, 1), reference_lines(3, 1, "{0[0]}^{0[1]}".format, "0")
         else:
